@@ -9,11 +9,18 @@ The frequency set uses the signed representatives k in [-G/2, G/2); the
 unmatched Nyquist plane (index -G/2 on any axis) is excluded from every
 differentiation and inversion multiplier, and the zero mode is reserved
 for the mean, which solvers project away and report.
+
+Solvers use the half spectrum of ``SpectralCore`` (``rfftn``): arrays of
+shape (C, G, ..., G, G/2 + 1) whose last axis holds only the indices
+0..G/2, every other mode being the conjugate of a stored one; index G/2
+is that axis's Nyquist plane.  ``dft_forward``/``dft_inverse`` keep the
+full complex spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +28,8 @@ __all__ = [
     "PeriodicGrid",
     "GridFunction",
     "SpectralField",
+    "SpectralCore",
+    "spectral_core",
     "dft_forward",
     "dft_inverse",
     "gradient",
@@ -86,9 +95,6 @@ class PeriodicGrid:
         axes = np.meshgrid(*([z1d] * self.n), indexing="ij")
         return np.stack(axes, axis=0)
 
-    def frequency_norm(self) -> np.ndarray:
-        return np.sqrt((self.frequency_vectors() ** 2).sum(axis=0))
-
     def nyquist_mask(self) -> np.ndarray:
         """True on modes with index -G/2 on at least one axis."""
         hit = np.arange(self.G) == self.G // 2
@@ -97,17 +103,6 @@ class PeriodicGrid:
             shape = [1] * self.n
             shape[axis] = self.G
             mask |= hit.reshape(shape)
-        return mask
-
-    def band_mask(self, kmax: int) -> np.ndarray:
-        """True on modes with |k_j| <= kmax on every axis."""
-        k = self.axis_freq_indices()
-        inside = np.abs(k) <= kmax
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.n):
-            shape = [1] * self.n
-            shape[axis] = self.G
-            mask &= inside.reshape(shape)
         return mask
 
 
@@ -142,9 +137,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, grid: PeriodicGrid, components: int) -> "GridFunction":
         return cls(grid, np.zeros((components,) + grid.shape))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
@@ -214,11 +206,45 @@ def dft_inverse(U: SpectralField, imag_tol: float = 1e-9) -> GridFunction:
     return GridFunction(U.grid, vals.real.copy())
 
 
-def _derivative_multipliers(grid: PeriodicGrid) -> np.ndarray:
-    """2 pi i z_j per mode with the Nyquist plane zeroed, shape (n, ...)."""
-    z = grid.frequency_vectors()
-    keep = ~grid.nyquist_mask()
-    return 2j * np.pi * z * keep
+class SpectralCore:
+    """Half-spectrum transforms and tables of one grid: frequencies ``z``
+    (n, ...), ``zmag`` = |z|, the ``nyquist`` and ``retained`` (nonzero,
+    off Nyquist) masks, and ``deriv`` = 2 pi i z_j zeroed on the Nyquist
+    planes.  Instances are shared through ``spectral_core``, so the arrays
+    are read-only."""
+
+    def __init__(self, grid: PeriodicGrid):
+        self.grid = grid
+        self.axes = tuple(range(1, grid.n + 1))
+        # the last axis runs 0..G/2, so its Nyquist index is +G/2
+        per_axis = [grid.axis_freq_indices()] * (grid.n - 1) + [np.arange(grid.G // 2 + 1)]
+        k = np.stack(np.meshgrid(*per_axis, indexing="ij"))
+        self.nyquist = (np.abs(k) == grid.G // 2).any(axis=0)
+        self.z = k / grid.L
+        self.zmag = np.sqrt((self.z**2).sum(axis=0))
+        self.retained = (self.zmag > 0) & ~self.nyquist
+        self.deriv = 2j * np.pi * self.z * ~self.nyquist
+        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv):
+            arr.flags.writeable = False
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients of real (C, G, ..., G) values."""
+        return np.fft.rfftn(values, axes=self.axes, norm="forward")
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real (C, G, ..., G) values of half-spectrum coefficients."""
+        return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes, norm="forward")
+
+    def derivatives(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha slowest."""
+        d = coeffs[:, None] * self.deriv
+        return self.inverse(d.reshape((-1,) + d.shape[2:]))
+
+
+@lru_cache(maxsize=8)
+def spectral_core(grid: PeriodicGrid) -> SpectralCore:
+    """The shared ``SpectralCore`` of a grid, built on first use."""
+    return SpectralCore(grid)
 
 
 def gradient(u: GridFunction) -> GridFunction:
@@ -228,13 +254,8 @@ def gradient(u: GridFunction) -> GridFunction:
     band-limited below the Nyquist plane; coefficients on that plane are
     zeroed.
     """
-    grid = u.grid
-    N = u.components
-    U = dft_forward(u)
-    mult = _derivative_multipliers(grid)  # (n, ...)
-    dcoeffs = U.coeffs[:, None, ...] * mult[None, ...]  # (N, n, ...)
-    field = dft_inverse(SpectralField(grid, dcoeffs.reshape(N * grid.n, *grid.shape)))
-    return field
+    core = spectral_core(u.grid)
+    return GridFunction(u.grid, core.derivatives(core.forward(u.values)))
 
 
 def norm_l2(u: GridFunction) -> float:
@@ -284,11 +305,6 @@ def random_band_limited(
     if kmax >= grid.G // 2:
         raise ValueError(f"kmax must stay below the Nyquist index G/2, got {kmax}")
     white = rng.normal(size=(components,) + grid.shape)
-    axes = tuple(range(1, grid.n + 1))
-    spec = np.fft.fftn(white, axes=axes)
-    mask = grid.band_mask(kmax)
-    mask = mask & ~grid.nyquist_mask()
-    spec *= mask
-    spec[(slice(None),) + (0,) * grid.n] = 0.0
-    vals = np.fft.ifftn(spec, axes=axes).real
-    return GridFunction(grid, vals)
+    core = spectral_core(grid)
+    keep = core.retained & (np.abs(core.z) <= kmax / grid.L).all(axis=0)
+    return GridFunction(grid, core.inverse(core.forward(white) * keep))

@@ -22,19 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu
-from .grid import (
-    GridFunction,
-    PeriodicGrid,
-    SpectralField,
-    conjugate_exponent,
-    dft_forward,
-    dft_inverse,
-    gradient,
-    norm_l2,
-    norm_l2star,
-    project_mean_zero,
-)
-from .tensor import ConstantTensor, cofactor, contract, determinant, direction_matrix, operator_norm
+from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, project_mean_zero, spectral_core
+from .tensor import ConstantTensor, cofactor, determinant, direction_matrix, operator_norm
 
 __all__ = [
     "MultiplierPlan",
@@ -65,8 +54,8 @@ class MultiplierPlan:
     """Precomputed per-mode inverse multipliers for one (tensor, grid) pair.
 
     Building the plan checks ellipticity once and caches the N x N
-    complex multiplier for every retained mode; repeated solves against
-    the same operator reuse it.
+    complex multiplier for every retained mode of the half spectrum of
+    ``core``; repeated solves against the same operator reuse it.
     """
 
     def __init__(self, A: ConstantTensor, grid: PeriodicGrid):
@@ -78,20 +67,17 @@ class MultiplierPlan:
         self.A = A
         self.grid = grid
         self.nu = nu
-        z = grid.frequency_vectors()
-        zmag = np.sqrt((z**2).sum(axis=0))
-        retained = (zmag > 0) & ~grid.nyquist_mask()
+        self.core = core = spectral_core(grid)
+        keep, zmag = core.retained, core.zmag
         with np.errstate(divide="ignore", invalid="ignore"):
-            sgn = np.where(retained, z / zmag, 0.0)
+            sgn = np.where(keep, core.z / zmag, 0.0)
         Adir = direction_matrix(A, np.moveaxis(sgn, 0, -1))  # (..., N, N)
         det = determinant(Adir)
         cof_t = np.swapaxes(cofactor(Adir), -1, -2)
-        factor = np.zeros(grid.shape, dtype=complex)
+        factor = np.zeros(zmag.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor[retained] = 1.0 / (2j * np.pi * zmag[retained] * det[retained])
+            factor[keep] = 1.0 / (2j * np.pi * zmag[keep] * det[keep])
         self.multipliers = cof_t * factor[..., None, None]
-        self.retained = retained
-        self.zmag = zmag
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Multiply stacked mode coefficients (N, ...) by the plan."""
@@ -183,23 +169,33 @@ class RegularizerSequence:
         return np.minimum(float(self.m) * zmag, 1.0)
 
 
-def _prepare_rhs(plan: MultiplierPlan, f: GridFunction):
-    if f.grid != plan.grid:
+def check_plan(plan: MultiplierPlan, A: ConstantTensor, grid: PeriodicGrid) -> None:
+    """Raise ValueError unless ``plan`` was built for ``A`` on ``grid``."""
+    if plan.A != A:
+        raise ValueError("the plan was built for a different tensor")
+    if plan.grid != grid:
         raise ValueError("right-hand side lives on a different grid than the plan")
-    if f.components != plan.A.N:
-        raise ValueError(f"right-hand side must have {plan.A.N} components, got {f.components}")
+
+
+def _prepare_rhs(A: ConstantTensor, plan: MultiplierPlan, f: GridFunction):
+    check_plan(plan, A, f.grid)
+    if f.components != A.N:
+        raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
     f0, mean = project_mean_zero(f)
-    F = dft_forward(f0)
-    fmax = float(np.abs(F.coeffs).max())
-    on_nyquist = float(np.abs(F.coeffs[:, plan.grid.nyquist_mask()]).max()) if fmax > 0 else 0.0
+    F = plan.core.forward(f0.values)
+    fmax = float(np.abs(F).max())
+    on_nyquist = float(np.abs(F[:, plan.core.nyquist]).max()) if fmax > 0 else 0.0
     truncated = bool(fmax > 0 and on_nyquist > 1e-13 * fmax)
     return f0, mean, F, truncated
 
 
-def _residual(A: ConstantTensor, u: GridFunction, target: GridFunction):
-    r = norm_l2(apply_tensor(A, gradient(u)) - target)
+def _solution(plan: MultiplierPlan, U: np.ndarray, target: GridFunction):
+    """The field of coefficients U, and |A:Du - target|_2 relative and absolute."""
+    grid = target.grid
+    Du = GridFunction(grid, plan.core.derivatives(U))
+    r = norm_l2(apply_tensor(plan.A, Du) - target)
     scale = norm_l2(target)
-    return (r / scale if scale > 0 else 0.0), r
+    return GridFunction(grid, plan.core.inverse(U)), (r / scale if scale > 0 else 0.0), r
 
 
 def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None = None):
@@ -211,9 +207,8 @@ def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None
     cannot be represented and the residual reflects the loss).
     """
     plan = plan or MultiplierPlan(A, f.grid)
-    f0, mean, F, truncated = _prepare_rhs(plan, f)
-    u = dft_inverse(SpectralField(f.grid, plan.apply(F.coeffs)))
-    rel, absr = _residual(A, u, f0)
+    f0, mean, F, truncated = _prepare_rhs(A, plan, f)
+    u, rel, absr = _solution(plan, plan.apply(F), f0)
     return u, SolveReport(
         residual=rel,
         residual_abs=absr,
@@ -238,19 +233,19 @@ def solve_representation(
     rounding; ``factor_gap`` quantifies the distance to the exact solve.
     """
     plan = plan or MultiplierPlan(A, f.grid)
-    f0, mean, F, truncated = _prepare_rhs(plan, f)
-    s = np.where(plan.retained, regularizer.factor(plan.zmag), 0.0)
-    u = dft_inverse(SpectralField(f.grid, plan.apply(F.coeffs) * s[None, ...]))
+    f0, mean, F, truncated = _prepare_rhs(A, plan, f)
+    core = plan.core
+    s = np.where(core.retained, regularizer.factor(core.zmag), 0.0)
 
-    active = plan.retained & (np.abs(F.coeffs).max(axis=0) > 1e-13 * max(np.abs(F.coeffs).max(), 1e-300))
+    active = core.retained & (np.abs(F).max(axis=0) > 1e-13 * max(np.abs(F).max(), 1e-300))
     if active.any():
-        z_min = float(plan.zmag[active].min())
+        z_min = float(core.zmag[active].min())
         gap = float((1.0 - s[active]).max())
     else:
         z_min = np.inf
         gap = 0.0
-    target = dft_inverse(SpectralField(f.grid, F.coeffs * s[None, ...]))
-    rel, _ = _residual(A, u, target)
+    target = GridFunction(f.grid, core.inverse(F * s))
+    u, rel, _ = _solution(plan, plan.apply(F) * s, target)
     return u, RepresentationReport(
         kind=regularizer.kind,
         m=regularizer.m,

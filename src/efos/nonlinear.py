@@ -20,7 +20,7 @@ import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .grid import GridFunction, gradient, norm_l2, project_mean_zero
-from .linear import MultiplierPlan, apply_tensor, solve_linear
+from .linear import MultiplierPlan, apply_tensor, check_plan
 from .sampling import SamplingPlan
 from .tensor import ConstantTensor
 
@@ -58,7 +58,6 @@ class NonlinearOperator:
     anchor: ConstantTensor
     declared_nearness: float | None = None
     x_periodic: bool = True
-    thread_safe: bool = True
     vectorized: bool = True
     name: str = ""
 
@@ -86,12 +85,6 @@ class NonlinearOperator:
         Q = np.moveaxis(Du.as_gradient(N), (0, 1), (-2, -1))  # (..., N, n)
         out = self.evaluate(X, Q)  # (..., N)
         return GridFunction(grid, np.moveaxis(out, -1, 0).copy())
-
-    def declared_margin(self) -> float | None:
-        """nu(anchor) minus the declared nearness, when declared."""
-        if self.declared_nearness is None:
-            return None
-        return cached_nu(self.anchor) - self.declared_nearness
 
 
 @dataclass
@@ -147,7 +140,8 @@ class IterationTrace:
 
 
 class DivergenceError(RuntimeError):
-    """Iteration failed to contract; carries the trace gathered so far."""
+    """Iteration failed to contract or F returned a non-finite value;
+    carries the trace gathered so far."""
 
     def __init__(self, message: str, trace: IterationTrace):
         super().__init__(message)
@@ -200,6 +194,18 @@ def _mean_adjusted_residual(F: NonlinearOperator, Fu: GridFunction, f: GridFunct
     return r, scale, mean
 
 
+def _finite_F(F: NonlinearOperator, Du: GridFunction, step: int, trace: IterationTrace) -> GridFunction:
+    """F(., Du), or DivergenceError naming the first grid index where it is
+    not finite."""
+    Fu = F.apply_to_gradient(Du)
+    bad = ~np.isfinite(Fu.values).all(axis=0)
+    if bad.any():
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        trace.message = f"F is not finite at step {step}, first at grid index {index}"
+        raise DivergenceError(trace.message, trace)
+    return Fu
+
+
 def campanato_solve(
     F: NonlinearOperator,
     f: GridFunction,
@@ -212,10 +218,13 @@ def campanato_solve(
     """Solve F(x, Du) = f (up to its compatibility mean) by fixed point.
 
     Each step solves the anchor system A:Du_{k+1} = A:Du_k - F(., Du_k) + f
-    with the right-hand side projected to mean zero.  Iteration stops when
-    the mean-adjusted residual falls below tol * its scale or the step
-    metric falls below tol * |f|_2; it aborts with DivergenceError after
-    three consecutive non-contracting steps above the noise floor.
+    with the right-hand side projected to mean zero.  The iterate stays in
+    half-spectrum coefficients, so a step costs one forward transform, one
+    inverse transform of the derivatives and one evaluation of F.
+    Iteration stops when the mean-adjusted residual falls below tol * its
+    scale or the step metric falls below tol * |f|_2; it aborts with
+    DivergenceError after three consecutive non-contracting steps above
+    the noise floor, or when F is not finite (step 0 is the start).
 
     Returns (u, IterationTrace).
     """
@@ -224,6 +233,8 @@ def campanato_solve(
         raise ValueError("operator is not periodic in x; torus solve is meaningless")
     if f.components != A.N:
         raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
+    if plan is not None:
+        check_plan(plan, A, f.grid)
     nu = cached_nu(A)
     if F.declared_nearness is not None:
         near = F.declared_nearness
@@ -235,29 +246,29 @@ def campanato_solve(
             f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}"
         )
     plan = plan or MultiplierPlan(A, f.grid)
+    core = plan.core
 
     trace = IterationTrace(K_theory=near / nu)
     norm_f = norm_l2(f)
     floor = 1e-13 * max(norm_f, 1e-300)
 
-    u = u0.copy() if u0 is not None else GridFunction.zeros(f.grid, A.N)
-    Du = gradient(u)
+    U = np.zeros((A.N,) + core.zmag.shape, complex) if u0 is None else core.forward(u0.values)
+    Du = GridFunction(f.grid, core.derivatives(U))
     Au = apply_tensor(A, Du)
+    Fu = _finite_F(F, Du, 0, trace)
     non_contracting = 0
-    for _ in range(max_iter):
-        Fu = F.apply_to_gradient(Du)
-        rhs = GridFunction(f.grid, Au.values - Fu.values + f.values)
-        u_next, step_report = solve_linear(A, rhs, plan=plan)
-        Du_next = gradient(u_next)
-        Au_next = apply_tensor(A, Du_next)
-        d = norm_l2(Au_next - Au)
+    for step in range(1, max_iter + 1):
+        rhs, dropped = project_mean_zero(GridFunction(f.grid, Au.values - Fu.values + f.values))
+        U = plan.apply(core.forward(rhs.values))
+        Du = GridFunction(f.grid, core.derivatives(U))
+        Au, Au_prev = apply_tensor(A, Du), Au
+        d = norm_l2(Au - Au_prev)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        Fu_next = F.apply_to_gradient(Du_next)
-        res, res_scale, _ = _mean_adjusted_residual(F, Fu_next, f)
-        trace.record(d, ratio, res / res_scale if res_scale > 0 else res, step_report.dropped_mean_norm)
+        Fu = _finite_F(F, Du, step, trace)
+        res, res_scale, _ = _mean_adjusted_residual(F, Fu, f)
+        trace.record(d, ratio, res / res_scale if res_scale > 0 else res, np.linalg.norm(dropped))
 
-        u, Du, Au = u_next, Du_next, Au_next
         if res <= tol * res_scale or d <= tol * norm_f:
             trace.converged = True
             trace.message = f"converged in {trace.iterations} iterations"
@@ -271,7 +282,7 @@ def campanato_solve(
             non_contracting = 0
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    return u, trace
+    return GridFunction(f.grid, core.inverse(U)), trace
 
 
 def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) -> ComparisonReport:

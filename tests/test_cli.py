@@ -190,6 +190,23 @@ max_iter = 50
     assert code == 3
 
 
+def test_solve_nonlinear_non_finite_operator_exit_code(tmp_path, capsys):
+    # exp overflows once q11 > 7.1e-4, and inf - inf is NaN
+    text = DIRAC_LINEAR + """
+[nonlinear]
+f1 = q11 + q22 + q33 + exp(1e6*q11) - exp(1e6*q11)
+f2 = -q12 + q21 + q43
+f3 = -q13 + q31 - q42
+f4 = -q23 + q32 + q41
+lambda = 0.5
+"""
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, text, "solve-nonlinear")
+    assert code == 3
+    assert "not finite at step 1" in capsys.readouterr().err
+    assert not (out / "u.efof").exists()
+
+
 def test_verify_suite_passes(tmp_path):
     text = """
 [tensor]

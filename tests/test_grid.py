@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from efos.grid import (
     GridFunction,
     PeriodicGrid,
+    SpectralField,
     conjugate_exponent,
     dft_forward,
     dft_inverse,
@@ -95,6 +96,18 @@ def test_gradient_kills_nyquist_mode():
     checker = ((-1.0) ** i)[:, None] * np.ones((8, 8))
     Du = gradient(GridFunction(grid, checker[None]))
     np.testing.assert_allclose(Du.values, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, G", [(2, 16), (3, 8), (4, 6)])
+def test_gradient_matches_full_spectrum_reference(n, G):
+    # white noise has content on every Nyquist plane, the last axis's included
+    grid = PeriodicGrid(n=n, G=G, L=0.7)
+    u = GridFunction(grid, rng_from_seed(n).standard_normal((2,) + grid.shape))
+    U = dft_forward(u).coeffs
+    mult = 2j * np.pi * grid.frequency_vectors() * ~grid.nyquist_mask()
+    ref = np.stack([dft_inverse(SpectralField(grid, U * m)).values for m in mult], axis=1)
+    Du = gradient(u).as_gradient(2)
+    np.testing.assert_allclose(Du, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_gradient_component_order():

@@ -108,6 +108,20 @@ def test_dimension_mismatch_rejected():
         MultiplierPlan(dirac(), PeriodicGrid(n=2, G=8))
 
 
+def test_plan_for_another_tensor_or_grid_rejected():
+    A = dirac()
+    grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(grid, 4)
+    reg = RegularizerSequence("rational", 10)
+    other_tensor = MultiplierPlan(ConstantTensor(2.0 * A.entries), grid)
+    other_grid = MultiplierPlan(A, PeriodicGrid(n=3, G=16))
+    for plan in (other_tensor, other_grid):
+        with pytest.raises(ValueError):
+            solve_linear(A, f, plan=plan)
+        with pytest.raises(ValueError):
+            solve_representation(A, f, reg, plan=plan)
+
+
 def test_apriori_ratio_bounded_by_one():
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(1)

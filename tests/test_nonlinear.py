@@ -7,7 +7,8 @@ import pytest
 
 from efos.catalog import dirac, lipschitz_perturbation, variable_linear
 from efos.ellipticity import NonEllipticError, cached_nu
-from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
+from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, project_mean_zero, random_band_limited
+from efos.linear import MultiplierPlan, apply_tensor, solve_linear
 from efos.nonlinear import (
     TRACE_COLUMNS,
     DivergenceError,
@@ -18,7 +19,7 @@ from efos.nonlinear import (
     verify_comparison,
 )
 from efos.sampling import rng_from_seed
-from efos.tensor import contract, operator_norm
+from efos.tensor import ConstantTensor, contract, operator_norm
 
 from helpers import single_mode_rhs
 
@@ -143,6 +144,45 @@ def test_divergence_detected_with_trace():
         campanato_solve(F, f, tol=1e-10, max_iter=50)
     assert exc.value.trace.iterations >= 3
     assert not exc.value.trace.converged
+
+
+def test_non_finite_F_fails_fast_with_witness():
+    A = dirac()
+    grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(grid, 4)  # the first iterate has Q_11 = sin(2 pi x1)
+
+    def nan_above(x, Q):
+        Q = np.asarray(Q)
+        out = contract(A, Q)
+        out[np.abs(Q[..., 0, 0]) > 0.1] = np.nan
+        return out
+
+    def nan_right_half(x, Q):
+        out = contract(A, np.asarray(Q))
+        out[np.asarray(x)[..., 0] >= 0.5] = np.nan
+        return out
+
+    # the first bad grid index in row-major order: x1 = 1/8, then x1 = 1/2
+    for evaluator, step, index in ((nan_above, 1, (1, 0, 0)), (nan_right_half, 0, (4, 0, 0))):
+        F = NonlinearOperator(evaluator=evaluator, anchor=A, declared_nearness=0.5)
+        with pytest.raises(DivergenceError) as exc:
+            campanato_solve(F, f, tol=1e-10)
+        assert f"step {step}," in str(exc.value)
+        assert str(index) in str(exc.value)
+        assert exc.value.trace.iterations == 0
+        assert not exc.value.trace.converged
+
+
+def test_plan_for_another_tensor_or_grid_rejected():
+    A = dirac()
+    grid = PeriodicGrid(n=3, G=8)
+    F = _linear_anchor_operator(A)
+    f = single_mode_rhs(grid, 4)
+    other_tensor = MultiplierPlan(ConstantTensor(2.0 * A.entries), grid)
+    other_grid = MultiplierPlan(A, PeriodicGrid(n=3, G=16))
+    for plan in (other_tensor, other_grid):
+        with pytest.raises(ValueError):
+            campanato_solve(F, f, plan=plan)
 
 
 def test_no_margin_rejected_before_iterating():
@@ -281,3 +321,45 @@ def test_pointwise_evaluator_mode():
     a = F_loop.apply_to_gradient(gradient(w))
     b = F_vec.apply_to_gradient(gradient(w))
     np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+
+
+def _reference_picard(F, f, tol, max_iter=400):
+    """The Picard loop written with the public linear solve: each step
+    solves for u_{k+1} in physical space and differentiates it again."""
+    A = F.anchor
+    plan = MultiplierPlan(A, f.grid)
+    norm_f = norm_l2(f)
+    u = GridFunction.zeros(f.grid, A.N)
+    Au = apply_tensor(A, gradient(u))
+    d, residual = [], []
+    for _ in range(max_iter):
+        rhs = GridFunction(f.grid, Au.values - F.apply_to_gradient(gradient(u)).values + f.values)
+        u, _ = solve_linear(A, rhs, plan=plan)
+        Du = gradient(u)
+        Au_next = apply_tensor(A, Du)
+        d.append(norm_l2(Au_next - Au))
+        Au = Au_next
+        Fu = F.apply_to_gradient(Du)
+        _, mean = project_mean_zero(f - Fu)
+        target = f.values - mean.reshape((-1, 1, 1, 1))
+        res, scale = norm_l2(GridFunction(f.grid, Fu.values - target)), norm_l2(GridFunction(f.grid, target))
+        residual.append(res / scale)
+        if res <= tol * scale or d[-1] <= tol * norm_f:
+            return u, d, residual, True
+    return u, d, residual, False
+
+
+def test_coefficient_space_loop_matches_physical_space_reference():
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    grid = PeriodicGrid(n=3, G=16)
+    f = random_band_limited(grid, 4, rng_from_seed(2))
+    u, trace = campanato_solve(F, f, tol=1e-10)
+    u_ref, d_ref, res_ref, converged_ref = _reference_picard(F, f, tol=1e-10)
+    assert trace.converged and converged_ref
+    assert trace.iterations == len(d_ref)
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-14
+    # below 1e-6 d_1 the step metric is a difference at rounding level
+    for k in range(1, len(d_ref)):
+        if d_ref[k] >= 1e-6 * d_ref[0]:
+            assert abs(trace.ratio[k] - d_ref[k] / d_ref[k - 1]) <= 1e-9
+    np.testing.assert_allclose(trace.residual, res_ref, rtol=0, atol=1e-12)
