@@ -26,13 +26,13 @@ import numpy as np
 from . import catalog
 from .ellipticity import NonEllipticError, ellipticity_constant
 from .exprs import ExpressionError, compile_expression
-from .fieldfile import read_field, write_field
+from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from .linear import (
     REPORT_COLUMNS,
     MultiplierPlan,
     RegularizerSequence,
-    report_csv_row,
+    report_row,
     solve_linear,
     solve_representation,
     verify_apriori,
@@ -126,8 +126,8 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
         arg = 2.0 * np.pi * sum(k * x[j] for j, k in enumerate(freq)) / grid.L
         values = np.zeros((N,) + grid.shape)
         values[component - 1] = amplitude * np.sin(arg + phase)
-        return GridFunction(grid, values)
-    if kind == "expression":
+        f = GridFunction(grid, values)
+    elif kind == "expression":
         x = grid.points()
         env = {f"x{j + 1}": x[j] for j in range(grid.n)}
         values = np.zeros((N,) + grid.shape)
@@ -139,8 +139,8 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
                 except ExpressionError as exc:
                     raise ConfigError(f"bad [rhs] {key}: {exc}") from exc
                 values[comp] = np.broadcast_to(fn(env), grid.shape)
-        return GridFunction(grid, values)
-    if kind == "file":
+        f = GridFunction(grid, values)
+    elif kind == "file":
         path = _get(cfg, "rhs", "file")
         try:
             f = read_field(path, L=grid.L)
@@ -151,8 +151,13 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
                 f"rhs field has {f.components} components on G={f.grid.G}, n={f.grid.n}; "
                 f"expected {N} on G={grid.G}, n={grid.n}"
             )
-        return f
-    raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
+    else:
+        raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
+    try:
+        check_finite(f.values, "rhs field")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return f
 
 
 def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
@@ -215,19 +220,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_analyze(cfg, args) -> int:
     A = build_tensor(cfg)
     resolution = _get(cfg, "tensor", "resolution", int, 2048)
     report = ellipticity_constant(A, resolution)
-    out = _outdir(args)
-    header = "nu,min_abs_det,argmin_direction,resolution,refined,elliptic"
-    argmin = " ".join(repr(v) for v in report.argmin_direction)
-    row = f"{report.nu!r},{report.min_abs_det!r},{argmin},{report.resolution},{report.refined},{report.elliptic}"
-    _write(out / "ellipticity.csv", [header, row])
+    columns = ("nu", "min_abs_det", "argmin_direction", "resolution", "refined", "elliptic")
+    write_csv(_outdir(args) / "ellipticity.csv", columns, [[getattr(report, c) for c in columns]])
     print(f"nu = {report.nu:.12g}  min|det| = {report.min_abs_det:.12g}  elliptic = {report.elliptic}")
     return 0 if report.elliptic else 2
 
@@ -241,7 +239,7 @@ def cmd_solve_linear(cfg, args) -> int:
     apriori = verify_apriori(A, u, f, nu=plan.nu)
     out = _outdir(args)
     write_field(out / "u.efof", u)
-    _write(out / "report.csv", [",".join(REPORT_COLUMNS), report_csv_row(grid, report, apriori)])
+    write_csv(out / "report.csv", REPORT_COLUMNS, [report_row(grid, report, apriori)])
     print(
         f"residual = {report.residual:.3e}  ratio_grad = {apriori.ratio_grad:.12g}"
         + ("  [nyquist content truncated]" if report.nyquist_truncated else "")
@@ -249,7 +247,7 @@ def cmd_solve_linear(cfg, args) -> int:
     if cfg.has_option("solver", "regularizer"):
         kind = cfg.get("solver", "regularizer")
         ms = _get(cfg, "solver", "m", _int_list, [1, 10, 100, 1000])
-        rows = ["m,kind,rel_error,factor_gap,rational_bound,residual"]
+        rows = []
         nu_direct = norm_l2(u)
         for m in ms:
             try:
@@ -258,10 +256,9 @@ def cmd_solve_linear(cfg, args) -> int:
                 raise ConfigError(f"bad regularizer: {exc}") from exc
             um, rrep = solve_representation(A, f, reg, plan=plan)
             err = norm_l2(um - u) / nu_direct if nu_direct > 0 else 0.0
-            rows.append(
-                f"{m},{kind},{err!r},{rrep.factor_gap!r},{rrep.rational_bound!r},{rrep.residual!r}"
-            )
-        _write(out / "representation.csv", rows)
+            rows.append((m, kind, err, rrep.factor_gap, rrep.rational_bound, rrep.residual))
+        columns = ("m", "kind", "rel_error", "factor_gap", "rational_bound", "residual")
+        write_csv(out / "representation.csv", columns, rows)
     return 0
 
 
@@ -272,7 +269,12 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     F = build_operator(cfg, A)
     tol = _get(cfg, "solver", "tol", float, 1e-10) if cfg.has_section("solver") else 1e-10
     max_iter = _get(cfg, "solver", "max_iter", int, 400) if cfg.has_section("solver") else 400
-    u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
+    try:
+        u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
+    except NonEllipticError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     write_field(out / "u.efof", u)
     trace.write_csv(out / "trace.csv")
@@ -288,14 +290,10 @@ def cmd_verify(cfg, args) -> int:
     grid = build_grid(cfg, A.n)
     seed = _seed(cfg, args)
     rng = rng_from_seed(seed)
-    rows = ["check,case,value,bound,status"]
-    failed = 0
+    rows = []
 
     def record(check, case, value, bound, ok):
-        nonlocal failed
-        rows.append(f"{check},{case},{value!r},{bound!r},{'pass' if ok else 'FAIL'}")
-        if not ok:
-            failed += 1
+        rows.append((check, case, value, bound, "pass" if ok else "FAIL"))
 
     plan = MultiplierPlan(A, grid)
     for i in range(10):
@@ -340,9 +338,9 @@ def cmd_verify(cfg, args) -> int:
         near = near_operator_check(F, pairs)
         record("near_operator", "pairs", near.max_ratio, 1.0 + 1e-9, near.violations == 0)
 
-    out = _outdir(args)
-    _write(out / "verify.csv", rows)
-    print(f"{len(rows) - 1} checks, {failed} failed")
+    write_csv(_outdir(args) / "verify.csv", ("check", "case", "value", "bound", "status"), rows)
+    failed = sum(row[-1] == "FAIL" for row in rows)
+    print(f"{len(rows)} checks, {failed} failed")
     return 0 if failed == 0 else 4
 
 

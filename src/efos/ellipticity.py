@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import minimize
 
-from .sampling import SamplingPlan, unit_sphere_points
+from .sampling import MAGNITUDE_LADDER, X_BOX, SamplingPlan, unit_sphere_points
 from .tensor import ConstantTensor, contract, direction_matrix, determinant, operator_norm
 
 __all__ = [
@@ -249,7 +249,7 @@ def _increment_sweep(F, plan: SamplingPlan):
     nx, npts = X.shape[0], P.shape[1]
     F0 = np.broadcast_to(F.evaluate(X, P), (nx, npts, N))
     for U in dirs:
-        for s in plan.q_scales:
+        for s in MAGNITUDE_LADDER:
             F1 = np.broadcast_to(F.evaluate(X, P + s * U), (nx, npts, N))
             yield s, U, X, P, F0, F1
 
@@ -284,7 +284,7 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
         worst_x=wx.copy(),
         worst_p=wp.copy(),
         worst_q=wq.copy(),
-        x_cell=f"[0, {plan.x_box})^{A.n}",
+        x_cell=f"[0, {X_BOX})^{A.n}",
         declared_nearness=getattr(F, "declared_nearness", None),
     )
 
@@ -301,29 +301,27 @@ def is_strictly_elliptic(F, A: ConstantTensor | None = None, plan: SamplingPlan 
     return bool(margin > 0), float(margin)
 
 
-def check_pseudomonotonicity(
-    F, A: ConstantTensor | None = None, lam: float = 0.5, plan: SamplingPlan | None = None
-) -> PseudoMonotonicityReport:
-    """Sampled check of the quadratic monotonicity inequality at level lam.
+def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingPlan | None):
+    """One pass over the plan's increments.
 
-    Whenever the sampled nearness quotients stay below lam * nu(A), the
-    inequality holds on those same samples, so a zero violation count is
-    the expected outcome for genuinely near operators.  Violations are
-    counted with a small floating-point guard band and reported with the
-    worst witness.
+    Returns the pseudo-monotonicity report at level lam, the sampled
+    Lipschitz constant sup |F(x, P+Q) - F(x, P)| / |Q| and nu(A).
     """
     A = F.anchor if A is None else A
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must be in (0, 1), got {lam}")
     plan = plan or SamplingPlan()
     nu_a = cached_nu(A)
+    lip = 0.0
     violations = 0
     worst = 0.0
     witness = (None, None, None)
     total = 0
     for s, U, X, P, F0, F1 in _increment_sweep(F, plan):
+        dF = F1 - F0
+        lip = max(lip, float((np.linalg.norm(dF, axis=-1) / s).max()))
         AQ = s * contract(A, U)  # (N,)
-        lhs = np.einsum("...a,a->...", F1 - F0, AQ)
+        lhs = np.einsum("...a,a->...", dF, AQ)
         aq_sq = float(AQ @ AQ)
         rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2
         guard = 1e-12 * (aq_sq + nu_a**2 * s**2)
@@ -335,7 +333,7 @@ def check_pseudomonotonicity(
         if gap[i, j] > worst:
             worst = float(gap[i, j])
             witness = (X[i, 0].copy(), P[0, j].copy(), s * U)
-    return PseudoMonotonicityReport(
+    report = PseudoMonotonicityReport(
         lam=lam,
         violations=violations,
         worst_violation=worst if worst > 0 else 0.0,
@@ -344,6 +342,21 @@ def check_pseudomonotonicity(
         witness_p=witness[1],
         witness_q=witness[2],
     )
+    return report, lip, nu_a
+
+
+def check_pseudomonotonicity(
+    F, A: ConstantTensor | None = None, lam: float = 0.5, plan: SamplingPlan | None = None
+) -> PseudoMonotonicityReport:
+    """Sampled check of the quadratic monotonicity inequality at level lam.
+
+    Whenever the sampled nearness quotients stay below lam * nu(A), the
+    inequality holds on those same samples, so a zero violation count is
+    the expected outcome for genuinely near operators.  Violations are
+    counted with a small floating-point guard band and reported with the
+    worst witness.
+    """
+    return _monotonicity_sweep(F, A, lam, plan)[0]
 
 
 def lipschitz_and_converse(
@@ -352,23 +365,12 @@ def lipschitz_and_converse(
     """Sampled Lipschitz constant of F(x, .) and the converse test.
 
     Estimates sup |F(x, P+Q) - F(x, P)| / |Q| over the plan, compares it
-    with the threshold sqrt(1 - lam^2) nu(A), and runs the
-    pseudo-monotonicity check at the same level; strict ellipticity is
-    concluded only when both sampled hypotheses hold.
+    with the threshold sqrt(1 - lam^2) nu(A), and checks
+    pseudo-monotonicity at the same level on the same samples; strict
+    ellipticity is concluded only when both sampled hypotheses hold.
     """
-    A = F.anchor if A is None else A
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must be in (0, 1), got {lam}")
-    plan = plan or SamplingPlan()
-    nu_a = cached_nu(A)
-    lip = 0.0
-    total = 0
-    for s, U, X, P, F0, F1 in _increment_sweep(F, plan):
-        quotients = np.linalg.norm(F1 - F0, axis=-1) / s
-        total += quotients.size
-        lip = max(lip, float(quotients.max()))
+    pm, lip, nu_a = _monotonicity_sweep(F, A, lam, plan)
     threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
-    pm = check_pseudomonotonicity(F, A, lam, plan)
     below = lip < threshold
     return LipschitzConverseReport(
         lipschitz_estimate=lip,
@@ -377,5 +379,5 @@ def lipschitz_and_converse(
         pseudo_monotone_violations=pm.violations,
         lipschitz_below_threshold=below,
         concluded_elliptic=bool(below and pm.violations == 0),
-        samples_used=total,
+        samples_used=pm.samples_used,
     )

@@ -12,17 +12,21 @@ Layout, all little-endian:
                 row-major order (axis 1 slowest)
 
 The period length is not stored; readers supply it (default 1.0).
+Payloads must be finite.  Every CSV report is written by ``write_csv``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .grid import GridFunction, PeriodicGrid
 
-__all__ = ["MAGIC", "VERSION", "write_field", "read_field"]
+__all__ = ["MAGIC", "VERSION", "write_field", "read_field", "check_finite", "csv_text", "write_csv"]
 
 MAGIC = b"EFOF"
 VERSION = 1
@@ -66,6 +70,38 @@ def read_field(path, L: float = 1.0) -> GridFunction:
         raise ValueError(f"payload length {payload_len} != expected {expected}")
     if len(data) - offset < payload_len:
         raise ValueError("field file truncated in payload")
-    values = np.frombuffer(data, dtype="<f8", count=components * G**n, offset=offset)
     grid = PeriodicGrid(n=n, G=G, L=L)
-    return GridFunction(grid, values.reshape((components,) + grid.shape).copy())
+    values = np.frombuffer(data, dtype="<f8", count=components * G**n, offset=offset)
+    values = values.reshape((components,) + grid.shape)
+    check_finite(values, "field payload")
+    return GridFunction(grid, values.copy())
+
+
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first (component, grid index) of
+    ``values``, shape (C, ...), that is NaN or infinite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        component, *index = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise ValueError(f"{what} is not finite at component {component}, grid index {tuple(index)}")
+
+
+def _cell(value) -> str:
+    # str, not the csv module's repr: repr(np.float64(x)) is "np.float64(x)"
+    if isinstance(value, np.ndarray):
+        return " ".join(str(float(v)) for v in value.ravel())
+    return str(value)
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV lines ending in "\n".  A cell is ``str`` of its value (the
+    round-trip repr for a float), an array its floats joined by spaces;
+    cells holding a comma or a quote are quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a CSV report: the header ``columns``, then ``rows``."""
+    Path(path).write_text(csv_text([columns, *rows]), newline="")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu
+from .fieldfile import csv_text
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, project_mean_zero, spectral_core
 from .tensor import ConstantTensor, cofactor, determinant, direction_matrix, operator_norm
 
@@ -37,6 +38,7 @@ __all__ = [
     "riesz_constant",
     "apply_tensor",
     "REPORT_COLUMNS",
+    "report_row",
     "report_csv_row",
 ]
 
@@ -302,14 +304,11 @@ def riesz_constant(n: int, alpha: float) -> float:
     )
 
 
+def report_row(grid: PeriodicGrid, report: SolveReport, apriori: AprioriReport) -> tuple:
+    """The values of the columns in REPORT_COLUMNS."""
+    return (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
+
+
 def report_csv_row(grid: PeriodicGrid, report: SolveReport, apriori: AprioriReport) -> str:
     """One CSV row with the columns in REPORT_COLUMNS."""
-    vals = (
-        str(grid.G),
-        repr(report.nu),
-        repr(report.residual),
-        repr(apriori.ratio_grad),
-        repr(apriori.ratio_sobolev),
-        repr(report.dropped_mean_norm),
-    )
-    return ",".join(vals)
+    return csv_text([report_row(grid, report, apriori)]).rstrip("\n")

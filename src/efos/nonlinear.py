@@ -13,12 +13,14 @@ nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
+from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2, project_mean_zero
 from .linear import MultiplierPlan, apply_tensor, check_plan
 from .sampling import SamplingPlan
@@ -118,25 +120,8 @@ class IterationTrace:
         self.residual.append(float(residual))
         self.dropped_mean_norm.append(float(dropped))
 
-    def csv_rows(self) -> list:
-        rows = [",".join(TRACE_COLUMNS)]
-        for i in range(len(self.k)):
-            rows.append(
-                ",".join(
-                    (
-                        str(self.k[i]),
-                        repr(self.d[i]),
-                        repr(self.ratio[i]),
-                        repr(self.residual[i]),
-                        repr(self.dropped_mean_norm[i]),
-                    )
-                )
-            )
-        return rows
-
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
+        write_csv(path, TRACE_COLUMNS, zip(self.k, self.d, self.ratio, self.residual, self.dropped_mean_norm))
 
 
 class DivergenceError(RuntimeError):
@@ -179,7 +164,7 @@ def contraction_metric(u: GridFunction, v: GridFunction, A: ConstantTensor) -> f
     return norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
 
 
-def _mean_adjusted_residual(F: NonlinearOperator, Fu: GridFunction, f: GridFunction):
+def _mean_adjusted_residual(Fu: GridFunction, f: GridFunction):
     """Residual of F(., Du) = f up to the torus compatibility mean.
 
     The solvable right-hand sides on the torus differ from f by a
@@ -225,9 +210,12 @@ def campanato_solve(
     scale or the step metric falls below tol * |f|_2; it aborts with
     DivergenceError after three consecutive non-contracting steps above
     the noise floor, or when F is not finite (step 0 is the start).
+    Requires a finite tol > 0 and max_iter >= 1.
 
     Returns (u, IterationTrace).
     """
+    if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
+        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
     A = F.anchor
     if not F.x_periodic:
         raise ValueError("operator is not periodic in x; torus solve is meaningless")
@@ -266,7 +254,7 @@ def campanato_solve(
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         Fu = _finite_F(F, Du, step, trace)
-        res, res_scale, _ = _mean_adjusted_residual(F, Fu, f)
+        res, res_scale, _ = _mean_adjusted_residual(Fu, f)
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, np.linalg.norm(dropped))
 
         if res <= tol * res_scale or d <= tol * norm_f:

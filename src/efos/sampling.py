@@ -8,7 +8,7 @@ of this code base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,12 @@ __all__ = [
 # difference quotients.  Small entries probe the derivative regime, large
 # ones the far field.
 MAGNITUDE_LADDER = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
+
+# Scales of the coordinate-matrix P anchors: trigonometric half-periods.
+STRUCTURED_P_SCALES = (0.5 * np.pi, np.pi)
+
+# Side of the fundamental cell [0, X_BOX)^n that x samples cover.
+X_BOX = 1.0
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -76,12 +82,12 @@ def _coordinate_matrices(N: int, n: int) -> np.ndarray:
 class SamplingPlan:
     """Recipe for the (x, P, Q) triples fed to sup-type estimators.
 
-    x points are a uniform grid over the fundamental cell [0, x_box)^n
+    x points are a uniform grid over the fundamental cell [0, X_BOX)^n
     (always including the origin).  P anchors combine the origin,
-    coordinate matrices scaled to trigonometric half-periods, and random
-    draws.  Q increments combine signed coordinate directions, the
-    anchor tensor's strongest direction, optional extra directions, and
-    random draws, each swept through the magnitude ladder.
+    coordinate matrices scaled by STRUCTURED_P_SCALES, optional extra
+    anchors, and random draws.  Q increments combine signed coordinate
+    directions, the anchor tensor's strongest direction, optional extra
+    directions, and random draws, each swept through MAGNITUDE_LADDER.
 
     Random P, Q, and any future categories use separate child seeds so
     that enlarging one count extends its stream without moving any other;
@@ -91,24 +97,18 @@ class SamplingPlan:
     x_per_axis: int = 2
     random_p: int = 4
     random_q: int = 8
-    q_scales: tuple = MAGNITUDE_LADDER
     seed: int = 0
     include_axis_directions: bool = True
-    include_anchor_extreme: bool = True
-    structured_p_scales: tuple = (0.5 * np.pi, np.pi)
     extra_p: tuple = ()
     extra_q_directions: tuple = ()
-    x_box: float = 1.0
 
     def __post_init__(self):
         if self.x_per_axis < 1 or self.random_p < 0 or self.random_q < 0:
             raise ValueError("sample counts must be nonnegative (x_per_axis >= 1)")
-        if len(self.q_scales) == 0 or any(s <= 0 for s in self.q_scales):
-            raise ValueError("q_scales must be positive")
 
     def x_points(self, n: int) -> np.ndarray:
         """Grid sample of the fundamental cell, shape (X, n), first row 0."""
-        axis = self.x_box * np.arange(self.x_per_axis) / self.x_per_axis
+        axis = X_BOX * np.arange(self.x_per_axis) / self.x_per_axis
         grids = np.meshgrid(*([axis] * n), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -116,7 +116,7 @@ class SamplingPlan:
         """Base-point matrices P, shape (P, N, n); always starts with 0."""
         parts = [np.zeros((1, N, n))]
         coords = _coordinate_matrices(N, n)
-        for s in self.structured_p_scales:
+        for s in STRUCTURED_P_SCALES:
             parts.append(s * coords)
             parts.append(-s * coords)
         for extra in self.extra_p:
@@ -133,7 +133,7 @@ class SamplingPlan:
             coords = _coordinate_matrices(N, n)
             parts.append(coords)
             parts.append(-coords)
-        if self.include_anchor_extreme and anchor is not None:
+        if anchor is not None:
             _, _, vh = np.linalg.svd(anchor.flattened())
             parts.append(vh[0].reshape(1, N, n))
         for extra in self.extra_q_directions:

@@ -1,11 +1,13 @@
 """End-to-end CLI runs: configs in, reports and fields out, coded exits."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from efos.cli import main
 from efos.fieldfile import read_field, write_field
-from efos.grid import PeriodicGrid, random_band_limited
+from efos.grid import GridFunction, PeriodicGrid, random_band_limited
 from efos.linear import REPORT_COLUMNS
 from efos.nonlinear import TRACE_COLUMNS
 from efos.sampling import rng_from_seed
@@ -131,6 +133,74 @@ file = {tmp_path / "f.efof"}
 """
     code, _ = run(tmp_path, text, "solve-linear")
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["mode", "expression", "file"])
+def test_non_finite_rhs_is_config_error(tmp_path, capsys, kind):
+    grid = PeriodicGrid(n=3, G=8)
+    values = np.zeros((4,) + grid.shape)
+    values[2, 1, 0, 5] = np.nan
+    write_field(tmp_path / "f.efof", GridFunction(grid, values))
+    rhs = {
+        "mode": "kind = mode\ncomponent = 1\nfrequency = 1,0,0\namplitude = nan",
+        "expression": "kind = expression\nf1 = 1/(x1 - x1)",
+        "file": f"kind = file\nfile = {tmp_path / 'f.efof'}",
+    }[kind]
+    text = f"[tensor]\nsource = catalog:dirac\n\n[grid]\nG = 8\n\n[rhs]\n{rhs}\n"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, out = run(tmp_path, text, "solve-linear")
+    assert code == 1
+    witness = "component 2, grid index (1, 0, 5)" if kind == "file" else "component 0, grid index (0, 0, 0)"
+    assert f"not finite at {witness}" in capsys.readouterr().err
+    assert not (out / "u.efof").exists()
+
+
+@pytest.mark.parametrize("setting", ["max_iter = 0", "tol = -1"])
+def test_bad_solver_values_exit_code(tmp_path, setting):
+    text = DIRAC_LINEAR + f"""
+[nonlinear]
+source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
+
+[solver]
+{setting}
+"""
+    code, out = run(tmp_path, text, "solve-nonlinear")
+    assert code == 1
+    assert not (out / "u.efof").exists()
+
+
+def test_every_csv_parses(tmp_path):
+    text = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[solver]
+regularizer = rational
+
+[nonlinear]
+source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
+"""
+    for command in ("analyze", "solve-linear", "solve-nonlinear", "verify"):
+        code, out = run(tmp_path, text, command, extra=("--seed", "5"))
+        assert code == 0, command
+    numeric = {
+        "ellipticity.csv": ("nu", "min_abs_det", "resolution"),
+        "report.csv": REPORT_COLUMNS,
+        "representation.csv": ("m", "rel_error", "factor_gap", "rational_bound", "residual"),
+        "trace.csv": TRACE_COLUMNS,
+        "verify.csv": ("value", "bound"),
+    }
+    for name, columns in numeric.items():
+        with open(out / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            cells = dict(zip(header, row))
+            for column in columns:
+                float(cells[column])
+    with open(out / "ellipticity.csv", newline="") as fh:
+        (cells,) = list(csv.DictReader(fh))
+    direction = [float(v) for v in cells["argmin_direction"].split(" ")]
+    assert len(direction) == 3
+    assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
 
 
 def test_solve_nonlinear_catalog_operator(tmp_path):

@@ -94,3 +94,14 @@ def test_anisotropic_sizes_rejected(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         read_field(bad)
+
+
+def test_non_finite_payload_rejected_with_witness(tmp_path):
+    grid = PeriodicGrid(n=2, G=4)
+    vals = np.zeros((2,) + grid.shape)
+    vals[1, 3, 0] = np.inf
+    vals[1, 2, 3] = np.nan  # first in file order
+    p = tmp_path / "u.efof"
+    write_field(p, GridFunction(grid, vals))
+    with pytest.raises(ValueError, match=r"not finite at component 1, grid index \(2, 3\)"):
+        read_field(p)

@@ -210,6 +210,13 @@ def test_non_periodic_operator_rejected():
         campanato_solve(F, single_mode_rhs(grid, 4))
 
 
+@pytest.mark.parametrize("tol, max_iter", [(0.0, 400), (-1.0, 400), (math.nan, 400), (math.inf, 400), (1e-10, 0)])
+def test_bad_solver_settings_rejected(tol, max_iter):
+    f = single_mode_rhs(PeriodicGrid(n=3, G=8), 4)
+    with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+        campanato_solve(_linear_anchor_operator(dirac()), f, tol=tol, max_iter=max_iter)
+
+
 def test_component_mismatch_rejected():
     grid = PeriodicGrid(n=3, G=8)
     f = GridFunction.zeros(grid, 3)
