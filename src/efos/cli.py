@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .ellipticity import NonEllipticError, ellipticity_constant
+from .ellipticity import NonEllipticError, cached_nu, ellipticity_constant, nearness_constant
 from .exprs import ExpressionError, compile_expression
 from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
@@ -172,6 +172,11 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
             raise ConfigError(f"bad operator source {source!r}: {exc}") from exc
         if not isinstance(obj, NonlinearOperator):
             raise ConfigError(f"[nonlinear] source {source!r} names a tensor, not an operator")
+        if obj.anchor != A:
+            raise ConfigError(
+                f"[nonlinear] source {source!r} is anchored at another tensor than "
+                f"[tensor] source {cfg.get('tensor', 'source')!r}"
+            )
         return obj
     N, n = A.N, A.n
     names = [f"x{j + 1}" for j in range(n)] + [f"q{b + 1}{j + 1}" for b in range(N) for j in range(n)]
@@ -186,8 +191,6 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
             raise ConfigError(f"bad [nonlinear] {key}: {exc}") from exc
     declared = None
     if cfg.has_option("nonlinear", "lambda"):
-        from .ellipticity import cached_nu
-
         declared = _get(cfg, "nonlinear", "lambda", float) * cached_nu(A)
 
     def evaluator(x, Q):
@@ -316,8 +319,6 @@ def cmd_verify(cfg, args) -> int:
     else:
         F = catalog.lipschitz_perturbation(A, 0.5, "sin_q11")
     if F.declared_nearness is not None:
-        from .ellipticity import nearness_constant
-
         near = nearness_constant(F, A)
         record(
             "nearness_declared",

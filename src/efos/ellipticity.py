@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .sampling import MAGNITUDE_LADDER, X_BOX, SamplingPlan, unit_sphere_points
 from .tensor import ConstantTensor, contract, direction_matrix, determinant, operator_norm
@@ -125,40 +123,36 @@ def _sigma_min(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
     return np.linalg.svd(direction_matrix(A, dirs), compute_uv=False)[..., -1]
 
 
-def _refine_on_sphere(objective, a0: np.ndarray, simplex_scale: float = 1e-2):
-    """Derivative-free local descent of a sphere function from a0.
+def _abs_det(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
+    """|det(A a)| for stacked directions."""
+    return np.abs(determinant(direction_matrix(A, dirs)))
 
-    The sphere is charted as t -> normalize(a0 + T t) with T a tangent
-    basis; Nelder-Mead runs until the simplex diameter drops below 1e-10.
-    Returns (value, point, converged); the value never exceeds
-    objective(a0).
+
+def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):
+    """Minimize a batched sphere function from its best sample in dirs.
+
+    Compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003): try
+    normalize(a +/- step t) for a tangent basis t at a, move to the best
+    trial on strict improvement and halve step otherwise, from 1e-2 down
+    to 1e-14 or until 8000 evaluations.  Returns (value, point, reached
+    the step floor); the value never exceeds the best sample's.
     """
-    a0 = a0 / np.linalg.norm(a0)
-    T = null_space(a0[None, :])  # (n, n-1)
-
-    def chart(t):
-        v = a0 + T @ t
-        return v / np.linalg.norm(v)
-
-    dim = T.shape[1]
-    init = np.zeros((dim + 1, dim))
-    init[1:] += simplex_scale * np.eye(dim)
-    res = minimize(
-        lambda t: objective(chart(t)),
-        np.zeros(dim),
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10,
-            "fatol": 1e-14,
-            "maxiter": 4000,
-            "maxfev": 8000,
-            "initial_simplex": init,
-        },
-    )
-    f0 = objective(a0)
-    if res.fun <= f0:
-        return float(res.fun), chart(res.x), bool(res.success)
-    return float(f0), a0, bool(res.success)
+    values = objective(A, dirs)
+    best = int(np.argmin(values))  # ties: first sample wins
+    f, a = float(values[best]), dirs[best] / np.linalg.norm(dirs[best])
+    step, evals = 1e-2, 0
+    while step >= 1e-14 and evals < 8000:
+        tangent = np.linalg.svd(a[None])[2][1:]  # rows span the tangent space at a
+        trial = a + step * np.concatenate([tangent, -tangent])
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        values = objective(A, trial)
+        evals += len(trial)
+        k = int(np.argmin(values))
+        if values[k] < f:
+            f, a = float(values[k]), trial[k]
+        else:
+            step /= 2
+    return f, a, step < 1e-14
 
 
 def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> EllipticityReport:
@@ -180,29 +174,15 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     dirs = unit_sphere_points(A.n, resolution)
-    sigmas = _sigma_min(A, dirs)
-    best = int(np.argmin(sigmas))  # ties: first sample wins
-
-    def objective(a):
-        return float(np.linalg.svd(direction_matrix(A, a), compute_uv=False)[-1])
-
-    nu, argmin, converged = _refine_on_sphere(objective, dirs[best])
-    nu = min(nu, float(sigmas[best]))
-
-    dets = np.abs(determinant(direction_matrix(A, dirs)))
-    best_det = int(np.argmin(dets))
-    min_det, _, _ = _refine_on_sphere(
-        lambda a: float(abs(determinant(direction_matrix(A, a)))), dirs[best_det]
-    )
-    min_det = min(min_det, float(dets[best_det]))
-
+    nu, argmin, refined = _refine_on_sphere(_sigma_min, A, dirs)
+    min_det, _, _ = _refine_on_sphere(_abs_det, A, dirs)
     scale = max(1.0, operator_norm(A))
     return EllipticityReport(
-        nu=float(nu),
-        argmin_direction=argmin / np.linalg.norm(argmin),
-        min_abs_det=float(min_det),
+        nu=nu,
+        argmin_direction=argmin,
+        min_abs_det=min_det,
         resolution=resolution,
-        refined=converged,
+        refined=refined,
         elliptic=bool(nu > 1e-12 * scale),
     )
 

@@ -34,6 +34,7 @@ VERSION = 1
 
 def write_field(path, u: GridFunction) -> None:
     """Write a grid function to ``path`` in the EFOF layout."""
+    check_finite(u.values, "field payload")
     grid = u.grid
     payload = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
     header = struct.pack("<4sIII", MAGIC, VERSION, grid.n, u.components)

@@ -1,10 +1,15 @@
 """End-to-end CLI runs: configs in, reports and fields out, coded exits."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import efos
 from efos.cli import main
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
@@ -12,7 +17,7 @@ from efos.linear import REPORT_COLUMNS
 from efos.nonlinear import TRACE_COLUMNS
 from efos.sampling import rng_from_seed
 
-from helpers import dirac_closed_form
+from helpers import dirac_closed_form, poke_payload
 
 DIRAC_LINEAR = """
 [tensor]
@@ -138,9 +143,9 @@ file = {tmp_path / "f.efof"}
 @pytest.mark.parametrize("kind", ["mode", "expression", "file"])
 def test_non_finite_rhs_is_config_error(tmp_path, capsys, kind):
     grid = PeriodicGrid(n=3, G=8)
-    values = np.zeros((4,) + grid.shape)
-    values[2, 1, 0, 5] = np.nan
-    write_field(tmp_path / "f.efof", GridFunction(grid, values))
+    shape = (4,) + grid.shape
+    write_field(tmp_path / "f.efof", GridFunction(grid, np.zeros(shape)))
+    poke_payload(tmp_path / "f.efof", shape, (2, 1, 0, 5), np.nan)
     rhs = {
         "mode": "kind = mode\ncomponent = 1\nfrequency = 1,0,0\namplitude = nan",
         "expression": "kind = expression\nf1 = 1/(x1 - x1)",
@@ -408,3 +413,39 @@ source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
 """
     code, _ = run(tmp_path, text, "analyze")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "tensor, operator, command",
+    [
+        ("cauchy_riemann", "lipschitz_perturbation(dirac, 0.5, sin_q11)", "verify"),
+        ("generalized_cr(2, 1, 1, 1)", "lipschitz_perturbation(cauchy_riemann, 0.5, sin_q11)", "solve-nonlinear"),
+    ],
+)
+def test_operator_anchor_must_be_the_tensor(tmp_path, capsys, tensor, operator, command):
+    text = f"""
+[tensor]
+source = catalog:{tensor}
+
+[grid]
+G = 8
+
+[rhs]
+kind = expression
+f1 = sin(2*pi*x1)
+
+[nonlinear]
+source = catalog:{operator}
+"""
+    code, out = run(tmp_path, text, command)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"catalog:{tensor}" in err and f"catalog:{operator}" in err
+    assert not (out / "u.efof").exists() and not (out / "verify.csv").exists()
+
+
+def test_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
+    code = "import sys, efos, efos.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

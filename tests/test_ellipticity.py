@@ -16,9 +16,20 @@ from efos.ellipticity import (
 )
 from efos.nonlinear import NonlinearOperator
 from efos.sampling import SamplingPlan
-from efos.tensor import ConstantTensor, contract, operator_norm
+from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
 
 NU_GCR_2111 = 2.0 / np.sqrt(5.0)  # interior minimum of the direction-matrix singular value
+
+# Left multiplication by the quaternion units 1, i, j, k on (r, x, y, z).
+QUATERNION_UNITS = np.array(
+    [
+        np.eye(4),
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    ],
+    dtype=float,
+)
 
 
 def test_nu_cauchy_riemann_is_one():
@@ -37,6 +48,27 @@ def test_nu_dirac_is_one():
 def test_nu_generalized_cr():
     rep = ellipticity_constant(generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0), 2048)
     assert abs(rep.nu - NU_GCR_2111) < 1e-9
+
+
+@pytest.mark.parametrize("w", [(1.0, 2.0, 3.0, 4.0), (3.0, 1.5, 2.0, 4.0)])
+def test_quaternion_symbol_closed_form(w):
+    # A a is left multiplication by the quaternion (w_j a_j), so it is
+    # |(w_j a_j)| times an orthogonal matrix: nu = min w, |det| = |.|^4
+    A = ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1) * np.asarray(w))
+    rep = ellipticity_constant(A, 2048)
+    assert rep.refined
+    assert abs(rep.nu - min(w)) < 1e-9
+    assert abs(rep.min_abs_det - min(w) ** 4) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "A", [dirac(), cauchy_riemann(), generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0)], ids=["dirac", "cr", "gcr"]
+)
+def test_argmin_direction_attains_nu(A):
+    rep = ellipticity_constant(A, 2048)
+    assert rep.refined
+    sigma = np.linalg.svd(direction_matrix(A, rep.argmin_direction), compute_uv=False)[-1]
+    assert abs(sigma - rep.nu) < 1e-12
 
 
 def test_generalized_cr_reduces_to_cr():

@@ -9,6 +9,8 @@ from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid
 from efos.sampling import rng_from_seed
 
+from helpers import poke_payload
+
 
 def test_round_trip_bit_exact(tmp_path):
     grid = PeriodicGrid(n=3, G=6, L=2.0)
@@ -98,10 +100,21 @@ def test_anisotropic_sizes_rejected(tmp_path):
 
 def test_non_finite_payload_rejected_with_witness(tmp_path):
     grid = PeriodicGrid(n=2, G=4)
+    shape = (2,) + grid.shape
+    p = tmp_path / "u.efof"
+    write_field(p, GridFunction(grid, np.zeros(shape)))
+    poke_payload(p, shape, (1, 3, 0), np.inf)
+    poke_payload(p, shape, (1, 2, 3), np.nan)  # first in file order
+    with pytest.raises(ValueError, match=r"not finite at component 1, grid index \(2, 3\)"):
+        read_field(p)
+
+
+def test_non_finite_payload_not_written(tmp_path):
+    grid = PeriodicGrid(n=2, G=4)
     vals = np.zeros((2,) + grid.shape)
     vals[1, 3, 0] = np.inf
     vals[1, 2, 3] = np.nan  # first in file order
     p = tmp_path / "u.efof"
-    write_field(p, GridFunction(grid, vals))
     with pytest.raises(ValueError, match=r"not finite at component 1, grid index \(2, 3\)"):
-        read_field(p)
+        write_field(p, GridFunction(grid, vals))
+    assert not p.exists()
