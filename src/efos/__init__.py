@@ -33,8 +33,6 @@ from .fieldfile import read_field, write_field
 from .grid import (
     GridFunction,
     PeriodicGrid,
-    dft_forward,
-    dft_inverse,
     gradient,
     norm_l2,
     norm_l2star,
@@ -82,8 +80,6 @@ __all__ = [
     "campanato_solve",
     "cauchy_riemann",
     "contract",
-    "dft_forward",
-    "dft_inverse",
     "dirac",
     "direction_matrix",
     "ellipticity_constant",

@@ -226,17 +226,34 @@ def _outdir(args) -> Path:
 def cmd_analyze(cfg, args) -> int:
     A = build_tensor(cfg)
     resolution = _get(cfg, "tensor", "resolution", int, 2048)
-    report = ellipticity_constant(A, resolution)
+    try:
+        report = ellipticity_constant(A, resolution)
+    except ValueError as exc:
+        raise ConfigError(f"bad [tensor] resolution: {exc}") from exc
     columns = ("nu", "min_abs_det", "argmin_direction", "resolution", "refined", "elliptic")
     write_csv(_outdir(args) / "ellipticity.csv", columns, [[getattr(report, c) for c in columns]])
     print(f"nu = {report.nu:.12g}  min|det| = {report.min_abs_det:.12g}  elliptic = {report.elliptic}")
     return 0 if report.elliptic else 2
 
 
+def _regularizers(cfg) -> list:
+    """The [solver] regularizer ladder, one sequence per m; empty unless a kind is set."""
+    if not cfg.has_option("solver", "regularizer"):
+        return []
+    ms = _get(cfg, "solver", "m", _int_list, [1, 10, 100, 1000])
+    if not ms:
+        raise ConfigError("[solver] m lists no regularizer index")
+    try:
+        return [RegularizerSequence(kind=cfg.get("solver", "regularizer"), m=m) for m in ms]
+    except ValueError as exc:
+        raise ConfigError(f"bad regularizer: {exc}") from exc
+
+
 def cmd_solve_linear(cfg, args) -> int:
     A = build_tensor(cfg)
     grid = build_grid(cfg, A.n)
     f = build_rhs(cfg, grid, A.N)
+    ladder = _regularizers(cfg)
     plan = MultiplierPlan(A, grid)
     u, report = solve_linear(A, f, plan=plan)
     apriori = verify_apriori(A, u, f, nu=plan.nu)
@@ -247,19 +264,13 @@ def cmd_solve_linear(cfg, args) -> int:
         f"residual = {report.residual:.3e}  ratio_grad = {apriori.ratio_grad:.12g}"
         + ("  [nyquist content truncated]" if report.nyquist_truncated else "")
     )
-    if cfg.has_option("solver", "regularizer"):
-        kind = cfg.get("solver", "regularizer")
-        ms = _get(cfg, "solver", "m", _int_list, [1, 10, 100, 1000])
+    if ladder:
         rows = []
         nu_direct = norm_l2(u)
-        for m in ms:
-            try:
-                reg = RegularizerSequence(kind=kind, m=m)
-            except ValueError as exc:
-                raise ConfigError(f"bad regularizer: {exc}") from exc
+        for reg in ladder:
             um, rrep = solve_representation(A, f, reg, plan=plan)
             err = norm_l2(um - u) / nu_direct if nu_direct > 0 else 0.0
-            rows.append((m, kind, err, rrep.factor_gap, rrep.rational_bound, rrep.residual))
+            rows.append((reg.m, reg.kind, err, rrep.factor_gap, rrep.rational_bound, rrep.residual))
         columns = ("m", "kind", "rel_error", "factor_gap", "rational_bound", "residual")
         write_csv(out / "representation.csv", columns, rows)
     return 0

@@ -18,15 +18,13 @@ Payloads must be finite.  Every CSV report is written by ``write_csv``.
 from __future__ import annotations
 
 import csv
-import io
 import struct
-from pathlib import Path
 
 import numpy as np
 
 from .grid import GridFunction, PeriodicGrid
 
-__all__ = ["MAGIC", "VERSION", "write_field", "read_field", "check_finite", "csv_text", "write_csv"]
+__all__ = ["MAGIC", "VERSION", "write_field", "read_field", "check_finite", "write_csv"]
 
 MAGIC = b"EFOF"
 VERSION = 1
@@ -94,15 +92,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def csv_text(rows) -> str:
-    """Rows as CSV lines ending in "\n".  A cell is ``str`` of its value (the
-    round-trip repr for a float), an array its floats joined by spaces;
-    cells holding a comma or a quote are quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
-    return buf.getvalue()
-
-
 def write_csv(path, columns, rows) -> None:
-    """Write a CSV report: the header ``columns``, then ``rows``."""
-    Path(path).write_text(csv_text([columns, *rows]), newline="")
+    """Write a CSV report: the header ``columns``, then ``rows``, each line
+    ending in "\n".  A cell is ``str`` of its value (the round-trip repr for
+    a float), an array its floats joined by spaces; cells holding a comma
+    or a quote are quoted."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([_cell(v) for v in row] for row in [columns, *rows])

@@ -13,8 +13,9 @@ for the mean, which solvers project away and report.
 Solvers use the half spectrum of ``SpectralCore`` (``rfftn``): arrays of
 shape (C, G, ..., G, G/2 + 1) whose last axis holds only the indices
 0..G/2, every other mode being the conjugate of a stored one; index G/2
-is that axis's Nyquist plane.  ``dft_forward``/``dft_inverse`` keep the
-full complex spectrum.
+is that axis's Nyquist plane.  ``SpectralCore.forward``/``inverse`` are
+the only FFT calls in the package; the dense oracle builds its own
+exponential matrices as an independent reference.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ import numpy as np
 __all__ = [
     "PeriodicGrid",
     "GridFunction",
-    "SpectralField",
     "SpectralCore",
     "spectral_core",
-    "dft_forward",
-    "dft_inverse",
     "gradient",
     "norm_l2",
     "norm_l2star",
     "conjugate_exponent",
-    "spectral_norm_l2",
     "project_mean_zero",
     "random_band_limited",
 ]
@@ -106,14 +103,6 @@ class PeriodicGrid:
         return mask
 
 
-def _check_values(grid: PeriodicGrid, values: np.ndarray, kind: str) -> np.ndarray:
-    if values.ndim != grid.n + 1 or values.shape[1:] != grid.shape:
-        raise ValueError(
-            f"{kind} values must have shape (C, {', '.join(map(str, grid.shape))}), got {values.shape}"
-        )
-    return values
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Real vector field sampled on a grid, values of shape (C, G, ..., G).
@@ -127,7 +116,10 @@ class GridFunction:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        _check_values(self.grid, arr, "field")
+        if arr.ndim != self.grid.n + 1 or arr.shape[1:] != self.grid.shape:
+            raise ValueError(
+                f"field values must have shape (C, {', '.join(map(str, self.grid.shape))}), got {arr.shape}"
+            )
         object.__setattr__(self, "values", arr)
 
     @property
@@ -162,48 +154,6 @@ class GridFunction:
         if self.components != N * n:
             raise ValueError(f"expected {N * n} components, got {self.components}")
         return self.values.reshape(N, n, *self.grid.shape)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a field, complex, same (C, G, ..., G) layout.
-
-    Axis order follows the transform's native index order; use the grid's
-    frequency helpers to interpret positions.
-    """
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        _check_values(self.grid, arr, "coefficient")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[0]
-
-
-def dft_forward(u: GridFunction) -> SpectralField:
-    """Forward transform; exp(2 pi i k.x / L) maps to a unit impulse at k / L."""
-    axes = tuple(range(1, u.grid.n + 1))
-    coeffs = np.fft.fftn(u.values, axes=axes) / u.grid.num_points
-    return SpectralField(u.grid, coeffs)
-
-
-def dft_inverse(U: SpectralField, imag_tol: float = 1e-9) -> GridFunction:
-    """Inverse transform back to a real field.
-
-    Raises if the coefficients are not conjugate-symmetric enough for the
-    result to be real to within ``imag_tol`` (relative).
-    """
-    axes = tuple(range(1, U.grid.n + 1))
-    vals = np.fft.ifftn(U.coeffs * U.grid.num_points, axes=axes)
-    scale = max(1e-300, float(np.abs(vals.real).max()))
-    if float(np.abs(vals.imag).max()) > imag_tol * max(1.0, scale):
-        raise ValueError("coefficients are not conjugate-symmetric: inverse is not real")
-    return GridFunction(U.grid, vals.real.copy())
 
 
 class SpectralCore:
@@ -275,11 +225,6 @@ def norm_l2star(u: GridFunction) -> float:
     p = conjugate_exponent(u.grid.n)
     mags = np.sqrt((u.values**2).sum(axis=0))
     return float((u.grid.h**u.grid.n * np.sum(mags**p)) ** (1.0 / p))
-
-
-def spectral_norm_l2(U: SpectralField) -> float:
-    """L2 norm computed from coefficients: sqrt(L^n sum |u_hat|^2)."""
-    return float(np.sqrt(U.grid.L**U.grid.n * np.sum(np.abs(U.coeffs) ** 2)))
 
 
 def project_mean_zero(u: GridFunction):

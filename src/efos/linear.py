@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu
-from .fieldfile import csv_text
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, project_mean_zero, spectral_core
 from .tensor import ConstantTensor, cofactor, determinant, direction_matrix, operator_norm
 
@@ -39,7 +38,6 @@ __all__ = [
     "apply_tensor",
     "REPORT_COLUMNS",
     "report_row",
-    "report_csv_row",
 ]
 
 REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
@@ -179,10 +177,17 @@ def check_plan(plan: MultiplierPlan, A: ConstantTensor, grid: PeriodicGrid) -> N
         raise ValueError("right-hand side lives on a different grid than the plan")
 
 
+def check_field(u: GridFunction, A: ConstantTensor, grid: PeriodicGrid, what: str) -> None:
+    """Raise ValueError unless ``u`` lives on ``grid`` with A.N components."""
+    if u.grid != grid:
+        raise ValueError(f"{what} lives on {u.grid}, but the right-hand side on {grid}")
+    if u.components != A.N:
+        raise ValueError(f"{what} must have {A.N} components, got {u.components}")
+
+
 def _prepare_rhs(A: ConstantTensor, plan: MultiplierPlan, f: GridFunction):
     check_plan(plan, A, f.grid)
-    if f.components != A.N:
-        raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
+    check_field(f, A, f.grid, "right-hand side")
     f0, mean = project_mean_zero(f)
     F = plan.core.forward(f0.values)
     fmax = float(np.abs(F).max())
@@ -268,6 +273,8 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction, nu: floa
     actually solves the system for the mean-projected f.  The Sobolev
     ratio is informational.
     """
+    check_field(f, A, f.grid, "right-hand side")
+    check_field(u, A, f.grid, "solution")
     nu = cached_nu(A) if nu is None else nu
     f0, _ = project_mean_zero(f)
     nf = norm_l2(f0)
@@ -307,8 +314,3 @@ def riesz_constant(n: int, alpha: float) -> float:
 def report_row(grid: PeriodicGrid, report: SolveReport, apriori: AprioriReport) -> tuple:
     """The values of the columns in REPORT_COLUMNS."""
     return (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
-
-
-def report_csv_row(grid: PeriodicGrid, report: SolveReport, apriori: AprioriReport) -> str:
-    """One CSV row with the columns in REPORT_COLUMNS."""
-    return csv_text([report_row(grid, report, apriori)]).rstrip("\n")

@@ -22,7 +22,7 @@ import numpy as np
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2, project_mean_zero
-from .linear import MultiplierPlan, apply_tensor, check_plan
+from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
 from .sampling import SamplingPlan
 from .tensor import ConstantTensor
 
@@ -210,7 +210,8 @@ def campanato_solve(
     scale or the step metric falls below tol * |f|_2; it aborts with
     DivergenceError after three consecutive non-contracting steps above
     the noise floor, or when F is not finite (step 0 is the start).
-    Requires a finite tol > 0 and max_iter >= 1.
+    Requires a finite tol > 0 and max_iter >= 1, and a u0, if given, on
+    f's grid with the anchor's N components.
 
     Returns (u, IterationTrace).
     """
@@ -219,8 +220,9 @@ def campanato_solve(
     A = F.anchor
     if not F.x_periodic:
         raise ValueError("operator is not periodic in x; torus solve is meaningless")
-    if f.components != A.N:
-        raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
+    check_field(f, A, f.grid, "right-hand side")
+    if u0 is not None:
+        check_field(u0, A, f.grid, "u0")
     if plan is not None:
         check_plan(plan, A, f.grid)
     nu = cached_nu(A)

@@ -78,6 +78,14 @@ entries = 0,0, 0,0, 0,0, 0,0
     assert row.split(",")[0] == "0.0"
 
 
+def test_analyze_small_resolution_is_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "[tensor]\nsource = catalog:dirac\nresolution = 50\n", "analyze")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "resolution must be >= 100, got 50" in err
+    assert not (out / "ellipticity.csv").exists()
+
+
 def test_solve_linear_closed_form(tmp_path):
     code, out = run(tmp_path, DIRAC_LINEAR, "solve-linear")
     assert code == 0
@@ -99,6 +107,24 @@ def test_solve_linear_representation_ladder(tmp_path):
     assert len(lines) == 5
     errs = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b < a for a, b in zip(errs, errs[1:]))  # tighter with larger m
+
+
+@pytest.mark.parametrize(
+    "kind, ms, message",
+    [
+        ("bogus", "1,10", "unknown regularizer kind 'bogus'"),
+        ("bogus", "", "m lists no regularizer index"),
+        ("rational", "", "m lists no regularizer index"),
+    ],
+)
+def test_bad_regularizer_ladder_is_config_error(tmp_path, capsys, kind, ms, message):
+    text = DIRAC_LINEAR + f"\n[solver]\nregularizer = {kind}\nm = {ms}\n"
+    code, out = run(tmp_path, text, "solve-linear")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (out / "representation.csv").exists()
+    assert not (out / "u.efof").exists()
 
 
 def test_solve_linear_rhs_from_file(tmp_path):

@@ -1,24 +1,20 @@
-"""Torus grids, the DFT convention, spectral gradients, and norms."""
+"""Torus grids, the spectral core's DFT convention, spectral gradients, and norms."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from efos.grid import (
     GridFunction,
     PeriodicGrid,
-    SpectralField,
     conjugate_exponent,
-    dft_forward,
-    dft_inverse,
     gradient,
     norm_l2,
     norm_l2star,
     project_mean_zero,
     random_band_limited,
-    spectral_norm_l2,
+    spectral_core,
 )
+from efos.oracle import _dense_derivative_matrices
 from efos.sampling import rng_from_seed
 
 
@@ -45,30 +41,22 @@ def test_frequency_layout_matches_fft_convention():
 def test_forward_dft_of_pure_mode_is_unit_impulse():
     grid = PeriodicGrid(n=2, G=16)
     x = grid.points()
-    u = GridFunction(grid, np.cos(2 * np.pi * (2 * x[0] + x[1]))[None])
-    spec = dft_forward(u).coeffs
-    # cos splits into two conjugate impulses of weight 1/2
+    spec = spectral_core(grid).forward(np.cos(2 * np.pi * (2 * x[0] + x[1]))[None])
+    # cos splits into two conjugate impulses of weight 1/2; the half
+    # spectrum stores (2, 1), and its partner (-2, -1) is implied
+    assert spec.shape == (1, 16, 9)
     assert abs(spec[0, 2, 1] - 0.5) < 1e-12
-    assert abs(spec[0, -2, -1] - 0.5) < 1e-12
-    energy = np.abs(spec[0]) ** 2
-    assert abs(energy.sum() - 0.25 - 0.25) < 1e-12
+    rest = np.abs(spec[0])
+    rest[2, 1] = 0.0
+    assert rest.max() < 1e-12
 
 
 def test_dft_roundtrip():
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(0)
-    u = GridFunction(grid, rng.standard_normal((2,) + grid.shape))
-    back = dft_inverse(dft_forward(u))
-    np.testing.assert_allclose(back.values, u.values, atol=1e-12)
-
-
-def test_dft_inverse_rejects_nonreal_spectrum():
-    grid = PeriodicGrid(n=2, G=8)
-    spec = dft_forward(GridFunction.zeros(grid, 1))
-    coeffs = np.array(spec.coeffs)
-    coeffs[0, 1, 0] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        dft_inverse(type(spec)(grid, coeffs))
+    values = rng.standard_normal((2,) + grid.shape)
+    core = spectral_core(grid)
+    np.testing.assert_allclose(core.inverse(core.forward(values)), values, atol=1e-12)
 
 
 def test_gradient_of_single_mode_exact():
@@ -100,12 +88,13 @@ def test_gradient_kills_nyquist_mode():
 
 @pytest.mark.parametrize("n, G", [(2, 16), (3, 8), (4, 6)])
 def test_gradient_matches_full_spectrum_reference(n, G):
-    # white noise has content on every Nyquist plane, the last axis's included
+    # white noise has content on every Nyquist plane, the last axis's included;
+    # the oracle's matrices are built from explicit exponentials, not an FFT
     grid = PeriodicGrid(n=n, G=G, L=0.7)
     u = GridFunction(grid, rng_from_seed(n).standard_normal((2,) + grid.shape))
-    U = dft_forward(u).coeffs
-    mult = 2j * np.pi * grid.frequency_vectors() * ~grid.nyquist_mask()
-    ref = np.stack([dft_inverse(SpectralField(grid, U * m)).values for m in mult], axis=1)
+    D = _dense_derivative_matrices(grid)  # (n, G^n, G^n)
+    flat = u.values.reshape(2, -1)
+    ref = np.einsum("jxy,ay->ajx", D, flat).reshape((2, n) + grid.shape)
     Du = gradient(u).as_gradient(2)
     np.testing.assert_allclose(Du, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -121,21 +110,6 @@ def test_gradient_component_order():
     np.testing.assert_allclose(Du.values[2], 0.0, atol=1e-12)
     D = Du.as_gradient(2)
     assert D.shape == (2, 2) + grid.shape
-
-
-def test_plancherel_identity():
-    grid = PeriodicGrid(n=2, G=16, L=3.0)
-    rng = rng_from_seed(1)
-    u = random_band_limited(grid, 3, rng)
-    assert abs(norm_l2(u) - spectral_norm_l2(dft_forward(u))) < 1e-12
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25, deadline=None)
-def test_plancherel_property(seed):
-    grid = PeriodicGrid(n=2, G=8)
-    u = GridFunction(grid, rng_from_seed(seed).standard_normal((1,) + grid.shape))
-    assert abs(norm_l2(u) - spectral_norm_l2(dft_forward(u))) < 1e-11
 
 
 def test_norm_l2_constant_field():
@@ -171,7 +145,7 @@ def test_random_band_limited_respects_band():
     grid = PeriodicGrid(n=2, G=16)
     rng = rng_from_seed(3)
     u = random_band_limited(grid, 2, rng, kmax=3)
-    spec = dft_forward(u).coeffs
+    spec = np.fft.fftn(u.values, axes=(1, 2)) / grid.num_points
     idx = grid.axis_freq_indices()
     outside = (np.abs(idx)[:, None] > 3) | (np.abs(idx)[None, :] > 3)
     # zero up to one FFT round trip of roundoff

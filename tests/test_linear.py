@@ -11,10 +11,8 @@ from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann
 from efos.ellipticity import NonEllipticError
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import (
-    REPORT_COLUMNS,
     MultiplierPlan,
     RegularizerSequence,
-    report_csv_row,
     riesz_constant,
     solve_linear,
     solve_representation,
@@ -142,6 +140,28 @@ def test_apriori_zero_rhs():
     assert rep.ratio_grad == 0.0
 
 
+@pytest.mark.parametrize(
+    "bad, grid, components, match",
+    [
+        ("u", PeriodicGrid(n=3, G=8, L=2.0), 4, "solution lives on"),
+        ("u", PeriodicGrid(n=3, G=16), 4, "solution lives on"),
+        ("u", PeriodicGrid(n=3, G=8), 3, "solution must have 4 components, got 3"),
+        ("f", PeriodicGrid(n=3, G=8), 3, "right-hand side must have 4 components, got 3"),
+    ],
+)
+def test_apriori_rejects_mismatched_fields(bad, grid, components, match):
+    rhs_grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(rhs_grid, 4)
+    u, _ = solve_linear(dirac(), f)
+    field = random_band_limited(grid, components, rng_from_seed(3))
+    if bad == "u":
+        u = field
+    else:
+        f = field
+    with pytest.raises(ValueError, match=match):
+        verify_apriori(dirac(), u, f)
+
+
 def test_apriori_sobolev_reported_only_for_n_ge_3():
     grid2 = PeriodicGrid(n=2, G=16)
     f2 = single_mode_rhs(grid2, 2)
@@ -225,12 +245,3 @@ def test_riesz_constant_values():
     with pytest.raises(ValueError):
         riesz_constant(3, 0.0)
 
-
-def test_report_csv_row_matches_columns():
-    grid = PeriodicGrid(n=3, G=8)
-    f = single_mode_rhs(grid, 4)
-    u, report = solve_linear(dirac(), f)
-    apriori = verify_apriori(dirac(), u, f)
-    row = report_csv_row(grid, report, apriori)
-    assert len(row.split(",")) == len(REPORT_COLUMNS)
-    assert row.startswith("8,")

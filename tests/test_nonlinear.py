@@ -224,6 +224,21 @@ def test_component_mismatch_rejected():
         campanato_solve(_linear_anchor_operator(dirac()), f)
 
 
+@pytest.mark.parametrize(
+    "grid, components, match",
+    [
+        (PeriodicGrid(n=3, G=8, L=2.0), 4, "u0 lives on"),
+        (PeriodicGrid(n=3, G=16), 4, "u0 lives on"),
+        (PeriodicGrid(n=3, G=8), 3, "u0 must have 4 components, got 3"),
+    ],
+)
+def test_start_field_must_match_rhs(grid, components, match):
+    f = single_mode_rhs(PeriodicGrid(n=3, G=8), 4)
+    u0 = random_band_limited(grid, components, rng_from_seed(5))
+    with pytest.raises(ValueError, match=match):
+        campanato_solve(_linear_anchor_operator(dirac()), f, u0=u0)
+
+
 def test_contraction_metric_unitary_symbol():
     # the Dirac direction matrices are orthogonal, so d equals the gradient gap
     grid = PeriodicGrid(n=3, G=8)
