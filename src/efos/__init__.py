@@ -42,7 +42,6 @@ from .grid import (
 from .linear import (
     MultiplierPlan,
     RegularizerSequence,
-    riesz_constant,
     solve_linear,
     solve_representation,
     verify_apriori,
@@ -96,7 +95,6 @@ __all__ = [
     "project_mean_zero",
     "random_band_limited",
     "read_field",
-    "riesz_constant",
     "rng_from_seed",
     "solve_dense",
     "solve_linear",

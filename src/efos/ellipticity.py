@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MAGNITUDE_LADDER, X_BOX, SamplingPlan, unit_sphere_points
+from .sampling import MAGNITUDE_LADDER, SamplingPlan, unit_sphere_points
 from .tensor import ConstantTensor, contract, direction_matrix, determinant, operator_norm
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "PseudoMonotonicityReport",
     "LipschitzConverseReport",
     "ellipticity_constant",
-    "det_condition",
     "cached_nu",
     "nearness_constant",
     "is_strictly_elliptic",
@@ -64,8 +63,8 @@ class NearnessReport:
     """Sampled estimate of nu(F, A) and the derived nearness ratio.
 
     ``nu_fa`` is a max over finitely many difference quotients, hence a
-    lower bound for the true essential sup; x samples cover the labelled
-    fundamental cell only.
+    lower bound for the true essential sup; x samples cover the
+    fundamental cell [0, sampling.X_BOX)^n only.
     """
 
     nu_fa: float
@@ -75,7 +74,6 @@ class NearnessReport:
     worst_x: np.ndarray
     worst_p: np.ndarray
     worst_q: np.ndarray
-    x_cell: str
     declared_nearness: float | None = None
 
     def witness_ratio(self, F) -> float:
@@ -187,11 +185,6 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     )
 
 
-def det_condition(A: ConstantTensor, resolution: int = 2048) -> float:
-    """Minimum of |det(A a)| over unit directions; positive iff elliptic."""
-    return ellipticity_constant(A, resolution).min_abs_det
-
-
 _NU_CACHE: dict = {}
 
 
@@ -264,7 +257,6 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
         worst_x=wx.copy(),
         worst_p=wp.copy(),
         worst_q=wq.copy(),
-        x_cell=f"[0, {X_BOX})^{A.n}",
         declared_nearness=getattr(F, "declared_nearness", None),
     )
 

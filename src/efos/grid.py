@@ -159,9 +159,10 @@ class GridFunction:
 class SpectralCore:
     """Half-spectrum transforms and tables of one grid: frequencies ``z``
     (n, ...), ``zmag`` = |z|, the ``nyquist`` and ``retained`` (nonzero,
-    off Nyquist) masks, and ``deriv`` = 2 pi i z_j zeroed on the Nyquist
-    planes.  Instances are shared through ``spectral_core``, so the arrays
-    are read-only."""
+    off Nyquist) masks, ``deriv`` = 2 pi i z_j zeroed on the Nyquist
+    planes, and the Plancherel ``weight``, with which |u|_2^2 = sum of
+    weight * |U|^2 over the half spectrum.  Instances are shared through
+    ``spectral_core``, so the arrays are read-only."""
 
     def __init__(self, grid: PeriodicGrid):
         self.grid = grid
@@ -174,7 +175,9 @@ class SpectralCore:
         self.zmag = np.sqrt((self.z**2).sum(axis=0))
         self.retained = (self.zmag > 0) & ~self.nyquist
         self.deriv = 2j * np.pi * self.z * ~self.nyquist
-        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv):
+        # the last axis's planes 0 and G/2 hold their own conjugates; every other entry stands for two modes
+        self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0) * grid.L**grid.n
+        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight):
             arr.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ recovered right-hand side is the per-mode factor h_m(z)|z| in [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "solve_linear",
     "solve_representation",
     "verify_apriori",
-    "riesz_constant",
     "apply_tensor",
     "REPORT_COLUMNS",
     "report_row",
@@ -89,7 +87,6 @@ class SolveReport:
     """Diagnostics of one linear solve."""
 
     residual: float
-    residual_abs: float
     dropped_mean: np.ndarray
     dropped_mean_norm: float
     nyquist_truncated: bool
@@ -197,12 +194,12 @@ def _prepare_rhs(A: ConstantTensor, plan: MultiplierPlan, f: GridFunction):
 
 
 def _solution(plan: MultiplierPlan, U: np.ndarray, target: GridFunction):
-    """The field of coefficients U, and |A:Du - target|_2 relative and absolute."""
+    """The field of coefficients U, and |A:Du - target|_2 relative to |target|_2."""
     grid = target.grid
     Du = GridFunction(grid, plan.core.derivatives(U))
     r = norm_l2(apply_tensor(plan.A, Du) - target)
     scale = norm_l2(target)
-    return GridFunction(grid, plan.core.inverse(U)), (r / scale if scale > 0 else 0.0), r
+    return GridFunction(grid, plan.core.inverse(U)), (r / scale if scale > 0 else 0.0)
 
 
 def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None = None):
@@ -215,10 +212,9 @@ def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None
     """
     plan = plan or MultiplierPlan(A, f.grid)
     f0, mean, F, truncated = _prepare_rhs(A, plan, f)
-    u, rel, absr = _solution(plan, plan.apply(F), f0)
+    u, rel = _solution(plan, plan.apply(F), f0)
     return u, SolveReport(
         residual=rel,
-        residual_abs=absr,
         dropped_mean=mean,
         dropped_mean_norm=float(np.linalg.norm(mean)),
         nyquist_truncated=truncated,
@@ -252,7 +248,7 @@ def solve_representation(
         z_min = np.inf
         gap = 0.0
     target = GridFunction(f.grid, core.inverse(F * s))
-    u, rel, _ = _solution(plan, plan.apply(F) * s, target)
+    u, rel = _solution(plan, plan.apply(F) * s, target)
     return u, RepresentationReport(
         kind=regularizer.kind,
         m=regularizer.m,
@@ -294,20 +290,6 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction, nu: floa
         norm_f=nf,
         norm_du=ndu,
         norm_u_2star=float(n2s),
-    )
-
-
-def riesz_constant(n: int, alpha: float) -> float:
-    """Normalization constant 2^a pi^{n/2} Gamma(a/2) / Gamma(n/2 - a/2).
-
-    This is the constant tying the fractional kernel |x|^{a-n} to the
-    multiplier |z|^{-a} on the whole space; it is reported for reference
-    and plays no part in the discrete solves.  Requires 0 < alpha < n.
-    """
-    if not 0 < alpha < n:
-        raise ValueError(f"alpha must lie in (0, n) = (0, {n}), got {alpha}")
-    return float(
-        2.0**alpha * np.pi ** (n / 2.0) * math.gamma(alpha / 2.0) / math.gamma((n - alpha) / 2.0)
     )
 
 

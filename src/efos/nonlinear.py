@@ -21,7 +21,7 @@ import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
-from .grid import GridFunction, gradient, norm_l2, project_mean_zero
+from .grid import GridFunction, SpectralCore, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
 from .sampling import SamplingPlan
 from .tensor import ConstantTensor
@@ -93,11 +93,13 @@ class NonlinearOperator:
 class IterationTrace:
     """Per-step record of a fixed-point run.
 
-    d[k] is the contraction metric between consecutive iterates,
-    ratio[k] = d[k] / d[k-1] (NaN for the first step), residual[k] the
-    mean-adjusted equation residual of iterate k, and
-    dropped_mean_norm[k] the mean removed from that step's linear
-    right-hand side.
+    d[k] is the contraction metric between consecutive iterates, which
+    is the retained-mode norm of the previous iterate's residual
+    F(., Du) - f; ratio[k] = d[k] / d[k-1] (NaN for the first step),
+    residual[k] the mean-adjusted equation residual of iterate k, retained
+    modes and Nyquist leak together, and dropped_mean_norm[k] the mean
+    removed from that step's linear right-hand side, the norm of the
+    previous iterate's residual mean.
     """
 
     k: list = field(default_factory=list)
@@ -164,19 +166,11 @@ def contraction_metric(u: GridFunction, v: GridFunction, A: ConstantTensor) -> f
     return norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
 
 
-def _mean_adjusted_residual(Fu: GridFunction, f: GridFunction):
-    """Residual of F(., Du) = f up to the torus compatibility mean.
-
-    The solvable right-hand sides on the torus differ from f by a
-    constant; the residual is measured against f minus that constant,
-    which is also reported.
-    """
-    gap = f - Fu
-    _, mean = project_mean_zero(gap)
-    target = f.values - mean.reshape((-1,) + (1,) * f.grid.n)
-    r = norm_l2(GridFunction(f.grid, Fu.values - target))
-    scale = norm_l2(GridFunction(f.grid, target))
-    return r, scale, mean
+def _split_norms(core: SpectralCore, R: np.ndarray):
+    """L2 norms of the half-spectrum coefficients R (C, ...) on the
+    retained modes and on the Nyquist planes, from one power array."""
+    power = core.weight * (R.real**2 + R.imag**2).sum(axis=0)
+    return math.sqrt(power[core.retained].sum()), math.sqrt(power[core.nyquist].sum())
 
 
 def _finite_F(F: NonlinearOperator, Du: GridFunction, step: int, trace: IterationTrace) -> GridFunction:
@@ -203,13 +197,18 @@ def campanato_solve(
     """Solve F(x, Du) = f (up to its compatibility mean) by fixed point.
 
     Each step solves the anchor system A:Du_{k+1} = A:Du_k - F(., Du_k) + f
-    with the right-hand side projected to mean zero.  The iterate stays in
-    half-spectrum coefficients, so a step costs one forward transform, one
-    inverse transform of the derivatives and one evaluation of F.
-    Iteration stops when the mean-adjusted residual falls below tol * its
-    scale or the step metric falls below tol * |f|_2; it aborts with
-    DivergenceError after three consecutive non-contracting steps above
-    the noise floor, or when F is not finite (step 0 is the start).
+    with the right-hand side projected to mean zero.  As M (A:Du)^ = U on
+    the retained modes, in half-spectrum coefficients U (u0 projected onto
+    those modes) the step is U <- U - M R, with the plan's multipliers M
+    and R the coefficients of F(., Du) - f: one inverse transform of the
+    derivatives, one evaluation of F and one forward transform.  R's norm
+    on the retained modes is the next step metric d, adding the Nyquist
+    planes gives the residual (against f minus the compatibility mean),
+    and R's zero mode is the dropped mean.  Iteration stops when that
+    residual falls below tol * its scale or the step metric falls below
+    tol * |f|_2; it aborts with DivergenceError after three consecutive
+    non-contracting steps above the noise floor, or when F is not finite
+    (step 0 is the start).
     Requires a finite tol > 0 and max_iter >= 1, and a u0, if given, on
     f's grid with the anchor's N components.
 
@@ -241,23 +240,31 @@ def campanato_solve(
     trace = IterationTrace(K_theory=near / nu)
     norm_f = norm_l2(f)
     floor = 1e-13 * max(norm_f, 1e-300)
+    sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
+    f_mean = f.values.mean(axis=core.axes)
+    norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
+    zero = (slice(None),) + (0,) * f.grid.n  # the mean coefficient of every component
 
-    U = np.zeros((A.N,) + core.zmag.shape, complex) if u0 is None else core.forward(u0.values)
-    Du = GridFunction(f.grid, core.derivatives(U))
-    Au = apply_tensor(A, Du)
-    Fu = _finite_F(F, Du, 0, trace)
+    if u0 is None:  # Du = 0 needs no transform
+        U = np.zeros((A.N,) + core.zmag.shape, complex)
+        Du = GridFunction.zeros(f.grid, A.N * f.grid.n)
+    else:
+        U = core.forward(u0.values) * core.retained
+        Du = GridFunction(f.grid, core.derivatives(U))
+    R = core.forward(_finite_F(F, Du, 0, trace).values - f.values)
+    d, _ = _split_norms(core, R)
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        rhs, dropped = project_mean_zero(GridFunction(f.grid, Au.values - Fu.values + f.values))
-        U = plan.apply(core.forward(rhs.values))
+        dropped = np.linalg.norm(R[zero])
+        U = U - plan.apply(R)
         Du = GridFunction(f.grid, core.derivatives(U))
-        Au, Au_prev = apply_tensor(A, Du), Au
-        d = norm_l2(Au - Au_prev)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        Fu = _finite_F(F, Du, step, trace)
-        res, res_scale, _ = _mean_adjusted_residual(Fu, f)
-        trace.record(d, ratio, res / res_scale if res_scale > 0 else res, np.linalg.norm(dropped))
+        R = core.forward(_finite_F(F, Du, step, trace).values - f.values)
+        d_next, leak = _split_norms(core, R)
+        res = math.hypot(d_next, leak)
+        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[zero] + f_mean))
+        trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:
             trace.converged = True
@@ -270,6 +277,7 @@ def campanato_solve(
                 raise DivergenceError(trace.message, trace)
         else:
             non_contracting = 0
+        d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
     return GridFunction(f.grid, core.inverse(U)), trace

@@ -17,7 +17,6 @@ __all__ = [
     "ConstantTensor",
     "contract",
     "direction_matrix",
-    "rank_one",
     "cofactor",
     "determinant",
     "operator_norm",
@@ -104,13 +103,6 @@ def direction_matrix(A: ConstantTensor, a) -> np.ndarray:
     if a.shape[-1] != A.n:
         raise ValueError(f"direction must end in shape ({A.n},), got {a.shape}")
     return np.einsum("abj,...j->...ab", A.entries, a)
-
-
-def rank_one(eta, a) -> np.ndarray:
-    """Outer product ``eta (x) a`` as an N x n matrix (broadcasts)."""
-    eta = np.asarray(eta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return eta[..., :, None] * a[..., None, :]
 
 
 def _det3(M):

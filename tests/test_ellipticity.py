@@ -8,7 +8,6 @@ from efos.ellipticity import (
     NonEllipticError,
     cached_nu,
     check_pseudomonotonicity,
-    det_condition,
     ellipticity_constant,
     is_strictly_elliptic,
     lipschitz_and_converse,
@@ -101,8 +100,8 @@ def test_degenerate_direction_found():
 
 def test_det_condition_known_values():
     # |det(Aa)| = |a|^2 = 1 for the Cauchy-Riemann symbol
-    assert abs(det_condition(cauchy_riemann(), 512) - 1.0) < 1e-9
-    assert det_condition(ConstantTensor(np.zeros((2, 2, 2))), 128) == 0.0
+    assert abs(ellipticity_constant(cauchy_riemann(), 512).min_abs_det - 1.0) < 1e-9
+    assert ellipticity_constant(ConstantTensor(np.zeros((2, 2, 2))), 128).min_abs_det == 0.0
 
 
 def test_resolution_validation():

@@ -13,7 +13,6 @@ from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band
 from efos.linear import (
     MultiplierPlan,
     RegularizerSequence,
-    riesz_constant,
     solve_linear,
     solve_representation,
     verify_apriori,
@@ -235,13 +234,3 @@ def test_regularizer_converges_pointwise():
     for kind in ("rational", "truncation"):
         err = np.abs(RegularizerSequence(kind, 10_000).value(z) - 1.0 / z)
         assert np.max(err * z) < 1e-6
-
-
-def test_riesz_constant_values():
-    assert riesz_constant(3, 2.0) == pytest.approx(4 * math.pi, rel=1e-13)
-    assert riesz_constant(4, 2.0) == pytest.approx(4 * math.pi**2, rel=1e-13)
-    with pytest.raises(ValueError):
-        riesz_constant(3, 3.0)
-    with pytest.raises(ValueError):
-        riesz_constant(3, 0.0)
-

@@ -345,13 +345,13 @@ def test_pointwise_evaluator_mode():
     np.testing.assert_allclose(a.values, b.values, atol=1e-12)
 
 
-def _reference_picard(F, f, tol, max_iter=400):
+def _reference_picard(F, f, tol, u0=None, max_iter=400):
     """The Picard loop written with the public linear solve: each step
     solves for u_{k+1} in physical space and differentiates it again."""
     A = F.anchor
     plan = MultiplierPlan(A, f.grid)
     norm_f = norm_l2(f)
-    u = GridFunction.zeros(f.grid, A.N)
+    u = GridFunction.zeros(f.grid, A.N) if u0 is None else u0
     Au = apply_tensor(A, gradient(u))
     d, residual = [], []
     for _ in range(max_iter):
@@ -374,14 +374,21 @@ def _reference_picard(F, f, tol, max_iter=400):
 def test_coefficient_space_loop_matches_physical_space_reference():
     F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
     grid = PeriodicGrid(n=3, G=16)
-    f = random_band_limited(grid, 4, rng_from_seed(2))
-    u, trace = campanato_solve(F, f, tol=1e-10)
-    u_ref, d_ref, res_ref, converged_ref = _reference_picard(F, f, tol=1e-10)
-    assert trace.converged and converged_ref
-    assert trace.iterations == len(d_ref)
-    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-14
-    # below 1e-6 d_1 the step metric is a difference at rounding level
-    for k in range(1, len(d_ref)):
-        if d_ref[k] >= 1e-6 * d_ref[0]:
-            assert abs(trace.ratio[k] - d_ref[k] / d_ref[k - 1]) <= 1e-9
-    np.testing.assert_allclose(trace.residual, res_ref, rtol=0, atol=1e-12)
+    noise = rng_from_seed(3).standard_normal((2, 4) + grid.shape)
+    # band-limited f from zero; then white-noise f + 0.3 (Nyquist leak, a
+    # dropped mean) from a white-noise u0 (a mean and Nyquist content)
+    cases = [
+        (random_band_limited(grid, 4, rng_from_seed(2)), None),
+        (GridFunction(grid, noise[0] + 0.3), GridFunction(grid, noise[1])),
+    ]
+    for f, u0 in cases:
+        u, trace = campanato_solve(F, f, tol=1e-10, u0=u0)
+        u_ref, d_ref, res_ref, converged_ref = _reference_picard(F, f, tol=1e-10, u0=u0)
+        assert trace.converged and converged_ref
+        assert trace.iterations == len(d_ref)
+        assert np.max(np.abs(u.values - u_ref.values)) <= 1e-14
+        # below 1e-6 d_1 the step metric is a difference at rounding level
+        for k in range(1, len(d_ref)):
+            if d_ref[k] >= 1e-6 * d_ref[0]:
+                assert abs(trace.ratio[k] - d_ref[k] / d_ref[k - 1]) <= 1e-9
+        np.testing.assert_allclose(trace.residual, res_ref, rtol=0, atol=1e-12)

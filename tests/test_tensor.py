@@ -12,7 +12,6 @@ from efos.tensor import (
     determinant,
     direction_matrix,
     operator_norm,
-    rank_one,
 )
 from efos.catalog import cauchy_riemann, dirac
 
@@ -88,7 +87,7 @@ def test_direction_matrix_contract_consistency():
     A = ConstantTensor(rng.standard_normal((4, 4, 3)))
     eta = rng.standard_normal(4)
     a = rng.standard_normal(3)
-    lhs = contract(A, rank_one(eta, a))
+    lhs = contract(A, np.outer(eta, a))
     rhs = direction_matrix(A, a) @ eta
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
