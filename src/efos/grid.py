@@ -13,9 +13,14 @@ for the mean, which solvers project away and report.
 Solvers use the half spectrum of ``SpectralCore`` (``rfftn``): arrays of
 shape (C, G, ..., G, G/2 + 1) whose last axis holds only the indices
 0..G/2, every other mode being the conjugate of a stored one; index G/2
-is that axis's Nyquist plane.  ``SpectralCore.forward``/``inverse`` are
-the only FFT calls in the package; the dense oracle builds its own
-exponential matrices as an independent reference.
+is that axis's Nyquist plane.  ``SpectralCore`` makes the only FFT calls
+in the package; the dense oracle builds its own exponential matrices as an
+independent reference.
+
+The shared core holds read-only tables and no buffer: each solve owns its
+transform buffers and passes them to ``forward``/``derivatives`` as
+``out``/``work`` (numpy.fft's ``out=``, numpy >= 2.0), and the complex
+passes of ``derivatives`` run in place on its derivative spectrum.
 """
 
 from __future__ import annotations
@@ -180,18 +185,31 @@ class SpectralCore:
         for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight):
             arr.flags.writeable = False
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients of real (C, G, ..., G) values."""
-        return np.fft.rfftn(values, axes=self.axes, norm="forward")
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of real (C, G, ..., G) values, written
+        into ``out`` (complex, C x the shape of ``zmag``) when given."""
+        return np.fft.rfftn(values, axes=self.axes, norm="forward", out=out)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real (C, G, ..., G) values of half-spectrum coefficients."""
         return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes, norm="forward")
 
-    def derivatives(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha slowest."""
-        d = coeffs[:, None] * self.deriv
-        return self.inverse(d.reshape((-1,) + d.shape[2:]))
+    def derivatives(
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha
+        slowest, written into ``out`` (real, N*n x the grid shape) when given.
+        ``work`` (complex, C-contiguous, N*n x the shape of ``zmag``) holds
+        the derivative spectrum while the complex passes run in place on it;
+        both buffers are allocated when None.  The result is bit-identical to
+        ``inverse`` of that spectrum, since ``ifftn`` runs the passes over
+        the reversed axes, that is in ``irfftn``'s own order."""
+        N, n = coeffs.shape[0], self.grid.n
+        if work is None:
+            work = np.empty((N * n,) + self.zmag.shape, complex)
+        np.multiply(coeffs[:, None], self.deriv, out=work.reshape((N, n) + self.zmag.shape))
+        np.fft.ifftn(work, axes=self.axes[-2::-1], norm="forward", out=work)
+        return np.fft.irfftn(work, s=self.grid.shape[-1:], axes=self.axes[-1:], norm="forward", out=out)
 
 
 @lru_cache(maxsize=8)
@@ -250,8 +268,8 @@ def random_band_limited(
     """
     if kmax is None:
         kmax = max(1, grid.G // 4)
-    if kmax >= grid.G // 2:
-        raise ValueError(f"kmax must stay below the Nyquist index G/2, got {kmax}")
+    if not 1 <= kmax < grid.G // 2:
+        raise ValueError(f"kmax must be at least 1 and below the Nyquist index G/2, got {kmax}")
     white = rng.normal(size=(components,) + grid.shape)
     core = spectral_core(grid)
     keep = core.retained & (np.abs(core.z) <= kmax / grid.L).all(axis=0)

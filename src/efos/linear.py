@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu
+from .fieldfile import check_finite
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, project_mean_zero, spectral_core
 from .tensor import ConstantTensor, cofactor, determinant, direction_matrix, operator_norm
 
@@ -175,11 +176,13 @@ def check_plan(plan: MultiplierPlan, A: ConstantTensor, grid: PeriodicGrid) -> N
 
 
 def check_field(u: GridFunction, A: ConstantTensor, grid: PeriodicGrid, what: str) -> None:
-    """Raise ValueError unless ``u`` lives on ``grid`` with A.N components."""
+    """Raise ValueError unless ``u`` lives on ``grid`` with A.N components,
+    all finite (else naming the first bad component and grid index)."""
     if u.grid != grid:
         raise ValueError(f"{what} lives on {u.grid}, but the right-hand side on {grid}")
     if u.components != A.N:
         raise ValueError(f"{what} must have {A.N} components, got {u.components}")
+    check_finite(u.values, what)
 
 
 def _prepare_rhs(A: ConstantTensor, plan: MultiplierPlan, f: GridFunction):

@@ -209,8 +209,8 @@ def campanato_solve(
     tol * |f|_2; it aborts with DivergenceError after three consecutive
     non-contracting steps above the noise floor, or when F is not finite
     (step 0 is the start).
-    Requires a finite tol > 0 and max_iter >= 1, and a u0, if given, on
-    f's grid with the anchor's N components.
+    Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
+    u0, if given, on f's grid with the anchor's N components.
 
     Returns (u, IterationTrace).
     """
@@ -245,22 +245,25 @@ def campanato_solve(
     norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
     zero = (slice(None),) + (0,) * f.grid.n  # the mean coefficient of every component
 
+    # transform buffers of this solve, rewritten in place by every step
+    R = np.empty((A.N,) + core.zmag.shape, complex)
+    work = np.empty((A.N * f.grid.n,) + core.zmag.shape, complex)
+    Du = GridFunction.zeros(f.grid, A.N * f.grid.n)
     if u0 is None:  # Du = 0 needs no transform
-        U = np.zeros((A.N,) + core.zmag.shape, complex)
-        Du = GridFunction.zeros(f.grid, A.N * f.grid.n)
+        U = np.zeros(R.shape, complex)
     else:
         U = core.forward(u0.values) * core.retained
-        Du = GridFunction(f.grid, core.derivatives(U))
-    R = core.forward(_finite_F(F, Du, 0, trace).values - f.values)
+        core.derivatives(U, out=Du.values, work=work)
+    core.forward(_finite_F(F, Du, 0, trace).values - f.values, out=R)
     d, _ = _split_norms(core, R)
     non_contracting = 0
     for step in range(1, max_iter + 1):
         dropped = np.linalg.norm(R[zero])
-        U = U - plan.apply(R)
-        Du = GridFunction(f.grid, core.derivatives(U))
+        U -= plan.apply(R)
+        core.derivatives(U, out=Du.values, work=work)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        R = core.forward(_finite_F(F, Du, step, trace).values - f.values)
+        core.forward(_finite_F(F, Du, step, trace).values - f.values, out=R)
         d_next, leak = _split_norms(core, R)
         res = math.hypot(d_next, leak)
         res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[zero] + f_mean))

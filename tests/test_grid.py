@@ -167,6 +167,34 @@ def test_random_band_limited_deterministic():
         random_band_limited(grid, 2, rng_from_seed(9), kmax=4)  # the Nyquist index
 
 
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_random_band_limited_rejects_empty_band(kmax):
+    # no retained mode has |k_j| <= 0, so the field would be all zero
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        random_band_limited(PeriodicGrid(n=2, G=8), 2, rng_from_seed(9), kmax=kmax)
+
+
+@pytest.mark.parametrize("n, G", [(2, 16), (3, 8), (4, 6)])
+def test_buffered_transforms_match_allocating_ones(n, G):
+    grid = PeriodicGrid(n=n, G=G)
+    core = spectral_core(grid)
+    v = rng_from_seed(n).standard_normal((2,) + grid.shape)
+    U = core.forward(v)
+    U_before = U.copy()
+    out = np.full((2 * n,) + grid.shape, np.nan)
+    work = np.full((2 * n,) + core.zmag.shape, np.nan, complex)
+    Du = core.derivatives(U, out=out, work=work)
+    assert Du is out
+    assert np.array_equal(Du, core.derivatives(U))
+    # the same passes as irfftn of the derivative spectrum, in the same order
+    d = (U[:, None] * core.deriv).reshape((2 * n,) + core.zmag.shape)
+    assert np.array_equal(Du, core.inverse(d))
+    assert np.array_equal(U, U_before)
+    spec = np.full(U.shape, np.nan, complex)
+    assert core.forward(v, out=spec) is spec
+    assert np.array_equal(spec, U)
+
+
 def test_grid_function_arithmetic():
     grid = PeriodicGrid(n=2, G=8)
     rng = rng_from_seed(4)

@@ -234,3 +234,25 @@ def test_regularizer_converges_pointwise():
     for kind in ("rational", "truncation"):
         err = np.abs(RegularizerSequence(kind, 10_000).value(z) - 1.0 / z)
         assert np.max(err * z) < 1e-6
+
+
+@pytest.mark.parametrize("entry", ["solve_linear", "solve_representation", "verify_apriori_rhs", "verify_apriori_solution"])
+def test_non_finite_field_rejected_with_witness(entry):
+    A = dirac()
+    grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(grid, 4)
+    bad = f.values.copy()
+    bad[2, 1, 0, 5] = np.nan
+    bad[3, 0, 0, 0] = np.inf  # later in (component, grid index) order
+    bad = GridFunction(grid, bad)
+    rational = RegularizerSequence("rational", 10)
+    witness = r"is not finite at component 2, grid index \(1, 0, 5\)"
+    calls = {
+        "solve_linear": ("right-hand side", lambda: solve_linear(A, bad)),
+        "solve_representation": ("right-hand side", lambda: solve_representation(A, bad, rational)),
+        "verify_apriori_rhs": ("right-hand side", lambda: verify_apriori(A, dirac_closed_form(grid), bad)),
+        "verify_apriori_solution": ("solution", lambda: verify_apriori(A, bad, f)),
+    }
+    what, call = calls[entry]
+    with pytest.raises(ValueError, match=f"^{what} {witness}$"):
+        call()

@@ -173,6 +173,43 @@ def test_non_finite_F_fails_fast_with_witness():
         assert not exc.value.trace.converged
 
 
+@pytest.mark.parametrize("what", ["right-hand side", "u0"])
+def test_non_finite_rhs_or_start_rejected_with_witness(what):
+    grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(grid, 4)
+    bad = random_band_limited(grid, 4, rng_from_seed(5)).values
+    bad[1, 2, 3, 4] = np.nan
+    bad = GridFunction(grid, bad)
+    kwargs = {"f": bad} if what == "right-hand side" else {"f": f, "u0": bad}
+    with pytest.raises(ValueError, match=rf"^{what} is not finite at component 1, grid index \(2, 3, 4\)$"):
+        campanato_solve(_linear_anchor_operator(dirac()), tol=1e-10, **kwargs)
+
+
+def test_solves_on_one_plan_share_no_buffer():
+    # each solve owns its transform buffers: two solves on one plan, with a
+    # gradient on the same grid between them, equal fresh solves byte for
+    # byte, and the second leaves the first's outputs untouched
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    grid = PeriodicGrid(n=3, G=8)
+    f1, f2 = (random_band_limited(grid, 4, rng_from_seed(seed)) for seed in (1, 2))
+
+    def columns(trace):
+        return np.array([trace.d, trace.ratio, trace.residual, trace.dropped_mean_norm]).tobytes()
+
+    fresh = [campanato_solve(F, f, tol=1e-10, plan=MultiplierPlan(F.anchor, grid)) for f in (f1, f2)]
+    plan = MultiplierPlan(F.anchor, grid)
+    u1, trace1 = campanato_solve(F, f1, tol=1e-10, plan=plan)
+    kept = u1.values.tobytes(), columns(trace1)
+    gradient(f2)
+    u2, trace2 = campanato_solve(F, f2, tol=1e-10, plan=plan)
+    assert (u1.values.tobytes(), columns(trace1)) == kept
+    for (u, trace), (u_ref, trace_ref) in zip(((u1, trace1), (u2, trace2)), fresh):
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        assert columns(trace) == columns(trace_ref)
+        assert trace.message == trace_ref.message
+    assert not np.array_equal(u1.values, u2.values)
+
+
 def test_plan_for_another_tensor_or_grid_rejected():
     A = dirac()
     grid = PeriodicGrid(n=3, G=8)
