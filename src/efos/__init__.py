@@ -36,7 +36,6 @@ from .grid import (
     gradient,
     norm_l2,
     norm_l2star,
-    project_mean_zero,
     random_band_limited,
 )
 from .linear import (
@@ -92,7 +91,6 @@ __all__ = [
     "norm_l2star",
     "operator_norm",
     "parse_catalog_ref",
-    "project_mean_zero",
     "random_band_limited",
     "read_field",
     "rng_from_seed",

@@ -214,7 +214,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
 def _seed(cfg, args) -> int:
     if args.seed is not None:
         return args.seed
-    return _get(cfg, "run", "seed", int, 0) if cfg.has_section("run") else 0
+    return _get(cfg, "run", "seed", int, 0)
 
 
 def _outdir(args) -> Path:
@@ -281,8 +281,8 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     grid = build_grid(cfg, A.n)
     f = build_rhs(cfg, grid, A.N)
     F = build_operator(cfg, A)
-    tol = _get(cfg, "solver", "tol", float, 1e-10) if cfg.has_section("solver") else 1e-10
-    max_iter = _get(cfg, "solver", "max_iter", int, 400) if cfg.has_section("solver") else 400
+    tol = _get(cfg, "solver", "tol", float, 1e-10)
+    max_iter = _get(cfg, "solver", "max_iter", int, 400)
     try:
         u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
     except NonEllipticError:

@@ -25,6 +25,7 @@ passes of ``derivatives`` run in place on its derivative spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,6 @@ __all__ = [
     "norm_l2",
     "norm_l2star",
     "conjugate_exponent",
-    "project_mean_zero",
     "random_band_limited",
 ]
 
@@ -165,8 +165,9 @@ class SpectralCore:
     """Half-spectrum transforms and tables of one grid: frequencies ``z``
     (n, ...), ``zmag`` = |z|, the ``nyquist`` and ``retained`` (nonzero,
     off Nyquist) masks, ``deriv`` = 2 pi i z_j zeroed on the Nyquist
-    planes, and the Plancherel ``weight``, with which |u|_2^2 = sum of
-    weight * |U|^2 over the half spectrum.  Instances are shared through
+    planes, ``zero``, the index of every component's mean coefficient, and
+    the Plancherel ``weight``, with which |u|_2^2 = sum of weight * |U|^2
+    over the half spectrum.  Instances are shared through
     ``spectral_core``, so the arrays are read-only."""
 
     def __init__(self, grid: PeriodicGrid):
@@ -180,10 +181,17 @@ class SpectralCore:
         self.zmag = np.sqrt((self.z**2).sum(axis=0))
         self.retained = (self.zmag > 0) & ~self.nyquist
         self.deriv = 2j * np.pi * self.z * ~self.nyquist
+        self.zero = (slice(None),) + (0,) * grid.n
         # the last axis's planes 0 and G/2 hold their own conjugates; every other entry stands for two modes
         self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0) * grid.L**grid.n
         for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight):
             arr.flags.writeable = False
+
+    def norms(self, R: np.ndarray) -> tuple:
+        """L2 norms of the half-spectrum coefficients R (C, ...) on the
+        retained modes and on the Nyquist planes, from one power array."""
+        power = self.weight * (R.real**2 + R.imag**2).sum(axis=0)
+        return math.sqrt(power[self.retained].sum()), math.sqrt(power[self.nyquist].sum())
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
@@ -246,13 +254,6 @@ def norm_l2star(u: GridFunction) -> float:
     p = conjugate_exponent(u.grid.n)
     mags = np.sqrt((u.values**2).sum(axis=0))
     return float((u.grid.h**u.grid.n * np.sum(mags**p)) ** (1.0 / p))
-
-
-def project_mean_zero(u: GridFunction):
-    """Remove the per-component mean; returns (projected, dropped_mean)."""
-    axes = tuple(range(1, u.grid.n + 1))
-    mean = u.values.mean(axis=axes)
-    return GridFunction(u.grid, u.values - mean.reshape((-1,) + (1,) * u.grid.n)), mean
 
 
 def random_band_limited(

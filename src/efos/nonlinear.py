@@ -21,7 +21,7 @@ import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
-from .grid import GridFunction, SpectralCore, gradient, norm_l2
+from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
 from .sampling import SamplingPlan
 from .tensor import ConstantTensor
@@ -48,8 +48,7 @@ class NonlinearOperator:
 
     ``evaluator(x, Q)`` takes coordinates of shape (..., n) and gradient
     matrices of shape (..., N, n), broadcasts over the leading axes, and
-    returns (..., N).  Set ``vectorized=False`` for a plain pointwise
-    callable and inputs are looped instead.
+    returns (..., N).
 
     ``declared_nearness`` is an analytically known upper bound for
     nu(F, anchor) when available; solvers trust it for the contraction
@@ -60,7 +59,6 @@ class NonlinearOperator:
     anchor: ConstantTensor
     declared_nearness: float | None = None
     x_periodic: bool = True
-    vectorized: bool = True
     name: str = ""
 
     def evaluate(self, x, Q) -> np.ndarray:
@@ -71,13 +69,7 @@ class NonlinearOperator:
                 f"expected x (..., {self.anchor.n}) and Q (..., {self.anchor.N}, {self.anchor.n}),"
                 f" got {x.shape} and {Q.shape}"
             )
-        if self.vectorized:
-            return np.asarray(self.evaluator(x, Q), dtype=float)
-        lead = np.broadcast_shapes(x.shape[:-1], Q.shape[:-2])
-        xb = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, self.anchor.n)
-        qb = np.broadcast_to(Q, lead + Q.shape[-2:]).reshape(-1, self.anchor.N, self.anchor.n)
-        out = np.stack([np.asarray(self.evaluator(xi, qi), dtype=float) for xi, qi in zip(xb, qb)])
-        return out.reshape(lead + (self.anchor.N,))
+        return np.asarray(self.evaluator(x, Q), dtype=float)
 
     def apply_to_gradient(self, Du: GridFunction) -> GridFunction:
         """F(x, Du(x)) over a whole grid; Du carries N*n components."""
@@ -166,13 +158,6 @@ def contraction_metric(u: GridFunction, v: GridFunction, A: ConstantTensor) -> f
     return norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
 
 
-def _split_norms(core: SpectralCore, R: np.ndarray):
-    """L2 norms of the half-spectrum coefficients R (C, ...) on the
-    retained modes and on the Nyquist planes, from one power array."""
-    power = core.weight * (R.real**2 + R.imag**2).sum(axis=0)
-    return math.sqrt(power[core.retained].sum()), math.sqrt(power[core.nyquist].sum())
-
-
 def _finite_F(F: NonlinearOperator, Du: GridFunction, step: int, trace: IterationTrace) -> GridFunction:
     """F(., Du), or DivergenceError naming the first grid index where it is
     not finite."""
@@ -243,7 +228,6 @@ def campanato_solve(
     sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
     f_mean = f.values.mean(axis=core.axes)
     norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
-    zero = (slice(None),) + (0,) * f.grid.n  # the mean coefficient of every component
 
     # transform buffers of this solve, rewritten in place by every step
     R = np.empty((A.N,) + core.zmag.shape, complex)
@@ -255,18 +239,18 @@ def campanato_solve(
         U = core.forward(u0.values) * core.retained
         core.derivatives(U, out=Du.values, work=work)
     core.forward(_finite_F(F, Du, 0, trace).values - f.values, out=R)
-    d, _ = _split_norms(core, R)
+    d, _ = core.norms(R)
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        dropped = np.linalg.norm(R[zero])
+        dropped = np.linalg.norm(R[core.zero])
         U -= plan.apply(R)
         core.derivatives(U, out=Du.values, work=work)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         core.forward(_finite_F(F, Du, step, trace).values - f.values, out=R)
-        d_next, leak = _split_norms(core, R)
+        d_next, leak = core.norms(R)
         res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[zero] + f_mean))
+        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:

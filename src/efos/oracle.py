@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ellipticity import NonEllipticError
-from .grid import GridFunction, PeriodicGrid, project_mean_zero
+from .grid import GridFunction, PeriodicGrid
 from .sampling import unit_sphere_points
 from .tensor import ConstantTensor, direction_matrix
 
@@ -90,10 +90,9 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     """
     grid = f.grid
     _check_cap(A, grid)
-    f0, _ = project_mean_zero(f)
     M = assemble_dense(A, grid)
     P = grid.num_points
-    rhs = f0.values.ravel().copy()
+    rhs = (f.values - f.values.mean(axis=tuple(range(1, grid.n + 1)), keepdims=True)).ravel()
     for a in range(A.N):
         row = a * P
         M[row, :] = 0.0

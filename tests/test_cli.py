@@ -397,6 +397,23 @@ seed = 11
     assert a != b
 
 
+def test_seed_defaults_to_zero_without_run_section(tmp_path):
+    text = """
+[tensor]
+source = catalog:cauchy_riemann
+
+[grid]
+G = 8
+"""
+    cfg = tmp_path / "v.ini"
+    cfg.write_text(text)
+    out1 = tmp_path / "o1"
+    out2 = tmp_path / "o2"
+    assert main(["verify", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(out2), "--seed", "0"]) == 0
+    assert (out1 / "verify.csv").read_bytes() == (out2 / "verify.csv").read_bytes()
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 1
 

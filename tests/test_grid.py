@@ -1,5 +1,7 @@
 """Torus grids, the spectral core's DFT convention, spectral gradients, and norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from efos.grid import (
     gradient,
     norm_l2,
     norm_l2star,
-    project_mean_zero,
     random_band_limited,
     spectral_core,
 )
@@ -123,12 +124,19 @@ def test_norm_l2_constant_field():
     assert abs(norm_l2(u) - np.sqrt(200.0)) < 1e-12
 
 
-def test_project_mean_zero():
-    grid = PeriodicGrid(n=2, G=8)
-    u = GridFunction(grid, np.stack([np.full(grid.shape, 2.0), np.zeros(grid.shape)]))
-    v, mean = project_mean_zero(u)
-    np.testing.assert_allclose(mean, [2.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(v.values, 0.0, atol=1e-14)
+@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
+def test_spectral_norms_split_plancherel(n, G):
+    # retained, Nyquist and mean parts of the half spectrum add up to the
+    # physical L2 norm only with the weight counting each stored entry's
+    # conjugate partner
+    grid = PeriodicGrid(n=n, G=G, L=2.0)
+    core = spectral_core(grid)
+    u = GridFunction(grid, rng_from_seed(n).standard_normal((3,) + grid.shape) + 0.4)
+    R = core.forward(u.values)
+    retained, nyquist = core.norms(R)
+    mean = np.sqrt(grid.L**n) * np.linalg.norm(R[core.zero])
+    assert nyquist > 0.1 * retained
+    assert math.hypot(retained, nyquist, mean) == pytest.approx(norm_l2(u), rel=1e-14)
 
 
 def test_conjugate_exponent():

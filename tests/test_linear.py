@@ -90,6 +90,8 @@ def test_nyquist_content_flagged():
     vals[0] = np.sin(2 * np.pi * i / 8)[:, None] + 0.5 * ((-1.0) ** i)[:, None]
     _, report = solve_linear(cauchy_riemann(), GridFunction(grid, vals))
     assert report.nyquist_truncated
+    # the Nyquist part of |f~|^2 is 0.25 of 0.75 and cannot be solved for
+    assert report.residual == pytest.approx(1 / np.sqrt(3), abs=1e-12)
 
 
 def test_non_elliptic_tensor_rejected():

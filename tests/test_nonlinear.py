@@ -7,7 +7,7 @@ import pytest
 
 from efos.catalog import dirac, lipschitz_perturbation, variable_linear
 from efos.ellipticity import NonEllipticError, cached_nu
-from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, project_mean_zero, random_band_limited
+from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import MultiplierPlan, apply_tensor, solve_linear
 from efos.nonlinear import (
     TRACE_COLUMNS,
@@ -361,27 +361,6 @@ def test_trace_csv_columns(tmp_path):
     assert math.isnan(float(first[2]))  # no ratio on the first step
 
 
-def test_pointwise_evaluator_mode():
-    # vectorized=False loops the evaluator over points and must agree
-    A = dirac()
-    amp = 0.5 * cached_nu(A)
-
-    def pointwise(x, Q):
-        out = contract(A, Q)
-        out[0] += amp * np.sin(Q[0, 0])
-        return out
-
-    F_loop = NonlinearOperator(
-        evaluator=pointwise, anchor=A, declared_nearness=amp, vectorized=False, name="loop"
-    )
-    F_vec = lipschitz_perturbation(A, 0.5, "sin_q11")
-    grid = PeriodicGrid(n=3, G=4)
-    w = random_band_limited(grid, 4, rng_from_seed(11))
-    a = F_loop.apply_to_gradient(gradient(w))
-    b = F_vec.apply_to_gradient(gradient(w))
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-
-
 def _reference_picard(F, f, tol, u0=None, max_iter=400):
     """The Picard loop written with the public linear solve: each step
     solves for u_{k+1} in physical space and differentiates it again."""
@@ -399,7 +378,7 @@ def _reference_picard(F, f, tol, u0=None, max_iter=400):
         d.append(norm_l2(Au_next - Au))
         Au = Au_next
         Fu = F.apply_to_gradient(Du)
-        _, mean = project_mean_zero(f - Fu)
+        mean = (f - Fu).values.mean(axis=(1, 2, 3))
         target = f.values - mean.reshape((-1, 1, 1, 1))
         res, scale = norm_l2(GridFunction(f.grid, Fu.values - target)), norm_l2(GridFunction(f.grid, target))
         residual.append(res / scale)
