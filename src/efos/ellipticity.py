@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import MAGNITUDE_LADDER, SamplingPlan, unit_sphere_points
-from .tensor import ConstantTensor, contract, direction_matrix, determinant, operator_norm
+from .tensor import ConstantTensor, contract, direction_matrix, operator_norm
 
 __all__ = [
     "NonEllipticError",
@@ -123,7 +123,7 @@ def _sigma_min(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
 
 def _abs_det(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
     """|det(A a)| for stacked directions."""
-    return np.abs(determinant(direction_matrix(A, dirs)))
+    return np.abs(np.linalg.det(direction_matrix(A, dirs)))
 
 
 def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):

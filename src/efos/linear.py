@@ -1,17 +1,19 @@
 """Direct and regularized spectral solves of A : Du = f on the torus.
 
-Mode by mode the system reads A (u_hat (x) 2 pi i z) = f_hat(z), i.e.
-2 pi i |z| (A sgn z) u_hat = f_hat, so the solution is the multiplier
+Mode by mode the system reads A:(u_hat (x) 2 pi i z) = f_hat(z), i.e.
+2 pi i (A z) u_hat = f_hat with the N x N symbol (A z)[alpha, beta] =
+A[alpha, beta, j] z_j, so the solution is the multiplier
 
-    u_hat(z) = (2 pi i |z|)^{-1} cof(A sgn z)^T / det(A sgn z) . f_hat(z)
+    u_hat(z) = (2 pi i)^{-1} (A z)^{-1} . f_hat(z)
 
-on every retained mode (z nonzero, off the Nyquist plane).  The inverse
-direction matrix is formed through the cofactor identity rather than a
-factorization, which keeps each mode an explicit closed form.
+on every retained mode (z nonzero, off the Nyquist plane).  Ellipticity
+makes A z invertible for every z != 0; the plan inverts all the symbols
+of the half spectrum in one batched call to numpy.linalg.inv.
 
-The regularized variant replaces 1 / |z| by a member h_m of an even
-sequence with 0 <= h_m <= 1/|z| and h_m -> 1/|z|, so the defect of the
-recovered right-hand side is the per-mode factor h_m(z)|z| in [0, 1].
+The regularized variant replaces the 1 / |z| in (A z)^{-1} =
+|z|^{-1} (A z/|z|)^{-1} by a member h_m of an even sequence with
+0 <= h_m <= 1/|z| and h_m -> 1/|z|, so the defect of the recovered
+right-hand side is the per-mode factor h_m(z)|z| in [0, 1].
 
 Both solves work on the half spectrum of f: its zero mode (the mean) is
 dropped and reported, and the residual A:Du - f is formed mode by mode
@@ -29,7 +31,7 @@ import numpy as np
 from .ellipticity import NonEllipticError, cached_nu
 from .fieldfile import check_finite
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, spectral_core
-from .tensor import ConstantTensor, cofactor, determinant, direction_matrix, operator_norm
+from .tensor import ConstantTensor, direction_matrix, operator_norm
 
 __all__ = [
     "MultiplierPlan",
@@ -73,16 +75,10 @@ class MultiplierPlan:
         self.grid = grid
         self.nu = nu
         self.core = core = spectral_core(grid)
-        keep, zmag = core.retained, core.zmag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sgn = np.where(keep, core.z / zmag, 0.0)
-        Adir = direction_matrix(A, np.moveaxis(sgn, 0, -1))  # (..., N, N)
-        det = determinant(Adir)
-        cof_t = np.swapaxes(cofactor(Adir), -1, -2)
-        factor = np.zeros(zmag.shape, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor[keep] = 1.0 / (2j * np.pi * zmag[keep] * det[keep])
-        self.multipliers = cof_t * factor[..., None, None]
+        # the zero mode's symbol is singular, so it takes a stand-in direction; its multiplier is zeroed below
+        z = np.where(core.zmag > 0, core.z, 1.0)
+        symbol = direction_matrix(A, np.moveaxis(z, 0, -1))  # (..., N, N), A:z on every mode
+        self.multipliers = np.linalg.inv(symbol) * (core.retained / (2j * np.pi))[..., None, None]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Multiply stacked mode coefficients (N, ...) by the plan."""
@@ -155,15 +151,6 @@ class RegularizerSequence:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"regularizer index must be >= 1, got {self.m}")
-
-    def value(self, zmag) -> np.ndarray:
-        """h_m on an array of frequency magnitudes (h_m(0) = m)."""
-        zmag = np.asarray(zmag, dtype=float)
-        if self.kind == "rational":
-            return zmag / (zmag**2 + self.m**-2.0)
-        with np.errstate(divide="ignore"):
-            inv = np.where(zmag > 0, 1.0 / np.where(zmag > 0, zmag, 1.0), np.inf)
-        return np.minimum(float(self.m), inv)
 
     def factor(self, zmag) -> np.ndarray:
         """The per-mode recovery factor h_m(z) |z|, always in [0, 1]."""

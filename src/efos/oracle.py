@@ -32,15 +32,12 @@ def _check_cap(A: ConstantTensor, grid: PeriodicGrid) -> int:
     return size
 
 
-def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
-    """Dense matrices of the spectral derivatives, shape (n, G^n, G^n).
-
-    Built by sandwiching diagonal frequency multipliers between explicit
-    transform matrices (forward W[k, x] = exp(-2 pi i k x / G) / G and its
-    inverse), with whole modes on any Nyquist plane zeroed to match the
-    retained-frequency convention.
-    """
-    G, n, L = grid.G, grid.n, grid.L
+def _dense_transforms(grid: PeriodicGrid):
+    """Explicit transform matrices of the grid, shape (G^n, G^n) each: the
+    forward W[k, x] = exp(-2 pi i k x / G) / G and its inverse, as
+    Kronecker products over the axes, modes and points row-major; and the
+    mask of the modes off every Nyquist plane."""
+    G, n = grid.G, grid.n
     j = np.arange(G)
     W1 = np.exp(-2j * np.pi * np.outer(j, j) / G) / G
     Winv1 = np.exp(2j * np.pi * np.outer(j, j) / G)
@@ -49,8 +46,19 @@ def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
     for _ in range(n - 1):
         W = np.kron(W, W1)
         Winv = np.kron(Winv, Winv1)
+    return W, Winv, (~grid.nyquist_mask()).ravel()
+
+
+def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
+    """Dense matrices of the spectral derivatives, shape (n, G^n, G^n).
+
+    Built by sandwiching diagonal frequency multipliers between explicit
+    transform matrices, with whole modes on any Nyquist plane zeroed to
+    match the retained-frequency convention.
+    """
+    G, n = grid.G, grid.n
+    W, Winv, keep = _dense_transforms(grid)
     zvecs = grid.frequency_vectors().reshape(n, -1)  # (n, G^n), row-major modes
-    keep = (~grid.nyquist_mask()).ravel()
     mats = np.empty((n, G**n, G**n))
     for axis in range(n):
         mult = 2j * np.pi * zvecs[axis] * keep
@@ -59,6 +67,15 @@ def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
             raise AssertionError("derivative matrix should be real after symmetrization")
         mats[axis] = D.real
     return mats
+
+
+def _solvable_part(f: GridFunction) -> np.ndarray:
+    """f - mean(f) with its Nyquist-plane modes removed, flattened like
+    ``assemble_dense``'s fields."""
+    W, Winv, keep = _dense_transforms(f.grid)
+    vals = f.values.reshape(f.components, -1)
+    coeffs = (vals - vals.mean(axis=1, keepdims=True)) @ W.T
+    return ((coeffs * keep) @ Winv.T).real.ravel()
 
 
 def assemble_dense(A: ConstantTensor, grid: PeriodicGrid) -> np.ndarray:
@@ -82,17 +99,19 @@ def assemble_dense(A: ConstantTensor, grid: PeriodicGrid) -> np.ndarray:
 def solve_dense(A: ConstantTensor, f: GridFunction):
     """Direct dense solve of A:Du = f - mean(f) on a small grid.
 
-    The N constant modes are pinned by replacing one equation per
-    component with a zero-mean constraint; the remaining (Nyquist)
-    rank deficiency is closed by the minimum-norm least-squares solve,
-    which leaves those modes at exactly zero.  Raises NonEllipticError
-    when a residual survives on a retained mode.
+    f's content on the Nyquist planes cannot be solved for, so it is
+    projected away first, through the explicit transform matrices.  The N
+    constant modes are then pinned by replacing one equation per component
+    with a zero-mean constraint; the remaining (Nyquist) rank deficiency is
+    closed by the minimum-norm least-squares solve, which leaves those
+    modes at exactly zero.  Raises NonEllipticError when a residual
+    survives on a retained mode.
     """
     grid = f.grid
     _check_cap(A, grid)
+    rhs = _solvable_part(f)
     M = assemble_dense(A, grid)
     P = grid.num_points
-    rhs = (f.values - f.values.mean(axis=tuple(range(1, grid.n + 1)), keepdims=True)).ravel()
     for a in range(A.N):
         row = a * P
         M[row, :] = 0.0
@@ -104,7 +123,7 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     if float(np.linalg.norm(resid)) > 1e-8 * scale:
         worst = int(np.argmax(np.abs(resid)))
         comp, flat = divmod(worst, P)
-        idx = np.unravel_index(flat, grid.shape)
+        idx = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
         raise NonEllipticError(
             f"dense system is singular beyond the known kernel; residual peaks at "
             f"component {comp}, grid point {idx}"

@@ -17,8 +17,6 @@ __all__ = [
     "ConstantTensor",
     "contract",
     "direction_matrix",
-    "cofactor",
-    "determinant",
     "operator_norm",
 ]
 
@@ -103,70 +101,6 @@ def direction_matrix(A: ConstantTensor, a) -> np.ndarray:
     if a.shape[-1] != A.n:
         raise ValueError(f"direction must end in shape ({A.n},), got {a.shape}")
     return np.einsum("abj,...j->...ab", A.entries, a)
-
-
-def _det3(M):
-    """Closed-form determinant of stacked 3 x 3 matrices."""
-    return (
-        M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-        - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-        + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
-    )
-
-
-def _minor(M, i, j):
-    N = M.shape[-1]
-    rows = np.delete(np.arange(N), i)
-    cols = np.delete(np.arange(N), j)
-    return M[..., rows[:, None], cols[None, :]]
-
-
-def cofactor(M) -> np.ndarray:
-    """Cofactor matrix of stacked square matrices.
-
-    Satisfies ``M cof(M)^T = cof(M)^T M = det(M) I`` for every input,
-    singular ones included.  Sizes up to 4 use hand-expanded minors; larger
-    sizes fall back to LU-factored minor determinants.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected stacked square matrices, got shape {M.shape}")
-    N = M.shape[-1]
-    out = np.empty_like(M)
-    if N == 1:
-        out[..., 0, 0] = 1.0
-        return out
-    if N == 2:
-        out[..., 0, 0] = M[..., 1, 1]
-        out[..., 0, 1] = -M[..., 1, 0]
-        out[..., 1, 0] = -M[..., 0, 1]
-        out[..., 1, 1] = M[..., 0, 0]
-        return out
-    if N == 3:
-        for i in range(3):
-            for j in range(3):
-                m = _minor(M, i, j)
-                out[..., i, j] = (-1.0) ** (i + j) * (
-                    m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-                )
-        return out
-    if N == 4:
-        for i in range(4):
-            for j in range(4):
-                out[..., i, j] = (-1.0) ** (i + j) * _det3(_minor(M, i, j))
-        return out
-    for i in range(N):
-        for j in range(N):
-            out[..., i, j] = (-1.0) ** (i + j) * np.linalg.det(_minor(M, i, j))
-    return out
-
-
-def determinant(M) -> np.ndarray:
-    """Determinant of stacked square matrices."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected stacked square matrices, got shape {M.shape}")
-    return np.linalg.det(M)
 
 
 def operator_norm(A: ConstantTensor) -> float:

@@ -135,6 +135,19 @@ def test_nearness_attains_declared_level():
     assert abs(rep.witness_ratio(F) - rep.nu_fa) < 1e-12
 
 
+def test_nearness_of_tanh_trace_shape():
+    # tanh(sum of row 1 / sqrt(n)) has its largest slope, 1, at P = 0 along "row 1 = 1/sqrt(n)"
+    A = dirac()
+    F = lipschitz_perturbation(A, 0.5, "tanh_trace")
+    assert nearness_constant(F, A).nu_fa <= F.declared_nearness + 1e-9
+    qstar = np.zeros((4, 3))
+    qstar[0] = 1.0 / np.sqrt(3.0)
+    plan = SamplingPlan(random_p=0, random_q=0, include_axis_directions=False, extra_q_directions=(qstar,))
+    rep = nearness_constant(F, A, plan)
+    assert abs(rep.nu_fa - F.declared_nearness) <= 1e-6
+    assert not rep.worst_p.any()
+
+
 def test_nearness_estimate_monotone_under_enrichment():
     A = dirac()
     F = lipschitz_perturbation(A, 0.5, "sin_q11")

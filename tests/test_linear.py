@@ -102,6 +102,55 @@ def test_non_elliptic_tensor_rejected():
         MultiplierPlan(ConstantTensor(entries), PeriodicGrid(n=2, G=8))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_N3_tensor_rejected(n):
+    # det(A a) is a cubic, odd in a, so it vanishes on the sphere: no N = 3 tensor is elliptic
+    A = ConstantTensor(np.random.default_rng(n).standard_normal((3, 3, n)))
+    with pytest.raises(NonEllipticError):
+        MultiplierPlan(A, PeriodicGrid(n=n, G=8))
+
+
+def _direct_sum(*blocks):
+    """Block-diagonal tensor: the systems of ``blocks`` side by side."""
+    N = sum(B.N for B in blocks)
+    entries = np.zeros((N, N, blocks[0].n))
+    start = 0
+    for B in blocks:
+        entries[start : start + B.N, start : start + B.N] = B.entries
+        start += B.N
+    return ConstantTensor(entries)
+
+
+DIRECT_SUMS = {
+    "cr_N2": cauchy_riemann(),
+    "dirac_N4": dirac(),
+    "cr3_N6": _direct_sum(cauchy_riemann(), cauchy_riemann(), cauchy_riemann()),
+    "dirac2_N8": _direct_sum(dirac(), dirac()),
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_SUMS)
+def test_plan_inverts_the_symbol(name):
+    # M(z) . A:(2 pi i z) = I on the retained modes; M = 0 on the mean and the Nyquist planes
+    A = DIRECT_SUMS[name]
+    plan = MultiplierPlan(A, PeriodicGrid(n=A.n, G=8))
+    core = plan.core
+    symbol = np.einsum("abj,j...->...ab", A.entries, 2j * np.pi * core.z)
+    prod = plan.multipliers @ symbol
+    np.testing.assert_allclose(prod[core.retained], np.broadcast_to(np.eye(A.N), prod[core.retained].shape), atol=1e-13)
+    assert not plan.multipliers[~core.retained].any()
+
+
+@pytest.mark.parametrize("name", ["cr3_N6", "dirac2_N8"])
+def test_residual_postcondition_large_systems(name):
+    A = DIRECT_SUMS[name]
+    grid = PeriodicGrid(n=A.n, G=8)
+    f = random_band_limited(grid, A.N, rng_from_seed(11), kmax=3)
+    _, report = solve_linear(A, f)
+    assert not report.nyquist_truncated
+    assert report.residual <= 1e-12
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         MultiplierPlan(dirac(), PeriodicGrid(n=2, G=8))
@@ -224,18 +273,16 @@ def test_regularizer_validation():
 @given(st.floats(min_value=0.05, max_value=50.0), st.integers(min_value=1, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_regularizer_pointwise_properties(zmag, m):
-    # 0 <= h_m <= 1/|z| and the recovery factor h_m |z| sits in [0, 1]
+    # the recovery factor h_m |z| sits in [0, 1], i.e. 0 <= h_m <= 1/|z|
     for kind in ("rational", "truncation"):
-        h = RegularizerSequence(kind, m).value(np.array([zmag]))[0]
-        assert 0.0 <= h <= 1.0 / zmag + 1e-15
-        assert 0.0 <= h * zmag <= 1.0 + 1e-15
+        s = RegularizerSequence(kind, m).factor(np.array([zmag]))[0]
+        assert 0.0 <= s <= 1.0
 
 
 def test_regularizer_converges_pointwise():
     z = np.array([0.25, 1.0, 7.0])
     for kind in ("rational", "truncation"):
-        err = np.abs(RegularizerSequence(kind, 10_000).value(z) - 1.0 / z)
-        assert np.max(err * z) < 1e-6
+        assert np.max(np.abs(RegularizerSequence(kind, 10_000).factor(z) - 1.0)) < 1e-6
 
 
 @pytest.mark.parametrize("entry", ["solve_linear", "solve_representation", "verify_apriori_rhs", "verify_apriori_solution"])

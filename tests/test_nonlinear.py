@@ -98,6 +98,15 @@ def test_contraction_tracks_declared_rate():
     assert trace.residual[-1] <= 10 * 1e-10
 
 
+def test_tanh_trace_shape_converges():
+    grid = PeriodicGrid(n=3, G=8)
+    f = single_mode_rhs(grid, 4)
+    F = lipschitz_perturbation(dirac(), 0.5, "tanh_trace")
+    _, trace = campanato_solve(F, f, tol=1e-10)
+    assert trace.converged
+    assert max(r for r in trace.ratio if not math.isnan(r)) <= 0.55
+
+
 def test_trace_d_decreasing_above_floor():
     grid = PeriodicGrid(n=3, G=16)
     f = single_mode_rhs(grid, 4)

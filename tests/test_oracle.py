@@ -47,6 +47,18 @@ def test_dense_agreement_two_dimensional():
     assert gap <= 1e-9
 
 
+def test_dense_agreement_with_nyquist_content():
+    # white noise fills the Nyquist planes, which neither solve can represent
+    A = cauchy_riemann()
+    grid = PeriodicGrid(n=2, G=8)
+    f = GridFunction(grid, rng_from_seed(5).standard_normal((2,) + grid.shape))
+    u_spec, report = solve_linear(A, f)
+    assert report.nyquist_truncated
+    u_dense = solve_dense(A, f)
+    gap = norm_l2(gradient(u_dense - u_spec)) / norm_l2(gradient(u_spec))
+    assert gap <= 1e-9
+
+
 def test_dense_solution_mean_pinned_to_zero():
     A = cauchy_riemann()
     grid = PeriodicGrid(n=2, G=6)
@@ -60,7 +72,7 @@ def test_dense_rejects_non_elliptic_tensor():
     entries[1, 1, 0] = 1.0
     grid = PeriodicGrid(n=2, G=4)
     f = single_mode_rhs(grid, 2, axis=1)
-    with pytest.raises(NonEllipticError):
+    with pytest.raises(NonEllipticError, match=r"grid point \(\d+, \d+\)"):
         solve_dense(ConstantTensor(entries), f)
 
 

@@ -1,4 +1,4 @@
-"""Constant tensor container, contractions, and cofactor algebra."""
+"""Constant tensor container, contractions and the operator norm."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from efos.tensor import (
     ConstantTensor,
-    cofactor,
     contract,
-    determinant,
     direction_matrix,
     operator_norm,
 )
@@ -99,30 +97,6 @@ def test_contract_is_linear_in_q(c):
     A = ConstantTensor(rng.standard_normal((2, 2, 2)))
     Q = rng.standard_normal((2, 2))
     np.testing.assert_allclose(contract(A, c * Q), c * contract(A, Q), atol=1e-10)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_cofactor_identity(N):
-    rng = np.random.default_rng(N)
-    M = rng.standard_normal((7, N, N))
-    C = cofactor(M)
-    prod = M @ np.swapaxes(C, -1, -2)
-    expected = determinant(M)[:, None, None] * np.eye(N)
-    np.testing.assert_allclose(prod, expected, atol=1e-10)
-
-
-def test_cofactor_of_singular_matrix():
-    # det = 0 makes M cof(M)^T vanish without blowing up
-    M = np.array([[1.0, 2.0], [2.0, 4.0]])
-    C = cofactor(M)
-    np.testing.assert_allclose(M @ C.T, np.zeros((2, 2)), atol=1e-14)
-
-
-def test_cofactor_scaling_degree():
-    # cof(cM) = c^{N-1} cof(M)
-    rng = np.random.default_rng(9)
-    M = rng.standard_normal((3, 3))
-    np.testing.assert_allclose(cofactor(2.0 * M), 4.0 * cofactor(M), atol=1e-12)
 
 
 def test_operator_norm_known_values():
