@@ -26,7 +26,6 @@ from .ellipticity import (
     NonEllipticError,
     cached_nu,
     ellipticity_constant,
-    is_strictly_elliptic,
     nearness_constant,
 )
 from .fieldfile import read_field, write_field
@@ -83,7 +82,6 @@ __all__ = [
     "ellipticity_constant",
     "generalized_cauchy_riemann",
     "gradient",
-    "is_strictly_elliptic",
     "lipschitz_perturbation",
     "near_operator_check",
     "nearness_constant",

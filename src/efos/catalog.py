@@ -104,6 +104,12 @@ SHAPE_FUNCTIONS = {
     "tanh_trace": _shape_tanh_row1,
 }
 
+# The gradient entries (beta, j) each shape reads, given n.
+_SHAPE_SUPPORTS = {
+    "sin_q11": lambda n: ((0, 0),),
+    "tanh_trace": lambda n: tuple((0, j) for j in range(n)),
+}
+
 
 def _resolve_base(base) -> ConstantTensor:
     if isinstance(base, ConstantTensor):
@@ -115,7 +121,8 @@ def _resolve_base(base) -> ConstantTensor:
 
 
 def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> NonlinearOperator:
-    """F(x, Q) = A:Q + lam nu(A) s(Q) with a 1-Lipschitz shape s.
+    """F(x, Q) = A:Q + lam nu(A) s(Q) with a 1-Lipschitz shape s, whose
+    support is the entries that s reads.
 
     The declared nearness is lam * nu(A); the operator is strictly
     elliptic relative to A exactly when lam < 1 (larger lam is allowed
@@ -129,12 +136,13 @@ def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> Nonlinea
     s = SHAPE_FUNCTIONS[shape]
     amp = lam * cached_nu(A)
 
-    def evaluator(x, Q):
-        return contract(A, Q) + amp * s(np.asarray(Q, dtype=float))
+    def perturbation(x, Q):
+        return amp * s(np.asarray(Q, dtype=float))
 
     return NonlinearOperator(
-        evaluator=evaluator,
+        perturbation=perturbation,
         anchor=A,
+        support=_SHAPE_SUPPORTS[shape](A.n),
         declared_nearness=amp,
         name=f"lipschitz_perturbation({lam}, {shape})",
     )
@@ -147,7 +155,8 @@ def _default_direction_tensor(N: int, n: int) -> ConstantTensor:
 
 
 def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> NonlinearOperator:
-    """F(x, Q) = (A + eps cos(2 pi x1) B) : Q with a unit-norm modulation B.
+    """F(x, Q) = (A + eps cos(2 pi x1) B) : Q with a unit-norm modulation B,
+    whose support is the entries (beta, j) that B reads.
 
     The declared nearness is eps * |B| = eps, attained at x1 = 0, so the
     operator is strictly elliptic relative to A iff eps < nu(A).
@@ -163,14 +172,15 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"modulation tensor must have unit operator norm, got {nrm}")
 
-    def evaluator(x, Q):
+    def perturbation(x, Q):
         x = np.asarray(x, dtype=float)
         osc = eps * np.cos(2.0 * np.pi * x[..., 0])
-        return contract(A, Q) + osc[..., None] * contract(B, Q)
+        return osc[..., None] * contract(B, Q)
 
     return NonlinearOperator(
-        evaluator=evaluator,
+        perturbation=perturbation,
         anchor=A,
+        support=tuple(zip(*np.nonzero(B.entries.any(axis=0)))),
         declared_nearness=float(eps),
         name=f"variable_linear({eps})",
     )
@@ -178,51 +188,22 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named constructor plus its documented quantitative facts."""
+    """A named constructor and the kind of object it builds."""
 
     name: str
     kind: str  # "tensor" | "operator"
     build: callable
-    params: str
-    notes: str
 
 
 _REGISTRY = {
-    "cauchy_riemann": CatalogEntry(
-        name="cauchy_riemann",
-        kind="tensor",
-        build=cauchy_riemann,
-        params="",
-        notes="nu = 1 (direction matrices are rotations); |det| = 1 on the circle",
-    ),
-    "generalized_cr": CatalogEntry(
-        name="generalized_cr",
-        kind="tensor",
-        build=generalized_cauchy_riemann,
-        params="kappa, lam, mu, nu > 0",
-        notes="nu(2,1,1,1) = 2/sqrt(5); weights 1,1,1,1 recover cauchy_riemann",
-    ),
-    "dirac": CatalogEntry(
-        name="dirac",
-        kind="tensor",
-        build=dirac,
-        params="",
-        notes="nu = 1, |det| = 1 on the sphere (orthogonal direction matrices)",
-    ),
-    "lipschitz_perturbation": CatalogEntry(
-        name="lipschitz_perturbation",
-        kind="operator",
-        build=lipschitz_perturbation,
-        params="base tensor name, lam >= 0, shape in {sin_q11, tanh_trace}",
-        notes="declared nearness lam * nu(A); elliptic margin iff lam < 1",
-    ),
-    "variable_linear": CatalogEntry(
-        name="variable_linear",
-        kind="operator",
-        build=variable_linear,
-        params="base tensor name, eps >= 0",
-        notes="declared nearness eps; elliptic margin iff eps < nu(A)",
-    ),
+    entry.name: entry
+    for entry in (
+        CatalogEntry("cauchy_riemann", "tensor", cauchy_riemann),
+        CatalogEntry("generalized_cr", "tensor", generalized_cauchy_riemann),
+        CatalogEntry("dirac", "tensor", dirac),
+        CatalogEntry("lipschitz_perturbation", "operator", lipschitz_perturbation),
+        CatalogEntry("variable_linear", "operator", variable_linear),
+    )
 }
 
 

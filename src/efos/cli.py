@@ -40,7 +40,7 @@ from .linear import (
 from .nonlinear import DivergenceError, NonlinearOperator, campanato_solve, near_operator_check, verify_comparison
 from .oracle import solve_dense
 from .sampling import rng_from_seed
-from .tensor import ConstantTensor
+from .tensor import ConstantTensor, contract
 
 __all__ = ["main", "entry", "ConfigError"]
 
@@ -193,7 +193,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
     if cfg.has_option("nonlinear", "lambda"):
         declared = _get(cfg, "nonlinear", "lambda", float) * cached_nu(A)
 
-    def evaluator(x, Q):
+    def perturbation(x, Q):  # Phi = F - A:Q, reading every gradient entry
         x = np.asarray(x, dtype=float)
         Q = np.asarray(Q, dtype=float)
         lead = np.broadcast_shapes(x.shape[:-1], Q.shape[:-2])
@@ -204,10 +204,10 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         out = np.zeros(lead + (N,))
         for comp, fn in enumerate(compiled):
             out[..., comp] = np.broadcast_to(fn(env), lead)
-        return out
+        return out - contract(A, Q)
 
     return NonlinearOperator(
-        evaluator=evaluator, anchor=A, declared_nearness=declared, name="config-expression"
+        perturbation=perturbation, anchor=A, declared_nearness=declared, name="config-expression"
     )
 
 

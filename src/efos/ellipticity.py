@@ -11,7 +11,7 @@ nearness constant
 
     nu(F, A) = ess sup over x, P, Q != 0 of |F(x, P+Q) - F(x, P) - A:Q| / |Q|,
 
-and strict ellipticity of F relative to A means nu(F, A) < nu(A).  Both
+the Lipschitz constant in Q of the perturbation Phi = F - A, and strict ellipticity of F relative to A means nu(F, A) < nu(A).  Both
 are estimated here: nu(A) by quasi-uniform sphere sampling plus
 derivative-free refinement, nu(F, A) by sampled difference quotients over
 an (x, P, Q) plan.  Sampled sup estimates are lower bounds of the true
@@ -36,7 +36,6 @@ __all__ = [
     "ellipticity_constant",
     "cached_nu",
     "nearness_constant",
-    "is_strictly_elliptic",
     "check_pseudomonotonicity",
     "lipschitz_and_converse",
 ]
@@ -75,10 +74,6 @@ class NearnessReport:
     worst_p: np.ndarray
     worst_q: np.ndarray
     declared_nearness: float | None = None
-
-    def witness_ratio(self, F) -> float:
-        """Re-evaluate the stored worst witness; reproduces ``nu_fa``."""
-        return _difference_quotient(F, self.worst_x, self.worst_p, self.worst_q)
 
 
 @dataclass(frozen=True)
@@ -196,23 +191,12 @@ def cached_nu(A: ConstantTensor, resolution: int = 4096) -> float:
     return _NU_CACHE[key]
 
 
-def _difference_quotient(F, x, P, Q) -> float:
-    """|F(x, P+Q) - F(x, P) - A:Q| / |Q| for a single witness triple."""
-    A = F.anchor
-    x = np.asarray(x, dtype=float)
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    dF = F.evaluate(x, P + Q) - F.evaluate(x, P)
-    qnorm = np.linalg.norm(Q)
-    return float(np.linalg.norm(dF - contract(A, Q)) / qnorm)
-
-
 def _increment_sweep(F, plan: SamplingPlan):
     """Yield per-(direction, scale) batches of difference data.
 
-    Each item is ``(s, U, X, P, F0, F1)`` with X of shape (nx, 1, n),
-    P of shape (1, np, N, n), F0 = F(X, P) and F1 = F(X, P + s U),
-    both broadcast to shape (nx, np, N).
+    Each item is ``(s, U, X, P, Phi0, Phi1)`` with X of shape (nx, 1, n),
+    P of shape (1, np, N, n), and the perturbation values Phi0 = Phi(X, P)
+    and Phi1 = Phi(X, P + s U), both broadcast to shape (nx, np, N).
     """
     A = F.anchor
     N, n = A.N, A.n
@@ -220,29 +204,31 @@ def _increment_sweep(F, plan: SamplingPlan):
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
     dirs = plan.q_directions(N, n, anchor=A)
     nx, npts = X.shape[0], P.shape[1]
-    F0 = np.broadcast_to(F.evaluate(X, P), (nx, npts, N))
+    Phi0 = np.broadcast_to(F.perturbation(X, P), (nx, npts, N))
     for U in dirs:
         for s in MAGNITUDE_LADDER:
-            F1 = np.broadcast_to(F.evaluate(X, P + s * U), (nx, npts, N))
-            yield s, U, X, P, F0, F1
+            Phi1 = np.broadcast_to(F.perturbation(X, P + s * U), (nx, npts, N))
+            yield s, U, X, P, Phi0, Phi1
 
 
 def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | None = None) -> NearnessReport:
     """Sampled estimate of nu(F, A) and the ratio nu(F, A) / nu(A).
 
-    The estimate is the max of |F(x, P+Q) - F(x, P) - A:Q| / |Q| over the
-    plan's triples, hence a lower bound for the true sup; it is monotone
-    under enrichment of the plan's random streams.
+    The estimate is the max of |F(x, P+Q) - F(x, P) - A:Q| / |Q| =
+    |Phi(x, P+Q) - Phi(x, P)| / |Q| over the plan's triples, hence a lower
+    bound for the true sup; it is monotone under enrichment of the plan's
+    random streams.  A, when given, must be F's anchor.
     """
     A = F.anchor if A is None else A
+    if A != F.anchor:
+        raise ValueError("the nearness constant is measured against the operator's own anchor")
     plan = plan or SamplingPlan()
     nu_a = cached_nu(A)
     best = -1.0
     witness = None
     total = 0
-    for s, U, X, P, F0, F1 in _increment_sweep(F, plan):
-        AQ = s * contract(A, U)
-        ratios = np.linalg.norm(F1 - F0 - AQ, axis=-1) / s
+    for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
+        ratios = np.linalg.norm(Phi1 - Phi0, axis=-1) / s
         total += ratios.size
         i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
         if ratios[i, j] > best:
@@ -261,18 +247,6 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
     )
 
 
-def is_strictly_elliptic(F, A: ConstantTensor | None = None, plan: SamplingPlan | None = None):
-    """Sampled test of nu(F, A) < nu(A); returns (bool, margin).
-
-    The margin is nu(A) minus the sampled nearness estimate.  Since the
-    estimate is a lower bound of the true sup, a True answer is a
-    necessary-condition certificate only; False is conclusive.
-    """
-    rep = nearness_constant(F, A, plan)
-    margin = rep.nu_a - rep.nu_fa
-    return bool(margin > 0), float(margin)
-
-
 def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingPlan | None):
     """One pass over the plan's increments.
 
@@ -289,8 +263,8 @@ def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingP
     worst = 0.0
     witness = (None, None, None)
     total = 0
-    for s, U, X, P, F0, F1 in _increment_sweep(F, plan):
-        dF = F1 - F0
+    for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
+        dF = Phi1 - Phi0 + s * contract(F.anchor, U)
         lip = max(lip, float((np.linalg.norm(dF, axis=-1) / s).max()))
         AQ = s * contract(A, U)  # (N,)
         lhs = np.einsum("...a,a->...", dF, AQ)

@@ -203,19 +203,28 @@ class SpectralCore:
         return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def derivatives(
-        self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+        self,
+        coeffs: np.ndarray,
+        out: np.ndarray | None = None,
+        work: np.ndarray | None = None,
+        entries: tuple | None = None,
     ) -> np.ndarray:
         """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha
-        slowest, written into ``out`` (real, N*n x the grid shape) when given.
-        ``work`` (complex, C-contiguous, N*n x the shape of ``zmag``) holds
-        the derivative spectrum while the complex passes run in place on it;
-        both buffers are allocated when None.  The result is bit-identical to
-        ``inverse`` of that spectrum, since ``ifftn`` runs the passes over
-        the reversed axes, that is in ``irfftn``'s own order."""
+        slowest, or of only the listed ``entries`` (alpha, j) in their order,
+        written into ``out`` (real, one per derivative x the grid shape) when
+        given.  ``work`` (complex, C-contiguous, one per derivative x the
+        shape of ``zmag``) holds the derivative spectrum while the complex
+        passes run in place on it; both buffers are allocated when None.  The
+        result is bit-identical to ``inverse`` of that spectrum, since
+        ``ifftn`` runs the passes over the reversed axes, that is in
+        ``irfftn``'s own order."""
         N, n = coeffs.shape[0], self.grid.n
         if work is None:
-            work = np.empty((N * n,) + self.zmag.shape, complex)
-        np.multiply(coeffs[:, None], self.deriv, out=work.reshape((N, n) + self.zmag.shape))
+            work = np.empty((N * n if entries is None else len(entries),) + self.zmag.shape, complex)
+        if entries is None:
+            np.multiply(coeffs[:, None], self.deriv, out=work.reshape((N, n) + self.zmag.shape))
+        for i, (alpha, j) in enumerate(entries or ()):
+            np.multiply(coeffs[alpha], self.deriv[j], out=work[i])
         np.fft.ifftn(work, axes=self.axes[-2::-1], norm="forward", out=work)
         return np.fft.irfftn(work, s=self.grid.shape[-1:], axes=self.axes[-1:], norm="forward", out=out)
 

@@ -1,14 +1,19 @@
 """Fixed-point solution of fully nonlinear systems F(x, Du) = f on the torus.
 
-The solver treats F as a perturbation of an elliptic anchor A.  With
-nearness constant nu(F, A) < nu(A), the map
+The solver treats F as a perturbation of an elliptic anchor A: the
+operator stores A and Phi = F - A, Campanato's near-operator device, and
+the fixed-point map is
 
-    T[u] = A^{-1} ( A:Du - (F(., Du) - f) )
+    T[u] = A^{-1} ( f - Phi(., Du) ),
 
-is a contraction in the metric d(u, v) = |A:Du - A:Dv|_2 with factor
-K = nu(F, A) / nu(A), and the iteration u_{k+1} = T[u_k] converges to the
-unique solution.  The metric is equivalent to the gradient distance:
-nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
+A^{-1} being the anchor's spectral inverse on mean-zero fields.  With
+nearness constant nu(F, A) = nu(Phi) < nu(A), T is a contraction in the
+metric d(u, v) = |A:Du - A:Dv|_2 with factor K = nu(F, A) / nu(A), and the
+iteration u_{k+1} = T[u_k] converges to the unique solution.  The metric
+is equivalent to the gradient distance: nu(A) |Du - Dv|_2 <= d(u, v) <=
+|A| |Du - Dv|_2.  Since T reads u only through the gradient entries that
+Phi reads, each step transforms only those entries, and only the output
+rows of Phi that are nonzero.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
-from .sampling import SamplingPlan
-from .tensor import ConstantTensor
+from .sampling import SamplingPlan, rng_from_seed
+from .tensor import ConstantTensor, contract
 
 __all__ = [
     "NonlinearOperator",
@@ -33,7 +38,6 @@ __all__ = [
     "ComparisonReport",
     "NearOperatorReport",
     "campanato_solve",
-    "contraction_metric",
     "verify_comparison",
     "near_operator_check",
     "TRACE_COLUMNS",
@@ -44,22 +48,47 @@ TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
 @dataclass(frozen=True)
 class NonlinearOperator:
-    """A pointwise operator F(x, Q) with an elliptic anchor tensor.
+    """A pointwise operator F(x, Q) = A:Q + Phi(x, Q): an elliptic anchor
+    tensor A and the perturbation Phi = F - A.
 
-    ``evaluator(x, Q)`` takes coordinates of shape (..., n) and gradient
+    ``perturbation(x, Q)`` takes coordinates of shape (..., n) and gradient
     matrices of shape (..., N, n), broadcasts over the leading axes, and
-    returns (..., N).
+    returns (..., N).  ``support`` lists the gradient entries (beta, j)
+    that Phi reads, None meaning all N*n of them; the solver transforms
+    only those derivatives.  A partial support is probed once here: moving
+    an entry outside it on a seeded random (x, Q) batch must leave Phi
+    unchanged, else ValueError names the entry.
 
     ``declared_nearness`` is an analytically known upper bound for
     nu(F, anchor) when available; solvers trust it for the contraction
-    margin.  ``x_periodic`` must hold for torus solves.
+    margin.
     """
 
-    evaluator: Callable
+    perturbation: Callable
     anchor: ConstantTensor
+    support: tuple | None = None
     declared_nearness: float | None = None
-    x_periodic: bool = True
     name: str = ""
+
+    def __post_init__(self):
+        if self.support is None:
+            return
+        N, n = self.anchor.N, self.anchor.n
+        support = tuple(sorted({(int(b), int(j)) for b, j in self.support}))
+        if not all(0 <= b < N and 0 <= j < n for b, j in support):
+            raise ValueError(f"support entries (beta, j) need beta < {N} and j < {n}, got {support}")
+        object.__setattr__(self, "support", support)
+        rng = rng_from_seed(0)
+        x, Q = rng.random((8, n)), rng.normal(size=(8, N, n))
+        base = self.perturbation(x, Q)
+        for b in range(N):
+            for j in range(n):
+                if (b, j) in support:
+                    continue
+                moved = Q.copy()
+                moved[:, b, j] = rng.normal(size=len(Q))
+                if not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
+                    raise ValueError(f"the perturbation reads gradient entry ({b}, {j}), outside its support {support}")
 
     def evaluate(self, x, Q) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -69,7 +98,7 @@ class NonlinearOperator:
                 f"expected x (..., {self.anchor.n}) and Q (..., {self.anchor.N}, {self.anchor.n}),"
                 f" got {x.shape} and {Q.shape}"
             )
-        return np.asarray(self.evaluator(x, Q), dtype=float)
+        return contract(self.anchor, Q) + np.asarray(self.perturbation(x, Q), dtype=float)
 
     def apply_to_gradient(self, Du: GridFunction) -> GridFunction:
         """F(x, Du(x)) over a whole grid; Du carries N*n components."""
@@ -79,6 +108,14 @@ class NonlinearOperator:
         Q = np.moveaxis(Du.as_gradient(N), (0, 1), (-2, -1))  # (..., N, n)
         out = self.evaluate(X, Q)  # (..., N)
         return GridFunction(grid, np.moveaxis(out, -1, 0).copy())
+
+
+def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
+    """Phi(x, Du(x)) at the grid points X (G, ..., G, n), as (N, G, ..., G)
+    values, from the N*n derivative values Du."""
+    N, n = F.anchor.N, F.anchor.n
+    Q = np.moveaxis(Du.reshape((N, n) + Du.shape[1:]), (0, 1), (-2, -1))
+    return np.moveaxis(np.asarray(F.perturbation(X, Q), dtype=float), -1, 0)
 
 
 @dataclass
@@ -144,7 +181,8 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class NearOperatorReport:
-    """Sampled check of |F[u] - F[v] - (A[u] - A[v])| <= K |A[u] - A[v]|."""
+    """Sampled check of |Phi[u] - Phi[v]| <= K |A[u] - A[v]|, that is of
+    |F[u] - F[v] - (A[u] - A[v])| <= K |A[u] - A[v]|."""
 
     K: float
     pairs: int
@@ -153,21 +191,22 @@ class NearOperatorReport:
     witness_index: int | None
 
 
-def contraction_metric(u: GridFunction, v: GridFunction, A: ConstantTensor) -> float:
-    """d(u, v) = |A:Du - A:Dv|_2, the metric the iteration contracts."""
-    return norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
-
-
-def _finite_F(F: NonlinearOperator, Du: GridFunction, step: int, trace: IterationTrace) -> GridFunction:
-    """F(., Du), or DivergenceError naming the first grid index where it is
-    not finite."""
-    Fu = F.apply_to_gradient(Du)
-    bad = ~np.isfinite(Fu.values).all(axis=0)
-    if bad.any():
+def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> list:
+    """Write the half-spectrum coefficients of Phi(., Du) into ``out`` and
+    return the rows where Phi is nonzero, the only ones transformed (zero
+    transforms to zero).  DivergenceError names the first grid index where
+    Phi is not finite."""
+    phi = _perturbation_values(F, X, Du)
+    if not np.isfinite(phi).all():
+        bad = ~np.isfinite(phi).all(axis=0)
         index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         trace.message = f"F is not finite at step {step}, first at grid index {index}"
         raise DivergenceError(trace.message, trace)
-    return Fu
+    rows = [a for a in range(len(phi)) if phi[a].any()]
+    out[:] = 0.0
+    for a in rows:
+        core.forward(phi[a : a + 1], out=out[a : a + 1])
+    return rows
 
 
 def campanato_solve(
@@ -181,19 +220,23 @@ def campanato_solve(
 ):
     """Solve F(x, Du) = f (up to its compatibility mean) by fixed point.
 
-    Each step solves the anchor system A:Du_{k+1} = A:Du_k - F(., Du_k) + f
-    with the right-hand side projected to mean zero.  As M (A:Du)^ = U on
-    the retained modes, in half-spectrum coefficients U (u0 projected onto
-    those modes) the step is U <- U - M R, with the plan's multipliers M
-    and R the coefficients of F(., Du) - f: one inverse transform of the
-    derivatives, one evaluation of F and one forward transform.  R's norm
-    on the retained modes is the next step metric d, adding the Nyquist
-    planes gives the residual (against f minus the compatibility mean),
-    and R's zero mode is the dropped mean.  Iteration stops when that
-    residual falls below tol * its scale or the step metric falls below
-    tol * |f|_2; it aborts with DivergenceError after three consecutive
-    non-contracting steps above the noise floor, or when F is not finite
-    (step 0 is the start).
+    Each step is u_{k+1} = T[u_k] = A^{-1}(f - Phi(., Du_k)), with the
+    right-hand side projected to mean zero.  In half-spectrum coefficients
+    with the plan's multipliers M, U_{k+1} = M f^ - M Phi^_k, and as
+    M (A:(2 pi i z)) = I on the retained modes, the residual of iterate
+    k+1, the coefficients R of F(., Du_{k+1}) - f, is Phi^_{k+1} - Phi^_k
+    there and Phi^_{k+1} - f^ on the Nyquist planes and the mean: no
+    transform of A:Du is needed.  A step forms U only in the rows that
+    Phi's support names, inverse-transforms only the support's
+    derivatives (the other gradient entries stay zero), evaluates Phi and
+    forward-transforms its nonzero rows.  R's norm on the retained modes
+    is the next step metric d, adding the Nyquist planes gives the
+    residual (against f minus the compatibility mean), and R's zero mode
+    is the dropped mean.  Iteration stops when that residual falls below
+    tol * its scale or the step metric falls below tol * |f|_2; it aborts
+    with DivergenceError after three consecutive non-contracting steps
+    above the noise floor, or when Phi is not finite (step 0 is the
+    start).  The iterate itself is transformed back once, at the end.
     Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
     u0, if given, on f's grid with the anchor's N components.
 
@@ -202,8 +245,6 @@ def campanato_solve(
     if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
         raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
     A = F.anchor
-    if not F.x_periodic:
-        raise ValueError("operator is not periodic in x; torus solve is meaningless")
     check_field(f, A, f.grid, "right-hand side")
     if u0 is not None:
         check_field(u0, A, f.grid, "u0")
@@ -221,6 +262,10 @@ def campanato_solve(
         )
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
+    N, n = A.N, f.grid.n
+    support = F.support
+    rows = range(N) if support is None else sorted({b for b, _ in support})
+    M = np.ascontiguousarray(np.moveaxis(plan.multipliers, (-2, -1), (0, 1))[rows])  # M_ba as (rows, N, ...)
 
     trace = IterationTrace(K_theory=near / nu)
     norm_f = norm_l2(f)
@@ -228,27 +273,45 @@ def campanato_solve(
     sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
     f_mean = f.values.mean(axis=core.axes)
     norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
+    X = np.moveaxis(f.grid.points(), 0, -1)
+    f_hat = core.forward(f.values)
+    Mf = plan.apply(f_hat)
 
-    # transform buffers of this solve, rewritten in place by every step
-    R = np.empty((A.N,) + core.zmag.shape, complex)
-    work = np.empty((A.N * f.grid.n,) + core.zmag.shape, complex)
-    Du = GridFunction.zeros(f.grid, A.N * f.grid.n)
-    if u0 is None:  # Du = 0 needs no transform
-        U = np.zeros(R.shape, complex)
-    else:
-        U = core.forward(u0.values) * core.retained
-        core.derivatives(U, out=Du.values, work=work)
-    core.forward(_finite_F(F, Du, 0, trace).values - f.values, out=R)
-    d, _ = core.norms(R)
+    # buffers of this solve, rewritten in place by every step; T = f^ - (A:Du)^
+    # is what Phi^ is measured against, so that R = Phi^ - T
+    U = np.zeros(f_hat.shape, complex)
+    T = f_hat.copy()
+    Phi = np.empty_like(T)
+    R = np.empty_like(T)
+    Du = np.zeros((N * n,) + f.grid.shape)
+    derivs = Du if support is None else np.empty((len(support),) + f.grid.shape)
+    work = np.empty((len(derivs),) + core.zmag.shape, complex)
+    flat = None if support is None else [b * n + j for b, j in support]
+
+    def differentiate():
+        core.derivatives(U, out=derivs, work=work, entries=support)
+        if flat is not None:
+            Du[flat] = derivs
+
+    if u0 is not None:  # else Du = 0 needs no transform
+        U[:] = core.forward(u0.values) * core.retained
+        T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
+        differentiate()
+    nonzero = _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
+    d, _ = core.norms(np.subtract(Phi, T, out=R))
     non_contracting = 0
     for step in range(1, max_iter + 1):
         dropped = np.linalg.norm(R[core.zero])
-        U -= plan.apply(R)
-        core.derivatives(U, out=Du.values, work=work)
+        for i, b in enumerate(rows):  # U_b = (M f^)_b - sum over Phi's nonzero rows a of M_ba Phi^_a
+            U[b] = Mf[b]
+            for a in nonzero:
+                U[b] -= M[i, a] * Phi[a]
+        np.copyto(T, Phi, where=core.retained)
+        differentiate()
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        core.forward(_finite_F(F, Du, step, trace).values - f.values, out=R)
-        d_next, leak = core.norms(R)
+        nonzero = _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
+        d_next, leak = core.norms(np.subtract(Phi, T, out=R))
         res = math.hypot(d_next, leak)
         res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
@@ -267,7 +330,8 @@ def campanato_solve(
         d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    return GridFunction(f.grid, core.inverse(U)), trace
+    # T holds the last step's Phi^ on the retained modes, where M lives
+    return GridFunction(f.grid, core.inverse(plan.apply(f_hat - T))), trace
 
 
 def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) -> ComparisonReport:
@@ -299,10 +363,10 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
 def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     """Verify the nearness inequality between full field operators.
 
-    For each pair (u, v): |F[u] - F[v] - (A[u] - A[v])|_2 must not exceed
-    K |A[u] - A[v]|_2 with K the declared nearness ratio.  Degenerate
-    pairs with A[u] = A[v] count as violations only if the left side is
-    nonzero.
+    For each pair (u, v): |Phi[u] - Phi[v]|_2, that is |F[u] - F[v] -
+    (A[u] - A[v])|_2, must not exceed K |A[u] - A[v]|_2 with K the
+    declared nearness ratio.  Degenerate pairs with A[u] = A[v] count as
+    violations only if the left side is nonzero.
     """
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")
@@ -315,9 +379,10 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     for idx, (u, v) in enumerate(pairs):
         count += 1
         Du, Dv = gradient(u), gradient(v)
+        X = np.moveaxis(u.grid.points(), 0, -1)
         Adiff = apply_tensor(A, Du) - apply_tensor(A, Dv)
-        Fdiff = F.apply_to_gradient(Du) - F.apply_to_gradient(Dv)
-        lhs = norm_l2(Fdiff - Adiff)
+        Phidiff = _perturbation_values(F, X, Du.values) - _perturbation_values(F, X, Dv.values)
+        lhs = norm_l2(GridFunction(u.grid, Phidiff))
         rhs = K * norm_l2(Adiff)
         if rhs == 0:
             ok = lhs <= 1e-14

@@ -104,11 +104,19 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     constant modes are then pinned by replacing one equation per component
     with a zero-mean constraint; the remaining (Nyquist) rank deficiency is
     closed by the minimum-norm least-squares solve, which leaves those
-    modes at exactly zero.  Raises NonEllipticError when a residual
+    modes at exactly zero.  Raises ValueError unless f is finite with
+    A.N components on a grid of A's dimension (naming the first bad
+    component and grid index), and NonEllipticError when a residual
     survives on a retained mode.
     """
     grid = f.grid
     _check_cap(A, grid)
+    if f.components != A.N:
+        raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
+    bad = ~np.isfinite(f.values)
+    if bad.any():
+        comp, *index = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise ValueError(f"right-hand side is not finite at component {comp}, grid index {tuple(index)}")
     rhs = _solvable_part(f)
     M = assemble_dense(A, grid)
     P = grid.num_points

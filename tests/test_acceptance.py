@@ -223,7 +223,7 @@ def test_criterion_9_pseudomonotonicity_and_converse():
 
     # converse: pseudo-monotone + small Lipschitz concludes strict ellipticity
     half = NonlinearOperator(
-        evaluator=lambda x, Q: 0.5 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: -0.5 * contract(A, np.asarray(Q)),
         anchor=A,
         name="half-strength",
     )

@@ -14,9 +14,9 @@ from efos.catalog import (
     parse_catalog_ref,
     variable_linear,
 )
-from efos.ellipticity import cached_nu
+from efos.ellipticity import cached_nu, nearness_constant
 from efos.sampling import rng_from_seed
-from efos.tensor import contract, direction_matrix
+from efos.tensor import ConstantTensor, contract, direction_matrix
 
 
 def test_registry_names():
@@ -103,11 +103,8 @@ def test_lipschitz_perturbation_validation():
     with pytest.raises(KeyError):
         lipschitz_perturbation(dirac(), 0.5, "unknown_shape")
     # lam >= 1 builds fine but leaves no contraction margin
-    from efos.ellipticity import is_strictly_elliptic
-
-    wide = lipschitz_perturbation(dirac(), 1.5, "sin_q11")
-    ok, margin = is_strictly_elliptic(wide)
-    assert not ok and margin < 0
+    rep = nearness_constant(lipschitz_perturbation(dirac(), 1.5, "sin_q11"))
+    assert rep.nu_a - rep.nu_fa < 0
 
 
 def test_variable_linear_evaluator():
@@ -123,6 +120,22 @@ def test_variable_linear_evaluator():
     delta = out - base
     assert np.linalg.norm(delta) <= 0.05 * np.linalg.norm(Q) + 1e-12
     assert abs(np.linalg.norm(delta) - abs(coef) * abs(Q[0, 0])) < 1e-12  # default B hits one entry
+
+
+def test_declared_supports():
+    # each operator declares the gradient entries its perturbation reads
+    A = dirac()
+    assert lipschitz_perturbation(A, 0.5, "sin_q11").support == ((0, 0),)
+    assert lipschitz_perturbation(A, 0.5, "tanh_trace").support == ((0, 0), (0, 1), (0, 2))
+    assert variable_linear(A, 0.3).support == ((0, 0),)
+    B = np.zeros((4, 4, 3))
+    B[0, 0, 1] = 1.0
+    B[1, 2, 0] = 1.0
+    F = variable_linear(A, 0.3, ConstantTensor(B))
+    assert F.support == ((0, 1), (2, 0))
+    Q = rng_from_seed(7).standard_normal((4, 3))
+    x = np.array([0.2, 0.0, 0.0])
+    np.testing.assert_allclose(F.evaluate(x, Q) - contract(A, Q), 0.3 * np.cos(0.4 * np.pi) * contract(ConstantTensor(B), Q))
 
 
 def test_parse_catalog_ref_forms():

@@ -9,7 +9,6 @@ from efos.ellipticity import (
     cached_nu,
     check_pseudomonotonicity,
     ellipticity_constant,
-    is_strictly_elliptic,
     lipschitz_and_converse,
     nearness_constant,
 )
@@ -117,10 +116,12 @@ def test_cached_nu_consistency():
 
 def test_nearness_of_linear_anchor_is_zero():
     A = dirac()
-    F = NonlinearOperator(evaluator=lambda x, Q: contract(A, np.asarray(Q)), anchor=A, name="anchor")
+    F = NonlinearOperator(perturbation=lambda x, Q: np.zeros(np.shape(Q)[:-1]), anchor=A, name="anchor")
     rep = nearness_constant(F, A)
-    # exact zero up to cancellation noise amplified by the smallest increments
-    assert rep.nu_fa <= 1e-10
+    # the quotients read the perturbation, which is exactly zero
+    assert rep.nu_fa == 0.0
+    with pytest.raises(ValueError, match="own anchor"):
+        nearness_constant(F, ConstantTensor(2.0 * A.entries))
 
 
 def test_nearness_attains_declared_level():
@@ -132,7 +133,9 @@ def test_nearness_attains_declared_level():
     assert rep.nu_fa >= F.declared_nearness - 1e-8
     assert 0.49 < rep.ratio < 0.51
     # the stored witness reproduces its ratio on re-evaluation
-    assert abs(rep.witness_ratio(F) - rep.nu_fa) < 1e-12
+    x, P, Q = rep.worst_x, rep.worst_p, rep.worst_q
+    witness = np.linalg.norm(F.perturbation(x, P + Q) - F.perturbation(x, P)) / np.linalg.norm(Q)
+    assert abs(witness - rep.nu_fa) < 1e-12
 
 
 def test_nearness_of_tanh_trace_shape():
@@ -160,15 +163,15 @@ def test_nearness_estimate_monotone_under_enrichment():
 
 def test_strict_ellipticity_margin():
     A = dirac()
-    ok, margin = is_strictly_elliptic(lipschitz_perturbation(A, 0.5, "sin_q11"))
-    assert ok and 0.45 < margin < 0.55
+    rep = nearness_constant(lipschitz_perturbation(A, 0.5, "sin_q11"))
+    assert 0.45 < rep.nu_a - rep.nu_fa < 0.55
     bad = NonlinearOperator(
-        evaluator=lambda x, Q: 2.5 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: 1.5 * contract(A, np.asarray(Q)),
         anchor=A,
         name="too-far",
     )
-    ok2, margin2 = is_strictly_elliptic(bad)
-    assert not ok2 and margin2 < 0
+    rep = nearness_constant(bad)
+    assert rep.nu_a - rep.nu_fa < 0
 
 
 def test_pseudomonotone_at_true_level():
@@ -201,7 +204,7 @@ def test_pseudomonotone_violated_below_true_level():
 def test_lipschitz_converse_concludes_ellipticity():
     A = dirac()
     half = NonlinearOperator(
-        evaluator=lambda x, Q: 0.5 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: -0.5 * contract(A, np.asarray(Q)),
         anchor=A,
         name="half-strength",
     )
@@ -217,7 +220,7 @@ def test_converse_refuses_large_lipschitz():
     A = dirac()
     # slope 1.2 exceeds sqrt(1 - lam^2) nu for every lam, so no conclusion
     strong = NonlinearOperator(
-        evaluator=lambda x, Q: 1.2 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: 0.2 * contract(A, np.asarray(Q)),
         anchor=A,
         name="strong",
     )

@@ -1,11 +1,13 @@
 """Fixed-point iteration, contraction measurement, and the comparison bounds."""
 
+import configparser
 import math
 
 import numpy as np
 import pytest
 
 from efos.catalog import dirac, lipschitz_perturbation, variable_linear
+from efos.cli import build_operator
 from efos.ellipticity import NonEllipticError, cached_nu
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import MultiplierPlan, apply_tensor, solve_linear
@@ -14,7 +16,6 @@ from efos.nonlinear import (
     DivergenceError,
     NonlinearOperator,
     campanato_solve,
-    contraction_metric,
     near_operator_check,
     verify_comparison,
 )
@@ -24,13 +25,12 @@ from efos.tensor import ConstantTensor, contract, operator_norm
 from helpers import single_mode_rhs
 
 
+def _zero(x, Q):
+    return np.zeros(np.shape(Q)[:-1])
+
+
 def _linear_anchor_operator(A, declared=0.0):
-    return NonlinearOperator(
-        evaluator=lambda x, Q: contract(A, np.asarray(Q)),
-        anchor=A,
-        declared_nearness=declared,
-        name="anchor",
-    )
+    return NonlinearOperator(perturbation=_zero, anchor=A, support=(), declared_nearness=declared, name="anchor")
 
 
 def test_linear_operator_converges_in_one_iteration():
@@ -48,9 +48,9 @@ def test_constant_shift_solves_to_zero():
     c = np.array([0.3, -0.2, 0.1, 0.05])
 
     def shifted(x, Q):
-        return contract(A, np.asarray(Q)) + c
+        return np.broadcast_to(c, np.shape(Q)[:-1])
 
-    F = NonlinearOperator(evaluator=shifted, anchor=A, declared_nearness=0.0, name="shifted")
+    F = NonlinearOperator(perturbation=shifted, anchor=A, support=(), declared_nearness=0.0, name="shifted")
     grid = PeriodicGrid(n=3, G=8)
     f = GridFunction(grid, np.broadcast_to(c.reshape(4, 1, 1, 1), (4,) + grid.shape).copy())
     u, trace = campanato_solve(F, f, tol=1e-10)
@@ -67,12 +67,11 @@ def test_x_dependent_shift_mean_is_logged():
 
     def shifted(x, Q):
         x = np.asarray(x, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        out = contract(A, Q)
-        out[..., 0] += 1.0 + np.cos(2 * np.pi * x[..., 0])
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(Q)[:-2]) + (4,))
+        out[..., 0] = 1.0 + np.cos(2 * np.pi * x[..., 0])
         return out
 
-    F = NonlinearOperator(evaluator=shifted, anchor=A, declared_nearness=0.0, name="x-shift")
+    F = NonlinearOperator(perturbation=shifted, anchor=A, support=(), declared_nearness=0.0, name="x-shift")
     grid = PeriodicGrid(n=3, G=8)
     u, trace = campanato_solve(F, GridFunction.zeros(grid, 4), tol=1e-10)
     assert trace.converged
@@ -142,7 +141,7 @@ def test_divergence_detected_with_trace():
     A = dirac()
     # the declared bound is a lie: the increments overshoot by 1.5 nu(A)
     F = NonlinearOperator(
-        evaluator=lambda x, Q: 2.5 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: 1.5 * contract(A, np.asarray(Q)),
         anchor=A,
         declared_nearness=0.5,
         name="overdriven",
@@ -162,18 +161,18 @@ def test_non_finite_F_fails_fast_with_witness():
 
     def nan_above(x, Q):
         Q = np.asarray(Q)
-        out = contract(A, Q)
+        out = np.zeros(Q.shape[:-1])
         out[np.abs(Q[..., 0, 0]) > 0.1] = np.nan
         return out
 
     def nan_right_half(x, Q):
-        out = contract(A, np.asarray(Q))
+        out = np.zeros(np.shape(Q)[:-1])
         out[np.asarray(x)[..., 0] >= 0.5] = np.nan
         return out
 
     # the first bad grid index in row-major order: x1 = 1/8, then x1 = 1/2
-    for evaluator, step, index in ((nan_above, 1, (1, 0, 0)), (nan_right_half, 0, (4, 0, 0))):
-        F = NonlinearOperator(evaluator=evaluator, anchor=A, declared_nearness=0.5)
+    for perturbation, step, index in ((nan_above, 1, (1, 0, 0)), (nan_right_half, 0, (4, 0, 0))):
+        F = NonlinearOperator(perturbation=perturbation, anchor=A, declared_nearness=0.5)
         with pytest.raises(DivergenceError) as exc:
             campanato_solve(F, f, tol=1e-10)
         assert f"step {step}," in str(exc.value)
@@ -234,26 +233,13 @@ def test_plan_for_another_tensor_or_grid_rejected():
 def test_no_margin_rejected_before_iterating():
     A = dirac()
     F = NonlinearOperator(
-        evaluator=lambda x, Q: 2.5 * contract(A, np.asarray(Q)),
+        perturbation=lambda x, Q: 1.5 * contract(A, np.asarray(Q)),
         anchor=A,
         name="overdriven",
     )
     grid = PeriodicGrid(n=3, G=8)
     with pytest.raises(NonEllipticError):
         campanato_solve(F, single_mode_rhs(grid, 4), tol=1e-10)
-
-
-def test_non_periodic_operator_rejected():
-    A = dirac()
-    F = NonlinearOperator(
-        evaluator=lambda x, Q: contract(A, np.asarray(Q)),
-        anchor=A,
-        declared_nearness=0.0,
-        x_periodic=False,
-    )
-    grid = PeriodicGrid(n=3, G=8)
-    with pytest.raises(ValueError):
-        campanato_solve(F, single_mode_rhs(grid, 4))
 
 
 @pytest.mark.parametrize("tol, max_iter", [(0.0, 400), (-1.0, 400), (math.nan, 400), (math.inf, 400), (1e-10, 0)])
@@ -286,15 +272,15 @@ def test_start_field_must_match_rhs(grid, components, match):
 
 
 def test_contraction_metric_unitary_symbol():
-    # the Dirac direction matrices are orthogonal, so d equals the gradient gap
+    # the Dirac direction matrices are orthogonal, so the metric
+    # d(u, v) = |A:Du - A:Dv|_2 equals the gradient gap
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(6)
     A = dirac()
     u = random_band_limited(grid, 4, rng)
     v = random_band_limited(grid, 4, rng)
-    d = contraction_metric(u, v, A)
+    d = norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
     assert d == pytest.approx(norm_l2(gradient(u - v)), rel=1e-12)
-    assert contraction_metric(u, u, A) == 0.0
 
 
 def test_coercivity_chain():
@@ -306,7 +292,7 @@ def test_coercivity_chain():
     for _ in range(5):
         u = random_band_limited(grid, 4, rng)
         v = random_band_limited(grid, 4, rng)
-        d = contraction_metric(u, v, A)
+        d = norm_l2(apply_tensor(A, gradient(u)) - apply_tensor(A, gradient(v)))
         gap = norm_l2(gradient(u - v))
         assert nu * gap - 1e-10 <= d <= top * gap + 1e-10
 
@@ -326,7 +312,7 @@ def test_comparison_bound_on_random_pairs():
 
 def test_comparison_needs_declared_nearness():
     A = dirac()
-    F = NonlinearOperator(evaluator=lambda x, Q: contract(A, np.asarray(Q)), anchor=A)
+    F = NonlinearOperator(perturbation=_zero, anchor=A)
     grid = PeriodicGrid(n=3, G=8)
     w = single_mode_rhs(grid, 4)
     with pytest.raises(ValueError):
@@ -417,3 +403,86 @@ def test_coefficient_space_loop_matches_physical_space_reference():
             if d_ref[k] >= 1e-6 * d_ref[0]:
                 assert abs(trace.ratio[k] - d_ref[k] / d_ref[k - 1]) <= 1e-9
         np.testing.assert_allclose(trace.residual, res_ref, rtol=0, atol=1e-12)
+
+
+def _assert_matches_reference(F, f, u0=None):
+    u, trace = campanato_solve(F, f, tol=1e-10, u0=u0)
+    u_ref, d_ref, _, converged_ref = _reference_picard(F, f, tol=1e-10, u0=u0)
+    assert trace.converged and converged_ref
+    assert trace.iterations == len(d_ref)
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-14
+    return trace
+
+
+def _expression_operator(A):
+    # dirac plus 0.3 sin(q11) in the first equation, written out as the
+    # config expressions the CLI compiles
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read_string(
+        """
+[nonlinear]
+f1 = q11 + q22 + q33 + 0.3 * sin(q11)
+f2 = -q12 + q21 + q43
+f3 = -q13 + q31 - q42
+f4 = -q23 + q32 + q41
+lambda = 0.3
+"""
+    )
+    return build_operator(cfg, A)
+
+
+def _row_switching_operator(A):
+    # row 2 of Phi is 0.4 sin(Q_11): exactly zero at the start Du = 0 and
+    # nonzero from step 1 on, so the set of transformed rows changes
+    def perturbation(x, Q):
+        x, Q = np.asarray(x, dtype=float), np.asarray(Q, dtype=float)
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], Q.shape[:-2]) + (4,))
+        out[..., 0] = 0.3 * np.cos(2 * np.pi * x[..., 0])
+        out[..., 1] = 0.4 * np.sin(Q[..., 0, 0])
+        return out
+
+    return NonlinearOperator(perturbation=perturbation, anchor=A, support=((0, 0),), declared_nearness=0.4)
+
+
+@pytest.mark.parametrize("build", ["tanh_trace", "variable_linear", "expression", "row_switching"])
+def test_support_loop_matches_physical_space_reference(build):
+    A = dirac()
+    F = {
+        "tanh_trace": lambda: lipschitz_perturbation(A, 0.5, "tanh_trace"),
+        "variable_linear": lambda: variable_linear(A, 0.3),
+        "expression": lambda: _expression_operator(A),
+        "row_switching": lambda: _row_switching_operator(A),
+    }[build]()
+    assert F.support == {
+        "tanh_trace": ((0, 0), (0, 1), (0, 2)),
+        "variable_linear": ((0, 0),),
+        "expression": None,
+        "row_switching": ((0, 0),),
+    }[build]
+    grid = PeriodicGrid(n=3, G=8)
+    _assert_matches_reference(F, random_band_limited(grid, 4, rng_from_seed(2)))
+
+
+def test_slow_contraction_does_not_drift():
+    # lam 0.95 takes some 300 steps; each iterate is formed afresh from
+    # f and Phi, so nothing accumulates against the reference
+    F = lipschitz_perturbation(dirac(), 0.95, "sin_q11")
+    trace = _assert_matches_reference(F, single_mode_rhs(PeriodicGrid(n=3, G=16), 4))
+    assert trace.iterations > 250
+
+
+def test_support_omitting_a_read_entry_rejected():
+    A = dirac()
+
+    def reads_q23(x, Q):
+        out = np.zeros(np.shape(Q)[:-1])
+        out[..., 0] = np.sin(np.asarray(Q)[..., 0, 0]) + 0.1 * np.tanh(np.asarray(Q)[..., 1, 2])
+        return out
+
+    with pytest.raises(ValueError, match=r"reads gradient entry \(1, 2\)"):
+        NonlinearOperator(perturbation=reads_q23, anchor=A, support=((0, 0),))
+    F = NonlinearOperator(perturbation=reads_q23, anchor=A, support=((1, 2), (0, 0)))
+    assert F.support == ((0, 0), (1, 2))
+    with pytest.raises(ValueError, match="need beta < 4 and j < 3"):
+        NonlinearOperator(perturbation=reads_q23, anchor=A, support=((0, 0), (1, 2), (0, 3)))

@@ -76,6 +76,15 @@ def test_dense_rejects_non_elliptic_tensor():
         solve_dense(ConstantTensor(entries), f)
 
 
+def test_dense_rejects_bad_right_hand_side_with_witness():
+    grid = PeriodicGrid(n=3, G=4)
+    nan = GridFunction(grid, np.full((4,) + grid.shape, np.nan))
+    with pytest.raises(ValueError, match=r"^right-hand side is not finite at component 0, grid index \(0, 0, 0\)$"):
+        solve_dense(dirac(), nan)
+    with pytest.raises(ValueError, match="^right-hand side must have 4 components, got 3$"):
+        solve_dense(dirac(), single_mode_rhs(grid, 3))
+
+
 def test_dense_size_cap_enforced():
     with pytest.raises(ValueError):
         assemble_dense(dirac(), PeriodicGrid(n=3, G=16))
