@@ -11,7 +11,8 @@ nearness constant
 
     nu(F, A) = ess sup over x, P, Q != 0 of |F(x, P+Q) - F(x, P) - A:Q| / |Q|,
 
-the Lipschitz constant in Q of the perturbation Phi = F - A, and strict ellipticity of F relative to A means nu(F, A) < nu(A).  Both
+the Lipschitz constant in Q of the perturbation Phi = F - A, and strict
+ellipticity of F relative to A means nu(F, A) < nu(A).  Both
 are estimated here: nu(A) by quasi-uniform sphere sampling plus
 derivative-free refinement, nu(F, A) by sampled difference quotients over
 an (x, P, Q) plan.  Sampled sup estimates are lower bounds of the true

@@ -203,11 +203,7 @@ class SpectralCore:
         return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def derivatives(
-        self,
-        coeffs: np.ndarray,
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-        entries: tuple | None = None,
+        self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None
     ) -> np.ndarray:
         """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha
         slowest, or of only the listed ``entries`` (alpha, j) in their order,

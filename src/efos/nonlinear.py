@@ -1,19 +1,16 @@
 """Fixed-point solution of fully nonlinear systems F(x, Du) = f on the torus.
 
-The solver treats F as a perturbation of an elliptic anchor A: the
-operator stores A and Phi = F - A, Campanato's near-operator device, and
-the fixed-point map is
+An operator stores its elliptic anchor A and the perturbation Phi = F - A
+(Campanato's near-operator device), and the solver iterates
 
     T[u] = A^{-1} ( f - Phi(., Du) ),
 
-A^{-1} being the anchor's spectral inverse on mean-zero fields.  With
-nearness constant nu(F, A) = nu(Phi) < nu(A), T is a contraction in the
-metric d(u, v) = |A:Du - A:Dv|_2 with factor K = nu(F, A) / nu(A), and the
-iteration u_{k+1} = T[u_k] converges to the unique solution.  The metric
-is equivalent to the gradient distance: nu(A) |Du - Dv|_2 <= d(u, v) <=
-|A| |Du - Dv|_2.  Since T reads u only through the gradient entries that
-Phi reads, each step transforms only those entries, and only the output
-rows of Phi that are nonzero.
+A^{-1} being the anchor's spectral inverse on mean-zero fields.  When
+nu(F, A), the Lipschitz constant of Phi in Du, stays below nu(A), T is a
+contraction in the metric d(u, v) = |A:Du - A:Dv|_2 with factor
+K = nu(F, A) / nu(A), and u_{k+1} = T[u_k] converges to the unique
+solution.  The metric is equivalent to the gradient distance:
+nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
 """
 
 from __future__ import annotations
@@ -48,18 +45,16 @@ TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
 @dataclass(frozen=True)
 class NonlinearOperator:
-    """A pointwise operator F(x, Q) = A:Q + Phi(x, Q): an elliptic anchor
-    tensor A and the perturbation Phi = F - A.
+    """A pointwise operator F(x, Q) = A:Q + Phi(x, Q) with an elliptic
+    anchor tensor A.
 
     ``perturbation(x, Q)`` takes coordinates of shape (..., n) and gradient
     matrices of shape (..., N, n), broadcasts over the leading axes, and
     returns (..., N).  ``support`` lists the gradient entries (beta, j)
-    that Phi reads, None meaning all N*n of them; the solver transforms
-    only those derivatives.  A partial support is probed once here: moving
-    an entry outside it on a seeded random (x, Q) batch must leave Phi
-    unchanged, else ValueError names the entry.
-
-    ``declared_nearness`` is an analytically known upper bound for
+    that Phi reads, None meaning all N*n; the solver transforms only those
+    derivatives.  A partial support is probed once: moving an entry
+    outside it on a seeded random (x, Q) batch must leave Phi unchanged,
+    else ValueError names the entry.  ``declared_nearness`` is an analytically known upper bound for
     nu(F, anchor) when available; solvers trust it for the contraction
     margin.
     """
@@ -81,14 +76,11 @@ class NonlinearOperator:
         rng = rng_from_seed(0)
         x, Q = rng.random((8, n)), rng.normal(size=(8, N, n))
         base = self.perturbation(x, Q)
-        for b in range(N):
-            for j in range(n):
-                if (b, j) in support:
-                    continue
-                moved = Q.copy()
-                moved[:, b, j] = rng.normal(size=len(Q))
-                if not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
-                    raise ValueError(f"the perturbation reads gradient entry ({b}, {j}), outside its support {support}")
+        for b, j in np.ndindex(N, n):
+            moved = Q.copy()
+            moved[:, b, j] = rng.normal(size=len(Q))
+            if (b, j) not in support and not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
+                raise ValueError(f"perturbation reads gradient entry ({b}, {j}) outside its support {support}")
 
     def evaluate(self, x, Q) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -102,12 +94,8 @@ class NonlinearOperator:
 
     def apply_to_gradient(self, Du: GridFunction) -> GridFunction:
         """F(x, Du(x)) over a whole grid; Du carries N*n components."""
-        grid = Du.grid
-        N = self.anchor.N
-        X = np.moveaxis(grid.points(), 0, -1)  # (..., n)
-        Q = np.moveaxis(Du.as_gradient(N), (0, 1), (-2, -1))  # (..., N, n)
-        out = self.evaluate(X, Q)  # (..., N)
-        return GridFunction(grid, np.moveaxis(out, -1, 0).copy())
+        Phi = _perturbation_values(self, np.moveaxis(Du.grid.points(), 0, -1), Du.values)
+        return GridFunction(Du.grid, apply_tensor(self.anchor, Du).values + Phi)
 
 
 def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
@@ -220,25 +208,23 @@ def campanato_solve(
 ):
     """Solve F(x, Du) = f (up to its compatibility mean) by fixed point.
 
-    Each step is u_{k+1} = T[u_k] = A^{-1}(f - Phi(., Du_k)), with the
-    right-hand side projected to mean zero.  In half-spectrum coefficients
-    with the plan's multipliers M, U_{k+1} = M f^ - M Phi^_k, and as
-    M (A:(2 pi i z)) = I on the retained modes, the residual of iterate
-    k+1, the coefficients R of F(., Du_{k+1}) - f, is Phi^_{k+1} - Phi^_k
-    there and Phi^_{k+1} - f^ on the Nyquist planes and the mean: no
-    transform of A:Du is needed.  A step forms U only in the rows that
-    Phi's support names, inverse-transforms only the support's
-    derivatives (the other gradient entries stay zero), evaluates Phi and
-    forward-transforms its nonzero rows.  R's norm on the retained modes
-    is the next step metric d, adding the Nyquist planes gives the
-    residual (against f minus the compatibility mean), and R's zero mode
-    is the dropped mean.  Iteration stops when that residual falls below
-    tol * its scale or the step metric falls below tol * |f|_2; it aborts
-    with DivergenceError after three consecutive non-contracting steps
-    above the noise floor, or when Phi is not finite (step 0 is the
-    start).  The iterate itself is transformed back once, at the end.
-    Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
-    u0, if given, on f's grid with the anchor's N components.
+    Each step is u_{k+1} = T[u_k] = A^{-1}(f - Phi(., Du_k)), in
+    half-spectrum coefficients U_{k+1} = M f^ - M Phi^_k with the plan's
+    multipliers M.  As M (A:(2 pi i z)) = I on the retained modes, the
+    coefficients R of the residual F(., Du_{k+1}) - f are Phi^_{k+1} -
+    Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
+    So a step forms U only in the rows that Phi's support names,
+    transforms only the support's derivatives (the other gradient entries
+    stay zero) and Phi's nonzero rows, and the iterate is transformed back
+    once, at the end.  R's norm on the retained modes is the next step
+    metric d, with the Nyquist planes it is the residual (against f minus
+    the compatibility mean), and R's zero mode is the dropped mean.
+    Iteration stops when that residual falls below tol * its scale or d
+    below tol * |f|_2; it aborts with DivergenceError after three
+    consecutive non-contracting steps above the noise floor, or when Phi
+    is not finite (step 0 is the start).  Requires a finite tol > 0 and
+    max_iter >= 1, a finite f, and a finite u0, if given, on f's grid with
+    the anchor's N components.
 
     Returns (u, IterationTrace).
     """
@@ -251,15 +237,11 @@ def campanato_solve(
     if plan is not None:
         check_plan(plan, A, f.grid)
     nu = cached_nu(A)
-    if F.declared_nearness is not None:
-        near = F.declared_nearness
-    else:
+    near = F.declared_nearness
+    if near is None:
         near = nearness_constant(F, A, nearness_plan).nu_fa
-    margin = nu - near
-    if margin <= 0:
-        raise NonEllipticError(
-            f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}"
-        )
+    if nu - near <= 0:
+        raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
     N, n = A.N, f.grid.n
@@ -277,8 +259,7 @@ def campanato_solve(
     f_hat = core.forward(f.values)
     Mf = plan.apply(f_hat)
 
-    # buffers of this solve, rewritten in place by every step; T = f^ - (A:Du)^
-    # is what Phi^ is measured against, so that R = Phi^ - T
+    # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
     U = np.zeros(f_hat.shape, complex)
     T = f_hat.copy()
     Phi = np.empty_like(T)
@@ -348,16 +329,10 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
         raise NonEllipticError(f"declared nearness leaves no margin ({margin:.3g})")
     Dw, Dv = gradient(w), gradient(v)
     lhs = norm_l2(Dw - Dv)
-    Fw = F.apply_to_gradient(Dw)
-    Fv = F.apply_to_gradient(Dv)
-    rhs = norm_l2(Fw - Fv) / margin
+    image = norm_l2(F.apply_to_gradient(Dw) - F.apply_to_gradient(Dv))
+    rhs = image / margin
     ratio = 0.0 if lhs == 0 else (lhs / rhs if rhs > 0 else float("inf"))
-    return ComparisonReport(
-        ratio=float(ratio),
-        grad_distance=float(lhs),
-        image_distance=float(norm_l2(Fw - Fv)),
-        margin=float(margin),
-    )
+    return ComparisonReport(float(ratio), float(lhs), float(image), float(margin))
 
 
 def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
@@ -372,10 +347,7 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
         raise ValueError("near-operator check needs declared_nearness on the operator")
     A = F.anchor
     K = F.declared_nearness / cached_nu(A)
-    violations = 0
-    max_ratio = 0.0
-    witness = None
-    count = 0
+    violations, max_ratio, witness, count = 0, 0.0, None, 0
     for idx, (u, v) in enumerate(pairs):
         count += 1
         Du, Dv = gradient(u), gradient(v)
@@ -396,9 +368,5 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
         if not ok:
             violations += 1
     return NearOperatorReport(
-        K=float(K),
-        pairs=count,
-        violations=violations,
-        max_ratio=float(max_ratio),
-        witness_index=witness,
+        K=float(K), pairs=count, violations=violations, max_ratio=float(max_ratio), witness_index=witness
     )
