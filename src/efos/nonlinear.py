@@ -16,6 +16,7 @@ nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
-from .sampling import SamplingPlan, rng_from_seed
+from .sampling import SamplingPlan
 from .tensor import ConstantTensor, contract
 
 __all__ = [
@@ -54,9 +55,9 @@ class NonlinearOperator:
     that Phi reads, None meaning all N*n; the solver transforms only those
     derivatives.  A partial support is probed once: moving an entry
     outside it on a seeded random (x, Q) batch must leave Phi unchanged,
-    else ValueError names the entry.  ``declared_nearness`` is an analytically known upper bound for
-    nu(F, anchor) when available; solvers trust it for the contraction
-    margin.
+    else ValueError names the entry.  ``declared_nearness`` is an
+    analytically known upper bound for nu(F, anchor) when available;
+    solvers trust it for the contraction margin.
     """
 
     perturbation: Callable
@@ -73,12 +74,13 @@ class NonlinearOperator:
         if not all(0 <= b < N and 0 <= j < n for b, j in support):
             raise ValueError(f"support entries (beta, j) need beta < {N} and j < {n}, got {support}")
         object.__setattr__(self, "support", support)
-        rng = rng_from_seed(0)
-        x, Q = rng.random((8, n)), rng.normal(size=(8, N, n))
+        # the standard library's MT19937, so that building an operator does not load numpy.random
+        rng = random.Random(0)
+        x, Q = (np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(s))], s) for s in ((8, n), (8, N, n)))
         base = self.perturbation(x, Q)
         for b, j in np.ndindex(N, n):
             moved = Q.copy()
-            moved[:, b, j] = rng.normal(size=len(Q))
+            moved[:, b, j] = [rng.gauss(0.0, 1.0) for _ in range(len(Q))]
             if (b, j) not in support and not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
                 raise ValueError(f"perturbation reads gradient entry ({b}, {j}) outside its support {support}")
 
@@ -169,8 +171,7 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class NearOperatorReport:
-    """Sampled check of |Phi[u] - Phi[v]| <= K |A[u] - A[v]|, that is of
-    |F[u] - F[v] - (A[u] - A[v])| <= K |A[u] - A[v]|."""
+    """Sampled check of |F[u] - F[v] - (A[u] - A[v])| = |Phi[u] - Phi[v]| <= K |A[u] - A[v]|."""
 
     K: float
     pairs: int
@@ -180,10 +181,9 @@ class NearOperatorReport:
 
 
 def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> list:
-    """Write the half-spectrum coefficients of Phi(., Du) into ``out`` and
-    return the rows where Phi is nonzero, the only ones transformed (zero
-    transforms to zero).  DivergenceError names the first grid index where
-    Phi is not finite."""
+    """Write the half spectrum of Phi(., Du) into ``out``, transforming only
+    the rows where Phi is nonzero (zero transforms to zero), and return
+    them.  DivergenceError names the first grid index where Phi is not finite."""
     phi = _perturbation_values(F, X, Du)
     if not np.isfinite(phi).all():
         bad = ~np.isfinite(phi).all(axis=0)
