@@ -11,7 +11,6 @@ known nearness bounds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .nonlinear import NonlinearOperator
 from .tensor import ConstantTensor, contract, operator_norm
 
 __all__ = [
-    "CatalogEntry",
     "get",
     "names",
     "parse_catalog_ref",
@@ -114,10 +112,9 @@ _SHAPE_SUPPORTS = {
 def _resolve_base(base) -> ConstantTensor:
     if isinstance(base, ConstantTensor):
         return base
-    entry = _REGISTRY.get(str(base))
-    if entry is None or entry.kind != "tensor":
+    if str(base) not in _TENSORS:
         raise KeyError(f"unknown base tensor {base!r}")
-    return entry.build()
+    return _TENSORS[str(base)]()
 
 
 def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> NonlinearOperator:
@@ -186,29 +183,12 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named constructor and the kind of object it builds."""
-
-    name: str
-    kind: str  # "tensor" | "operator"
-    build: callable
-
-
-_REGISTRY = {
-    entry.name: entry
-    for entry in (
-        CatalogEntry("cauchy_riemann", "tensor", cauchy_riemann),
-        CatalogEntry("generalized_cr", "tensor", generalized_cauchy_riemann),
-        CatalogEntry("dirac", "tensor", dirac),
-        CatalogEntry("lipschitz_perturbation", "operator", lipschitz_perturbation),
-        CatalogEntry("variable_linear", "operator", variable_linear),
-    )
-}
+_TENSORS = {"cauchy_riemann": cauchy_riemann, "generalized_cr": generalized_cauchy_riemann, "dirac": dirac}
+_OPERATORS = {"lipschitz_perturbation": lipschitz_perturbation, "variable_linear": variable_linear}
 
 
 def names() -> list:
-    return sorted(_REGISTRY)
+    return sorted({**_TENSORS, **_OPERATORS})
 
 
 def get(name: str, params=()):
@@ -217,10 +197,10 @@ def get(name: str, params=()):
     Returns a ConstantTensor for tensor entries and a NonlinearOperator
     for operator families.  Unknown names raise KeyError.
     """
-    entry = _REGISTRY.get(name)
-    if entry is None:
+    build = _TENSORS.get(name) or _OPERATORS.get(name)
+    if build is None:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
-    return entry.build(*params)
+    return build(*params)
 
 
 _REF_RE = re.compile(r"^catalog:([a-z0-9_]+)(?:\((.*)\))?$")

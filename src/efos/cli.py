@@ -82,6 +82,27 @@ def _int_list(raw: str):
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _catalog_source(section: str, source: str):
+    """The catalog object that ``[section] source`` names: a tensor for
+    [tensor], an operator for [nonlinear]."""
+    kinds = [(ConstantTensor, "a tensor"), (NonlinearOperator, "an operator")]
+    (kind, wanted), (_, other) = kinds if section == "tensor" else kinds[::-1]
+    try:
+        obj = catalog.get(*catalog.parse_catalog_ref(source))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad {wanted.split()[1]} source {source!r}: {exc}") from exc
+    if not isinstance(obj, kind):
+        raise ConfigError(f"[{section}] source {source!r} names {other}, not {wanted}")
+    return obj
+
+
+def _compile(cfg, section: str, key: str, names):
+    try:
+        return compile_expression(cfg.get(section, key), names)
+    except ExpressionError as exc:
+        raise ConfigError(f"bad [{section}] {key}: {exc}") from exc
+
+
 def build_tensor(cfg) -> ConstantTensor:
     source = _get(cfg, "tensor", "source")
     if source.strip() == "inline":
@@ -92,14 +113,7 @@ def build_tensor(cfg) -> ConstantTensor:
             return ConstantTensor.from_flat(entries, N, n)
         except ValueError as exc:
             raise ConfigError(f"bad inline tensor: {exc}") from exc
-    try:
-        name, params = catalog.parse_catalog_ref(source)
-        obj = catalog.get(name, params)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad tensor source {source!r}: {exc}") from exc
-    if not isinstance(obj, ConstantTensor):
-        raise ConfigError(f"[tensor] source {source!r} names an operator, not a tensor")
-    return obj
+    return _catalog_source("tensor", source)
 
 
 def build_grid(cfg, n: int) -> PeriodicGrid:
@@ -134,11 +148,7 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
         for comp in range(N):
             key = f"f{comp + 1}"
             if cfg.has_option("rhs", key):
-                try:
-                    fn = compile_expression(cfg.get("rhs", key), env.keys())
-                except ExpressionError as exc:
-                    raise ConfigError(f"bad [rhs] {key}: {exc}") from exc
-                values[comp] = np.broadcast_to(fn(env), grid.shape)
+                values[comp] = np.broadcast_to(_compile(cfg, "rhs", key, env)(env), grid.shape)
         f = GridFunction(grid, values)
     elif kind == "file":
         path = _get(cfg, "rhs", "file")
@@ -165,13 +175,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         raise ConfigError("missing [nonlinear] section")
     if cfg.has_option("nonlinear", "source"):
         source = cfg.get("nonlinear", "source")
-        try:
-            name, params = catalog.parse_catalog_ref(source)
-            obj = catalog.get(name, params)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad operator source {source!r}: {exc}") from exc
-        if not isinstance(obj, NonlinearOperator):
-            raise ConfigError(f"[nonlinear] source {source!r} names a tensor, not an operator")
+        obj = _catalog_source("nonlinear", source)
         if obj.anchor != A:
             raise ConfigError(
                 f"[nonlinear] source {source!r} is anchored at another tensor than "
@@ -185,10 +189,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         key = f"f{comp + 1}"
         if not cfg.has_option("nonlinear", key):
             raise ConfigError(f"expression operator needs [nonlinear] {key}")
-        try:
-            compiled.append(compile_expression(cfg.get("nonlinear", key), names))
-        except ExpressionError as exc:
-            raise ConfigError(f"bad [nonlinear] {key}: {exc}") from exc
+        compiled.append(_compile(cfg, "nonlinear", key, names))
     declared = None
     if cfg.has_option("nonlinear", "lambda"):
         declared = _get(cfg, "nonlinear", "lambda", float) * cached_nu(A)
@@ -206,9 +207,12 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
             out[..., comp] = np.broadcast_to(fn(env), lead)
         return out - contract(A, Q)
 
-    return NonlinearOperator(
-        perturbation=perturbation, anchor=A, declared_nearness=declared, name="config-expression"
-    )
+    try:
+        return NonlinearOperator(
+            perturbation=perturbation, anchor=A, declared_nearness=declared, name="config-expression"
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad [nonlinear] lambda: {exc}") from exc
 
 
 def _seed(cfg, args) -> int:

@@ -22,6 +22,7 @@ sup; sampled min estimates are upper bounds of the true min.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class NearnessReport:
     worst_x: np.ndarray
     worst_p: np.ndarray
     worst_q: np.ndarray
-    declared_nearness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,9 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     Returns
     -------
     EllipticityReport
-        With ``nu``, the unit ``argmin_direction``, the refined minimum
-        of |det(A a)|, the sample count, and flags for refinement
-        convergence and ellipticity.
+        With ``nu``, the unit ``argmin_direction``, the minimum of
+        |det(A a)| refined by a second compass search, the sample count,
+        and flags for refinement convergence and ellipticity.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
@@ -181,15 +181,12 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     )
 
 
-_NU_CACHE: dict = {}
-
-
-def cached_nu(A: ConstantTensor, resolution: int = 4096) -> float:
-    """nu(A) memoized on the tensor entries; shared by the solvers."""
-    key = (A.entries.shape, A.entries.tobytes(), resolution)
-    if key not in _NU_CACHE:
-        _NU_CACHE[key] = ellipticity_constant(A, resolution).nu
-    return _NU_CACHE[key]
+@lru_cache(maxsize=None)
+def cached_nu(A: ConstantTensor) -> float:
+    """nu(A) from 4096 sphere samples and the compass refinement, the
+    ``nu`` of ``ellipticity_constant(A, 4096)``, memoized on the tensor;
+    shared by the solvers."""
+    return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
 
 
 def _increment_sweep(F, plan: SamplingPlan):
@@ -225,9 +222,7 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
         raise ValueError("the nearness constant is measured against the operator's own anchor")
     plan = plan or SamplingPlan()
     nu_a = cached_nu(A)
-    best = -1.0
-    witness = None
-    total = 0
+    best, witness, total = -1.0, None, 0
     for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
         ratios = np.linalg.norm(Phi1 - Phi0, axis=-1) / s
         total += ratios.size
@@ -244,7 +239,6 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
         worst_x=wx.copy(),
         worst_p=wp.copy(),
         worst_q=wq.copy(),
-        declared_nearness=getattr(F, "declared_nearness", None),
     )
 
 

@@ -205,21 +205,18 @@ class SpectralCore:
     def derivatives(
         self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None
     ) -> np.ndarray:
-        """Values of the (alpha, j) derivatives of (N, ...) coefficients, alpha
-        slowest, or of only the listed ``entries`` (alpha, j) in their order,
-        written into ``out`` (real, one per derivative x the grid shape) when
-        given.  ``work`` (complex, C-contiguous, one per derivative x the
-        shape of ``zmag``) holds the derivative spectrum while the complex
-        passes run in place on it; both buffers are allocated when None.  The
-        result is bit-identical to ``inverse`` of that spectrum, since
-        ``ifftn`` runs the passes over the reversed axes, that is in
-        ``irfftn``'s own order."""
-        N, n = coeffs.shape[0], self.grid.n
+        """Values of the listed (alpha, j) derivatives of (N, ...) coefficients
+        in their order (by default every entry, alpha slowest), written into
+        ``out`` (real, one per derivative x the grid shape) when given.
+        ``work`` (complex, C-contiguous, one per derivative x the shape of
+        ``zmag``) holds the derivative spectrum while the complex passes run
+        in place on it; both buffers are allocated when None.  The result is
+        bit-identical to ``inverse`` of that spectrum, since ``ifftn`` runs
+        the passes over the reversed axes, in ``irfftn``'s own order."""
+        entries = tuple(np.ndindex(len(coeffs), self.grid.n)) if entries is None else entries
         if work is None:
-            work = np.empty((N * n if entries is None else len(entries),) + self.zmag.shape, complex)
-        if entries is None:
-            np.multiply(coeffs[:, None], self.deriv, out=work.reshape((N, n) + self.zmag.shape))
-        for i, (alpha, j) in enumerate(entries or ()):
+            work = np.empty((len(entries),) + self.zmag.shape, complex)
+        for i, (alpha, j) in enumerate(entries):
             np.multiply(coeffs[alpha], self.deriv[j], out=work[i])
         np.fft.ifftn(work, axes=self.axes[-2::-1], norm="forward", out=work)
         return np.fft.irfftn(work, s=self.grid.shape[-1:], axes=self.axes[-1:], norm="forward", out=out)

@@ -26,7 +26,6 @@ from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
-from .sampling import SamplingPlan
 from .tensor import ConstantTensor, contract
 
 __all__ = [
@@ -52,12 +51,13 @@ class NonlinearOperator:
     ``perturbation(x, Q)`` takes coordinates of shape (..., n) and gradient
     matrices of shape (..., N, n), broadcasts over the leading axes, and
     returns (..., N).  ``support`` lists the gradient entries (beta, j)
-    that Phi reads, None meaning all N*n; the solver transforms only those
-    derivatives.  A partial support is probed once: moving an entry
-    outside it on a seeded random (x, Q) batch must leave Phi unchanged,
-    else ValueError names the entry.  ``declared_nearness`` is an
-    analytically known upper bound for nu(F, anchor) when available;
-    solvers trust it for the contraction margin.
+    that Phi reads, omitted: every entry; it is stored sorted, and the
+    solver transforms only those derivatives.  A given support is probed
+    once: moving an entry outside it on a seeded random (x, Q) batch must
+    leave Phi unchanged, else ValueError names the entry.
+    ``declared_nearness``, a finite number >= 0 when given, is an
+    analytically known upper bound for nu(F, anchor); solvers trust it for
+    the contraction margin.
     """
 
     perturbation: Callable
@@ -67,9 +67,13 @@ class NonlinearOperator:
     name: str = ""
 
     def __post_init__(self):
-        if self.support is None:
-            return
+        near = self.declared_nearness
+        if near is not None and not (math.isfinite(near) and near >= 0):
+            raise ValueError(f"declared_nearness must be a finite number >= 0, got {near!r}")
         N, n = self.anchor.N, self.anchor.n
+        if self.support is None:  # every entry, so there is nothing to probe
+            object.__setattr__(self, "support", tuple(np.ndindex(N, n)))
+            return
         support = tuple(sorted({(int(b), int(j)) for b, j in self.support}))
         if not all(0 <= b < N and 0 <= j < n for b, j in support):
             raise ValueError(f"support entries (beta, j) need beta < {N} and j < {n}, got {support}")
@@ -204,7 +208,6 @@ def campanato_solve(
     max_iter: int = 400,
     u0: GridFunction | None = None,
     plan: MultiplierPlan | None = None,
-    nearness_plan: SamplingPlan | None = None,
 ):
     """Solve F(x, Du) = f (up to its compatibility mean) by fixed point.
 
@@ -237,16 +240,14 @@ def campanato_solve(
     if plan is not None:
         check_plan(plan, A, f.grid)
     nu = cached_nu(A)
-    near = F.declared_nearness
-    if near is None:
-        near = nearness_constant(F, A, nearness_plan).nu_fa
-    if nu - near <= 0:
+    near = nearness_constant(F, A).nu_fa if F.declared_nearness is None else F.declared_nearness
+    if not nu - near > 0:
         raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
     N, n = A.N, f.grid.n
     support = F.support
-    rows = range(N) if support is None else sorted({b for b, _ in support})
+    rows = sorted({b for b, _ in support})
     M = np.ascontiguousarray(np.moveaxis(plan.multipliers, (-2, -1), (0, 1))[rows])  # M_ba as (rows, N, ...)
 
     trace = IterationTrace(K_theory=near / nu)
@@ -265,19 +266,14 @@ def campanato_solve(
     Phi = np.empty_like(T)
     R = np.empty_like(T)
     Du = np.zeros((N * n,) + f.grid.shape)
-    derivs = Du if support is None else np.empty((len(support),) + f.grid.shape)
-    work = np.empty((len(derivs),) + core.zmag.shape, complex)
-    flat = None if support is None else [b * n + j for b, j in support]
-
-    def differentiate():
-        core.derivatives(U, out=derivs, work=work, entries=support)
-        if flat is not None:
-            Du[flat] = derivs
+    derivs = np.empty((len(support),) + f.grid.shape)
+    work = np.empty((len(support),) + core.zmag.shape, complex)
+    flat = [b * n + j for b, j in support]
 
     if u0 is not None:  # else Du = 0 needs no transform
         U[:] = core.forward(u0.values) * core.retained
         T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
-        differentiate()
+        Du[flat] = core.derivatives(U, out=derivs, work=work, entries=support)
     nonzero = _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
     d, _ = core.norms(np.subtract(Phi, T, out=R))
     non_contracting = 0
@@ -288,7 +284,7 @@ def campanato_solve(
             for a in nonzero:
                 U[b] -= M[i, a] * Phi[a]
         np.copyto(T, Phi, where=core.retained)
-        differentiate()
+        Du[flat] = core.derivatives(U, out=derivs, work=work, entries=support)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         nonzero = _perturbation_spectrum(F, X, Du, core, Phi, step, trace)

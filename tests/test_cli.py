@@ -308,6 +308,49 @@ lambda = 0.5
     assert not (out / "u.efof").exists()
 
 
+DIRAC_EXPRESSION = """
+[nonlinear]
+f1 = q11 + q22 + q33 + 0.3 * sin(q11)
+f2 = -q12 + q21 + q43
+f3 = -q13 + q31 - q42
+f4 = -q23 + q32 + q41
+"""
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        DIRAC_EXPRESSION + "lambda = nan\n",
+        DIRAC_EXPRESSION + "lambda = -0.5\n",
+        DIRAC_EXPRESSION + "lambda = inf\n",
+        "[nonlinear]\nsource = catalog:lipschitz_perturbation(dirac, nan)\n",
+    ],
+    ids=["nan", "negative", "inf", "catalog_nan"],
+)
+def test_bad_declared_nearness_is_config_error(tmp_path, capsys, section):
+    code, out = run(tmp_path, DIRAC_LINEAR + section, "solve-nonlinear")
+    assert code == 1
+    assert "declared_nearness must be a finite number >= 0" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "tensor, section, message",
+    [
+        ("catalog:variable_linear(dirac, 0.3)", "", "names an operator, not a tensor"),
+        ("catalog:nosuch", "", "bad tensor source 'catalog:nosuch'"),
+        ("catalog:dirac", "[nonlinear]\nsource = catalog:dirac\n", "source 'catalog:dirac' names a tensor, not an operator"),
+        ("catalog:dirac", "[nonlinear]\nsource = catalog:nosuch(1)\n", "bad operator source 'catalog:nosuch(1)'"),
+    ],
+    ids=["tensor_names_operator", "unknown_tensor", "operator_names_tensor", "unknown_operator"],
+)
+def test_catalog_source_errors(tmp_path, capsys, tensor, section, message):
+    text = DIRAC_LINEAR.replace("catalog:dirac", tensor) + section
+    code, _ = run(tmp_path, text, "solve-nonlinear")
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_suite_passes(tmp_path):
     text = """
 [tensor]

@@ -13,7 +13,7 @@ from efos.ellipticity import (
     nearness_constant,
 )
 from efos.nonlinear import NonlinearOperator
-from efos.sampling import SamplingPlan
+from efos.sampling import SamplingPlan, rng_from_seed
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
 
 NU_GCR_2111 = 2.0 / np.sqrt(5.0)  # interior minimum of the direction-matrix singular value
@@ -112,6 +112,25 @@ def test_cached_nu_consistency():
     A = dirac()
     assert cached_nu(A) == cached_nu(A)
     assert abs(cached_nu(A) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        dirac(),
+        cauchy_riemann(),
+        generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0),
+        ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1) * np.array([3.0, 1.5, 2.0, 4.0])),
+        ConstantTensor(dirac().entries + 0.05 * rng_from_seed(11).standard_normal((4, 4, 3))),
+    ],
+    ids=["dirac", "cr", "gcr", "quaternion", "perturbed_dirac"],
+)
+def test_cached_nu_is_the_4096_sample_estimate(A):
+    assert cached_nu(A) == ellipticity_constant(A, 4096).nu
+    hits = cached_nu.cache_info().hits
+    again = cached_nu(ConstantTensor(A.entries.copy()))  # an equal tensor shares the entry
+    assert cached_nu.cache_info().hits == hits + 1
+    assert again == cached_nu(A)
 
 
 def test_nearness_of_linear_anchor_is_zero():

@@ -33,6 +33,19 @@ def _linear_anchor_operator(A, declared=0.0):
     return NonlinearOperator(perturbation=_zero, anchor=A, support=(), declared_nearness=declared, name="anchor")
 
 
+@pytest.mark.parametrize("near", [math.nan, -0.5, math.inf])
+def test_declared_nearness_must_be_finite_and_nonnegative(near):
+    # nu - nan <= 0 is false, so a NaN bound would pass a margin gate
+    with pytest.raises(ValueError, match="declared_nearness must be a finite number >= 0"):
+        _linear_anchor_operator(dirac(), declared=near)
+
+
+@pytest.mark.parametrize("build", [lipschitz_perturbation, variable_linear])
+def test_catalog_operator_at_nan_level_rejected(build):
+    with pytest.raises(ValueError, match="declared_nearness"):
+        build(dirac(), math.nan)
+
+
 def test_linear_operator_converges_in_one_iteration():
     grid = PeriodicGrid(n=3, G=16)
     f = single_mode_rhs(grid, 4)
@@ -450,7 +463,7 @@ def _row_switching_operator(A):
     [
         (lambda A: lipschitz_perturbation(A, 0.5, "tanh_trace"), ((0, 0), (0, 1), (0, 2))),
         (lambda A: variable_linear(A, 0.3), ((0, 0),)),
-        (_expression_operator, None),
+        (_expression_operator, tuple(np.ndindex(4, 3))),  # the default: every entry
         (_row_switching_operator, ((0, 0),)),
     ],
     ids=["tanh_trace", "variable_linear", "expression", "row_switching"],
