@@ -163,10 +163,7 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
             )
     else:
         raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
-    try:
-        check_finite(f.values, "rhs field")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_finite(f.values, "rhs field")
     return f
 
 
@@ -287,12 +284,7 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     F = build_operator(cfg, A)
     tol = _get(cfg, "solver", "tol", float, 1e-10)
     max_iter = _get(cfg, "solver", "max_iter", int, 400)
-    try:
-        u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
-    except NonEllipticError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
     out = _outdir(args)
     write_field(out / "u.efof", u)
     trace.write_csv(out / "trace.csv")
@@ -383,12 +375,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except NonEllipticError as exc:
         print(f"ellipticity error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a ConfigError, or bad input that the solvers and estimators refuse
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except DivergenceError as exc:
         print(f"solve error: {exc}", file=sys.stderr)
         return 3

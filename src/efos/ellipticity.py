@@ -209,6 +209,17 @@ def _increment_sweep(F, plan: SamplingPlan):
             yield s, U, X, P, Phi0, Phi1
 
 
+def _batch_max(values: np.ndarray, X, P, Q):
+    """The largest entry of an (nx, np) batch with its x and P samples; as
+    np.argmax picks the first NaN, ValueError names the (x, P, Q) sample
+    of a batch that is not finite."""
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    if not np.isfinite(values[i, j]):
+        x, p, q = X[i, 0].tolist(), P[0, j].tolist(), Q.tolist()
+        raise ValueError(f"F - A is not finite at the sample x = {x}, P = {p}, Q = {q}")
+    return float(values[i, j]), X[i, 0], P[0, j]
+
+
 def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | None = None) -> NearnessReport:
     """Sampled estimate of nu(F, A) and the ratio nu(F, A) / nu(A).
 
@@ -226,10 +237,9 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
     for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
         ratios = np.linalg.norm(Phi1 - Phi0, axis=-1) / s
         total += ratios.size
-        i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[i, j] > best:
-            best = float(ratios[i, j])
-            witness = (X[i, 0], P[0, j], s * U)
+        value, x, p = _batch_max(ratios, X, P, s * U)
+        if value > best:
+            best, witness = value, (x, p, s * U)
     wx, wp, wq = witness
     return NearnessReport(
         nu_fa=best,
@@ -260,7 +270,7 @@ def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingP
     total = 0
     for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
         dF = Phi1 - Phi0 + s * contract(F.anchor, U)
-        lip = max(lip, float((np.linalg.norm(dF, axis=-1) / s).max()))
+        lip = max(lip, _batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
         AQ = s * contract(A, U)  # (N,)
         lhs = np.einsum("...a,a->...", dF, AQ)
         aq_sq = float(AQ @ AQ)
@@ -268,12 +278,10 @@ def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingP
         guard = 1e-12 * (aq_sq + nu_a**2 * s**2)
         gap = rhs - lhs  # positive where violated
         total += gap.size
-        bad = gap > guard
-        violations += int(np.count_nonzero(bad))
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        if gap[i, j] > worst:
-            worst = float(gap[i, j])
-            witness = (X[i, 0].copy(), P[0, j].copy(), s * U)
+        violations += int(np.count_nonzero(gap > guard))
+        value, x, p = _batch_max(gap, X, P, s * U)
+        if value > worst:
+            worst, witness = value, (x.copy(), p.copy(), s * U)
     report = PseudoMonotonicityReport(
         lam=lam,
         violations=violations,

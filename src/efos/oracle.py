@@ -1,10 +1,11 @@
-"""Slow, independent cross-checks: dense matrix solves and brute-force minima.
+"""Independent cross-checks: dense matrix solves and brute-force minima.
 
 The dense path assembles the discrete operator u -> A:Du as an explicit
 matrix through dense transform matrices built from exponentials, never
 touching the FFT solver, then solves the linear system directly.  The
 brute-force ellipticity estimate samples the sphere densely with no
-refinement.  Both exist to disagree loudly if the fast paths drift.
+refinement, through Gram-matrix eigenvalues rather than the fast path's
+singular values.  Both exist to disagree loudly if the fast paths drift.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .ellipticity import NonEllipticError
 from .grid import GridFunction, PeriodicGrid
 from .sampling import unit_sphere_points
-from .tensor import ConstantTensor, direction_matrix
+from .tensor import ConstantTensor
 
 __all__ = ["DENSE_SIZE_CAP", "assemble_dense", "solve_dense", "brute_nu"]
 
@@ -142,15 +143,24 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
 def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     """Refinement-free min of sigma_min(A a) over a dense sphere sample.
 
-    Deliberately slow and simple; the answer can exceed the true nu(A)
-    only by the sampling gap of the point set.
+    Works on Gram matrices, not on the fast path's singular values: with
+    S[j, k] = A_j^T A_k formed once, the Gram matrices (A a)^T (A a) =
+    sum_jk a_j a_k S[j, k] of 8192 samples are one product of their outer
+    products a a^T with S, and nu ~ sqrt of the least eigenvalue.
+    Squaring costs accuracy where sigma_min is small: the rounding term
+    is about eps |A|^2 / nu, some 1e-8 |A| near a singular direction.
+    Beyond that, the answer can exceed the true nu(A) only by the
+    sampling gap of the point set.
     """
     if samples < 1000:
         raise ValueError(f"brute-force sampling needs at least 1000 points, got {samples}")
-    dirs = unit_sphere_points(A.n, samples)
+    N, n = A.N, A.n
+    S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(n * n, N * N)
+    dirs = unit_sphere_points(n, samples)
     best = np.inf
-    for start in range(0, len(dirs), 32768):
-        chunk = dirs[start : start + 32768]
-        sig = np.linalg.svd(direction_matrix(A, chunk), compute_uv=False)[..., -1]
-        best = min(best, float(sig.min()))
-    return best
+    for start in range(0, len(dirs), 8192):
+        a = dirs[start : start + 8192]
+        # einsum's own loop: a BLAS matmul this thin would wake a second thread and its buffers
+        gram = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
+        best = min(best, float(np.linalg.eigvalsh(gram)[:, 0].min()))
+    return float(np.sqrt(max(best, 0.0)))

@@ -308,6 +308,27 @@ lambda = 0.5
     assert not (out / "u.efof").exists()
 
 
+@pytest.mark.parametrize(
+    "command, declared",
+    [("solve-nonlinear", ""), ("verify", "lambda = 0.5\n")],
+    ids=["sampled_nearness", "declared_nearness_check"],
+)
+def test_non_finite_operator_in_nearness_sweep_is_exit_1(tmp_path, capsys, command, declared):
+    # exp(1e6 + q11) overflows everywhere, so F - A is NaN on every sample of the nearness sweep
+    text = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[nonlinear]
+f1 = q11 + q22 + q33 + 0 * exp(1e6 + q11)
+f2 = -q12 + q21 + q43
+f3 = -q13 + q31 - q42
+f4 = -q23 + q32 + q41
+""" + declared
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, text, command)
+    assert code == 1
+    assert "config error: F - A is not finite at the sample x = [0.0, 0.0, 0.0], P = [[" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists() and not (out / "verify.csv").exists()
+
+
 DIRAC_EXPRESSION = """
 [nonlinear]
 f1 = q11 + q22 + q33 + 0.3 * sin(q11)

@@ -1,5 +1,7 @@
 """Ellipticity constants, nearness estimation, and the monotonicity checks."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,45 @@ def test_converse_refuses_large_lipschitz():
     rep = lipschitz_and_converse(strong, A, 0.1)
     assert not rep.lipschitz_below_threshold
     assert not rep.concluded_elliptic
+
+
+def _first_entry_perturbation(value_where_large):
+    """Phi = 0.1 sin(q11) e_1 on dirac, replaced by a non-finite value where |q11| > 50."""
+
+    def perturbation(x, Q):
+        q11 = Q[..., 0, 0]
+        out = np.zeros(Q.shape[:-1])
+        out[..., 0] = np.where(np.abs(q11) > 50, value_where_large, 0.1 * np.sin(q11))
+        return out
+
+    return NonlinearOperator(perturbation=perturbation, anchor=dirac(), name="non-finite")
+
+
+NON_FINITE_OPERATORS = {
+    "all_nan": NonlinearOperator(
+        perturbation=lambda x, Q: np.full(Q.shape[:-1], np.nan), anchor=dirac(), name="all-nan"
+    ),
+    "partial_nan": _first_entry_perturbation(np.nan),
+    "partial_inf": _first_entry_perturbation(np.inf),
+}
+
+
+@pytest.mark.parametrize("estimator", [nearness_constant, check_pseudomonotonicity, lipschitz_and_converse])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_OPERATORS))
+def test_sampled_estimators_refuse_non_finite_perturbations(estimator, kind):
+    # a NaN quotient used to be skipped (or, everywhere NaN, to end in a TypeError),
+    # so the margin gate trusted an estimate that ignored those samples
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+        estimator(NON_FINITE_OPERATORS[kind])
+    assert not isinstance(info.value, NonEllipticError)
+    message = str(info.value)
+    assert message.startswith("F - A is not finite at the sample x = [")
+    assert ", P = [[" in message and ", Q = [[" in message
+
+
+def test_partial_nan_witness_is_a_nan_sample():
+    with pytest.raises(ValueError, match="not finite") as info:
+        nearness_constant(NON_FINITE_OPERATORS["partial_nan"])
+    p, q = str(info.value).split("P = ")[1].split(", Q = ")
+    p11, q11 = ast.literal_eval(p)[0][0], ast.literal_eval(q)[0][0]
+    assert abs(p11) > 50 or abs(p11 + q11) > 50  # Phi(x, P) or Phi(x, P + Q) is NaN

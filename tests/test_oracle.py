@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import efos.oracle
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann
 from efos.ellipticity import NonEllipticError
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import apply_tensor, solve_linear
 from efos.oracle import assemble_dense, brute_nu, solve_dense
-from efos.sampling import rng_from_seed
-from efos.tensor import ConstantTensor
+from efos.sampling import rng_from_seed, unit_sphere_points
+from efos.tensor import ConstantTensor, direction_matrix, operator_norm
 
 from helpers import single_mode_rhs
 
@@ -76,6 +77,28 @@ def test_dense_rejects_non_elliptic_tensor():
         solve_dense(ConstantTensor(entries), f)
 
 
+@pytest.mark.parametrize(
+    "A, grid",
+    [(cauchy_riemann(), PeriodicGrid(n=2, G=8)), (dirac(), PeriodicGrid(n=3, G=4))],
+    ids=["cauchy_riemann", "dirac"],
+)
+def test_dense_solution_has_no_mean_or_nyquist_content(A, grid):
+    # white noise plus a constant fills the mean and the Nyquist planes of f
+    f = GridFunction(grid, rng_from_seed(9).standard_normal((A.N,) + grid.shape) + 0.3)
+    u = solve_dense(A, f).values
+    axes = tuple(range(1, grid.n + 1))
+    coeffs = np.fft.fftn(u, axes=axes) / grid.num_points
+    assert np.abs(coeffs[(slice(None),) + (0,) * grid.n]).max() <= 1e-12
+    assert np.abs(coeffs[:, grid.nyquist_mask()]).max() <= 1e-12
+    assert np.abs(u).max() > 1e-2  # the solution itself is not zero
+
+
+def test_dense_zero_tensor_is_non_elliptic_not_a_linalg_error():
+    grid = PeriodicGrid(n=2, G=4)
+    with pytest.raises(NonEllipticError):
+        solve_dense(ConstantTensor(np.zeros((2, 2, 2))), single_mode_rhs(grid, 2))
+
+
 def test_dense_rejects_bad_right_hand_side_with_witness():
     grid = PeriodicGrid(n=3, G=4)
     nan = GridFunction(grid, np.full((4,) + grid.shape, np.nan))
@@ -102,3 +125,49 @@ def test_brute_nu_known_values():
 def test_brute_nu_sample_floor():
     with pytest.raises(ValueError):
         brute_nu(dirac(), 10)
+
+
+def _per_sample_svd_nu(A, samples):
+    dirs = unit_sphere_points(A.n, samples)
+    return min(np.linalg.svd(direction_matrix(A, a), compute_uv=False)[-1] for a in dirs)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3)], ids=["N2n2", "N3n3", "N4n3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_brute_nu_matches_per_sample_svd(shape, seed):
+    # 1e-12 |A| plus the Gram kernel's rounding term eps |A|^2 / nu: random tensors
+    # are nearly singular somewhere (for odd N, A a is singular on a whole curve),
+    # and there squaring the direction matrix costs digits that the SVD keeps
+    N, n = shape
+    A = ConstantTensor(rng_from_seed(seed).normal(size=(N, N, n)))
+    reference = _per_sample_svd_nu(A, 5000)
+    norm = operator_norm(A)
+    bound = 1e-12 * norm + np.finfo(float).eps * norm**2 / reference
+    assert abs(brute_nu(A, 5000) - reference) <= bound
+
+
+@pytest.mark.parametrize("anchor", [cauchy_riemann(), dirac()], ids=["cauchy_riemann", "dirac"])
+def test_brute_nu_matches_per_sample_svd_on_elliptic_tensors(anchor):
+    A = ConstantTensor(anchor.entries + 0.2 * rng_from_seed(3).normal(size=anchor.entries.shape))
+    reference = _per_sample_svd_nu(A, 5000)
+    assert reference > 0.1
+    assert abs(brute_nu(A, 5000) - reference) <= 1e-12 * operator_norm(A)
+
+
+def test_brute_nu_of_a_singular_tensor_is_near_zero():
+    # a zero equation row makes A a singular in every direction; the Gram
+    # kernel's rounding then reads about sqrt(eps) |A|
+    entries = rng_from_seed(4).normal(size=(4, 4, 3))
+    entries[2] = 0.0
+    A = ConstantTensor(entries)
+    assert brute_nu(A, 5000) <= 1e-7 * operator_norm(A)
+
+
+def test_brute_nu_shares_no_kernel_with_the_fast_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not use the fast path's kernel")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(efos.oracle, "direction_matrix", refuse, raising=False)
+    monkeypatch.setattr(efos.tensor, "direction_matrix", refuse)
+    assert brute_nu(cauchy_riemann(), 5000) == pytest.approx(1.0, abs=1e-12)
