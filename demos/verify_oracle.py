@@ -35,7 +35,7 @@ print(f"  relative gradient gap = {gap:.2e}")
 F = lipschitz_perturbation(A, 0.5, "sin_q11")
 print()
 print("nearness of the perturbed operator to its anchor:")
-rep = nearness_constant(F, A)
+rep = nearness_constant(F)
 print(f"  sampled nu(F, A) = {rep.nu_fa:.10f}  (declared bound {F.declared_nearness:.10f})")
 print(f"  ratio to nu(A)    = {rep.ratio:.6f}  over {rep.samples_used} samples")
 

@@ -10,6 +10,8 @@ known nearness bounds.
 
 from __future__ import annotations
 
+import inspect
+import numbers
 import re
 
 import numpy as np
@@ -163,6 +165,8 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
         raise ValueError(f"eps must be nonnegative, got {eps}")
     if B is None:
         B = _default_direction_tensor(A.N, A.n)
+    if not isinstance(B, ConstantTensor):
+        raise ValueError(f"modulation tensor must be a ConstantTensor, got {B!r}")
     if B.N != A.N or B.n != A.n:
         raise ValueError("modulation tensor must match the anchor's shape")
     nrm = operator_norm(B)
@@ -195,11 +199,21 @@ def get(name: str, params=()):
     """Construct a catalog entry by name with positional params.
 
     Returns a ConstantTensor for tensor entries and a NonlinearOperator
-    for operator families.  Unknown names raise KeyError.
+    for operator families.  Unknown names raise KeyError; a wrong number
+    of params, or a non-number for a parameter annotated float, raises
+    ValueError naming the entry.
     """
     build = _TENSORS.get(name) or _OPERATORS.get(name)
     if build is None:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
+    signature = inspect.signature(build)
+    try:
+        bound = signature.bind(*params)
+    except TypeError as exc:
+        raise ValueError(f"catalog entry {name!r} takes ({', '.join(signature.parameters)}): {exc}") from None
+    for key, value in bound.arguments.items():
+        if signature.parameters[key].annotation in (float, "float") and not isinstance(value, numbers.Real):
+            raise ValueError(f"catalog entry {name!r} needs a number for {key}, got {value!r}")
     return build(*params)
 
 

@@ -212,18 +212,6 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         raise ConfigError(f"bad [nonlinear] lambda: {exc}") from exc
 
 
-def _seed(cfg, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _get(cfg, "run", "seed", int, 0)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_analyze(cfg, args) -> int:
     A = build_tensor(cfg)
     resolution = _get(cfg, "tensor", "resolution", int, 2048)
@@ -232,7 +220,7 @@ def cmd_analyze(cfg, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad [tensor] resolution: {exc}") from exc
     columns = ("nu", "min_abs_det", "argmin_direction", "resolution", "refined", "elliptic")
-    write_csv(_outdir(args) / "ellipticity.csv", columns, [[getattr(report, c) for c in columns]])
+    write_csv(args.out / "ellipticity.csv", columns, [[getattr(report, c) for c in columns]])
     print(f"nu = {report.nu:.12g}  min|det| = {report.min_abs_det:.12g}  elliptic = {report.elliptic}")
     return 0 if report.elliptic else 2
 
@@ -257,10 +245,9 @@ def cmd_solve_linear(cfg, args) -> int:
     ladder = _regularizers(cfg)
     plan = MultiplierPlan(A, grid)
     u, report = solve_linear(A, f, plan=plan)
-    apriori = verify_apriori(A, u, f, nu=plan.nu)
-    out = _outdir(args)
-    write_field(out / "u.efof", u)
-    write_csv(out / "report.csv", REPORT_COLUMNS, [report_row(grid, report, apriori)])
+    apriori = verify_apriori(A, u, f)
+    write_field(args.out / "u.efof", u)
+    write_csv(args.out / "report.csv", REPORT_COLUMNS, [report_row(grid, report, apriori)])
     print(
         f"residual = {report.residual:.3e}  ratio_grad = {apriori.ratio_grad:.12g}"
         + ("  [nyquist content truncated]" if report.nyquist_truncated else "")
@@ -273,7 +260,7 @@ def cmd_solve_linear(cfg, args) -> int:
             err = norm_l2(um - u) / nu_direct if nu_direct > 0 else 0.0
             rows.append((reg.m, reg.kind, err, rrep.factor_gap, rrep.rational_bound, rrep.residual))
         columns = ("m", "kind", "rel_error", "factor_gap", "rational_bound", "residual")
-        write_csv(out / "representation.csv", columns, rows)
+        write_csv(args.out / "representation.csv", columns, rows)
     return 0
 
 
@@ -285,9 +272,8 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     tol = _get(cfg, "solver", "tol", float, 1e-10)
     max_iter = _get(cfg, "solver", "max_iter", int, 400)
     u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
-    out = _outdir(args)
-    write_field(out / "u.efof", u)
-    trace.write_csv(out / "trace.csv")
+    write_field(args.out / "u.efof", u)
+    trace.write_csv(args.out / "trace.csv")
     print(
         f"{trace.message}; final residual = {trace.residual[-1]:.3e}, "
         f"K_theory = {trace.K_theory:.4g}"
@@ -298,8 +284,7 @@ def cmd_solve_nonlinear(cfg, args) -> int:
 def cmd_verify(cfg, args) -> int:
     A = build_tensor(cfg)
     grid = build_grid(cfg, A.n)
-    seed = _seed(cfg, args)
-    rng = rng_from_seed(seed)
+    rng = rng_from_seed(args.seed if args.seed is not None else _get(cfg, "run", "seed", int, 0))
     rows = []
 
     def record(check, case, value, bound, ok):
@@ -309,7 +294,7 @@ def cmd_verify(cfg, args) -> int:
     for i in range(10):
         f = random_band_limited(grid, A.N, rng)
         u, _ = solve_linear(A, f, plan=plan)
-        ap = verify_apriori(A, u, f, nu=plan.nu)
+        ap = verify_apriori(A, u, f)
         record("apriori_grad", f"field_{i}", ap.ratio_grad, 1.0 + 1e-10, ap.ratio_grad <= 1.0 + 1e-10)
 
     oracle_grid = PeriodicGrid(n=grid.n, G=4, L=grid.L)
@@ -326,14 +311,8 @@ def cmd_verify(cfg, args) -> int:
     else:
         F = catalog.lipschitz_perturbation(A, 0.5, "sin_q11")
     if F.declared_nearness is not None:
-        near = nearness_constant(F, A)
-        record(
-            "nearness_declared",
-            F.name or "operator",
-            near.nu_fa,
-            F.declared_nearness + 1e-9,
-            near.nu_fa <= F.declared_nearness + 1e-9,
-        )
+        near, bound = nearness_constant(F).nu_fa, F.declared_nearness + 1e-9
+        record("nearness_declared", F.name or "operator", near, bound, near <= bound)
         for i in range(10):
             w = random_band_limited(grid, A.N, rng)
             v = random_band_limited(grid, A.N, rng)
@@ -346,7 +325,7 @@ def cmd_verify(cfg, args) -> int:
         near = near_operator_check(F, pairs)
         record("near_operator", "pairs", near.max_ratio, 1.0 + 1e-9, near.violations == 0)
 
-    write_csv(_outdir(args) / "verify.csv", ("check", "case", "value", "bound", "status"), rows)
+    write_csv(args.out / "verify.csv", ("check", "case", "value", "bound", "status"), rows)
     failed = sum(row[-1] == "FAIL" for row in rows)
     print(f"{len(rows)} checks, {failed} failed")
     return 0 if failed == 0 else 4
@@ -369,11 +348,15 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI-style run description")
-        p.add_argument("--out", default=".", help="output directory for reports and fields")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory for reports and fields")
         p.add_argument("--seed", type=int, default=None, help="override the [run] seed")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, args)
     except NonEllipticError as exc:
         print(f"ellipticity error: {exc}", file=sys.stderr)

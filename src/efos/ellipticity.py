@@ -37,6 +37,7 @@ __all__ = [
     "LipschitzConverseReport",
     "ellipticity_constant",
     "cached_nu",
+    "is_elliptic",
     "nearness_constant",
     "check_pseudomonotonicity",
     "lipschitz_and_converse",
@@ -170,15 +171,20 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     dirs = unit_sphere_points(A.n, resolution)
     nu, argmin, refined = _refine_on_sphere(_sigma_min, A, dirs)
     min_det, _, _ = _refine_on_sphere(_abs_det, A, dirs)
-    scale = max(1.0, operator_norm(A))
     return EllipticityReport(
         nu=nu,
         argmin_direction=argmin,
         min_abs_det=min_det,
         resolution=resolution,
         refined=refined,
-        elliptic=bool(nu > 1e-12 * scale),
+        elliptic=is_elliptic(A, nu),
     )
+
+
+def is_elliptic(A: ConstantTensor, nu: float) -> bool:
+    """The ellipticity gate: whether nu, an estimate of nu(A), exceeds
+    1e-12 max(1, |A|); false for NaN."""
+    return bool(nu > 1e-12 * max(1.0, operator_norm(A)))
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +195,7 @@ def cached_nu(A: ConstantTensor) -> float:
     return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
 
 
-def _increment_sweep(F, plan: SamplingPlan):
+def _increment_sweep(F, plan: SamplingPlan | None):
     """Yield per-(direction, scale) batches of difference data.
 
     Each item is ``(s, U, X, P, Phi0, Phi1)`` with X of shape (nx, 1, n),
@@ -197,6 +203,7 @@ def _increment_sweep(F, plan: SamplingPlan):
     and Phi1 = Phi(X, P + s U), both broadcast to shape (nx, np, N).
     """
     A = F.anchor
+    plan = plan or SamplingPlan()
     N, n = A.N, A.n
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
@@ -220,19 +227,16 @@ def _batch_max(values: np.ndarray, X, P, Q):
     return float(values[i, j]), X[i, 0], P[0, j]
 
 
-def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | None = None) -> NearnessReport:
-    """Sampled estimate of nu(F, A) and the ratio nu(F, A) / nu(A).
+def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
+    """Sampled estimate of nu(F, A) and the ratio nu(F, A) / nu(A), A being
+    F's anchor.
 
     The estimate is the max of |F(x, P+Q) - F(x, P) - A:Q| / |Q| =
     |Phi(x, P+Q) - Phi(x, P)| / |Q| over the plan's triples, hence a lower
     bound for the true sup; it is monotone under enrichment of the plan's
-    random streams.  A, when given, must be F's anchor.
+    random streams.
     """
-    A = F.anchor if A is None else A
-    if A != F.anchor:
-        raise ValueError("the nearness constant is measured against the operator's own anchor")
-    plan = plan or SamplingPlan()
-    nu_a = cached_nu(A)
+    nu_a = cached_nu(F.anchor)
     best, witness, total = -1.0, None, 0
     for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
         ratios = np.linalg.norm(Phi1 - Phi0, axis=-1) / s
@@ -252,26 +256,23 @@ def nearness_constant(F, A: ConstantTensor | None = None, plan: SamplingPlan | N
     )
 
 
-def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingPlan | None):
+def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
     """One pass over the plan's increments.
 
     Returns the pseudo-monotonicity report at level lam, the sampled
-    Lipschitz constant sup |F(x, P+Q) - F(x, P)| / |Q| and nu(A).
+    Lipschitz constant sup |F(x, P+Q) - F(x, P)| / |Q| and nu(A), A being
+    F's anchor.
     """
-    A = F.anchor if A is None else A
+    A = F.anchor
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must be in (0, 1), got {lam}")
-    plan = plan or SamplingPlan()
     nu_a = cached_nu(A)
-    lip = 0.0
-    violations = 0
-    worst = 0.0
+    lip, violations, worst, total = 0.0, 0, 0.0, 0
     witness = (None, None, None)
-    total = 0
     for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
-        dF = Phi1 - Phi0 + s * contract(F.anchor, U)
-        lip = max(lip, _batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
         AQ = s * contract(A, U)  # (N,)
+        dF = Phi1 - Phi0 + AQ
+        lip = max(lip, _batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
         lhs = np.einsum("...a,a->...", dF, AQ)
         aq_sq = float(AQ @ AQ)
         rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2
@@ -294,9 +295,7 @@ def _monotonicity_sweep(F, A: ConstantTensor | None, lam: float, plan: SamplingP
     return report, lip, nu_a
 
 
-def check_pseudomonotonicity(
-    F, A: ConstantTensor | None = None, lam: float = 0.5, plan: SamplingPlan | None = None
-) -> PseudoMonotonicityReport:
+def check_pseudomonotonicity(F, lam: float = 0.5, *, plan: SamplingPlan | None = None) -> PseudoMonotonicityReport:
     """Sampled check of the quadratic monotonicity inequality at level lam.
 
     Whenever the sampled nearness quotients stay below lam * nu(A), the
@@ -305,12 +304,10 @@ def check_pseudomonotonicity(
     counted with a small floating-point guard band and reported with the
     worst witness.
     """
-    return _monotonicity_sweep(F, A, lam, plan)[0]
+    return _monotonicity_sweep(F, lam, plan)[0]
 
 
-def lipschitz_and_converse(
-    F, A: ConstantTensor | None = None, lam: float = 0.5, plan: SamplingPlan | None = None
-) -> LipschitzConverseReport:
+def lipschitz_and_converse(F, lam: float = 0.5, *, plan: SamplingPlan | None = None) -> LipschitzConverseReport:
     """Sampled Lipschitz constant of F(x, .) and the converse test.
 
     Estimates sup |F(x, P+Q) - F(x, P)| / |Q| over the plan, compares it
@@ -318,7 +315,7 @@ def lipschitz_and_converse(
     pseudo-monotonicity at the same level on the same samples; strict
     ellipticity is concluded only when both sampled hypotheses hold.
     """
-    pm, lip, nu_a = _monotonicity_sweep(F, A, lam, plan)
+    pm, lip, nu_a = _monotonicity_sweep(F, lam, plan)
     threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
     below = lip < threshold
     return LipschitzConverseReport(

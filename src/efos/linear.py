@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipticity import NonEllipticError, cached_nu
+from .ellipticity import NonEllipticError, cached_nu, is_elliptic
 from .fieldfile import check_finite
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, spectral_core
-from .tensor import ConstantTensor, direction_matrix, operator_norm
+from .tensor import ConstantTensor, direction_matrix
 
 __all__ = [
     "MultiplierPlan",
@@ -69,7 +69,7 @@ class MultiplierPlan:
         if A.n != grid.n:
             raise ValueError(f"tensor has n={A.n} but grid has n={grid.n}")
         nu = cached_nu(A)
-        if nu <= 1e-12 * max(1.0, operator_norm(A)):
+        if not is_elliptic(A, nu):
             raise NonEllipticError(f"tensor is not elliptic (nu = {nu:.3e}); cannot invert")
         self.A = A
         self.grid = grid
@@ -261,7 +261,7 @@ def solve_representation(
     )
 
 
-def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction, nu: float | None = None) -> AprioriReport:
+def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction) -> AprioriReport:
     """Measure the solve against the gradient estimate |Du|_2 <= |f|_2 / nu(A).
 
     The gradient ratio must not exceed 1 by more than rounding whenever u
@@ -270,7 +270,7 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction, nu: floa
     """
     check_field(f, A, f.grid, "right-hand side")
     check_field(u, A, f.grid, "solution")
-    nu = cached_nu(A) if nu is None else nu
+    nu = cached_nu(A)
     axes = tuple(range(1, f.grid.n + 1))
     nf = norm_l2(GridFunction(f.grid, f.values - f.values.mean(axis=axes, keepdims=True)))
     du = gradient(u)

@@ -184,6 +184,16 @@ class NearOperatorReport:
     witness_index: int | None
 
 
+def _contraction_margin(A: ConstantTensor, near: float) -> float:
+    """nu(A) - near, the contraction margin of an operator anchored at A
+    with nearness near; NonEllipticError unless it is positive (NaN is not)."""
+    nu = cached_nu(A)
+    margin = nu - near
+    if not margin > 0:
+        raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
+    return margin
+
+
 def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> list:
     """Write the half spectrum of Phi(., Du) into ``out``, transforming only
     the rows where Phi is nonzero (zero transforms to zero), and return
@@ -239,10 +249,8 @@ def campanato_solve(
         check_field(u0, A, f.grid, "u0")
     if plan is not None:
         check_plan(plan, A, f.grid)
-    nu = cached_nu(A)
-    near = nearness_constant(F, A).nu_fa if F.declared_nearness is None else F.declared_nearness
-    if not nu - near > 0:
-        raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
+    near = nearness_constant(F).nu_fa if F.declared_nearness is None else F.declared_nearness
+    _contraction_margin(A, near)
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
     N, n = A.N, f.grid.n
@@ -250,7 +258,7 @@ def campanato_solve(
     rows = sorted({b for b, _ in support})
     M = np.ascontiguousarray(np.moveaxis(plan.multipliers, (-2, -1), (0, 1))[rows])  # M_ba as (rows, N, ...)
 
-    trace = IterationTrace(K_theory=near / nu)
+    trace = IterationTrace(K_theory=near / cached_nu(A))
     norm_f = norm_l2(f)
     floor = 1e-13 * max(norm_f, 1e-300)
     sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
@@ -319,10 +327,7 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
     """
     if F.declared_nearness is None:
         raise ValueError("comparison bound needs declared_nearness on the operator")
-    A = F.anchor
-    margin = cached_nu(A) - F.declared_nearness
-    if margin <= 0:
-        raise NonEllipticError(f"declared nearness leaves no margin ({margin:.3g})")
+    margin = _contraction_margin(F.anchor, F.declared_nearness)
     Dw, Dv = gradient(w), gradient(v)
     lhs = norm_l2(Dw - Dv)
     image = norm_l2(F.apply_to_gradient(Dw) - F.apply_to_gradient(Dv))

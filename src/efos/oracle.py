@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ellipticity import NonEllipticError
+from .fieldfile import check_finite
 from .grid import GridFunction, PeriodicGrid
 from .sampling import unit_sphere_points
 from .tensor import ConstantTensor
@@ -114,10 +115,7 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     _check_cap(A, grid)
     if f.components != A.N:
         raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
-    bad = ~np.isfinite(f.values)
-    if bad.any():
-        comp, *index = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        raise ValueError(f"right-hand side is not finite at component {comp}, grid index {tuple(index)}")
+    check_finite(f.values, "right-hand side")
     rhs = _solvable_part(f)
     M = assemble_dense(A, grid)
     P = grid.num_points

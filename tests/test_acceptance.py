@@ -99,7 +99,7 @@ def test_criterion_3_apriori_estimate():
         for _ in range(100):
             f = random_band_limited(grid, A.N, rng)
             u, _ = solve_linear(A, f, plan=plan)
-            worst = max(worst, verify_apriori(A, u, f, nu=plan.nu).ratio_grad)
+            worst = max(worst, verify_apriori(A, u, f).ratio_grad)
     ok = worst <= 1.0 + 1e-10
     _report(3, "a-priori gradient bound on 300 random fields", ok, f"worst ratio={worst:.12f}")
 
@@ -202,10 +202,10 @@ def test_criterion_9_pseudomonotonicity_and_converse():
     # quadratic inequality has no violations on the same sample set
     for seed in (0, 1, 2):
         plan = SamplingPlan(seed=seed)
-        est = nearness_constant(F, A, plan).nu_fa
+        est = nearness_constant(F, plan=plan).nu_fa
         for lam in (0.5, 0.7, 0.9):
             if est <= lam * nu:
-                rep = check_pseudomonotonicity(F, A, lam, plan)
+                rep = check_pseudomonotonicity(F, lam, plan=plan)
                 ok = ok and rep.violations == 0
         details.append(f"seed {seed}: est={est:.6f}")
 
@@ -217,7 +217,7 @@ def test_criterion_9_pseudomonotonicity_and_converse():
     pstar = np.zeros((4, 3))
     pstar[0, 0] = np.pi
     sharp = SamplingPlan(seed=1, extra_p=(pstar,), extra_q_directions=(qstar,))
-    low = check_pseudomonotonicity(F, A, 0.3, sharp)
+    low = check_pseudomonotonicity(F, 0.3, plan=sharp)
     ok = ok and low.violations > 0
     details.append(f"lam=0.3 violations={low.violations}")
 
@@ -227,8 +227,8 @@ def test_criterion_9_pseudomonotonicity_and_converse():
         anchor=A,
         name="half-strength",
     )
-    conv = lipschitz_and_converse(half, A, 0.1)
-    truth = nearness_constant(half, A).nu_fa
+    conv = lipschitz_and_converse(half, 0.1)
+    truth = nearness_constant(half).nu_fa
     ok = ok and conv.concluded_elliptic and truth < nu
     details.append(
         f"converse: lipschitz={conv.lipschitz_estimate:.6f} < {conv.threshold:.6f}, "

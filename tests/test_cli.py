@@ -551,6 +551,57 @@ source = catalog:{operator}
     assert not (out / "u.efof").exists() and not (out / "verify.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config, command, out_is_file, message",
+    [
+        ("[tensor]\nsource = catalog:dirac(1)\n", "analyze", False, "catalog entry 'dirac' takes ()"),
+        ("[tensor]\nsource = catalog:generalized_cr(1,1)\n", "analyze", False, "missing a required argument: 'mu'"),
+        (
+            DIRAC_LINEAR + "[nonlinear]\nsource = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11, 3)\n",
+            "solve-nonlinear",
+            False,
+            "catalog entry 'lipschitz_perturbation' takes (base, lam, shape)",
+        ),
+        (
+            DIRAC_LINEAR + "[nonlinear]\nsource = catalog:variable_linear(dirac, 0.3, 1)\n",
+            "solve-nonlinear",
+            False,
+            "modulation tensor must be a ConstantTensor",
+        ),
+        (
+            DIRAC_LINEAR + "[nonlinear]\nsource = catalog:lipschitz_perturbation(cauchy_riemann, x)\n",
+            "solve-nonlinear",
+            False,
+            "catalog entry 'lipschitz_perturbation' needs a number for lam",
+        ),
+        ("[tensor]\nsource = catalog:dirac\n", "analyze", True, "cannot create output directory"),
+    ],
+    ids=[
+        "tensor_extra_param",
+        "tensor_missing_params",
+        "operator_extra_param",
+        "modulation_not_tensor",
+        "lam_not_number",
+        "out_is_file",
+    ],
+)
+def test_malformed_input_exits_1_without_traceback(tmp_path, config, command, out_is_file, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    if out_is_file:
+        out.write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from efos.cli import entry; entry()", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
     code = "import sys, efos, efos.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -135,20 +135,26 @@ def test_cached_nu_is_the_4096_sample_estimate(A):
     assert again == cached_nu(A)
 
 
+def test_nan_nu_is_not_elliptic(monkeypatch):
+    assert ellipticity_constant(dirac()).elliptic
+    monkeypatch.setattr("efos.ellipticity._refine_on_sphere", lambda objective, A, dirs: (np.nan, dirs[0], True))
+    rep = ellipticity_constant(dirac())
+    assert np.isnan(rep.nu)
+    assert rep.elliptic is False
+
+
 def test_nearness_of_linear_anchor_is_zero():
     A = dirac()
     F = NonlinearOperator(perturbation=lambda x, Q: np.zeros(np.shape(Q)[:-1]), anchor=A, name="anchor")
-    rep = nearness_constant(F, A)
+    rep = nearness_constant(F)
     # the quotients read the perturbation, which is exactly zero
     assert rep.nu_fa == 0.0
-    with pytest.raises(ValueError, match="own anchor"):
-        nearness_constant(F, ConstantTensor(2.0 * A.entries))
 
 
 def test_nearness_attains_declared_level():
     A = dirac()
     F = lipschitz_perturbation(A, 0.5, "sin_q11")
-    rep = nearness_constant(F, A)
+    rep = nearness_constant(F)
     # sampled sup is a lower bound; the sin slope 1 is hit at the P anchors
     assert rep.nu_fa <= F.declared_nearness + 1e-9
     assert rep.nu_fa >= F.declared_nearness - 1e-8
@@ -163,11 +169,11 @@ def test_nearness_of_tanh_trace_shape():
     # tanh(sum of row 1 / sqrt(n)) has its largest slope, 1, at P = 0 along "row 1 = 1/sqrt(n)"
     A = dirac()
     F = lipschitz_perturbation(A, 0.5, "tanh_trace")
-    assert nearness_constant(F, A).nu_fa <= F.declared_nearness + 1e-9
+    assert nearness_constant(F).nu_fa <= F.declared_nearness + 1e-9
     qstar = np.zeros((4, 3))
     qstar[0] = 1.0 / np.sqrt(3.0)
     plan = SamplingPlan(random_p=0, random_q=0, include_axis_directions=False, extra_q_directions=(qstar,))
-    rep = nearness_constant(F, A, plan)
+    rep = nearness_constant(F, plan=plan)
     assert abs(rep.nu_fa - F.declared_nearness) <= 1e-6
     assert not rep.worst_p.any()
 
@@ -178,7 +184,7 @@ def test_nearness_estimate_monotone_under_enrichment():
     values = []
     for extra in (0, 4, 12):
         plan = SamplingPlan(seed=5, random_q=4 + extra, include_axis_directions=False)
-        values.append(nearness_constant(F, A, plan).nu_fa)
+        values.append(nearness_constant(F, plan=plan).nu_fa)
     assert values[0] <= values[1] <= values[2]
 
 
@@ -198,7 +204,7 @@ def test_strict_ellipticity_margin():
 def test_pseudomonotone_at_true_level():
     A = dirac()
     F = lipschitz_perturbation(A, 0.5, "sin_q11")
-    rep = check_pseudomonotonicity(F, A, 0.5)
+    rep = check_pseudomonotonicity(F, 0.5)
     assert rep.violations == 0
     assert rep.worst_violation == 0.0
 
@@ -216,7 +222,7 @@ def test_pseudomonotone_violated_below_true_level():
     pstar = np.zeros((4, 3))
     pstar[0, 0] = np.pi
     plan = SamplingPlan(seed=1, extra_p=(pstar,), extra_q_directions=(qstar,))
-    rep = check_pseudomonotonicity(F, A, 0.3, plan)
+    rep = check_pseudomonotonicity(F, 0.3, plan=plan)
     assert rep.violations > 0
     assert rep.worst_violation > 0.0
     assert rep.witness_q is not None
@@ -229,7 +235,7 @@ def test_lipschitz_converse_concludes_ellipticity():
         anchor=A,
         name="half-strength",
     )
-    rep = lipschitz_and_converse(half, A, 0.1)
+    rep = lipschitz_and_converse(half, 0.1)
     assert rep.pseudo_monotone_violations == 0
     # increments of 0.5 A:Q attain Lipschitz constant |A|/2 exactly
     assert abs(rep.lipschitz_estimate - 0.5 * operator_norm(A)) < 1e-6
@@ -245,7 +251,7 @@ def test_converse_refuses_large_lipschitz():
         anchor=A,
         name="strong",
     )
-    rep = lipschitz_and_converse(strong, A, 0.1)
+    rep = lipschitz_and_converse(strong, 0.1)
     assert not rep.lipschitz_below_threshold
     assert not rep.concluded_elliptic
 

@@ -102,6 +102,12 @@ def test_non_elliptic_tensor_rejected():
         MultiplierPlan(ConstantTensor(entries), PeriodicGrid(n=2, G=8))
 
 
+def test_nan_nu_is_not_elliptic(monkeypatch):
+    monkeypatch.setattr("efos.linear.cached_nu", lambda A: float("nan"))
+    with pytest.raises(NonEllipticError, match="nu = nan"):
+        MultiplierPlan(dirac(), PeriodicGrid(n=3, G=8))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_random_N3_tensor_rejected(n):
     # det(A a) is a cubic, odd in a, so it vanishes on the sphere: no N = 3 tensor is elliptic
@@ -178,7 +184,7 @@ def test_apriori_ratio_bounded_by_one():
     for _ in range(10):
         f = random_band_limited(grid, 4, rng)
         u, _ = solve_linear(A, f, plan=plan)
-        rep = verify_apriori(A, u, f, nu=plan.nu)
+        rep = verify_apriori(A, u, f)
         assert rep.ratio_grad <= 1.0 + 1e-10
         # the Dirac symbol is an isometry per mode, so the bound is tight
         assert rep.ratio_grad >= 1.0 - 1e-10

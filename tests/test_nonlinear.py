@@ -332,6 +332,19 @@ def test_comparison_needs_declared_nearness():
         verify_comparison(F, w, w)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_solver_and_comparison_share_the_margin_gate(lam):
+    # lam = 1 declares a nearness of exactly nu(A), which leaves no margin
+    F = lipschitz_perturbation(dirac(), lam, "sin_q11")
+    w = single_mode_rhs(PeriodicGrid(n=3, G=8), 4)
+    with pytest.raises(NonEllipticError) as solve:
+        campanato_solve(F, w)
+    with pytest.raises(NonEllipticError) as compare:
+        verify_comparison(F, w, w)
+    assert str(solve.value) == str(compare.value)
+    assert str(solve.value).startswith("no contraction margin: nearness ")
+
+
 def test_near_operator_inequality():
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(9)
