@@ -21,6 +21,7 @@ sup; sampled min estimates are upper bounds of the true min.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,7 +67,9 @@ class NearnessReport:
 
     ``nu_fa`` is a max over finitely many difference quotients, hence a
     lower bound for the true essential sup; x samples cover the
-    fundamental cell [0, sampling.X_BOX)^n only.
+    fundamental cell [0, sampling.X_BOX)^n only.  ``samples_used`` counts
+    every (x, P, Q) triple of the plan, also those that a perturbation
+    ignoring x evaluates once for all x.
     """
 
     nu_fa: float
@@ -83,6 +86,9 @@ class PseudoMonotonicityReport:
     """Sampled check of the one-sided quadratic monotonicity inequality
 
     (A:Q) . (F(x, P+Q) - F(x, P)) >= |A:Q|^2 / 2 - (lam^2 / 2) nu(A)^2 |Q|^2.
+
+    ``samples_used`` and ``violations`` count (x, P, Q) triples of the
+    plan, also those that a perturbation ignoring x evaluates once.
     """
 
     lam: float
@@ -196,35 +202,45 @@ def cached_nu(A: ConstantTensor) -> float:
 
 
 def _increment_sweep(F, plan: SamplingPlan | None):
-    """Yield per-(direction, scale) batches of difference data.
+    """Yield ``(s, U, X, P, D)`` for each increment direction U (N, n) of
+    the plan, on the broadcast shape that the perturbation returns.
 
-    Each item is ``(s, U, X, P, Phi0, Phi1)`` with X of shape (nx, 1, n),
-    P of shape (1, np, N, n), and the perturbation values Phi0 = Phi(X, P)
-    and Phi1 = Phi(X, P + s U), both broadcast to shape (nx, np, N).
+    s is the magnitude ladder (S,), X is (nx, 1, n), P is (1, np, N, n) and
+    D = Phi(X, P + s U) - Phi(X, P) is (S, a, b, N) with a in {1, nx} and
+    b in {1, np}: a is 1 when Phi ignores x.  D[k] is the batch of the pair
+    (U, s[k]), and an axis of length 1 stands for all of its samples.
     """
     A = F.anchor
     plan = plan or SamplingPlan()
     N, n = A.N, A.n
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
-    dirs = plan.q_directions(N, n, anchor=A)
-    nx, npts = X.shape[0], P.shape[1]
-    Phi0 = np.broadcast_to(F.perturbation(X, P), (nx, npts, N))
-    for U in dirs:
-        for s in MAGNITUDE_LADDER:
-            Phi1 = np.broadcast_to(F.perturbation(X, P + s * U), (nx, npts, N))
-            yield s, U, X, P, Phi0, Phi1
+    s = np.array(MAGNITUDE_LADDER)
+    Phi0 = np.asarray(F.perturbation(X, P))
+    for U in plan.q_directions(N, n, anchor=A):
+        yield s, U, X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
 
 
-def _batch_max(values: np.ndarray, X, P, Q):
-    """The largest entry of an (nx, np) batch with its x and P samples; as
-    np.argmax picks the first NaN, ValueError names the (x, P, Q) sample
-    of a batch that is not finite."""
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    if not np.isfinite(values[i, j]):
-        x, p, q = X[i, 0].tolist(), P[0, j].tolist(), Q.tolist()
-        raise ValueError(f"F - A is not finite at the sample x = {x}, P = {p}, Q = {q}")
-    return float(values[i, j]), X[i, 0], P[0, j]
+def _sample(batch: np.ndarray, X, P):
+    """Copies of the x and P samples of an (a, b) batch's first largest
+    entry, or first NaN; an index on an axis of length 1 maps to sample 0,
+    the first occurrence in broadcast order, as on the full (nx, np) grid."""
+    i, j = np.unravel_index(np.argmax(batch), batch.shape)
+    return X[i, 0].copy(), P[0, j].copy()
+
+
+def _batch_max(s, U, X, P, *values):
+    """The largest entry of each (a, b) batch of the (S, a, b) values, shape
+    (S, len(values)).  ValueError names the (x, P, Q) sample of the first
+    batch, scale by scale and then in the order of values, whose largest
+    entry is not finite."""
+    top = np.stack([v.max(axis=(1, 2)) for v in values], axis=1)  # NaN where a batch holds one
+    bad = np.argwhere(~np.isfinite(top))
+    if len(bad):
+        k, c = bad[0]
+        (x, p), q = _sample(values[c][k], X, P), s[k] * U
+        raise ValueError(f"F - A is not finite at the sample x = {x.tolist()}, P = {p.tolist()}, Q = {q.tolist()}")
+    return top
 
 
 def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
@@ -238,21 +254,21 @@ def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
     """
     nu_a = cached_nu(F.anchor)
     best, witness, total = -1.0, None, 0
-    for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
-        ratios = np.linalg.norm(Phi1 - Phi0, axis=-1) / s
-        total += ratios.size
-        value, x, p = _batch_max(ratios, X, P, s * U)
-        if value > best:
-            best, witness = value, (x, p, s * U)
-    wx, wp, wq = witness
+    for s, U, X, P, D in _increment_sweep(F, plan):
+        ratios = np.linalg.norm(D, axis=-1) / s[:, None, None]
+        total += len(s) * len(X) * P.shape[1]
+        top = _batch_max(s, U, X, P, ratios)[:, 0]
+        k = int(np.argmax(top))  # ties: the first scale wins
+        if top[k] > best:
+            best, witness = float(top[k]), (*_sample(ratios[k], X, P), s[k] * U)
     return NearnessReport(
         nu_fa=best,
         nu_a=nu_a,
         ratio=best / nu_a if nu_a > 0 else np.inf,
         samples_used=total,
-        worst_x=wx.copy(),
-        worst_p=wp.copy(),
-        worst_q=wq.copy(),
+        worst_x=witness[0],
+        worst_p=witness[1],
+        worst_q=witness[2],
     )
 
 
@@ -264,25 +280,29 @@ def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
     F's anchor.
     """
     A = F.anchor
+    if not isinstance(lam, numbers.Real):
+        raise TypeError(f"lam must be a real number, got {type(lam).__name__}; the anchor is F.anchor")
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must be in (0, 1), got {lam}")
     nu_a = cached_nu(A)
-    lip, violations, worst, total = 0.0, 0, 0.0, 0
-    witness = (None, None, None)
-    for s, U, X, P, Phi0, Phi1 in _increment_sweep(F, plan):
-        AQ = s * contract(A, U)  # (N,)
-        dF = Phi1 - Phi0 + AQ
-        lip = max(lip, _batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
-        lhs = np.einsum("...a,a->...", dF, AQ)
-        aq_sq = float(AQ @ AQ)
-        rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2
-        guard = 1e-12 * (aq_sq + nu_a**2 * s**2)
-        gap = rhs - lhs  # positive where violated
-        total += gap.size
-        violations += int(np.count_nonzero(gap > guard))
-        value, x, p = _batch_max(gap, X, P, s * U)
-        if value > worst:
-            worst, witness = value, (x.copy(), p.copy(), s * U)
+    lip, violations, worst, total, witness = 0.0, 0, 0.0, 0, (None, None, None)
+    for s, U, X, P, D in _increment_sweep(F, plan):
+        AQ = s[:, None] * contract(A, U)  # (S, N)
+        dF = D + AQ[:, None, None]
+        aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per scale, summed as for a lone scale
+        s_sq = np.array([t**2 for t in s.tolist()])  # Python's float pow, as for a lone scale
+        rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
+        guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
+        gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated
+        samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
+        total += len(s) * samples
+        violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
+        # a batch's Lipschitz quotient is checked before its gap
+        top = _batch_max(s, U, X, P, np.linalg.norm(dF, axis=-1) / s[:, None, None], gap)
+        lip = max(lip, float(top[:, 0].max()))
+        k = int(np.argmax(top[:, 1]))  # ties: the first scale wins
+        if top[k, 1] > worst:
+            worst, witness = float(top[k, 1]), (*_sample(gap[k], X, P), s[k] * U)
     report = PseudoMonotonicityReport(
         lam=lam,
         violations=violations,

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
+from efos.ellipticity import LipschitzConverseReport, NearnessReport, PseudoMonotonicityReport, cached_nu
 from efos.grid import GridFunction, PeriodicGrid
+from efos.sampling import MAGNITUDE_LADDER, SamplingPlan
+from efos.tensor import contract
 
 
 def single_mode_rhs(grid: PeriodicGrid, components: int, component: int = 0, axis: int = 0):
@@ -33,3 +36,57 @@ def poke_payload(path, shape, index, value):
     offset = 16 + 4 * (len(shape) - 1) + 8 + 8 * int(np.ravel_multi_index(index, shape))
     struct.pack_into("<d", raw, offset, value)
     Path(path).write_bytes(bytes(raw))
+
+
+def _reference_batch_max(values, X, P, Q):
+    """The largest entry of an (nx, np) batch with its x and P samples."""
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    if not np.isfinite(values[i, j]):
+        x, p, q = X[i, 0].tolist(), P[0, j].tolist(), Q.tolist()
+        raise ValueError(f"F - A is not finite at the sample x = {x}, P = {p}, Q = {q}")
+    return float(values[i, j]), X[i, 0], P[0, j]
+
+
+def reference_sweeps(F, lam, plan=None):
+    """The three sampled estimators' reports, from a plain loop over every
+    (direction, scale) batch on the full (nx, np) sample grid.
+
+    The test oracle for efos.ellipticity's sweep: returns the
+    (NearnessReport, PseudoMonotonicityReport, LipschitzConverseReport)
+    of nearness_constant, check_pseudomonotonicity and
+    lipschitz_and_converse at level lam, raising the same ValueError at the
+    same non-finite sample.
+    """
+    A = F.anchor
+    plan = plan or SamplingPlan()
+    N, n = A.N, A.n
+    X = plan.x_points(n)[:, None, :]
+    P = plan.p_matrices(N, n)[None, :, :, :]
+    nx, npts = X.shape[0], P.shape[1]
+    nu_a = cached_nu(A)
+    Phi0 = np.broadcast_to(F.perturbation(X, P), (nx, npts, N))
+    best, near_witness = -1.0, None
+    lip, violations, worst, total = 0.0, 0, 0.0, 0
+    witness = (None, None, None)
+    for U in plan.q_directions(N, n, anchor=A):
+        for s in MAGNITUDE_LADDER:
+            Phi1 = np.broadcast_to(F.perturbation(X, P + s * U), (nx, npts, N))
+            value, x, p = _reference_batch_max(np.linalg.norm(Phi1 - Phi0, axis=-1) / s, X, P, s * U)
+            if value > best:
+                best, near_witness = value, (x.copy(), p.copy(), s * U)
+            AQ = s * contract(A, U)
+            dF = Phi1 - Phi0 + AQ
+            lip = max(lip, _reference_batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
+            aq_sq = float(AQ @ AQ)
+            gap = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2 - np.einsum("...a,a->...", dF, AQ)
+            total += gap.size
+            violations += int(np.count_nonzero(gap > 1e-12 * (aq_sq + nu_a**2 * s**2)))
+            value, x, p = _reference_batch_max(gap, X, P, s * U)
+            if value > worst:
+                worst, witness = value, (x.copy(), p.copy(), s * U)
+    near = NearnessReport(best, nu_a, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
+    pm = PseudoMonotonicityReport(lam, violations, worst if worst > 0 else 0.0, total, *witness)
+    threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
+    below = lip < threshold
+    lc = LipschitzConverseReport(lip, threshold, lam, violations, below, bool(below and violations == 0), total)
+    return near, pm, lc

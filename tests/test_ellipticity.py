@@ -1,11 +1,14 @@
 """Ellipticity constants, nearness estimation, and the monotonicity checks."""
 
 import ast
+import configparser
+import dataclasses
 
 import numpy as np
 import pytest
 
-from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation
+from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
+from efos.cli import build_operator
 from efos.ellipticity import (
     NonEllipticError,
     cached_nu,
@@ -17,6 +20,7 @@ from efos.ellipticity import (
 from efos.nonlinear import NonlinearOperator
 from efos.sampling import SamplingPlan, rng_from_seed
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
+from helpers import reference_sweeps
 
 NU_GCR_2111 = 2.0 / np.sqrt(5.0)  # interior minimum of the direction-matrix singular value
 
@@ -296,3 +300,136 @@ def test_partial_nan_witness_is_a_nan_sample():
     p, q = str(info.value).split("P = ")[1].split(", Q = ")
     p11, q11 = ast.literal_eval(p)[0][0], ast.literal_eval(q)[0][0]
     assert abs(p11) > 50 or abs(p11 + q11) > 50  # Phi(x, P) or Phi(x, P + Q) is NaN
+
+
+def _x1_expression_operator():
+    """A CLI expression operator whose perturbation reads x1, so the sweep keeps its full (nx, np) shape."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(
+        "[nonlinear]\nf1 = q11 + q22 + q33 + 0.3 * cos(2 * pi * x1) * sin(q11)\nf2 = -q12 + q21 + q43\n"
+        "f3 = -q13 + q31 - q42\nf4 = -q23 + q32 + q41\nlambda = 0.3\n"
+    )
+    return build_operator(cfg, dirac())
+
+
+SWEEP_OPERATORS = {
+    "sin_q11": lipschitz_perturbation(dirac(), 0.5, "sin_q11"),
+    "tanh_trace": lipschitz_perturbation(cauchy_riemann(), 0.9, "tanh_trace"),
+    "variable_linear": variable_linear(dirac(), 0.3),
+    "expression_x1": _x1_expression_operator(),
+}
+
+# seeds 3 and 4 give tanh_trace pseudo-monotonicity violations at lam 0.3
+SWEEP_PLANS = {
+    "default": None,
+    "seed3": SamplingPlan(x_per_axis=3, random_p=16, random_q=32, seed=3),
+    "seed4": SamplingPlan(x_per_axis=3, random_p=16, random_q=32, seed=4),
+}
+
+
+def _assert_reports_equal(got, want):
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("plan", sorted(SWEEP_PLANS))
+@pytest.mark.parametrize("op", sorted(SWEEP_OPERATORS))
+def test_sweep_reports_match_the_full_grid_loop(op, plan):
+    # the sweep evaluates Phi on its own broadcast shape, a whole magnitude ladder per call;
+    # every report field must equal the per-(direction, scale) loop over all (nx, np) samples
+    F, sampling = SWEEP_OPERATORS[op], SWEEP_PLANS[plan]
+    near = nearness_constant(F, plan=sampling)
+    for lam in (0.3, 0.7, 0.95):
+        want = reference_sweeps(F, lam, sampling)
+        _assert_reports_equal(near, want[0])
+        _assert_reports_equal(check_pseudomonotonicity(F, lam, plan=sampling), want[1])
+        _assert_reports_equal(lipschitz_and_converse(F, lam, plan=sampling), want[2])
+        if op == "tanh_trace" and plan != "default" and lam == 0.3:
+            assert want[1].violations > 0
+
+
+def _sample_nan_operator():
+    """0.1 cos(2 pi x1) sin(q11) e_1, NaN at one (x, P + Q) sample deep in the default plan."""
+    A, plan = dirac(), SamplingPlan()
+    x_star = plan.x_points(3)[5]
+    pq_star = plan.p_matrices(4, 3)[7] + 1.0 * plan.q_directions(4, 3, anchor=A)[-3]
+
+    def perturbation(x, Q):
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], Q.shape[:-2]) + (4,))
+        out[..., 0] = 0.1 * np.cos(2 * np.pi * x[..., 0]) * np.sin(Q[..., 0, 0])
+        hit = np.all(x == x_star, axis=-1) & np.all(Q == pq_star, axis=(-2, -1))
+        return np.where(hit[..., None], np.nan, out)
+
+    return NonlinearOperator(perturbation=perturbation, anchor=A, name="sample-nan"), x_star
+
+
+def _far_nan_operator():
+    """0.1 sin(q11) e_1, NaN where |Q| > 60; Phi ignores x."""
+
+    def perturbation(x, Q):
+        out = np.zeros(Q.shape[:-1])
+        out[..., 0] = np.where(np.linalg.norm(Q, axis=(-2, -1)) > 60, np.nan, 0.1 * np.sin(Q[..., 0, 0]))
+        return out
+
+    return NonlinearOperator(perturbation=perturbation, anchor=dirac(), name="far-nan")
+
+
+def _q11_operator(phi_of_q11):
+    def perturbation(x, Q):
+        out = np.zeros(Q.shape[:-1])
+        out[..., 0] = phi_of_q11(Q[..., 0, 0])
+        return out
+
+    return NonlinearOperator(perturbation=perturbation, anchor=dirac(), name="q11-only")
+
+
+def _overflow_then_nan(q11):
+    """1e200 where 5 < |q11| < 20 and NaN where |q11| > 50: along e_11 the Lipschitz quotient
+    overflows at the scale 10, while the gap stays finite until the scale 100."""
+    big = np.where((5 < np.abs(q11)) & (np.abs(q11) < 20), 1e200, 0.0)
+    return np.where(np.abs(q11) > 50, np.nan, big)
+
+
+def _overflow_then_minus_inf(q11):
+    """1e200 where |q11 - 10| < 0.5 and -inf where 11 < q11 < 12: in the batch (e_11, 10) the
+    quotient overflows first at P = 0, the gap only at P = (pi/2) e_11."""
+    big = np.where(np.abs(q11 - 10) < 0.5, 1e200, 0.0)
+    return np.where((11 < q11) & (q11 < 12), -np.inf, big)
+
+
+def _error_message(call):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="not finite") as info:
+        call()
+    return str(info.value)
+
+
+NAMED_SAMPLE_OPERATORS = {
+    "sample_nan": lambda: _sample_nan_operator()[0],
+    "far_nan": _far_nan_operator,
+    "overflow_then_nan": lambda: _q11_operator(_overflow_then_nan),
+    "overflow_then_minus_inf": lambda: _q11_operator(_overflow_then_minus_inf),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_SAMPLE_OPERATORS))
+def test_non_finite_error_names_the_reference_sample(kind):
+    F = NAMED_SAMPLE_OPERATORS[kind]()
+    want = _error_message(lambda: reference_sweeps(F, 0.5))
+    x, rest = want.split("x = ")[1].split(", P = ")
+    x, (p, q) = ast.literal_eval(x), map(ast.literal_eval, rest.split(", Q = "))
+    if kind == "sample_nan":
+        assert x == _sample_nan_operator()[1].tolist()  # deep in the sweep, x-index 5
+    elif kind == "far_nan":
+        assert x == [0.0, 0.0, 0.0]  # the broadcast x-index 0
+    else:  # the quotient's sample, checked before the gap's
+        assert np.linalg.norm(q) == 10.0 and not np.any(p)
+    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+        assert _error_message(lambda: estimator(F)) == want
+
+
+@pytest.mark.parametrize("estimator", [check_pseudomonotonicity, lipschitz_and_converse])
+def test_a_tensor_passed_as_lam_names_lam(estimator):
+    # calls from before the anchor parameter was removed bind the tensor to lam
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    with pytest.raises(TypeError, match=r"^lam must be a real number, got ConstantTensor; the anchor is F\.anchor"):
+        estimator(F, dirac())
