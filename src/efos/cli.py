@@ -194,15 +194,11 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
     def perturbation(x, Q):  # Phi = F - A:Q, reading every gradient entry
         x = np.asarray(x, dtype=float)
         Q = np.asarray(Q, dtype=float)
-        lead = np.broadcast_shapes(x.shape[:-1], Q.shape[:-2])
-        env = {f"x{j + 1}": np.broadcast_to(x[..., j], lead) for j in range(n)}
+        env = {f"x{j + 1}": x[..., j] for j in range(n)}
         for b in range(N):
             for j in range(n):
-                env[f"q{b + 1}{j + 1}"] = np.broadcast_to(Q[..., b, j], lead)
-        out = np.zeros(lead + (N,))
-        for comp, fn in enumerate(compiled):
-            out[..., comp] = np.broadcast_to(fn(env), lead)
-        return out - contract(A, Q)
+                env[f"q{b + 1}{j + 1}"] = Q[..., b, j]
+        return np.stack(np.broadcast_arrays(*(fn(env) for fn in compiled)), axis=-1) - contract(A, Q)
 
     try:
         return NonlinearOperator(

@@ -1,11 +1,13 @@
 """Independent cross-checks: dense matrix solves and brute-force minima.
 
-The dense path assembles the discrete operator u -> A:Du as an explicit
-matrix through dense transform matrices built from exponentials, never
-touching the FFT solver, then solves the linear system directly.  The
-brute-force ellipticity estimate samples the sphere densely with no
-refinement, through Gram-matrix eigenvalues rather than the fast path's
-singular values.  Both exist to disagree loudly if the fast paths drift.
+The dense path builds the derivative matrices from explicit exponentials,
+never touching the FFT solver.  It restricts u -> A:Du to a real
+orthonormal basis of the solvable fields, made from the same exponentials,
+and solves that square system of N ((G-1)^n - 1) unknowns by least
+squares.  The brute-force ellipticity estimate samples the sphere densely
+with no refinement, through Gram-matrix eigenvalues rather than the fast
+path's singular values.  Both exist to disagree loudly if the fast paths
+drift.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = ["DENSE_SIZE_CAP", "assemble_dense", "solve_dense", "brute_nu"]
 DENSE_SIZE_CAP = 4096
 
 
-def _check_cap(A: ConstantTensor, grid: PeriodicGrid) -> int:
+def _check_cap(A: ConstantTensor, grid: PeriodicGrid) -> None:
     size = A.N * grid.num_points
     if size > DENSE_SIZE_CAP:
         raise ValueError(
@@ -31,7 +33,6 @@ def _check_cap(A: ConstantTensor, grid: PeriodicGrid) -> int:
         )
     if A.n != grid.n:
         raise ValueError(f"tensor has n={A.n} but grid has n={grid.n}")
-    return size
 
 
 def _dense_transforms(grid: PeriodicGrid):
@@ -71,13 +72,25 @@ def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
     return mats
 
 
-def _solvable_part(f: GridFunction) -> np.ndarray:
-    """f - mean(f) with its Nyquist-plane modes removed, flattened like
-    ``assemble_dense``'s fields."""
-    W, Winv, keep = _dense_transforms(f.grid)
-    vals = f.values.reshape(f.components, -1)
-    coeffs = (vals - vals.mean(axis=1, keepdims=True)) @ W.T
-    return ((coeffs * keep) @ Winv.T).real.ravel()
+def _retained_basis(grid: PeriodicGrid) -> np.ndarray:
+    """Real orthonormal basis of the solvable fields, shape (G^n, (G-1)^n - 1).
+
+    The solvable fields are the mean-zero ones with no content on the
+    Nyquist planes.  Each +-k pair of retained modes, k != 0, gives two
+    columns, sqrt(2 / G^n) times the real and imaginary parts of the
+    exponential Winv[:, k]; k is the member of the pair with the smaller
+    row-major index.
+    """
+    _, Winv, keep = _dense_transforms(grid)
+    flat = np.arange(grid.num_points)
+    neg = np.ravel_multi_index(np.mod(np.negative(np.unravel_index(flat, grid.shape)), grid.G), grid.shape)
+    columns = Winv[:, keep & (flat < neg)] * np.sqrt(2.0 / grid.num_points)
+    return np.concatenate([columns.real, columns.imag], axis=1)
+
+
+def _contract(A: ConstantTensor, D: np.ndarray) -> np.ndarray:
+    """u -> A:Du from derivative matrices D of shape (n, m, m): block (a, b) is sum_j A[a, b, j] D[j]."""
+    return np.einsum("abj,jrs->arbs", A.entries, D).reshape(A.N * D.shape[-1], -1)
 
 
 def assemble_dense(A: ConstantTensor, grid: PeriodicGrid) -> np.ndarray:
@@ -87,55 +100,41 @@ def assemble_dense(A: ConstantTensor, grid: PeriodicGrid) -> np.ndarray:
     GridFunction.values.ravel().  The kernel consists of the N constant
     modes together with all Nyquist-plane modes.
     """
-    size = _check_cap(A, grid)
-    D = _dense_derivative_matrices(grid)  # (n, G^n, G^n)
-    P = grid.num_points
-    M = np.zeros((size, size))
-    for a in range(A.N):
-        for b in range(A.N):
-            block = np.einsum("j,jxy->xy", A.entries[a, b], D)
-            M[a * P : (a + 1) * P, b * P : (b + 1) * P] = block
-    return M
+    _check_cap(A, grid)
+    return _contract(A, _dense_derivative_matrices(grid))
 
 
 def solve_dense(A: ConstantTensor, f: GridFunction):
-    """Direct dense solve of A:Du = f - mean(f) on a small grid.
+    """Direct dense solve of A:Du = f on the solvable fields of a small grid.
 
-    f's content on the Nyquist planes cannot be solved for, so it is
-    projected away first, through the explicit transform matrices.  The N
-    constant modes are then pinned by replacing one equation per component
-    with a zero-mean constraint; the remaining (Nyquist) rank deficiency is
-    closed by the minimum-norm least-squares solve, which leaves those
-    modes at exactly zero.  Raises ValueError unless f is finite with
-    A.N components on a grid of A's dimension (naming the first bad
-    component and grid index), and NonEllipticError when a residual
-    survives on a retained mode.
+    The derivatives map the basis Q of ``_retained_basis`` into itself, so
+    Q^T (A:D) Q is exact and square, N ((G-1)^n - 1) unknowns, and Q^T f
+    drops f's mean and Nyquist content; u = Q c.  Least squares, not LU:
+    where A is singular on the grid those rows are rounding noise, not
+    zeros, and LU returns a huge c with a tiny residual.  Raises ValueError
+    unless f is finite with A.N components on a grid of A's dimension
+    (naming the first bad component and grid index), and NonEllipticError,
+    naming a grid point, when a residual survives.
     """
     grid = f.grid
     _check_cap(A, grid)
     if f.components != A.N:
         raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
     check_finite(f.values, "right-hand side")
-    rhs = _solvable_part(f)
-    M = assemble_dense(A, grid)
-    P = grid.num_points
-    for a in range(A.N):
-        row = a * P
-        M[row, :] = 0.0
-        M[row, a * P : (a + 1) * P] = 1.0 / P
-        rhs[row] = 0.0
-    sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    resid = M @ sol - rhs
+    Q = _retained_basis(grid)
+    M = _contract(A, Q.T @ _dense_derivative_matrices(grid) @ Q)
+    rhs = (f.values.reshape(A.N, -1) @ Q).ravel()
+    coeffs, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    resid = M @ coeffs - rhs
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     if float(np.linalg.norm(resid)) > 1e-8 * scale:
-        worst = int(np.argmax(np.abs(resid)))
-        comp, flat = divmod(worst, P)
+        comp, flat = divmod(int(np.argmax(np.abs(resid.reshape(A.N, -1) @ Q.T))), grid.num_points)
         idx = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
         raise NonEllipticError(
             f"dense system is singular beyond the known kernel; residual peaks at "
             f"component {comp}, grid point {idx}"
         )
-    return GridFunction(grid, sol.reshape((A.N,) + grid.shape))
+    return GridFunction(grid, (coeffs.reshape(A.N, -1) @ Q.T).reshape((A.N,) + grid.shape))
 
 
 def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:

@@ -135,7 +135,7 @@ def test_criterion_5_oracle_equivalence():
     gap = norm_l2(gradient(u_dense - u_spec)) / norm_l2(gradient(u_spec))
     elapsed = time.perf_counter() - t0
     ok = gap <= 1e-9 and elapsed < 2.0
-    _report(5, "spectral vs dense-pinned oracle", ok, f"gradient gap={gap:.2e}, {elapsed:.2f}s")
+    _report(5, "spectral vs dense retained-basis oracle", ok, f"gradient gap={gap:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_6_campanato_contraction():

@@ -302,11 +302,11 @@ def test_partial_nan_witness_is_a_nan_sample():
     assert abs(p11) > 50 or abs(p11 + q11) > 50  # Phi(x, P) or Phi(x, P + Q) is NaN
 
 
-def _x1_expression_operator():
-    """A CLI expression operator whose perturbation reads x1, so the sweep keeps its full (nx, np) shape."""
+def _expression_operator(f1):
+    """CI's Dirac expression operator with the first equation f1."""
     cfg = configparser.ConfigParser()
     cfg.read_string(
-        "[nonlinear]\nf1 = q11 + q22 + q33 + 0.3 * cos(2 * pi * x1) * sin(q11)\nf2 = -q12 + q21 + q43\n"
+        f"[nonlinear]\nf1 = {f1}\nf2 = -q12 + q21 + q43\n"
         "f3 = -q13 + q31 - q42\nf4 = -q23 + q32 + q41\nlambda = 0.3\n"
     )
     return build_operator(cfg, dirac())
@@ -316,8 +316,19 @@ SWEEP_OPERATORS = {
     "sin_q11": lipschitz_perturbation(dirac(), 0.5, "sin_q11"),
     "tanh_trace": lipschitz_perturbation(cauchy_riemann(), 0.9, "tanh_trace"),
     "variable_linear": variable_linear(dirac(), 0.3),
-    "expression_x1": _x1_expression_operator(),
+    # x-free, so the sweep evaluates it on the (1, np) shape of its P samples
+    "expression": _expression_operator("q11 + q22 + q33 + 0.3 * sin(q11)"),
+    # reads x1, so the sweep keeps its full (nx, np) shape
+    "expression_x1": _expression_operator("q11 + q22 + q33 + 0.3 * cos(2 * pi * x1) * sin(q11)"),
 }
+
+
+def test_expression_perturbation_broadcasts_only_what_it_reads():
+    X = np.zeros((5, 1, 3))
+    P = np.zeros((1, 7, 4, 3))
+    assert SWEEP_OPERATORS["expression"].perturbation(X, P).shape == (1, 7, 4)
+    assert SWEEP_OPERATORS["expression_x1"].perturbation(X, P).shape == (5, 7, 4)
+
 
 # seeds 3 and 4 give tanh_trace pseudo-monotonicity violations at lam 0.3
 SWEEP_PLANS = {

@@ -67,12 +67,23 @@ def test_dense_solution_mean_pinned_to_zero():
     assert np.max(np.abs(u.values.mean(axis=(1, 2)))) < 1e-10
 
 
-def test_dense_rejects_non_elliptic_tensor():
+@pytest.mark.parametrize(
+    "G, seed",
+    [pytest.param(4, None, id="mode")]
+    + [pytest.param(G, seed, id=f"noise-G{G}-seed{seed}") for G in (4, 6, 8) for seed in range(5)],
+)
+def test_dense_rejects_non_elliptic_tensor(G, seed):
+    # diag(z1, z1) is singular at every mode with z1 = 0; on white noise the solvable-field
+    # system's singular rows are rounding noise, not zeros, and an LU solve would return a huge
+    # solution with a tiny residual where least squares leaves the residual that refuses A
     entries = np.zeros((2, 2, 2))
     entries[0, 0, 0] = 1.0
     entries[1, 1, 0] = 1.0
-    grid = PeriodicGrid(n=2, G=4)
-    f = single_mode_rhs(grid, 2, axis=1)
+    grid = PeriodicGrid(n=2, G=G)
+    if seed is None:
+        f = single_mode_rhs(grid, 2, axis=1)
+    else:
+        f = GridFunction(grid, rng_from_seed(seed).standard_normal((2,) + grid.shape))
     with pytest.raises(NonEllipticError, match=r"grid point \(\d+, \d+\)"):
         solve_dense(ConstantTensor(entries), f)
 
@@ -106,6 +117,20 @@ def test_dense_rejects_bad_right_hand_side_with_witness():
         solve_dense(dirac(), nan)
     with pytest.raises(ValueError, match="^right-hand side must have 4 components, got 3$"):
         solve_dense(dirac(), single_mode_rhs(grid, 3))
+
+
+@pytest.mark.parametrize("n, G", [(2, 4), (2, 8), (3, 4), (3, 6), (4, 4)])
+def test_retained_basis_spans_the_solvable_fields(n, G):
+    grid = PeriodicGrid(n=n, G=G)
+    Q = efos.oracle._retained_basis(grid)
+    assert Q.shape == (G**n, (G - 1) ** n - 1)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
+    f = rng_from_seed(n * G).standard_normal(grid.shape) + 0.3
+    coeffs = np.fft.fftn(f)
+    coeffs[(0,) * n] = 0.0
+    coeffs[grid.nyquist_mask()] = 0.0
+    solvable = np.fft.ifftn(coeffs).real
+    np.testing.assert_allclose((Q @ (Q.T @ f.ravel())).reshape(grid.shape), solvable, rtol=0, atol=1e-12)
 
 
 def test_dense_size_cap_enforced():
