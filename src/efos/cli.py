@@ -294,9 +294,8 @@ def cmd_verify(cfg, args) -> int:
         record("apriori_grad", f"field_{i}", ap.ratio_grad, 1.0 + 1e-10, ap.ratio_grad <= 1.0 + 1e-10)
 
     oracle_grid = PeriodicGrid(n=grid.n, G=4, L=grid.L)
-    oracle_plan = MultiplierPlan(A, oracle_grid)
     f = random_band_limited(oracle_grid, A.N, rng, kmax=1)
-    u_spec, _ = solve_linear(A, f, plan=oracle_plan)
+    u_spec, _ = solve_linear(A, f)
     u_dense = solve_dense(A, f)
     diff = norm_l2(gradient(u_dense - u_spec))
     scale = max(norm_l2(gradient(u_spec)), 1e-300)

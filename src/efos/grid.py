@@ -206,20 +206,22 @@ class SpectralCore:
         self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None
     ) -> np.ndarray:
         """Values of the listed (alpha, j) derivatives of (N, ...) coefficients
-        in their order (by default every entry, alpha slowest), written into
-        ``out`` (real, one per derivative x the grid shape) when given.
-        ``work`` (complex, C-contiguous, one per derivative x the shape of
-        ``zmag``) holds the derivative spectrum while the complex passes run
-        in place on it; both buffers are allocated when None.  The result is
-        bit-identical to ``inverse`` of that spectrum, since ``ifftn`` runs
-        the passes over the reversed axes, in ``irfftn``'s own order."""
-        entries = tuple(np.ndindex(len(coeffs), self.grid.n)) if entries is None else entries
-        if work is None:
-            work = np.empty((len(entries),) + self.zmag.shape, complex)
+        (default: all), each in row alpha * n + j of ``out`` (real, N * n x the
+        grid shape, zeros when None), whose other rows are kept.  ``work``
+        (complex, C-contiguous, one per entry x the shape of ``zmag``, made when
+        None) holds the derivative spectrum while the complex passes run in
+        place on it.  Each row is bit-identical to ``inverse`` of its spectrum:
+        ``ifftn`` runs the passes over the reversed axes, in ``irfftn``'s order."""
+        n = self.grid.n
+        entries = tuple(np.ndindex(len(coeffs), n)) if entries is None else entries
+        out = np.zeros((len(coeffs) * n,) + self.grid.shape) if out is None else out
+        work = np.empty((len(entries),) + self.zmag.shape, complex) if work is None else work
         for i, (alpha, j) in enumerate(entries):
             np.multiply(coeffs[alpha], self.deriv[j], out=work[i])
         np.fft.ifftn(work, axes=self.axes[-2::-1], norm="forward", out=work)
-        return np.fft.irfftn(work, s=self.grid.shape[-1:], axes=self.axes[-1:], norm="forward", out=out)
+        for i, (alpha, j) in enumerate(entries):
+            np.fft.irfft(work[i], n=self.grid.G, axis=-1, norm="forward", out=out[alpha * n + j])
+        return out
 
 
 @lru_cache(maxsize=8)

@@ -60,9 +60,9 @@ def apply_tensor(A: ConstantTensor, Du: GridFunction) -> GridFunction:
 class MultiplierPlan:
     """Precomputed per-mode inverse multipliers for one (tensor, grid) pair.
 
-    Building the plan checks ellipticity once and caches the N x N
-    complex multiplier for every retained mode of the half spectrum of
-    ``core``; repeated solves against the same operator reuse it.
+    Building the plan checks ellipticity once and caches the N x N complex
+    multipliers of the half spectrum of ``core`` as one C-contiguous array
+    M[a, b, ...], zero off the retained modes; repeated solves reuse it.
     """
 
     def __init__(self, A: ConstantTensor, grid: PeriodicGrid):
@@ -77,12 +77,13 @@ class MultiplierPlan:
         self.core = core = spectral_core(grid)
         # the zero mode's symbol is singular, so it takes a stand-in direction; its multiplier is zeroed below
         z = np.where(core.zmag > 0, core.z, 1.0)
-        symbol = direction_matrix(A, np.moveaxis(z, 0, -1))  # (..., N, N), A:z on every mode
-        self.multipliers = np.linalg.inv(symbol) * (core.retained / (2j * np.pi))[..., None, None]
+        inv = np.linalg.inv(direction_matrix(A, np.moveaxis(z, 0, -1)))  # (..., N, N), the inverse of A:z on every mode
+        out = np.empty((A.N, A.N) + core.zmag.shape, complex)  # M[a, b, ...], the build's one complex array
+        self.multipliers = np.multiply(np.moveaxis(inv, (-2, -1), (0, 1)), core.retained / (2j * np.pi), out=out)
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Multiply stacked mode coefficients (N, ...) by the plan."""
-        return np.einsum("...ab,b...->a...", self.multipliers, coeffs)
+        return np.einsum("ab...,b...->a...", self.multipliers, coeffs)
 
 
 @dataclass(frozen=True)

@@ -253,10 +253,8 @@ def campanato_solve(
     _contraction_margin(A, near)
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
-    N, n = A.N, f.grid.n
     support = F.support
     rows = sorted({b for b, _ in support})
-    M = np.ascontiguousarray(np.moveaxis(plan.multipliers, (-2, -1), (0, 1))[rows])  # M_ba as (rows, N, ...)
 
     trace = IterationTrace(K_theory=near / cached_nu(A))
     norm_f = norm_l2(f)
@@ -273,26 +271,24 @@ def campanato_solve(
     T = f_hat.copy()
     Phi = np.empty_like(T)
     R = np.empty_like(T)
-    Du = np.zeros((N * n,) + f.grid.shape)
-    derivs = np.empty((len(support),) + f.grid.shape)
+    Du = np.zeros((A.N * f.grid.n,) + f.grid.shape)
     work = np.empty((len(support),) + core.zmag.shape, complex)
-    flat = [b * n + j for b, j in support]
 
     if u0 is not None:  # else Du = 0 needs no transform
         U[:] = core.forward(u0.values) * core.retained
         T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
-        Du[flat] = core.derivatives(U, out=derivs, work=work, entries=support)
+        core.derivatives(U, out=Du, work=work, entries=support)
     nonzero = _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
     d, _ = core.norms(np.subtract(Phi, T, out=R))
     non_contracting = 0
     for step in range(1, max_iter + 1):
         dropped = np.linalg.norm(R[core.zero])
-        for i, b in enumerate(rows):  # U_b = (M f^)_b - sum over Phi's nonzero rows a of M_ba Phi^_a
+        for b in rows:  # U_b = (M f^)_b - sum over Phi's nonzero rows a of M_ba Phi^_a
             U[b] = Mf[b]
             for a in nonzero:
-                U[b] -= M[i, a] * Phi[a]
+                U[b] -= plan.multipliers[b, a] * Phi[a]
         np.copyto(T, Phi, where=core.retained)
-        Du[flat] = core.derivatives(U, out=derivs, work=work, entries=support)
+        core.derivatives(U, out=Du, work=work, entries=support)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         nonzero = _perturbation_spectrum(F, X, Du, core, Phi, step, trace)

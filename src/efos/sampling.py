@@ -1,9 +1,11 @@
 """Deterministic sample generation: sphere point sets and estimator plans.
 
 All randomness in the package flows through :func:`rng_from_seed`, which
-wraps the MT19937 (Mersenne Twister) generator.  The algorithm is named so
-that a sampling stream can be reproduced exactly from a seed, independent
-of this code base.
+wraps the MT19937 (Mersenne Twister) generator, with one exception: the
+support probe of ``NonlinearOperator`` draws from the standard library's
+``random.Random(0)``, also MT19937, so that building an operator does not
+load ``numpy.random``.  The algorithm is named so that a sampling stream
+can be reproduced exactly from a seed, independent of this code base.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ X_BOX = 1.0
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Seeded MT19937 generator; the single RNG used across the package."""
+    """Seeded MT19937 generator, the package's RNG except in the support probe."""
     return np.random.Generator(np.random.MT19937(int(seed)))
 
 

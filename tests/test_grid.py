@@ -197,6 +197,14 @@ def test_buffered_transforms_match_allocating_ones(n, G):
     # the same passes as irfftn of the derivative spectrum, in the same order
     d = (U[:, None] * core.deriv).reshape((2 * n,) + core.zmag.shape)
     assert np.array_equal(Du, core.inverse(d))
+    # a partial list writes its entries (alpha, j) into rows alpha * n + j and leaves every other row alone
+    entries = ((1, n - 1), (0, 0))
+    part = np.full((2 * n,) + grid.shape, np.nan)
+    work = np.full((len(entries),) + core.zmag.shape, np.nan, complex)
+    assert core.derivatives(U, out=part, work=work, entries=entries) is part
+    listed = [alpha * n + j for alpha, j in entries]
+    assert np.array_equal(part[listed], Du[listed])
+    assert np.isnan(np.delete(part, listed, axis=0)).all()
     assert np.array_equal(U, U_before)
     spec = np.full(U.shape, np.nan, complex)
     assert core.forward(v, out=spec) is spec

@@ -142,9 +142,10 @@ def test_plan_inverts_the_symbol(name):
     plan = MultiplierPlan(A, PeriodicGrid(n=A.n, G=8))
     core = plan.core
     symbol = np.einsum("abj,j...->...ab", A.entries, 2j * np.pi * core.z)
-    prod = plan.multipliers @ symbol
+    M = np.moveaxis(plan.multipliers, (0, 1), (-2, -1))  # stored as M[a, b, ...]
+    prod = M @ symbol
     np.testing.assert_allclose(prod[core.retained], np.broadcast_to(np.eye(A.N), prod[core.retained].shape), atol=1e-13)
-    assert not plan.multipliers[~core.retained].any()
+    assert not M[~core.retained].any()
 
 
 @pytest.mark.parametrize("name", ["cr3_N6", "dirac2_N8"])

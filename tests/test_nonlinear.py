@@ -471,6 +471,18 @@ def _row_switching_operator(A):
     return NonlinearOperator(perturbation=perturbation, anchor=A, support=((0, 0),), declared_nearness=0.4)
 
 
+def _gapped_support_operator(A):
+    # reads Q_11 and Q_23, gradient rows 0 and 5: a support that is not one run of rows
+    def perturbation(x, Q):
+        Q = np.asarray(Q, dtype=float)
+        out = np.zeros(Q.shape[:-2] + (4,))
+        out[..., 0] = 0.3 * np.sin(Q[..., 0, 0])
+        out[..., 2] = 0.3 * np.tanh(Q[..., 1, 2])
+        return out
+
+    return NonlinearOperator(perturbation=perturbation, anchor=A, support=((1, 2), (0, 0)), declared_nearness=0.3)
+
+
 @pytest.mark.parametrize(
     "build, support",
     [
@@ -478,8 +490,9 @@ def _row_switching_operator(A):
         (lambda A: variable_linear(A, 0.3), ((0, 0),)),
         (_expression_operator, tuple(np.ndindex(4, 3))),  # the default: every entry
         (_row_switching_operator, ((0, 0),)),
+        (_gapped_support_operator, ((0, 0), (1, 2))),
     ],
-    ids=["tanh_trace", "variable_linear", "expression", "row_switching"],
+    ids=["tanh_trace", "variable_linear", "expression", "row_switching", "gapped_support"],
 )
 def test_support_loop_matches_physical_space_reference(build, support):
     F = build(dirac())
