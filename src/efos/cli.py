@@ -28,21 +28,16 @@ from .ellipticity import NonEllipticError, cached_nu, ellipticity_constant, near
 from .exprs import ExpressionError, compile_expression
 from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
-from .linear import (
-    REPORT_COLUMNS,
-    MultiplierPlan,
-    RegularizerSequence,
-    report_row,
-    solve_linear,
-    solve_representation,
-    verify_apriori,
-)
+from .linear import MultiplierPlan, RegularizerSequence, solve_linear, solve_representation, verify_apriori
 from .nonlinear import DivergenceError, NonlinearOperator, campanato_solve, near_operator_check, verify_comparison
 from .oracle import solve_dense
 from .sampling import rng_from_seed
 from .tensor import ConstantTensor, contract
 
-__all__ = ["main", "entry", "ConfigError"]
+__all__ = ["main", "entry", "ConfigError", "REPORT_COLUMNS", "TRACE_COLUMNS"]
+
+REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
+TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
 
 class ConfigError(ValueError):
@@ -243,7 +238,8 @@ def cmd_solve_linear(cfg, args) -> int:
     u, report = solve_linear(A, f, plan=plan)
     apriori = verify_apriori(A, u, f)
     write_field(args.out / "u.efof", u)
-    write_csv(args.out / "report.csv", REPORT_COLUMNS, [report_row(grid, report, apriori)])
+    row = (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
+    write_csv(args.out / "report.csv", REPORT_COLUMNS, [row])
     print(
         f"residual = {report.residual:.3e}  ratio_grad = {apriori.ratio_grad:.12g}"
         + ("  [nyquist content truncated]" if report.nyquist_truncated else "")
@@ -267,13 +263,19 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     F = build_operator(cfg, A)
     tol = _get(cfg, "solver", "tol", float, 1e-10)
     max_iter = _get(cfg, "solver", "max_iter", int, 400)
-    u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
+
+    def write_trace(trace):
+        rows = zip(trace.k, trace.d, trace.ratio, trace.residual, trace.dropped_mean_norm)
+        write_csv(args.out / "trace.csv", TRACE_COLUMNS, rows)
+
+    try:
+        u, trace = campanato_solve(F, f, tol=tol, max_iter=max_iter)
+    except DivergenceError as exc:  # a diverged run leaves its trace, not its iterate
+        write_trace(exc.trace)
+        raise
     write_field(args.out / "u.efof", u)
-    trace.write_csv(args.out / "trace.csv")
-    print(
-        f"{trace.message}; final residual = {trace.residual[-1]:.3e}, "
-        f"K_theory = {trace.K_theory:.4g}"
-    )
+    write_trace(trace)
+    print(f"{trace.message}; final residual = {trace.residual[-1]:.3e}, K_theory = {trace.K_theory:.4g}")
     return 0 if trace.converged else 3
 
 

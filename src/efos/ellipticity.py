@@ -290,7 +290,7 @@ def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
         AQ = s[:, None] * contract(A, U)  # (S, N)
         dF = D + AQ[:, None, None]
         aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per scale, summed as for a lone scale
-        s_sq = np.array([t**2 for t in s.tolist()])  # Python's float pow, as for a lone scale
+        s_sq = s**2
         rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
         guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
         gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated

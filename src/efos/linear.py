@@ -43,11 +43,7 @@ __all__ = [
     "solve_representation",
     "verify_apriori",
     "apply_tensor",
-    "REPORT_COLUMNS",
-    "report_row",
 ]
-
-REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
 
 
 def apply_tensor(A: ConstantTensor, Du: GridFunction) -> GridFunction:
@@ -291,8 +287,3 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction) -> Aprio
         norm_du=ndu,
         norm_u_2star=float(n2s),
     )
-
-
-def report_row(grid: PeriodicGrid, report: SolveReport, apriori: AprioriReport) -> tuple:
-    """The values of the columns in REPORT_COLUMNS."""
-    return (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)

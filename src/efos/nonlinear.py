@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
-from .fieldfile import write_csv
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
 from .tensor import ConstantTensor, contract
@@ -37,10 +36,7 @@ __all__ = [
     "campanato_solve",
     "verify_comparison",
     "near_operator_check",
-    "TRACE_COLUMNS",
 ]
-
-TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
 
 @dataclass(frozen=True)
@@ -144,9 +140,6 @@ class IterationTrace:
         self.ratio.append(float(ratio))
         self.residual.append(float(residual))
         self.dropped_mean_norm.append(float(dropped))
-
-    def write_csv(self, path) -> None:
-        write_csv(path, TRACE_COLUMNS, zip(self.k, self.d, self.ratio, self.residual, self.dropped_mean_norm))
 
 
 class DivergenceError(RuntimeError):
@@ -338,11 +331,13 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     For each pair (u, v): |Phi[u] - Phi[v]|_2, that is |F[u] - F[v] -
     (A[u] - A[v])|_2, must not exceed K |A[u] - A[v]|_2 with K the
     declared nearness ratio.  Degenerate pairs with A[u] = A[v] count as
-    violations only if the left side is nonzero.
+    violations only if the left side is nonzero.  NonEllipticError unless
+    the declared nearness leaves a contraction margin, as in the solver.
     """
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")
     A = F.anchor
+    _contraction_margin(A, F.declared_nearness)
     K = F.declared_nearness / cached_nu(A)
     violations, max_ratio, witness, count = 0, 0.0, None, 0
     for idx, (u, v) in enumerate(pairs):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: configs in, reports and fields out, coded exits."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,9 @@ import numpy as np
 import pytest
 
 import efos
-from efos.cli import main
+from efos.cli import REPORT_COLUMNS, TRACE_COLUMNS, main
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
-from efos.linear import REPORT_COLUMNS
-from efos.nonlinear import TRACE_COLUMNS
 from efos.sampling import rng_from_seed
 
 from helpers import dirac_closed_form, poke_payload
@@ -252,6 +251,25 @@ max_iter = 400
     assert float(last[3]) <= 1e-8
 
 
+def test_trace_csv_columns(tmp_path, capsys):
+    text = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[nonlinear]
+source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
+
+[solver]
+tol = 1e-8
+"""
+    code, out = run(tmp_path, text, "solve-nonlinear")
+    assert code == 0
+    iterations = int(capsys.readouterr().out.split("converged in ")[1].split(" iterations")[0])
+    lines = (out / "trace.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert len(lines) == iterations + 1
+    first = lines[1].split(",")
+    assert first[0] == "1"
+    assert math.isnan(float(first[2]))  # no ratio on the first step
+
+
 def test_solve_nonlinear_expression_operator(tmp_path):
     text = """
 [tensor]
@@ -275,8 +293,8 @@ lambda = 0.2
     assert (out / "u.efof").exists()
 
 
-def test_solve_nonlinear_divergence_exit_code(tmp_path):
-    text = DIRAC_LINEAR + """
+# F = 2.5 A:Q declared as 0.5 nu(A) from A: Phi = 1.5 A:Q, so every step grows d by the factor 1.5
+DIVERGING = DIRAC_LINEAR + """
 [nonlinear]
 f1 = 2.5*(q11 + q22 + q33)
 f2 = 2.5*(-q12 + q21 + q43)
@@ -287,13 +305,9 @@ lambda = 0.5
 [solver]
 max_iter = 50
 """
-    code, _ = run(tmp_path, text, "solve-nonlinear")
-    assert code == 3
 
-
-def test_solve_nonlinear_non_finite_operator_exit_code(tmp_path, capsys):
-    # exp overflows once q11 > 7.1e-4, and inf - inf is NaN
-    text = DIRAC_LINEAR + """
+# exp overflows once q11 > 7.1e-4, and inf - inf is NaN
+NON_FINITE = DIRAC_LINEAR + """
 [nonlinear]
 f1 = q11 + q22 + q33 + exp(1e6*q11) - exp(1e6*q11)
 f2 = -q12 + q21 + q43
@@ -301,11 +315,40 @@ f3 = -q13 + q31 - q42
 f4 = -q23 + q32 + q41
 lambda = 0.5
 """
+
+
+def test_solve_nonlinear_divergence_exit_code(tmp_path):
+    code, _ = run(tmp_path, DIVERGING, "solve-nonlinear")
+    assert code == 3
+
+
+def test_solve_nonlinear_non_finite_operator_exit_code(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run(tmp_path, text, "solve-nonlinear")
+        code, out = run(tmp_path, NON_FINITE, "solve-nonlinear")
     assert code == 3
     assert "not finite at step 1" in capsys.readouterr().err
     assert not (out / "u.efof").exists()
+
+
+def test_diverged_run_writes_its_trace(tmp_path, capsys):
+    code, out = run(tmp_path, DIVERGING, "solve-nonlinear")
+    assert code == 3
+    assert "no contraction for 3 consecutive steps" in capsys.readouterr().err
+    assert not (out / "u.efof").exists()
+    with open(out / "trace.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header) == TRACE_COLUMNS
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    assert len(rows) >= 3 and math.isnan(float(rows[0][2]))
+    assert all(abs(float(row[2]) - 1.5) <= 1e-9 for row in rows[1:])
+
+
+def test_non_finite_run_writes_a_header_only_trace(tmp_path):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, NON_FINITE, "solve-nonlinear")
+    assert code == 3
+    assert not (out / "u.efof").exists()
+    assert (out / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
 
 
 @pytest.mark.parametrize(

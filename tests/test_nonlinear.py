@@ -12,7 +12,6 @@ from efos.ellipticity import NonEllipticError, cached_nu
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import MultiplierPlan, apply_tensor, solve_linear
 from efos.nonlinear import (
-    TRACE_COLUMNS,
     DivergenceError,
     NonlinearOperator,
     campanato_solve,
@@ -341,8 +340,18 @@ def test_solver_and_comparison_share_the_margin_gate(lam):
         campanato_solve(F, w)
     with pytest.raises(NonEllipticError) as compare:
         verify_comparison(F, w, w)
-    assert str(solve.value) == str(compare.value)
+    with pytest.raises(NonEllipticError) as near:
+        near_operator_check(F, [(w, w)])
+    assert str(solve.value) == str(compare.value) == str(near.value)
     assert str(solve.value).startswith("no contraction margin: nearness ")
+
+
+def test_near_operator_check_refuses_a_zero_anchor():
+    # nu(A) = 0, so K = nearness / nu(A) would divide by zero
+    F = _linear_anchor_operator(ConstantTensor(np.zeros((2, 2, 2))), declared=0.5)
+    w = single_mode_rhs(PeriodicGrid(n=2, G=8), 2)
+    with pytest.raises(NonEllipticError, match="no contraction margin: nearness 0.5 >= nu"):
+        near_operator_check(F, [(w, w)])
 
 
 def test_near_operator_inequality():
@@ -365,21 +374,6 @@ def test_near_operator_identical_operator():
     pairs = [(random_band_limited(grid, 4, rng), random_band_limited(grid, 4, rng))]
     rep = near_operator_check(F, pairs)
     assert rep.violations == 0
-
-
-def test_trace_csv_columns(tmp_path):
-    grid = PeriodicGrid(n=3, G=8)
-    f = single_mode_rhs(grid, 4)
-    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
-    _, trace = campanato_solve(F, f, tol=1e-8)
-    p = tmp_path / "trace.csv"
-    trace.write_csv(p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == ",".join(TRACE_COLUMNS)
-    assert len(lines) == trace.iterations + 1
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert math.isnan(float(first[2]))  # no ratio on the first step
 
 
 def _reference_picard(F, f, tol, u0=None, max_iter=400):
