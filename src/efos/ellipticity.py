@@ -201,24 +201,34 @@ def cached_nu(A: ConstantTensor) -> float:
     return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
 
 
-def _increment_sweep(F, plan: SamplingPlan | None):
-    """Yield ``(s, U, X, P, D)`` for each increment direction U (N, n) of
-    the plan, on the broadcast shape that the perturbation returns.
+# entries of one chunk of ladder batches, counted at the full (nx, np, N) shape
+_LADDER_CHUNK_ELEMENTS = 1 << 16
 
-    s is the magnitude ladder (S,), X is (nx, 1, n), P is (1, np, N, n) and
-    D = Phi(X, P + s U) - Phi(X, P) is (S, a, b, N) with a in {1, nx} and
-    b in {1, np}: a is 1 when Phi ignores x.  D[k] is the batch of the pair
-    (U, s[k]), and an axis of length 1 stands for all of its samples.
+
+def _increment_sweep(F, plan: SamplingPlan | None):
+    """Yield ``(s, U, X, P, D)`` for each chunk of the magnitude ladder of
+    each increment direction U (N, n) of the plan, on the broadcast shape
+    that the perturbation returns.
+
+    s is a run of consecutive ladder scales (S,), as many as fit in
+    ``_LADDER_CHUNK_ELEMENTS``, at least one; X is (nx, 1, n), P is
+    (1, np, N, n) and D = Phi(X, P + s U) - Phi(X, P) is (S, a, b, N) with
+    a in {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  D[k] is the
+    batch of the pair (U, s[k]), and an axis of length 1 stands for all of
+    its samples.
     """
     A = F.anchor
     plan = plan or SamplingPlan()
     N, n = A.N, A.n
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
-    s = np.array(MAGNITUDE_LADDER)
+    ladder = np.array(MAGNITUDE_LADDER)
+    step = max(1, _LADDER_CHUNK_ELEMENTS // (len(X) * P.shape[1] * N))
     Phi0 = np.asarray(F.perturbation(X, P))
     for U in plan.q_directions(N, n, anchor=A):
-        yield s, U, X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
+        for start in range(0, len(ladder), step):
+            s = ladder[start : start + step]
+            yield s, U, X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
 
 
 def _sample(batch: np.ndarray, X, P):

@@ -6,8 +6,10 @@ orthonormal basis of the solvable fields, made from the same exponentials,
 and solves that square system of N ((G-1)^n - 1) unknowns by least
 squares.  The brute-force ellipticity estimate samples the sphere densely
 with no refinement, through Gram-matrix eigenvalues rather than the fast
-path's singular values.  Both exist to disagree loudly if the fast paths
-drift.
+path's singular values; a batched LDL^T inertia test with a rounding
+margin skips the samples certified above its own running minimum, and
+the result equals the unpruned loop's bit for bit.  Both exist to
+disagree loudly if the fast paths drift.
 """
 
 from __future__ import annotations
@@ -148,16 +150,39 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     is about eps |A|^2 / nu, some 1e-8 |A| near a singular direction.
     Beyond that, the answer can exceed the true nu(A) only by the
     sampling gap of the point set.
+
+    After the first batch, only the Gram matrices G not certified to lie
+    above the running minimum get eigenvalues.  A batched LDL^T of
+    G - (best + delta) I whose pivots are all positive certifies G, by
+    Sylvester's law of inertia; the margin delta absorbs the rounding of
+    both the pivots and LAPACK's eigenvalues, so the result equals the
+    full loop's bit for bit.  Where sigma_min is flat (dirac,
+    Cauchy-Riemann) every sample lies within delta of the minimum and all
+    of them still get eigenvalues.
     """
     if samples < 1000:
         raise ValueError(f"brute-force sampling needs at least 1000 points, got {samples}")
     N, n = A.N, A.n
     S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(n * n, N * N)
     dirs = unit_sphere_points(n, samples)
+    diag = np.arange(N)
     best = np.inf
     for start in range(0, len(dirs), 8192):
         a = dirs[start : start + 8192]
         # einsum's own loop: a BLAS matmul this thin would wake a second thread and its buffers
         gram = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
-        best = min(best, float(np.linalg.eigvalsh(gram)[:, 0].min()))
+        if start:
+            # delta = 64 N^2 eps (tr G + |best|): for PSD G, tr G + |best| bounds |G - best I|_2, and
+            # the backward errors of LDL^T and of the symmetric eigensolver are each O(N^2 eps) times
+            # it (Higham 2002, ch. 10); 64 covers both, so a certified G's eigvalsh exceed best
+            W = gram.transpose(1, 2, 0).copy()  # (N, N, b): each step is a length-b vector op
+            W[diag, diag] -= best + 64 * N * N * np.finfo(float).eps * (W[diag, diag].sum(axis=0) + abs(best))
+            certified = np.ones(len(a), dtype=bool)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for j in range(N):
+                    certified &= W[j, j] > 0
+                    W[j + 1 :, j + 1 :] -= W[j + 1 :, j, None] * (W[j, j + 1 :] / W[j, j])
+            gram = gram[~certified]
+        if len(gram):
+            best = min(best, float(np.linalg.eigvalsh(gram)[:, 0].min()))
     return float(np.sqrt(max(best, 0.0)))

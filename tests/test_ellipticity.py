@@ -3,10 +3,12 @@
 import ast
 import configparser
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import efos.ellipticity
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
 from efos.cli import build_operator
 from efos.ellipticity import (
@@ -18,7 +20,7 @@ from efos.ellipticity import (
     nearness_constant,
 )
 from efos.nonlinear import NonlinearOperator
-from efos.sampling import SamplingPlan, rng_from_seed
+from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
 from helpers import reference_sweeps
 
@@ -359,6 +361,45 @@ def test_sweep_reports_match_the_full_grid_loop(op, plan):
             assert want[1].violations > 0
 
 
+@pytest.mark.parametrize("op", sorted(SWEEP_OPERATORS))
+def test_sweep_reports_match_the_full_grid_loop_one_scale_per_chunk(op, monkeypatch):
+    monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", 1)
+    F, sampling = SWEEP_OPERATORS[op], SWEEP_PLANS["seed3"]
+    want = reference_sweeps(F, 0.7, sampling)
+    _assert_reports_equal(nearness_constant(F, plan=sampling), want[0])
+    _assert_reports_equal(check_pseudomonotonicity(F, 0.7, plan=sampling), want[1])
+    _assert_reports_equal(lipschitz_and_converse(F, 0.7, plan=sampling), want[2])
+
+
+def _sweep_chunks(F, plan):
+    return [tuple(s.tolist()) for s, *_ in efos.ellipticity._increment_sweep(F, plan)]
+
+
+def test_ladder_chunks_cover_the_ladder_in_order():
+    F = variable_linear(dirac(), 0.3)
+    # the benchmark's plan shape, 27 x points and 65 P samples, stays one chunk per direction
+    plan = SamplingPlan(x_per_axis=3, random_p=16, random_q=32)
+    assert (len(plan.x_points(3)), len(plan.p_matrices(4, 3))) == (27, 65)
+    assert set(_sweep_chunks(F, plan)) == {MAGNITUDE_LADDER}
+    large = SamplingPlan(x_per_axis=6, random_p=200, random_q=1)
+    chunks = _sweep_chunks(F, large)
+    assert max(map(len, chunks)) < len(MAGNITUDE_LADDER)
+    assert sum(chunks, ()) == MAGNITUDE_LADDER * len(large.q_directions(4, 3, anchor=F.anchor))
+
+
+def test_large_plan_sweep_memory_is_bounded():
+    # the whole ladder of a direction in one chunk peaks at 50.5 MiB on this plan
+    F, plan = variable_linear(dirac(), 0.3), SamplingPlan(x_per_axis=6, random_p=200, random_q=4)
+    tracemalloc.start()
+    try:
+        report = check_pseudomonotonicity(F, lam=0.7, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    _assert_reports_equal(report, reference_sweeps(F, 0.7, plan)[1])
+
+
 def _sample_nan_operator():
     """0.1 cos(2 pi x1) sin(q11) e_1, NaN at one (x, P + Q) sample deep in the default plan."""
     A, plan = dirac(), SamplingPlan()
@@ -434,6 +475,15 @@ def test_non_finite_error_names_the_reference_sample(kind):
         assert x == [0.0, 0.0, 0.0]  # the broadcast x-index 0
     else:  # the quotient's sample, checked before the gap's
         assert np.linalg.norm(q) == 10.0 and not np.any(p)
+    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+        assert _error_message(lambda: estimator(F)) == want
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_SAMPLE_OPERATORS))
+def test_non_finite_error_names_the_reference_sample_one_scale_per_chunk(kind, monkeypatch):
+    monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", 1)
+    F = NAMED_SAMPLE_OPERATORS[kind]()
+    want = _error_message(lambda: reference_sweeps(F, 0.5))
     for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
         assert _error_message(lambda: estimator(F)) == want
 

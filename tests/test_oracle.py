@@ -195,4 +195,67 @@ def test_brute_nu_shares_no_kernel_with_the_fast_path(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(efos.oracle, "direction_matrix", refuse, raising=False)
     monkeypatch.setattr(efos.tensor, "direction_matrix", refuse)
+    # nor the fast path's nu, which must never seed the pruning threshold
+    monkeypatch.setattr(efos.ellipticity, "cached_nu", refuse)
+    monkeypatch.setattr(efos.ellipticity, "_sigma_min", refuse)
     assert brute_nu(cauchy_riemann(), 5000) == pytest.approx(1.0, abs=1e-12)
+    assert brute_nu(_perturbed_dirac(0), 20_001) == _full_eigvalsh_nu(_perturbed_dirac(0), 20_001)
+
+
+def _full_eigvalsh_nu(A, samples):
+    """brute_nu before pruning: the least eigenvalue of every Gram matrix."""
+    N, n = A.N, A.n
+    S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(n * n, N * N)
+    dirs = unit_sphere_points(n, samples)
+    best = np.inf
+    for start in range(0, len(dirs), 8192):
+        a = dirs[start : start + 8192]
+        gram = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
+        best = min(best, float(np.linalg.eigvalsh(gram)[:, 0].min()))
+    return float(np.sqrt(max(best, 0.0)))
+
+
+def _perturbed_dirac(seed):
+    return ConstantTensor(dirac().entries + 0.02 * rng_from_seed(seed).normal(size=(4, 4, 3)))
+
+
+def _zero_row_tensor():
+    entries = rng_from_seed(4).normal(size=(4, 4, 3))
+    entries[2] = 0.0
+    return ConstantTensor(entries)
+
+
+PRUNING_TENSORS = {
+    "dirac": dirac,
+    "cauchy_riemann": cauchy_riemann,
+    "generalized_cr(2,1,1,1)": lambda: generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0),
+    **{f"perturbed_dirac_{seed}": (lambda seed=seed: _perturbed_dirac(seed)) for seed in range(5)},
+    **{
+        f"random_N{N}n{n}": (lambda N=N, n=n: ConstantTensor(rng_from_seed(10 * N + n).normal(size=(N, N, n))))
+        for N, n in [(2, 2), (3, 3), (4, 3), (4, 4)]
+    },
+    # least eigenvalue about 0 or slightly negative, so G - best I shifts upward
+    "zero_row": _zero_row_tensor,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNING_TENSORS))
+def test_brute_nu_is_bit_identical_to_the_full_eigenvalue_loop(name):
+    # 8193 and 20_001 end in a partial batch, 8193 in a batch of one sample
+    A = PRUNING_TENSORS[name]()
+    for samples in (1000, 8193, 20_001, 100_000):
+        assert brute_nu(A, samples) == _full_eigvalsh_nu(A, samples), samples
+
+
+def test_brute_nu_prunes_eigenvalue_calls(monkeypatch):
+    eigvalsh, rows = np.linalg.eigvalsh, []
+
+    def counting(a):
+        rows.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    brute_nu(_perturbed_dirac(0), 100_000)
+    assert sum(rows) <= 20_000
+    # dirac's sigma_min is flat, so nothing is certified and every sample still gets an eigenvalue
+    assert brute_nu(dirac(), 100_000) == pytest.approx(1.0, abs=1e-12)
