@@ -51,7 +51,8 @@ class NonEllipticError(ValueError):
 
 @dataclass(frozen=True)
 class EllipticityReport:
-    """Result of an ellipticity-constant computation."""
+    """Result of an ellipticity-constant computation; ``resolution`` is the
+    number of sphere samples taken, at least the number requested."""
 
     nu: float
     argmin_direction: np.ndarray
@@ -163,14 +164,15 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     ----------
     A : ConstantTensor
     resolution : int
-        Number of quasi-uniform sphere samples, at least 100.
+        Requested number of quasi-uniform sphere samples, at least 100.
 
     Returns
     -------
     EllipticityReport
         With ``nu``, the unit ``argmin_direction``, the minimum of
-        |det(A a)| refined by a second compass search, the sample count,
-        and flags for refinement convergence and ellipticity.
+        |det(A a)| refined by a second compass search, the sample count
+        (at least resolution: the n >= 4 sphere grid rounds up), and flags
+        for refinement convergence and ellipticity.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
@@ -181,7 +183,7 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
         nu=nu,
         argmin_direction=argmin,
         min_abs_det=min_det,
-        resolution=resolution,
+        resolution=len(dirs),
         refined=refined,
         elliptic=is_elliptic(A, nu),
     )
@@ -201,20 +203,24 @@ def cached_nu(A: ConstantTensor) -> float:
     return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
 
 
-# entries of one chunk of ladder batches, counted at the full (nx, np, N) shape
+# entries of one chunk of increments, each increment counted at the larger
+# of the perturbation's values and its (np, N, n) input
 _LADDER_CHUNK_ELEMENTS = 1 << 16
 
 
 def _increment_sweep(F, plan: SamplingPlan | None):
-    """Yield ``(s, U, X, P, D)`` for each chunk of the magnitude ladder of
-    each increment direction U (N, n) of the plan, on the broadcast shape
-    that the perturbation returns.
+    """Yield ``(s, U, AU, X, P, D)`` for each chunk of the plan's increments,
+    on the broadcast shape that the perturbation returns.
 
-    s is a run of consecutive ladder scales (S,), as many as fit in
-    ``_LADDER_CHUNK_ELEMENTS``, at least one; X is (nx, 1, n), P is
-    (1, np, N, n) and D = Phi(X, P + s U) - Phi(X, P) is (S, a, b, N) with
-    a in {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  D[k] is the
-    batch of the pair (U, s[k]), and an axis of length 1 stands for all of
+    The increments are the pairs of an increment direction U_d (N, n) of the
+    plan and a scale of MAGNITUDE_LADDER, direction by direction and each
+    ladder in order.  A chunk is a run of consecutive pairs, which may cross
+    directions, as many as fit in ``_LADDER_CHUNK_ELEMENTS``, at least one:
+    s is (S,), U (S, N, n) and AU (S, N) holds A:U_d, contracted once per
+    direction.  X is (nx, 1, n), P is (1, np, N, n) and
+    D = Phi(X, P + s U) - Phi(X, P) is a fresh (S, a, b, N) array with a in
+    {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  D[k] is the batch
+    of the increment s[k] U[k], and an axis of length 1 stands for all of
     its samples.
     """
     A = F.anchor
@@ -222,13 +228,32 @@ def _increment_sweep(F, plan: SamplingPlan | None):
     N, n = A.N, A.n
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
-    ladder = np.array(MAGNITUDE_LADDER)
-    step = max(1, _LADDER_CHUNK_ELEMENTS // (len(X) * P.shape[1] * N))
+    dirs = plan.q_directions(N, n, anchor=A)
+    AU = np.array([contract(A, U) for U in dirs])  # (D, N), each rounded as a lone A:U
+    scales = np.tile(MAGNITUDE_LADDER, len(dirs))
+    which = np.repeat(np.arange(len(dirs)), len(MAGNITUDE_LADDER))
     Phi0 = np.asarray(F.perturbation(X, P))
-    for U in plan.q_directions(N, n, anchor=A):
-        for start in range(0, len(ladder), step):
-            s = ladder[start : start + step]
-            yield s, U, X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
+    step = max(1, _LADDER_CHUNK_ELEMENTS // max(Phi0.size, P.size))
+    for start in range(0, len(scales), step):
+        s, d = scales[start : start + step], which[start : start + step]
+        U = dirs[d]
+        yield s, U, AU[d], X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``, bit for bit.
+
+    numpy sums fewer than 8 squares in index order, so the columns are
+    added one at a time; from 8 on its pairwise kernel keeps eight partial
+    sums, and the norm is left to numpy.
+    """
+    if v.shape[-1] >= 8:
+        return np.linalg.norm(v, axis=-1)
+    sq = v * v
+    out = sq[..., 0].copy()
+    for j in range(1, v.shape[-1]):
+        out += sq[..., j]
+    return np.sqrt(out, out=out)
 
 
 def _sample(batch: np.ndarray, X, P):
@@ -242,13 +267,13 @@ def _sample(batch: np.ndarray, X, P):
 def _batch_max(s, U, X, P, *values):
     """The largest entry of each (a, b) batch of the (S, a, b) values, shape
     (S, len(values)).  ValueError names the (x, P, Q) sample of the first
-    batch, scale by scale and then in the order of values, whose largest
-    entry is not finite."""
+    batch, increment by increment and then in the order of values, whose
+    largest entry is not finite."""
     top = np.stack([v.max(axis=(1, 2)) for v in values], axis=1)  # NaN where a batch holds one
     bad = np.argwhere(~np.isfinite(top))
     if len(bad):
         k, c = bad[0]
-        (x, p), q = _sample(values[c][k], X, P), s[k] * U
+        (x, p), q = _sample(values[c][k], X, P), s[k] * U[k]
         raise ValueError(f"F - A is not finite at the sample x = {x.tolist()}, P = {p.tolist()}, Q = {q.tolist()}")
     return top
 
@@ -264,13 +289,13 @@ def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
     """
     nu_a = cached_nu(F.anchor)
     best, witness, total = -1.0, None, 0
-    for s, U, X, P, D in _increment_sweep(F, plan):
-        ratios = np.linalg.norm(D, axis=-1) / s[:, None, None]
+    for s, U, _, X, P, D in _increment_sweep(F, plan):
+        ratios = _row_norms(D) / s[:, None, None]
         total += len(s) * len(X) * P.shape[1]
         top = _batch_max(s, U, X, P, ratios)[:, 0]
-        k = int(np.argmax(top))  # ties: the first scale wins
+        k = int(np.argmax(top))  # ties: the first increment wins
         if top[k] > best:
-            best, witness = float(top[k]), (*_sample(ratios[k], X, P), s[k] * U)
+            best, witness = float(top[k]), (*_sample(ratios[k], X, P), s[k] * U[k])
     return NearnessReport(
         nu_fa=best,
         nu_a=nu_a,
@@ -296,10 +321,10 @@ def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
         raise ValueError(f"lam must be in (0, 1), got {lam}")
     nu_a = cached_nu(A)
     lip, violations, worst, total, witness = 0.0, 0, 0.0, 0, (None, None, None)
-    for s, U, X, P, D in _increment_sweep(F, plan):
-        AQ = s[:, None] * contract(A, U)  # (S, N)
-        dF = D + AQ[:, None, None]
-        aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per scale, summed as for a lone scale
+    for s, U, AU, X, P, dF in _increment_sweep(F, plan):
+        AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
+        dF += AQ[:, None, None]  # the sweep's fresh D becomes F(x, P+Q) - F(x, P)
+        aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
         s_sq = s**2
         rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
         guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
@@ -308,11 +333,11 @@ def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
         total += len(s) * samples
         violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
         # a batch's Lipschitz quotient is checked before its gap
-        top = _batch_max(s, U, X, P, np.linalg.norm(dF, axis=-1) / s[:, None, None], gap)
+        top = _batch_max(s, U, X, P, _row_norms(dF) / s[:, None, None], gap)
         lip = max(lip, float(top[:, 0].max()))
-        k = int(np.argmax(top[:, 1]))  # ties: the first scale wins
+        k = int(np.argmax(top[:, 1]))  # ties: the first increment wins
         if top[k, 1] > worst:
-            worst, witness = float(top[k, 1]), (*_sample(gap[k], X, P), s[k] * U)
+            worst, witness = float(top[k, 1]), (*_sample(gap[k], X, P), s[k] * U[k])
     report = PseudoMonotonicityReport(
         lam=lam,
         violations=violations,

@@ -20,7 +20,7 @@ from efos.ellipticity import (
     nearness_constant,
 )
 from efos.nonlinear import NonlinearOperator
-from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed
+from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
 from helpers import reference_sweeps
 
@@ -114,6 +114,14 @@ def test_det_condition_known_values():
 def test_resolution_validation():
     with pytest.raises(ValueError):
         ellipticity_constant(dirac(), 10)
+
+
+def test_resolution_is_the_sample_count():
+    # at n = 4 the sphere grid rounds its angle counts up: 2048 requested, 4394 taken
+    A = ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1))
+    assert ellipticity_constant(A, 2048).resolution == len(unit_sphere_points(4, 2048)) == 4394
+    for B, n in ((cauchy_riemann(), 2), (dirac(), 3)):
+        assert ellipticity_constant(B, 2048).resolution == len(unit_sphere_points(n, 2048)) == 2048
 
 
 def test_cached_nu_consistency():
@@ -372,32 +380,131 @@ def test_sweep_reports_match_the_full_grid_loop_one_scale_per_chunk(op, monkeypa
 
 
 def _sweep_chunks(F, plan):
-    return [tuple(s.tolist()) for s, *_ in efos.ellipticity._increment_sweep(F, plan)]
+    """The (s, U, AU) of each chunk of the sweep."""
+    return [(s, U, AU) for s, U, AU, *_ in efos.ellipticity._increment_sweep(F, plan)]
+
+
+def _chunk_budget(F, plan, increments):
+    """A _LADDER_CHUNK_ELEMENTS under which a chunk holds the given number of increments."""
+    N, n = F.anchor.N, F.anchor.n
+    P = plan.p_matrices(N, n)[None]
+    return increments * max(np.size(F.perturbation(plan.x_points(n)[:, None, :], P)), P.size)
+
+
+# the benchmark's plan shape, 27 x points and 65 P samples
+BENCHMARK_PLAN = SamplingPlan(x_per_axis=3, random_p=16, random_q=32)
+LARGE_PLAN = SamplingPlan(x_per_axis=6, random_p=200, random_q=4)
 
 
 def test_ladder_chunks_cover_the_ladder_in_order():
-    F = variable_linear(dirac(), 0.3)
-    # the benchmark's plan shape, 27 x points and 65 P samples, stays one chunk per direction
-    plan = SamplingPlan(x_per_axis=3, random_p=16, random_q=32)
-    assert (len(plan.x_points(3)), len(plan.p_matrices(4, 3))) == (27, 65)
-    assert set(_sweep_chunks(F, plan)) == {MAGNITUDE_LADDER}
-    large = SamplingPlan(x_per_axis=6, random_p=200, random_q=1)
-    chunks = _sweep_chunks(F, large)
-    assert max(map(len, chunks)) < len(MAGNITUDE_LADDER)
-    assert sum(chunks, ()) == MAGNITUDE_LADDER * len(large.q_directions(4, 3, anchor=F.anchor))
+    assert (len(BENCHMARK_PLAN.x_points(3)), len(BENCHMARK_PLAN.p_matrices(4, 3))) == (27, 65)
+    lengths = {}
+    for op in ("sin_q11", "variable_linear"):
+        F = SWEEP_OPERATORS[op]
+        for name, plan in (("benchmark", BENCHMARK_PLAN), ("large", LARGE_PLAN)):
+            # the chunks' (scale, direction) pairs are the plan's directions times the ladder, in order
+            dirs = plan.q_directions(4, 3, anchor=F.anchor)
+            chunks = _sweep_chunks(F, plan)
+            s, U, AU = (np.concatenate(parts) for parts in zip(*chunks))
+            assert np.array_equal(s, np.tile(MAGNITUDE_LADDER, len(dirs)))
+            assert np.array_equal(U, np.repeat(dirs, len(MAGNITUDE_LADDER), axis=0))
+            assert np.array_equal(AU, np.repeat([contract(F.anchor, d) for d in dirs], len(MAGNITUDE_LADDER), axis=0))
+            lengths[op, name] = [len(c[0]) for c in chunks]
+            if (op, name) == ("variable_linear", "benchmark"):
+                # 9 increments of 7 scales each: a chunk holds parts of two directions
+                assert any(len({u.tobytes() for u in c[1]}) > 1 for c in chunks)
+    assert set(lengths["variable_linear", "benchmark"][:-1]) == {9}
+    # x-free: an increment costs its 780-entry (np, N, n) input, more than its 260 values
+    assert len(lengths["sin_q11", "benchmark"]) == 5
+    assert max(lengths["variable_linear", "large"]) < len(MAGNITUDE_LADDER)
+
+
+@pytest.mark.parametrize("increments", [3, 5])
+@pytest.mark.parametrize("op", sorted(SWEEP_OPERATORS))
+def test_sweep_reports_match_the_full_grid_loop_across_directions(op, increments, monkeypatch):
+    # 3 and 5 do not divide the ladder's 7 scales, so chunks hold the end of one direction's ladder
+    # and the start of the next one's
+    F, sampling = SWEEP_OPERATORS[op], SWEEP_PLANS["seed3"]
+    monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", _chunk_budget(F, sampling, increments))
+    assert len(_sweep_chunks(F, sampling)[0][0]) == increments
+    near = nearness_constant(F, plan=sampling)
+    for lam in (0.3, 0.7, 0.95):
+        want = reference_sweeps(F, lam, sampling)
+        _assert_reports_equal(near, want[0])
+        _assert_reports_equal(check_pseudomonotonicity(F, lam, plan=sampling), want[1])
+        _assert_reports_equal(lipschitz_and_converse(F, lam, plan=sampling), want[2])
+
+
+def _tracemalloc_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def test_large_plan_sweep_memory_is_bounded():
     # the whole ladder of a direction in one chunk peaks at 50.5 MiB on this plan
-    F, plan = variable_linear(dirac(), 0.3), SamplingPlan(x_per_axis=6, random_p=200, random_q=4)
-    tracemalloc.start()
-    try:
-        report = check_pseudomonotonicity(F, lam=0.7, plan=plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    F = variable_linear(dirac(), 0.3)
+    report, peak = _tracemalloc_peak(lambda: check_pseudomonotonicity(F, lam=0.7, plan=LARGE_PLAN))
     assert peak < 16 * 2**20
-    _assert_reports_equal(report, reference_sweeps(F, 0.7, plan)[1])
+    _assert_reports_equal(report, reference_sweeps(F, 0.7, LARGE_PLAN)[1])
+
+
+def test_x_free_large_plan_sweep_memory_is_bounded():
+    # an x-free perturbation returns (S, 1, np, N), so its chunk size is set by its (np, N, n) input
+    F = lipschitz_perturbation(dirac(), 0.5)
+    report, peak = _tracemalloc_peak(lambda: check_pseudomonotonicity(F, lam=0.7, plan=LARGE_PLAN))
+    assert peak < 4 * 2**20
+    _assert_reports_equal(report, reference_sweeps(F, 0.7, LARGE_PLAN)[1])
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_row_norms_equal_numpy_norm(N):
+    rng = rng_from_seed(N)
+    v = rng.normal(size=(5, 7, 3, N)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, 3, N))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, 1e200, -1e300])
+    v[0, :, 0] = 0.0  # all-zero rows
+    v[1, :, 0] = 1e200  # rows whose squares overflow
+    v[2, :, 0, 0] = special[np.arange(7) % len(special)]
+    v[3, :, 0] = special[rng.integers(len(special), size=(7, N))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(v, axis=-1)
+        assert np.array_equal(efos.ellipticity._row_norms(v), want, equal_nan=True)
+        assert np.array_equal(efos.ellipticity._row_norms(v[:, :, 1:2]), want[:, :, 1:2])
+    assert np.isinf(want[1, :, 0]).all() and not want[0, :, 0].any()
+
+
+def _block_cauchy_riemann(rotate):
+    """Four Cauchy-Riemann copies on the component pairs, (8, 8, 2), nu = 1.  rotate mixes the
+    eight equations by the orthogonal Sylvester-Hadamard matrix over sqrt(8): nu stays, and
+    every A:Q spreads over all eight components."""
+    entries = np.zeros((8, 8, 2))
+    for c in range(0, 8, 2):
+        entries[c : c + 2, c : c + 2] = cauchy_riemann().entries
+    if rotate:
+        H = np.ones((1, 1))
+        for _ in range(3):
+            H = np.block([[H, H], [H, -H]])
+        entries = np.einsum("ac,cbj->abj", H / np.sqrt(8), entries)
+    return ConstantTensor(entries)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["blocks", "rotated"])
+@pytest.mark.parametrize("shape", ["sin_q11", "tanh_trace"])
+def test_sweep_reports_match_the_full_grid_loop_with_eight_components(shape, rotate):
+    # from N = 8 on numpy's norm sums pairwise, so _row_norms defers to it; no catalog operator
+    # has N >= 8.  With the rotated anchor and tanh_trace, the Lipschitz estimate of a column-by-
+    # column sum differs from the reference in its last bit.
+    F = lipschitz_perturbation(_block_cauchy_riemann(rotate), 0.5, shape)
+    assert (F.anchor.N, F.anchor.n) == (8, 2) and abs(cached_nu(F.anchor) - 1.0) < 1e-12
+    for lam in (0.3, 0.7, 0.95):
+        want = reference_sweeps(F, lam)
+        _assert_reports_equal(nearness_constant(F), want[0])
+        _assert_reports_equal(check_pseudomonotonicity(F, lam), want[1])
+        _assert_reports_equal(lipschitz_and_converse(F, lam), want[2])
 
 
 def _sample_nan_operator():
@@ -483,6 +590,16 @@ def test_non_finite_error_names_the_reference_sample(kind):
 def test_non_finite_error_names_the_reference_sample_one_scale_per_chunk(kind, monkeypatch):
     monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", 1)
     F = NAMED_SAMPLE_OPERATORS[kind]()
+    want = _error_message(lambda: reference_sweeps(F, 0.5))
+    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+        assert _error_message(lambda: estimator(F)) == want
+
+
+@pytest.mark.parametrize("increments", [3, 5])
+@pytest.mark.parametrize("kind", sorted(NAMED_SAMPLE_OPERATORS))
+def test_non_finite_error_names_the_reference_sample_across_directions(kind, increments, monkeypatch):
+    F = NAMED_SAMPLE_OPERATORS[kind]()
+    monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", _chunk_budget(F, SamplingPlan(), increments))
     want = _error_message(lambda: reference_sweeps(F, 0.5))
     for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
         assert _error_message(lambda: estimator(F)) == want
