@@ -85,20 +85,17 @@ def dirac() -> ConstantTensor:
 
 
 def _shape_sin_q11(Q):
-    out = np.zeros(Q.shape[:-2] + (Q.shape[-2],))
-    out[..., 0] = np.sin(Q[..., 0, 0])
-    return out
+    return np.sin(Q[..., 0, 0:1])
 
 
 def _shape_tanh_row1(Q):
     n = Q.shape[-1]
-    out = np.zeros(Q.shape[:-2] + (Q.shape[-2],))
-    out[..., 0] = np.tanh(Q[..., 0, :].sum(axis=-1) / np.sqrt(n))
-    return out
+    return np.tanh(Q[..., 0, :].sum(axis=-1) / np.sqrt(n))[..., None]
 
 
 # Each shape is 1-Lipschitz in the Frobenius norm, so a perturbation
-# lam * nu(A) * shape has nearness constant at most lam * nu(A).
+# lam * nu(A) * shape has nearness constant at most lam * nu(A).  Each
+# returns (..., 1), output component 0, the only row it makes nonzero.
 SHAPE_FUNCTIONS = {
     "sin_q11": _shape_sin_q11,
     "tanh_trace": _shape_tanh_row1,
@@ -121,7 +118,7 @@ def _resolve_base(base) -> ConstantTensor:
 
 def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> NonlinearOperator:
     """F(x, Q) = A:Q + lam nu(A) s(Q) with a 1-Lipschitz shape s, whose
-    support is the entries that s reads.
+    support is the entries that s reads and whose one row is component 0.
 
     The declared nearness is lam * nu(A); the operator is strictly
     elliptic relative to A exactly when lam < 1 (larger lam is allowed
@@ -144,6 +141,7 @@ def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> Nonlinea
         support=_SHAPE_SUPPORTS[shape](A.n),
         declared_nearness=amp,
         name=f"lipschitz_perturbation({lam}, {shape})",
+        rows=(0,),
     )
 
 
@@ -155,7 +153,8 @@ def _default_direction_tensor(N: int, n: int) -> ConstantTensor:
 
 def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> NonlinearOperator:
     """F(x, Q) = (A + eps cos(2 pi x1) B) : Q with a unit-norm modulation B,
-    whose support is the entries (beta, j) that B reads.
+    whose support is the entries (beta, j) that B reads and whose rows are
+    the components where B is nonzero.
 
     The declared nearness is eps * |B| = eps, attained at x1 = 0, so the
     operator is strictly elliptic relative to A iff eps < nu(A).
@@ -173,10 +172,12 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"modulation tensor must have unit operator norm, got {nrm}")
 
+    rows = np.flatnonzero(B.entries.any(axis=(1, 2)))
+
     def perturbation(x, Q):
         x = np.asarray(x, dtype=float)
         osc = eps * np.cos(2.0 * np.pi * x[..., 0])
-        return osc[..., None] * contract(B, Q)
+        return osc[..., None] * contract(B, Q)[..., rows]
 
     return NonlinearOperator(
         perturbation=perturbation,
@@ -184,6 +185,7 @@ def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> Nonlin
         support=tuple(zip(*np.nonzero(B.entries.any(axis=0)))),
         declared_nearness=float(eps),
         name=f"variable_linear({eps})",
+        rows=rows,
     )
 
 

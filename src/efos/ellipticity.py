@@ -21,6 +21,7 @@ sup; sampled min estimates are upper bounds of the true min.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -204,7 +205,7 @@ def cached_nu(A: ConstantTensor) -> float:
 
 
 # entries of one chunk of increments, each increment counted at the larger
-# of the perturbation's values and its (np, N, n) input
+# of the perturbation's values on all N components and its (np, N, n) input
 _LADDER_CHUNK_ELEMENTS = 1 << 16
 
 
@@ -221,7 +222,7 @@ def _increment_sweep(F, plan: SamplingPlan | None):
     D = Phi(X, P + s U) - Phi(X, P) is a fresh (S, a, b, N) array with a in
     {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  D[k] is the batch
     of the increment s[k] U[k], and an axis of length 1 stands for all of
-    its samples.
+    its samples.  D holds all N components, zero off Phi's rows.
     """
     A = F.anchor
     plan = plan or SamplingPlan()
@@ -233,11 +234,12 @@ def _increment_sweep(F, plan: SamplingPlan | None):
     scales = np.tile(MAGNITUDE_LADDER, len(dirs))
     which = np.repeat(np.arange(len(dirs)), len(MAGNITUDE_LADDER))
     Phi0 = np.asarray(F.perturbation(X, P))
-    step = max(1, _LADDER_CHUNK_ELEMENTS // max(Phi0.size, P.size))
+    step = max(1, _LADDER_CHUNK_ELEMENTS // max(math.prod(Phi0.shape[:-1]) * N, P.size))
     for start in range(0, len(scales), step):
         s, d = scales[start : start + step], which[start : start + step]
         U = dirs[d]
-        yield s, U, AU[d], X, P, F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None]) - Phi0
+        Phi1 = F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None])
+        yield s, U, AU[d], X, P, F.scatter(Phi1 - Phi0)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -46,14 +46,17 @@ class NonlinearOperator:
 
     ``perturbation(x, Q)`` takes coordinates of shape (..., n) and gradient
     matrices of shape (..., N, n), broadcasts over the leading axes, and
-    returns (..., N).  ``support`` lists the gradient entries (beta, j)
-    that Phi reads, omitted: every entry; it is stored sorted, and the
-    solver transforms only those derivatives.  A given support is probed
-    once: moving an entry outside it on a seeded random (x, Q) batch must
-    leave Phi unchanged, else ValueError names the entry.
-    ``declared_nearness``, a finite number >= 0 when given, is an
-    analytically known upper bound for nu(F, anchor); solvers trust it for
-    the contraction margin.
+    returns (..., len(rows)): Phi's components ``rows``, the output
+    components that Phi can make nonzero, omitted: all N; the others are
+    zero.  ``support`` lists the gradient entries (beta, j) that Phi reads,
+    omitted: every entry.  Both are stored sorted; the solver forms and
+    transforms only those rows and derivatives, and every other reader sees
+    Phi through ``scatter``, on all N components.  Both are probed once on
+    a seeded random (x, Q) batch: Phi must return len(rows) components, and
+    moving an entry outside the support must leave Phi unchanged, else
+    ValueError names the rows or the entry.  ``declared_nearness``, a
+    finite number >= 0 when given, is an analytically known upper bound
+    for nu(F, anchor); solvers trust it for the contraction margin.
     """
 
     perturbation: Callable
@@ -61,16 +64,19 @@ class NonlinearOperator:
     support: tuple | None = None
     declared_nearness: float | None = None
     name: str = ""
+    rows: tuple | None = None
 
     def __post_init__(self):
         near = self.declared_nearness
         if near is not None and not (math.isfinite(near) and near >= 0):
             raise ValueError(f"declared_nearness must be a finite number >= 0, got {near!r}")
         N, n = self.anchor.N, self.anchor.n
-        if self.support is None:  # every entry, so there is nothing to probe
-            object.__setattr__(self, "support", tuple(np.ndindex(N, n)))
-            return
-        support = tuple(sorted({(int(b), int(j)) for b, j in self.support}))
+        rows = tuple(range(N)) if self.rows is None else tuple(int(a) for a in self.rows)
+        if len(set(rows)) != len(rows) or not all(0 <= a < N for a in rows):
+            raise ValueError(f"rows must be distinct output components below {N}, got {rows}")
+        object.__setattr__(self, "rows", tuple(sorted(rows)))
+        support = tuple(np.ndindex(N, n)) if self.support is None else self.support
+        support = tuple(sorted({(int(b), int(j)) for b, j in support}))
         if not all(0 <= b < N and 0 <= j < n for b, j in support):
             raise ValueError(f"support entries (beta, j) need beta < {N} and j < {n}, got {support}")
         object.__setattr__(self, "support", support)
@@ -78,11 +84,28 @@ class NonlinearOperator:
         rng = random.Random(0)
         x, Q = (np.reshape([rng.gauss(0.0, 1.0) for _ in range(math.prod(s))], s) for s in ((8, n), (8, N, n)))
         base = self.perturbation(x, Q)
+        if np.shape(base)[-1:] != (len(self.rows),):
+            raise ValueError(
+                f"perturbation returns shape {np.shape(base)} for its rows {self.rows}; need (..., {len(self.rows)})"
+            )
+        if len(support) == N * n:  # every entry, so there is nothing to probe
+            return
         for b, j in np.ndindex(N, n):
             moved = Q.copy()
             moved[:, b, j] = [rng.gauss(0.0, 1.0) for _ in range(len(Q))]
             if (b, j) not in support and not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
                 raise ValueError(f"perturbation reads gradient entry ({b}, {j}) outside its support {support}")
+
+    def scatter(self, phi, axis: int = -1) -> np.ndarray:
+        """Perturbation values with ``rows`` along ``axis`` as all N
+        components, zero off ``rows``; full-width values come back as floats."""
+        phi = np.asarray(phi, dtype=float)
+        if len(self.rows) == self.anchor.N:
+            return phi
+        axis %= phi.ndim
+        out = np.zeros(phi.shape[:axis] + (self.anchor.N,) + phi.shape[axis + 1 :])
+        out[(slice(None),) * axis + (list(self.rows),)] = phi
+        return out
 
     def evaluate(self, x, Q) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -92,17 +115,18 @@ class NonlinearOperator:
                 f"expected x (..., {self.anchor.n}) and Q (..., {self.anchor.N}, {self.anchor.n}),"
                 f" got {x.shape} and {Q.shape}"
             )
-        return contract(self.anchor, Q) + np.asarray(self.perturbation(x, Q), dtype=float)
+        return contract(self.anchor, Q) + self.scatter(self.perturbation(x, Q))
 
     def apply_to_gradient(self, Du: GridFunction) -> GridFunction:
         """F(x, Du(x)) over a whole grid; Du carries N*n components."""
-        Phi = _perturbation_values(self, np.moveaxis(Du.grid.points(), 0, -1), Du.values)
+        Phi = self.scatter(_perturbation_values(self, np.moveaxis(Du.grid.points(), 0, -1), Du.values), axis=0)
         return GridFunction(Du.grid, apply_tensor(self.anchor, Du).values + Phi)
 
 
 def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
-    """Phi(x, Du(x)) at the grid points X (G, ..., G, n), as (N, G, ..., G)
-    values, from the N*n derivative values Du."""
+    """Phi(x, Du(x)) at the grid points X (G, ..., G, n), as
+    (len(F.rows), G, ..., G) values of its rows, from the N*n derivative
+    values Du."""
     N, n = F.anchor.N, F.anchor.n
     Q = np.moveaxis(Du.reshape((N, n) + Du.shape[1:]), (0, 1), (-2, -1))
     return np.moveaxis(np.asarray(F.perturbation(X, Q), dtype=float), -1, 0)
@@ -187,21 +211,16 @@ def _contraction_margin(A: ConstantTensor, near: float) -> float:
     return margin
 
 
-def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> list:
-    """Write the half spectrum of Phi(., Du) into ``out``, transforming only
-    the rows where Phi is nonzero (zero transforms to zero), and return
-    them.  DivergenceError names the first grid index where Phi is not finite."""
+def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> None:
+    """Write the half spectrum of Phi(., Du)'s rows into ``out``.
+    DivergenceError names the first grid index where Phi is not finite."""
     phi = _perturbation_values(F, X, Du)
     if not np.isfinite(phi).all():
         bad = ~np.isfinite(phi).all(axis=0)
         index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         trace.message = f"F is not finite at step {step}, first at grid index {index}"
         raise DivergenceError(trace.message, trace)
-    rows = [a for a in range(len(phi)) if phi[a].any()]
-    out[:] = 0.0
-    for a in rows:
-        core.forward(phi[a : a + 1], out=out[a : a + 1])
-    return rows
+    core.forward(phi, out=out)
 
 
 def campanato_solve(
@@ -221,16 +240,19 @@ def campanato_solve(
     Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
     So a step forms U only in the rows that Phi's support names,
     transforms only the support's derivatives (the other gradient entries
-    stay zero) and Phi's nonzero rows, and the iterate is transformed back
-    once, at the end.  R's norm on the retained modes is the next step
-    metric d, with the Nyquist planes it is the residual (against f minus
-    the compatibility mean), and R's zero mode is the dropped mean.
-    Iteration stops when that residual falls below tol * its scale or d
-    below tol * |f|_2; it aborts with DivergenceError after three
-    consecutive non-contracting steps above the noise floor, or when Phi
-    is not finite (step 0 is the start).  Requires a finite tol > 0 and
-    max_iter >= 1, a finite f, and a finite u0, if given, on f's grid with
-    the anchor's N components.
+    stay zero), forms and transforms Phi only on its declared rows, and
+    keeps Phi^, R and f^ - (A:Du)^ on those rows only; the iterate is
+    transformed back once, at the end.  Off those rows R is (A:Du_0)^ - f^
+    at the start and, from step 1 on, zero on the retained modes and -f^
+    on the Nyquist planes and the mean, which are kept as they are.  R's
+    norm on the retained modes is the next step metric d, with the Nyquist
+    planes it is the residual (against f minus the compatibility mean),
+    and R's zero mode is the dropped mean.  Iteration stops when that
+    residual falls below tol * its scale or d below tol * |f|_2; it aborts
+    with DivergenceError after three consecutive non-contracting steps
+    above the noise floor, or when Phi is not finite (step 0 is the
+    start).  Requires a finite tol > 0 and max_iter >= 1, a finite f, and
+    a finite u0, if given, on f's grid with the anchor's N components.
 
     Returns (u, IterationTrace).
     """
@@ -246,7 +268,7 @@ def campanato_solve(
     _contraction_margin(A, near)
     plan = plan or MultiplierPlan(A, f.grid)
     core = plan.core
-    support = F.support
+    support, phi_rows = F.support, list(F.rows)
     rows = sorted({b for b, _ in support})
 
     trace = IterationTrace(K_theory=near / cached_nu(A))
@@ -262,8 +284,7 @@ def campanato_solve(
     # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
     U = np.zeros(f_hat.shape, complex)
     T = f_hat.copy()
-    Phi = np.empty_like(T)
-    R = np.empty_like(T)
+    Phi = np.empty((len(phi_rows),) + core.zmag.shape, complex)
     Du = np.zeros((A.N * f.grid.n,) + f.grid.shape)
     work = np.empty((len(support),) + core.zmag.shape, complex)
 
@@ -271,23 +292,33 @@ def campanato_solve(
         U[:] = core.forward(u0.values) * core.retained
         T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
         core.derivatives(U, out=Du, work=work, entries=support)
-    nonzero = _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
-    d, _ = core.norms(np.subtract(Phi, T, out=R))
+    _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
+    R = np.zeros_like(T)  # the start's residual, on every row
+    R[phi_rows] = Phi
+    d, _ = core.norms(np.subtract(R, T, out=R))
+    # the Nyquist and mean coefficients of R on every row; each step rewrites Phi's rows
+    R_nyquist, R_mean = R[:, core.nyquist], R[core.zero].copy()
+    T_rows = T[phi_rows]
+    np.copyto(T, 0, where=core.retained)  # T off Phi's rows, from step 1 on
+    R = np.empty_like(Phi)
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        dropped = np.linalg.norm(R[core.zero])
-        for b in rows:  # U_b = (M f^)_b - sum over Phi's nonzero rows a of M_ba Phi^_a
+        dropped = np.linalg.norm(R_mean)
+        for b in rows:  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
             U[b] = Mf[b]
-            for a in nonzero:
-                U[b] -= plan.multipliers[b, a] * Phi[a]
-        np.copyto(T, Phi, where=core.retained)
+            for i, a in enumerate(phi_rows):
+                U[b] -= plan.multipliers[b, a] * Phi[i]
+        np.copyto(T_rows, Phi, where=core.retained)
         core.derivatives(U, out=Du, work=work, entries=support)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        nonzero = _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
-        d_next, leak = core.norms(np.subtract(Phi, T, out=R))
+        _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
+        np.subtract(Phi, T_rows, out=R)
+        R_nyquist[phi_rows] = R[:, core.nyquist]
+        R_mean[phi_rows] = R[core.zero]
+        d_next, leak = core.norms(R, R_nyquist)
         res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
+        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R_mean + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:
@@ -304,7 +335,8 @@ def campanato_solve(
         d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    # T holds the last step's Phi^ on the retained modes, where M lives
+    # T_rows holds the last step's Phi^ on the retained modes, where M lives
+    T[phi_rows] = T_rows
     return GridFunction(f.grid, core.inverse(plan.apply(f_hat - T))), trace
 
 
@@ -345,7 +377,7 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
         Du, Dv = gradient(u), gradient(v)
         X = np.moveaxis(u.grid.points(), 0, -1)
         Adiff = apply_tensor(A, Du) - apply_tensor(A, Dv)
-        Phidiff = _perturbation_values(F, X, Du.values) - _perturbation_values(F, X, Dv.values)
+        Phidiff = F.scatter(_perturbation_values(F, X, Du.values) - _perturbation_values(F, X, Dv.values), axis=0)
         lhs = norm_l2(GridFunction(u.grid, Phidiff))
         rhs = K * norm_l2(Adiff)
         if rhs == 0:

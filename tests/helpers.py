@@ -49,7 +49,8 @@ def _reference_batch_max(values, X, P, Q):
 
 def reference_sweeps(F, lam, plan=None):
     """The three sampled estimators' reports, from a plain loop over every
-    (direction, scale) batch on the full (nx, np) sample grid.
+    (direction, scale) batch on the full (nx, np) sample grid, with Phi on
+    all N components.
 
     The test oracle for efos.ellipticity's sweep: returns the
     (NearnessReport, PseudoMonotonicityReport, LipschitzConverseReport)
@@ -64,13 +65,13 @@ def reference_sweeps(F, lam, plan=None):
     P = plan.p_matrices(N, n)[None, :, :, :]
     nx, npts = X.shape[0], P.shape[1]
     nu_a = cached_nu(A)
-    Phi0 = np.broadcast_to(F.perturbation(X, P), (nx, npts, N))
+    Phi0 = np.broadcast_to(F.scatter(F.perturbation(X, P)), (nx, npts, N))
     best, near_witness = -1.0, None
     lip, violations, worst, total = 0.0, 0, 0.0, 0
     witness = (None, None, None)
     for U in plan.q_directions(N, n, anchor=A):
         for s in MAGNITUDE_LADDER:
-            Phi1 = np.broadcast_to(F.perturbation(X, P + s * U), (nx, npts, N))
+            Phi1 = np.broadcast_to(F.scatter(F.perturbation(X, P + s * U)), (nx, npts, N))
             value, x, p = _reference_batch_max(np.linalg.norm(Phi1 - Phi0, axis=-1) / s, X, P, s * U)
             if value > best:
                 best, near_witness = value, (x.copy(), p.copy(), s * U)

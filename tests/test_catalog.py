@@ -123,16 +123,20 @@ def test_variable_linear_evaluator():
 
 
 def test_declared_supports():
-    # each operator declares the gradient entries its perturbation reads
+    # each operator declares the gradient entries its perturbation reads and the components it writes
     A = dirac()
     assert lipschitz_perturbation(A, 0.5, "sin_q11").support == ((0, 0),)
     assert lipschitz_perturbation(A, 0.5, "tanh_trace").support == ((0, 0), (0, 1), (0, 2))
     assert variable_linear(A, 0.3).support == ((0, 0),)
+    for F in (lipschitz_perturbation(A, 0.5, "sin_q11"), lipschitz_perturbation(A, 0.5, "tanh_trace")):
+        assert F.rows == (0,)
+    assert variable_linear(A, 0.3).rows == (0,)
     B = np.zeros((4, 4, 3))
     B[0, 0, 1] = 1.0
     B[1, 2, 0] = 1.0
     F = variable_linear(A, 0.3, ConstantTensor(B))
     assert F.support == ((0, 1), (2, 0))
+    assert F.rows == (0, 1)
     Q = rng_from_seed(7).standard_normal((4, 3))
     x = np.array([0.2, 0.0, 0.0])
     np.testing.assert_allclose(F.evaluate(x, Q) - contract(A, Q), 0.3 * np.cos(0.4 * np.pi) * contract(ConstantTensor(B), Q))

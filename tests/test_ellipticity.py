@@ -19,7 +19,8 @@ from efos.ellipticity import (
     lipschitz_and_converse,
     nearness_constant,
 )
-from efos.nonlinear import NonlinearOperator
+from efos.grid import PeriodicGrid, gradient, random_band_limited
+from efos.nonlinear import NonlinearOperator, near_operator_check, verify_comparison
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
 from helpers import reference_sweeps
@@ -388,7 +389,7 @@ def _chunk_budget(F, plan, increments):
     """A _LADDER_CHUNK_ELEMENTS under which a chunk holds the given number of increments."""
     N, n = F.anchor.N, F.anchor.n
     P = plan.p_matrices(N, n)[None]
-    return increments * max(np.size(F.perturbation(plan.x_points(n)[:, None, :], P)), P.size)
+    return increments * max(np.size(F.scatter(F.perturbation(plan.x_points(n)[:, None, :], P))), P.size)
 
 
 # the benchmark's plan shape, 27 x points and 65 P samples
@@ -435,6 +436,47 @@ def test_sweep_reports_match_the_full_grid_loop_across_directions(op, increments
         _assert_reports_equal(lipschitz_and_converse(F, lam, plan=sampling), want[2])
 
 
+def _full_width(F):
+    """F with its perturbation declared on all N rows, the zero columns included."""
+
+    def perturbation(x, Q):
+        phi = F.perturbation(x, Q)
+        out = np.zeros(np.shape(phi)[:-1] + (F.anchor.N,))
+        out[..., list(F.rows)] = phi
+        return out
+
+    return NonlinearOperator(
+        perturbation=perturbation,
+        anchor=F.anchor,
+        support=F.support,
+        declared_nearness=F.declared_nearness,
+        name=F.name,
+    )
+
+
+@pytest.mark.parametrize("op", ["sin_q11", "tanh_trace", "variable_linear"])
+def test_narrow_and_full_width_rows_give_the_estimators_the_same_arrays(op):
+    # every reader outside the Picard loop sees Phi on all N components
+    F = SWEEP_OPERATORS[op]
+    wide = _full_width(F)
+    N, n = F.anchor.N, F.anchor.n
+    assert F.rows == (0,) and wide.rows == tuple(range(N))
+    rng = rng_from_seed(12)
+    x, Q = rng.random((5, n)), rng.standard_normal((5, N, n))
+    assert np.array_equal(F.evaluate(x, Q), wide.evaluate(x, Q))
+    grid = PeriodicGrid(n=n, G=8)
+    fields = [random_band_limited(grid, N, rng) for _ in range(4)]
+    Du = gradient(fields[0])
+    assert np.array_equal(F.apply_to_gradient(Du).values, wide.apply_to_gradient(Du).values)
+    for sampling in SWEEP_PLANS.values():
+        _assert_reports_equal(nearness_constant(F, plan=sampling), nearness_constant(wide, plan=sampling))
+        for estimator in (check_pseudomonotonicity, lipschitz_and_converse):
+            _assert_reports_equal(estimator(F, 0.7, plan=sampling), estimator(wide, 0.7, plan=sampling))
+    pairs = list(zip(fields[::2], fields[1::2]))
+    _assert_reports_equal(near_operator_check(F, pairs), near_operator_check(wide, pairs))
+    _assert_reports_equal(verify_comparison(F, *pairs[0]), verify_comparison(wide, *pairs[0]))
+
+
 def _tracemalloc_peak(call):
     tracemalloc.start()
     try:
@@ -454,7 +496,7 @@ def test_large_plan_sweep_memory_is_bounded():
 
 
 def test_x_free_large_plan_sweep_memory_is_bounded():
-    # an x-free perturbation returns (S, 1, np, N), so its chunk size is set by its (np, N, n) input
+    # an x-free perturbation's increments are (S, 1, np, N), so its chunk size is set by its (np, N, n) input
     F = lipschitz_perturbation(dirac(), 0.5)
     report, peak = _tracemalloc_peak(lambda: check_pseudomonotonicity(F, lam=0.7, plan=LARGE_PLAN))
     assert peak < 4 * 2**20

@@ -2,11 +2,12 @@
 
 import configparser
 import math
+import re
 
 import numpy as np
 import pytest
 
-from efos.catalog import dirac, lipschitz_perturbation, variable_linear
+from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
 from efos.cli import build_operator
 from efos.ellipticity import NonEllipticError, cached_nu
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
@@ -517,3 +518,94 @@ def test_support_omitting_a_read_entry_rejected():
     assert F.support == ((0, 0), (1, 2))
     with pytest.raises(ValueError, match="need beta < 4 and j < 3"):
         NonlinearOperator(perturbation=reads_q23, anchor=A, support=((0, 0), (1, 2), (0, 3)))
+
+
+def _row_operators(A, rows):
+    """The same Phi, 0.5 nu(A) sin(Q[a, a mod n]) on each of ``rows``,
+    declared once with those rows and once full-width, zero columns included."""
+    amp = 0.5 * cached_nu(A)
+
+    def narrow(x, Q):
+        Q = np.asarray(Q, dtype=float)
+        return amp * np.sin(Q[..., rows, [a % A.n for a in rows]])
+
+    def full_width(x, Q):
+        phi = narrow(x, Q)
+        out = np.zeros(phi.shape[:-1] + (A.N,))
+        out[..., rows] = phi
+        return out
+
+    support = tuple((a, a % A.n) for a in rows)
+    return (
+        NonlinearOperator(perturbation=narrow, anchor=A, support=support, declared_nearness=amp, rows=rows),
+        NonlinearOperator(perturbation=full_width, anchor=A, support=support, declared_nearness=amp),
+    )
+
+
+@pytest.mark.parametrize("with_u0", [False, True], ids=["from_zero", "from_u0"])
+@pytest.mark.parametrize(
+    "A, G, rows",
+    [(dirac(), 8, (0,)), (dirac(), 8, (2,)), (dirac(), 8, (0, 3)), (dirac(), 8, ()), (cauchy_riemann(), 16, (1,))],
+    ids=["dirac-0", "dirac-2", "dirac-0-3", "dirac-none", "cr-1"],
+)
+def test_narrow_and_full_width_rows_solve_identically(A, G, rows, with_u0):
+    # white noise puts Nyquist and mean content on every row, so the rows that
+    # Phi leaves alone carry a residual that a reordered leak sum would change
+    narrow, full_width = _row_operators(A, list(rows))
+    assert narrow.rows == rows and full_width.rows == tuple(range(A.N))
+    grid = PeriodicGrid(n=A.n, G=G)
+    rng = rng_from_seed(11)
+    f = GridFunction(grid, rng.standard_normal((A.N,) + grid.shape))
+    u0 = GridFunction(grid, rng.standard_normal((A.N,) + grid.shape)) if with_u0 else None
+    u, trace = campanato_solve(narrow, f, tol=1e-10, u0=u0)
+    u_ref, trace_ref = campanato_solve(full_width, f, tol=1e-10, u0=u0)
+    assert np.array_equal(u.values, u_ref.values)
+    for column in ("d", "ratio", "residual", "dropped_mean_norm"):
+        assert np.array_equal(getattr(trace, column), getattr(trace_ref, column), equal_nan=True), column
+    assert (trace.iterations, trace.message) == (trace_ref.iterations, trace_ref.message)
+    assert trace.dropped_mean_norm[0] > 0 and trace.iterations > 1
+
+
+def test_bad_rows_declarations_refused():
+    A = dirac()
+    F = lipschitz_perturbation(A, 0.5, "sin_q11")  # returns one column, component 0
+    with pytest.raises(ValueError, match=r"for its rows \(0, 1\); need \(\.\.\., 2\)"):
+        NonlinearOperator(perturbation=F.perturbation, anchor=A, support=F.support, rows=(1, 0))
+    with pytest.raises(ValueError, match=r"for its rows \(0, 1, 2, 3\); need \(\.\.\., 4\)"):
+        NonlinearOperator(perturbation=F.perturbation, anchor=A, support=F.support)
+    with pytest.raises(ValueError, match=r"for its rows \(\); need \(\.\.\., 0\)"):
+        NonlinearOperator(perturbation=F.perturbation, anchor=A, support=F.support, rows=())
+    for rows in ((4,), (-1,), (0, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"rows must be distinct output components below 4, got {rows}")):
+            NonlinearOperator(perturbation=F.perturbation, anchor=A, support=F.support, rows=rows)
+    assert NonlinearOperator(perturbation=F.perturbation, anchor=A, support=F.support, rows=[0]).rows == (0,)
+
+
+# u* has retained modes only, so it solves the discrete problem exactly and,
+# under the margin, uniquely: the solve at tol 1e-12 returns it up to the
+# stopping error, measured at most 6.9e-13 in |D(u - u*)| / |Du*| on these
+# nine cases.  The bound 1e-10 covers a contraction at K = 0.9 stopped at tol
+# 1e-12, whose error may reach K / (1 - K) = 9 times its last step.
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda A: lipschitz_perturbation(A, 0.5, "sin_q11"),
+        lambda A: lipschitz_perturbation(A, 0.9, "tanh_trace"),
+        lambda A: variable_linear(A, 0.3),
+    ],
+    ids=["sin_q11-0.5", "tanh_trace-0.9", "variable_linear-0.3"],
+)
+@pytest.mark.parametrize(
+    "A, G",
+    [(dirac(), 16), (cauchy_riemann(), 64), (generalized_cauchy_riemann(2, 1, 1, 1), 32)],
+    ids=["dirac-16", "cr-64", "gcr2111-32"],
+)
+def test_manufactured_solution_is_recovered(A, G, operator):
+    F = operator(A)
+    grid = PeriodicGrid(n=A.n, G=G)
+    u_star = random_band_limited(grid, A.N, rng_from_seed(G))
+    Du_star = gradient(u_star)
+    f = F.apply_to_gradient(Du_star)  # F(x, Du*) pointwise, aliasing and all
+    u, trace = campanato_solve(F, f, tol=1e-12)
+    assert trace.converged
+    assert norm_l2(gradient(u) - Du_star) <= 1e-10 * norm_l2(Du_star)
