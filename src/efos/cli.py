@@ -28,7 +28,7 @@ from .ellipticity import NonEllipticError, cached_nu, ellipticity_constant, near
 from .exprs import ExpressionError, compile_expression
 from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
-from .linear import MultiplierPlan, RegularizerSequence, solve_linear, solve_representation, verify_apriori
+from .linear import RegularizerSequence, solve_linear, solve_representation, verify_apriori
 from .nonlinear import DivergenceError, NonlinearOperator, campanato_solve, near_operator_check, verify_comparison
 from .oracle import solve_dense
 from .sampling import rng_from_seed
@@ -234,8 +234,7 @@ def cmd_solve_linear(cfg, args) -> int:
     grid = build_grid(cfg, A.n)
     f = build_rhs(cfg, grid, A.N)
     ladder = _regularizers(cfg)
-    plan = MultiplierPlan(A, grid)
-    u, report = solve_linear(A, f, plan=plan)
+    u, report = solve_linear(A, f)
     apriori = verify_apriori(A, u, f)
     write_field(args.out / "u.efof", u)
     row = (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
@@ -248,7 +247,7 @@ def cmd_solve_linear(cfg, args) -> int:
         rows = []
         nu_direct = norm_l2(u)
         for reg in ladder:
-            um, rrep = solve_representation(A, f, reg, plan=plan)
+            um, rrep = solve_representation(A, f, reg)
             err = norm_l2(um - u) / nu_direct if nu_direct > 0 else 0.0
             rows.append((reg.m, reg.kind, err, rrep.factor_gap, rrep.rational_bound, rrep.residual))
         columns = ("m", "kind", "rel_error", "factor_gap", "rational_bound", "residual")
@@ -288,10 +287,9 @@ def cmd_verify(cfg, args) -> int:
     def record(check, case, value, bound, ok):
         rows.append((check, case, value, bound, "pass" if ok else "FAIL"))
 
-    plan = MultiplierPlan(A, grid)
     for i in range(10):
         f = random_band_limited(grid, A.N, rng)
-        u, _ = solve_linear(A, f, plan=plan)
+        u, _ = solve_linear(A, f)
         ap = verify_apriori(A, u, f)
         record("apriori_grad", f"field_{i}", ap.ratio_grad, 1.0 + 1e-10, ap.ratio_grad <= 1.0 + 1e-10)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .tensor import ConstantTensor, direction_matrix
 
 __all__ = [
     "MultiplierPlan",
+    "multiplier_plan",
     "RegularizerSequence",
     "SolveReport",
     "RepresentationReport",
@@ -56,9 +58,10 @@ def apply_tensor(A: ConstantTensor, Du: GridFunction) -> GridFunction:
 class MultiplierPlan:
     """Precomputed per-mode inverse multipliers for one (tensor, grid) pair.
 
-    Building the plan checks ellipticity once and caches the N x N complex
+    Building the plan checks ellipticity once and stores the N x N complex
     multipliers of the half spectrum of ``core`` as one C-contiguous array
-    M[a, b, ...], zero off the retained modes; repeated solves reuse it.
+    M[a, b, ...], zero off the retained modes.  Solvers share plans through
+    ``multiplier_plan``, so the array is read-only.
     """
 
     def __init__(self, A: ConstantTensor, grid: PeriodicGrid):
@@ -76,10 +79,18 @@ class MultiplierPlan:
         inv = np.linalg.inv(direction_matrix(A, np.moveaxis(z, 0, -1)))  # (..., N, N), the inverse of A:z on every mode
         out = np.empty((A.N, A.N) + core.zmag.shape, complex)  # M[a, b, ...], the build's one complex array
         self.multipliers = np.multiply(np.moveaxis(inv, (-2, -1), (0, 1)), core.retained / (2j * np.pi), out=out)
+        self.multipliers.flags.writeable = False
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Multiply stacked mode coefficients (N, ...) by the plan."""
         return np.einsum("ab...,b...->a...", self.multipliers, coeffs)
+
+
+@lru_cache(maxsize=8)
+def multiplier_plan(A: ConstantTensor, grid: PeriodicGrid) -> MultiplierPlan:
+    """The shared ``MultiplierPlan`` of a value-equal (tensor, grid) pair,
+    built on first use; a failed build raises each time and is not kept."""
+    return MultiplierPlan(A, grid)
 
 
 @dataclass(frozen=True)
@@ -157,14 +168,6 @@ class RegularizerSequence:
         return np.minimum(float(self.m) * zmag, 1.0)
 
 
-def check_plan(plan: MultiplierPlan, A: ConstantTensor, grid: PeriodicGrid) -> None:
-    """Raise ValueError unless ``plan`` was built for ``A`` on ``grid``."""
-    if plan.A != A:
-        raise ValueError("the plan was built for a different tensor")
-    if plan.grid != grid:
-        raise ValueError("right-hand side lives on a different grid than the plan")
-
-
 def check_field(u: GridFunction, A: ConstantTensor, grid: PeriodicGrid, what: str) -> None:
     """Raise ValueError unless ``u`` lives on ``grid`` with A.N components,
     all finite (else naming the first bad component and grid index)."""
@@ -175,9 +178,8 @@ def check_field(u: GridFunction, A: ConstantTensor, grid: PeriodicGrid, what: st
     check_finite(u.values, what)
 
 
-def _prepare_rhs(A: ConstantTensor, plan: MultiplierPlan, f: GridFunction):
-    check_plan(plan, A, f.grid)
-    check_field(f, A, f.grid, "right-hand side")
+def _prepare_rhs(plan: MultiplierPlan, f: GridFunction):
+    check_field(f, plan.A, f.grid, "right-hand side")
     core = plan.core
     mean = f.values.mean(axis=core.axes)
     F = core.forward(f.values)
@@ -197,8 +199,9 @@ def _solution(plan: MultiplierPlan, U: np.ndarray, target: np.ndarray):
     return GridFunction(core.grid, core.inverse(U)), (r / scale if scale > 0 else 0.0)
 
 
-def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None = None):
-    """Solve A : Du = f - mean(f) for the mean-zero field u.
+def solve_linear(A: ConstantTensor, f: GridFunction):
+    """Solve A : Du = f - mean(f) for the mean-zero field u, with the
+    cached plan ``multiplier_plan(A, f.grid)``.
 
     Returns (u, SolveReport).  The report records the dropped mean, the
     relative residual |A:Du - f~|_2 / |f~|_2, taken over the half
@@ -206,8 +209,8 @@ def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None
     plane (in which case that content cannot be represented and the
     residual reflects the loss).
     """
-    plan = plan or MultiplierPlan(A, f.grid)
-    mean, F, truncated = _prepare_rhs(A, plan, f)
+    plan = multiplier_plan(A, f.grid)
+    mean, F, truncated = _prepare_rhs(plan, f)
     u, rel = _solution(plan, plan.apply(F), F)
     return u, SolveReport(
         residual=rel,
@@ -218,22 +221,18 @@ def solve_linear(A: ConstantTensor, f: GridFunction, plan: MultiplierPlan | None
     )
 
 
-def solve_representation(
-    A: ConstantTensor,
-    f: GridFunction,
-    regularizer: RegularizerSequence,
-    plan: MultiplierPlan | None = None,
-):
+def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: RegularizerSequence):
     """Regularized solve: each mode of the direct solution is damped by
     h_m(z)|z|, so A : Du_m recovers f mode-by-mode up to that factor.
+    The multipliers come from the cached plan ``multiplier_plan(A, f.grid)``.
 
     Returns (u_m, RepresentationReport).  The residual is measured over
     the half spectrum against the damped right-hand side, which the
     recovered field matches to rounding; ``factor_gap`` quantifies the
     distance to the exact solve.
     """
-    plan = plan or MultiplierPlan(A, f.grid)
-    mean, F, truncated = _prepare_rhs(A, plan, f)
+    plan = multiplier_plan(A, f.grid)
+    mean, F, truncated = _prepare_rhs(plan, f)
     core = plan.core
     s = np.where(core.retained, regularizer.factor(core.zmag), 0.0)
 

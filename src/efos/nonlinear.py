@@ -24,7 +24,7 @@ import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
 from .grid import GridFunction, gradient, norm_l2
-from .linear import MultiplierPlan, apply_tensor, check_field, check_plan
+from .linear import MultiplierPlan, apply_tensor, check_field, multiplier_plan
 from .tensor import ConstantTensor, contract
 
 __all__ = [
@@ -253,6 +253,8 @@ def campanato_solve(
     above the noise floor, or when Phi is not finite (step 0 is the
     start).  Requires a finite tol > 0 and max_iter >= 1, a finite f, and
     a finite u0, if given, on f's grid with the anchor's N components.
+    The multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
+    ``plan`` passed in must have been built for that tensor and grid.
 
     Returns (u, IterationTrace).
     """
@@ -262,11 +264,11 @@ def campanato_solve(
     check_field(f, A, f.grid, "right-hand side")
     if u0 is not None:
         check_field(u0, A, f.grid, "u0")
-    if plan is not None:
-        check_plan(plan, A, f.grid)
+    if plan is not None and (plan.A != A or plan.grid != f.grid):
+        raise ValueError("the plan was built for a different tensor or grid than the right-hand side")
     near = nearness_constant(F).nu_fa if F.declared_nearness is None else F.declared_nearness
     _contraction_margin(A, near)
-    plan = plan or MultiplierPlan(A, f.grid)
+    plan = plan or multiplier_plan(A, f.grid)
     core = plan.core
     support, phi_rows = F.support, list(F.rows)
     rows = sorted({b for b, _ in support})

@@ -20,7 +20,6 @@ from efos.ellipticity import (
 )
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import (
-    MultiplierPlan,
     RegularizerSequence,
     solve_linear,
     solve_representation,
@@ -67,14 +66,13 @@ def test_criterion_2_linear_solver_exactness():
     A = dirac()
     grid = PeriodicGrid(n=3, G=16)
     rng = rng_from_seed(0)
-    plan = MultiplierPlan(A, grid)
     worst = 0.0
     for _ in range(10):
         f = random_band_limited(grid, 4, rng)
-        _, rep = solve_linear(A, f, plan=plan)
+        _, rep = solve_linear(A, f)
         worst = max(worst, rep.residual)
     f1 = single_mode_rhs(grid, 4)
-    u1, _ = solve_linear(A, f1, plan=plan)
+    u1, _ = solve_linear(A, f1)
     gap = np.max(np.abs(u1.values - dirac_closed_form(grid).values))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and gap <= 1e-10 and elapsed < 5.0
@@ -95,10 +93,9 @@ def test_criterion_3_apriori_estimate():
     rng = rng_from_seed(1)
     worst = 0.0
     for A, grid in cases:
-        plan = MultiplierPlan(A, grid)
         for _ in range(100):
             f = random_band_limited(grid, A.N, rng)
-            u, _ = solve_linear(A, f, plan=plan)
+            u, _ = solve_linear(A, f)
             worst = max(worst, verify_apriori(A, u, f).ratio_grad)
     ok = worst <= 1.0 + 1e-10
     _report(3, "a-priori gradient bound on 300 random fields", ok, f"worst ratio={worst:.12f}")

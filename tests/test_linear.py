@@ -1,5 +1,6 @@
 """Multiplier inversion of A:Du = f and the regularized representation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann
+from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation
 from efos.ellipticity import NonEllipticError
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import (
     MultiplierPlan,
     RegularizerSequence,
+    multiplier_plan,
     solve_linear,
     solve_representation,
     verify_apriori,
 )
+from efos.nonlinear import campanato_solve
 from efos.sampling import rng_from_seed
 from efos.tensor import ConstantTensor
 
@@ -163,28 +166,95 @@ def test_dimension_mismatch_rejected():
         MultiplierPlan(dirac(), PeriodicGrid(n=2, G=8))
 
 
-def test_plan_for_another_tensor_or_grid_rejected():
-    A = dirac()
+def test_value_equal_tensors_share_one_cached_plan():
     grid = PeriodicGrid(n=3, G=8)
-    f = single_mode_rhs(grid, 4)
+    assert dirac() is not dirac()
+    assert multiplier_plan(dirac(), grid) is multiplier_plan(dirac(), grid)
+    assert multiplier_plan(dirac(), grid) is not multiplier_plan(dirac(), PeriodicGrid(n=3, G=16))
+
+
+@pytest.mark.parametrize("build", [multiplier_plan, MultiplierPlan])
+def test_plan_multipliers_are_read_only(build):
+    plan = build(cauchy_riemann(), PeriodicGrid(n=2, G=8))
+    with pytest.raises(ValueError, match="read-only"):
+        plan.multipliers[0, 0, 1, 1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        plan.multipliers *= 2.0
+
+
+def _non_elliptic():
+    entries = np.zeros((2, 2, 2))
+    entries[0, 0, 0] = entries[1, 1, 0] = 1.0
+    return ConstantTensor(entries)
+
+
+@pytest.mark.parametrize(
+    "A, grid, error",
+    [
+        (_non_elliptic(), PeriodicGrid(n=2, G=8), NonEllipticError),
+        (dirac(), PeriodicGrid(n=2, G=8), ValueError),
+    ],
+)
+def test_failed_plan_build_raises_every_time_and_is_not_cached(A, grid, error):
+    multiplier_plan.cache_clear()
+    for _ in range(2):
+        with pytest.raises(error):
+            multiplier_plan(A, grid)
+    info = multiplier_plan.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+
+
+def _report_bytes(report):
+    """Every field of a report or trace dataclass, as bytes."""
+    return [np.asarray(v).tobytes() for v in dataclasses.astuple(report)]
+
+
+CACHE_CASES = {
+    "dirac G=8": (dirac(), PeriodicGrid(n=3, G=8)),
+    "cauchy_riemann G=16": (cauchy_riemann(), PeriodicGrid(n=2, G=16)),
+    "generalized_cr(2,1,1,1) G=8": (generalized_cauchy_riemann(2, 1, 1, 1), PeriodicGrid(n=2, G=8)),
+}
+
+
+@pytest.mark.parametrize("case", CACHE_CASES)
+def test_linear_solves_match_with_a_cached_and_a_fresh_plan(case):
+    A, grid = CACHE_CASES[case]
+    f = random_band_limited(grid, A.N, rng_from_seed(4))
     reg = RegularizerSequence("rational", 10)
-    other_tensor = MultiplierPlan(ConstantTensor(2.0 * A.entries), grid)
-    other_grid = MultiplierPlan(A, PeriodicGrid(n=3, G=16))
-    for plan in (other_tensor, other_grid):
-        with pytest.raises(ValueError):
-            solve_linear(A, f, plan=plan)
-        with pytest.raises(ValueError):
-            solve_representation(A, f, reg, plan=plan)
+
+    def run():
+        (u, rep), (um, rrep) = solve_linear(A, f), solve_representation(A, f, reg)
+        return u.values.tobytes(), _report_bytes(rep), um.values.tobytes(), _report_bytes(rrep)
+
+    solve_linear(A, f)  # the plan is cached from here on
+    cached = run()
+    multiplier_plan.cache_clear()
+    assert run() == cached
+
+
+def test_campanato_solve_matches_with_a_cached_a_fresh_and_a_passed_plan():
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    grid = PeriodicGrid(n=3, G=8)
+    f = random_band_limited(grid, 4, rng_from_seed(6))
+
+    def run(**kwargs):
+        u, trace = campanato_solve(F, f, tol=1e-10, **kwargs)
+        return u.values.tobytes(), _report_bytes(trace)
+
+    multiplier_plan.cache_clear()
+    fresh = run()
+    assert multiplier_plan.cache_info().currsize == 1
+    assert run() == fresh
+    assert run(plan=MultiplierPlan(F.anchor, grid)) == fresh
 
 
 def test_apriori_ratio_bounded_by_one():
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(1)
     A = dirac()
-    plan = MultiplierPlan(A, grid)
     for _ in range(10):
         f = random_band_limited(grid, 4, rng)
-        u, _ = solve_linear(A, f, plan=plan)
+        u, _ = solve_linear(A, f)
         rep = verify_apriori(A, u, f)
         assert rep.ratio_grad <= 1.0 + 1e-10
         # the Dirac symbol is an isometry per mode, so the bound is tight

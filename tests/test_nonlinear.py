@@ -381,14 +381,13 @@ def _reference_picard(F, f, tol, u0=None, max_iter=400):
     """The Picard loop written with the public linear solve: each step
     solves for u_{k+1} in physical space and differentiates it again."""
     A = F.anchor
-    plan = MultiplierPlan(A, f.grid)
     norm_f = norm_l2(f)
     u = GridFunction.zeros(f.grid, A.N) if u0 is None else u0
     Au = apply_tensor(A, gradient(u))
     d, residual = [], []
     for _ in range(max_iter):
         rhs = GridFunction(f.grid, Au.values - F.apply_to_gradient(gradient(u)).values + f.values)
-        u, _ = solve_linear(A, rhs, plan=plan)
+        u, _ = solve_linear(A, rhs)
         Du = gradient(u)
         Au_next = apply_tensor(A, Du)
         d.append(norm_l2(Au_next - Au))
