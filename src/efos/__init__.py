@@ -27,6 +27,7 @@ from .ellipticity import (
     cached_nu,
     ellipticity_constant,
     nearness_constant,
+    sampled_estimates,
 )
 from .fieldfile import read_field, write_field
 from .grid import (
@@ -92,6 +93,7 @@ __all__ = [
     "random_band_limited",
     "read_field",
     "rng_from_seed",
+    "sampled_estimates",
     "solve_dense",
     "solve_linear",
     "solve_representation",

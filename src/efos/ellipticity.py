@@ -40,6 +40,7 @@ __all__ = [
     "ellipticity_constant",
     "cached_nu",
     "is_elliptic",
+    "sampled_estimates",
     "nearness_constant",
     "check_pseudomonotonicity",
     "lipschitz_and_converse",
@@ -280,6 +281,64 @@ def _batch_max(s, U, X, P, *values):
     return top
 
 
+def _level(lam):
+    """lam, refused unless a real number in (0, 1)."""
+    if not isinstance(lam, numbers.Real):
+        raise TypeError(f"lam must be a real number, got {type(lam).__name__}; the anchor is F.anchor")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lam must be in (0, 1), got {lam}")
+    return lam
+
+
+def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None = None):
+    """Every sampled estimate of the plan, from one pass over its increments.
+
+    Returns ``(NearnessReport, PseudoMonotonicityReport,
+    LipschitzConverseReport)``, the last two at level lam and ``None``
+    when lam is None.  Per increment, the nearness quotient
+    |Phi(x, P+Q) - Phi(x, P)| / |Q| is taken first; with lam, the
+    Lipschitz quotient |F(x, P+Q) - F(x, P)| / |Q| and the
+    pseudo-monotonicity gap follow on the same samples.  A non-finite
+    sample raises ValueError, increment by increment in that order.
+    """
+    if lam is not None:
+        _level(lam)
+    nu_a = cached_nu(F.anchor)
+    best, near_witness, total = -1.0, None, 0
+    lip, violations, worst, witness = 0.0, 0, 0.0, (None, None, None)
+    for s, U, AU, X, P, D in _increment_sweep(F, plan):
+        samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
+        total += len(s) * samples
+        values = [_row_norms(D) / s[:, None, None]]
+        if lam is not None:
+            AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
+            D += AQ[:, None, None]  # the sweep's fresh D becomes F(x, P+Q) - F(x, P)
+            aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
+            s_sq = s**2
+            rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
+            guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
+            gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", D, AQ)  # positive where violated
+            violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
+            values += [_row_norms(D) / s[:, None, None], gap]
+        top = _batch_max(s, U, X, P, *values)
+        k = int(np.argmax(top[:, 0]))  # ties: the first increment wins
+        if top[k, 0] > best:
+            best, near_witness = float(top[k, 0]), (*_sample(values[0][k], X, P), s[k] * U[k])
+        if lam is not None:
+            lip = max(lip, float(top[:, 1].max()))
+            k = int(np.argmax(top[:, 2]))
+            if top[k, 2] > worst:
+                worst, witness = float(top[k, 2]), (*_sample(gap[k], X, P), s[k] * U[k])
+    near = NearnessReport(best, nu_a, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
+    if lam is None:
+        return near, None, None
+    pm = PseudoMonotonicityReport(lam, violations, worst if worst > 0 else 0.0, total, *witness)
+    threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
+    below = lip < threshold
+    lc = LipschitzConverseReport(lip, threshold, lam, violations, below, bool(below and violations == 0), total)
+    return near, pm, lc
+
+
 def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
     """Sampled estimate of nu(F, A) and the ratio nu(F, A) / nu(A), A being
     F's anchor.
@@ -289,67 +348,7 @@ def nearness_constant(F, *, plan: SamplingPlan | None = None) -> NearnessReport:
     bound for the true sup; it is monotone under enrichment of the plan's
     random streams.
     """
-    nu_a = cached_nu(F.anchor)
-    best, witness, total = -1.0, None, 0
-    for s, U, _, X, P, D in _increment_sweep(F, plan):
-        ratios = _row_norms(D) / s[:, None, None]
-        total += len(s) * len(X) * P.shape[1]
-        top = _batch_max(s, U, X, P, ratios)[:, 0]
-        k = int(np.argmax(top))  # ties: the first increment wins
-        if top[k] > best:
-            best, witness = float(top[k]), (*_sample(ratios[k], X, P), s[k] * U[k])
-    return NearnessReport(
-        nu_fa=best,
-        nu_a=nu_a,
-        ratio=best / nu_a if nu_a > 0 else np.inf,
-        samples_used=total,
-        worst_x=witness[0],
-        worst_p=witness[1],
-        worst_q=witness[2],
-    )
-
-
-def _monotonicity_sweep(F, lam: float, plan: SamplingPlan | None):
-    """One pass over the plan's increments.
-
-    Returns the pseudo-monotonicity report at level lam, the sampled
-    Lipschitz constant sup |F(x, P+Q) - F(x, P)| / |Q| and nu(A), A being
-    F's anchor.
-    """
-    A = F.anchor
-    if not isinstance(lam, numbers.Real):
-        raise TypeError(f"lam must be a real number, got {type(lam).__name__}; the anchor is F.anchor")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must be in (0, 1), got {lam}")
-    nu_a = cached_nu(A)
-    lip, violations, worst, total, witness = 0.0, 0, 0.0, 0, (None, None, None)
-    for s, U, AU, X, P, dF in _increment_sweep(F, plan):
-        AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
-        dF += AQ[:, None, None]  # the sweep's fresh D becomes F(x, P+Q) - F(x, P)
-        aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
-        s_sq = s**2
-        rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
-        guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
-        gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated
-        samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
-        total += len(s) * samples
-        violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
-        # a batch's Lipschitz quotient is checked before its gap
-        top = _batch_max(s, U, X, P, _row_norms(dF) / s[:, None, None], gap)
-        lip = max(lip, float(top[:, 0].max()))
-        k = int(np.argmax(top[:, 1]))  # ties: the first increment wins
-        if top[k, 1] > worst:
-            worst, witness = float(top[k, 1]), (*_sample(gap[k], X, P), s[k] * U[k])
-    report = PseudoMonotonicityReport(
-        lam=lam,
-        violations=violations,
-        worst_violation=worst if worst > 0 else 0.0,
-        samples_used=total,
-        witness_x=witness[0],
-        witness_p=witness[1],
-        witness_q=witness[2],
-    )
-    return report, lip, nu_a
+    return sampled_estimates(F, plan=plan)[0]
 
 
 def check_pseudomonotonicity(F, lam: float = 0.5, *, plan: SamplingPlan | None = None) -> PseudoMonotonicityReport:
@@ -361,7 +360,7 @@ def check_pseudomonotonicity(F, lam: float = 0.5, *, plan: SamplingPlan | None =
     counted with a small floating-point guard band and reported with the
     worst witness.
     """
-    return _monotonicity_sweep(F, lam, plan)[0]
+    return sampled_estimates(F, _level(lam), plan=plan)[1]
 
 
 def lipschitz_and_converse(F, lam: float = 0.5, *, plan: SamplingPlan | None = None) -> LipschitzConverseReport:
@@ -372,15 +371,4 @@ def lipschitz_and_converse(F, lam: float = 0.5, *, plan: SamplingPlan | None = N
     pseudo-monotonicity at the same level on the same samples; strict
     ellipticity is concluded only when both sampled hypotheses hold.
     """
-    pm, lip, nu_a = _monotonicity_sweep(F, lam, plan)
-    threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
-    below = lip < threshold
-    return LipschitzConverseReport(
-        lipschitz_estimate=lip,
-        threshold=threshold,
-        lam=lam,
-        pseudo_monotone_violations=pm.violations,
-        lipschitz_below_threshold=below,
-        concluded_elliptic=bool(below and pm.violations == 0),
-        samples_used=pm.samples_used,
-    )
+    return sampled_estimates(F, _level(lam), plan=plan)[2]

@@ -90,6 +90,8 @@ class SamplingPlan:
     anchors, and random draws.  Q increments combine signed coordinate
     directions, the anchor tensor's strongest direction, optional extra
     directions, and random draws, each swept through MAGNITUDE_LADDER.
+    An extra P anchor must be finite and an extra Q direction must have a
+    finite, nonzero norm; the plan refuses others with a ValueError.
 
     Random P, Q, and any future categories use separate child seeds so
     that enlarging one count extends its stream without moving any other;
@@ -107,6 +109,13 @@ class SamplingPlan:
     def __post_init__(self):
         if self.x_per_axis < 1 or self.random_p < 0 or self.random_q < 0:
             raise ValueError("sample counts must be nonnegative (x_per_axis >= 1)")
+        for i, extra in enumerate(self.extra_p):
+            if not np.isfinite(np.asarray(extra, dtype=float)).all():
+                raise ValueError(f"extra_p[{i}] is not finite")
+        for i, extra in enumerate(self.extra_q_directions):
+            norm = np.linalg.norm(np.asarray(extra, dtype=float))
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"extra_q_directions[{i}] needs a finite, nonzero norm, got {norm}")
 
     def x_points(self, n: int) -> np.ndarray:
         """Grid sample of the fundamental cell, shape (X, n), first row 0."""
@@ -149,5 +158,4 @@ class SamplingPlan:
             raise ValueError("sampling plan produced no Q directions")
         dirs = np.concatenate(parts, axis=0)
         norms = np.linalg.norm(dirs.reshape(len(dirs), -1), axis=1)
-        keep = norms > 1e-300
-        return dirs[keep] / norms[keep, None, None]
+        return dirs / norms[:, None, None]

@@ -75,7 +75,8 @@ class ConstantTensor:
         )
 
     def __hash__(self):
-        return hash((self.entries.shape, self.entries.tobytes()))
+        # + 0.0 turns -0.0 into +0.0, so tensors that __eq__ calls equal hash equal
+        return hash((self.entries.shape, (self.entries + 0.0).tobytes()))
 
 
 def contract(A: ConstantTensor, Q) -> np.ndarray:

@@ -54,9 +54,10 @@ def reference_sweeps(F, lam, plan=None):
 
     The test oracle for efos.ellipticity's sweep: returns the
     (NearnessReport, PseudoMonotonicityReport, LipschitzConverseReport)
-    of nearness_constant, check_pseudomonotonicity and
-    lipschitz_and_converse at level lam, raising the same ValueError at the
-    same non-finite sample.
+    triple of sampled_estimates(F, lam, plan=plan), whose elements the
+    views nearness_constant, check_pseudomonotonicity and
+    lipschitz_and_converse return, raising the same ValueError at the same
+    non-finite sample.
     """
     A = F.anchor
     plan = plan or SamplingPlan()

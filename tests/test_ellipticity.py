@@ -18,6 +18,7 @@ from efos.ellipticity import (
     ellipticity_constant,
     lipschitz_and_converse,
     nearness_constant,
+    sampled_estimates,
 )
 from efos.grid import PeriodicGrid, gradient, random_band_limited
 from efos.nonlinear import NonlinearOperator, near_operator_check, verify_comparison
@@ -361,11 +362,14 @@ def test_sweep_reports_match_the_full_grid_loop(op, plan):
     # every report field must equal the per-(direction, scale) loop over all (nx, np) samples
     F, sampling = SWEEP_OPERATORS[op], SWEEP_PLANS[plan]
     near = nearness_constant(F, plan=sampling)
+    assert sampled_estimates(F, plan=sampling)[1:] == (None, None)
     for lam in (0.3, 0.7, 0.95):
         want = reference_sweeps(F, lam, sampling)
         _assert_reports_equal(near, want[0])
         _assert_reports_equal(check_pseudomonotonicity(F, lam, plan=sampling), want[1])
         _assert_reports_equal(lipschitz_and_converse(F, lam, plan=sampling), want[2])
+        for got, expected in zip(sampled_estimates(F, lam, plan=sampling), want, strict=True):
+            _assert_reports_equal(got, expected)
         if op == "tanh_trace" and plan != "default" and lam == 0.3:
             assert want[1].violations > 0
 
@@ -378,6 +382,8 @@ def test_sweep_reports_match_the_full_grid_loop_one_scale_per_chunk(op, monkeypa
     _assert_reports_equal(nearness_constant(F, plan=sampling), want[0])
     _assert_reports_equal(check_pseudomonotonicity(F, 0.7, plan=sampling), want[1])
     _assert_reports_equal(lipschitz_and_converse(F, 0.7, plan=sampling), want[2])
+    for got, expected in zip(sampled_estimates(F, 0.7, plan=sampling), want, strict=True):
+        _assert_reports_equal(got, expected)
 
 
 def _sweep_chunks(F, plan):
@@ -612,6 +618,15 @@ NAMED_SAMPLE_OPERATORS = {
 }
 
 
+# the one pass checks the nearness quotient, the Lipschitz quotient and the gap of each increment
+NAMING_ESTIMATORS = (
+    nearness_constant,
+    check_pseudomonotonicity,
+    lipschitz_and_converse,
+    lambda F: sampled_estimates(F, 0.5),
+)
+
+
 @pytest.mark.parametrize("kind", sorted(NAMED_SAMPLE_OPERATORS))
 def test_non_finite_error_names_the_reference_sample(kind):
     F = NAMED_SAMPLE_OPERATORS[kind]()
@@ -624,7 +639,7 @@ def test_non_finite_error_names_the_reference_sample(kind):
         assert x == [0.0, 0.0, 0.0]  # the broadcast x-index 0
     else:  # the quotient's sample, checked before the gap's
         assert np.linalg.norm(q) == 10.0 and not np.any(p)
-    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+    for estimator in NAMING_ESTIMATORS:
         assert _error_message(lambda: estimator(F)) == want
 
 
@@ -633,7 +648,7 @@ def test_non_finite_error_names_the_reference_sample_one_scale_per_chunk(kind, m
     monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", 1)
     F = NAMED_SAMPLE_OPERATORS[kind]()
     want = _error_message(lambda: reference_sweeps(F, 0.5))
-    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+    for estimator in NAMING_ESTIMATORS:
         assert _error_message(lambda: estimator(F)) == want
 
 
@@ -643,7 +658,7 @@ def test_non_finite_error_names_the_reference_sample_across_directions(kind, inc
     F = NAMED_SAMPLE_OPERATORS[kind]()
     monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", _chunk_budget(F, SamplingPlan(), increments))
     want = _error_message(lambda: reference_sweeps(F, 0.5))
-    for estimator in (nearness_constant, check_pseudomonotonicity, lipschitz_and_converse):
+    for estimator in NAMING_ESTIMATORS:
         assert _error_message(lambda: estimator(F)) == want
 
 
@@ -653,3 +668,31 @@ def test_a_tensor_passed_as_lam_names_lam(estimator):
     F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
     with pytest.raises(TypeError, match=r"^lam must be a real number, got ConstantTensor; the anchor is F\.anchor"):
         estimator(F, dirac())
+
+
+VIEWS = {
+    "nearness_constant": (lambda F: nearness_constant(F), 0),
+    "check_pseudomonotonicity": (lambda F: check_pseudomonotonicity(F, 0.7), 1),
+    "lipschitz_and_converse": (lambda F: lipschitz_and_converse(F, 0.7), 2),
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+def test_a_view_calls_no_other_view(view, monkeypatch):
+    # each view runs the full pass itself, so a benchmark that wraps the views counts each sweep once
+    F = SWEEP_OPERATORS["tanh_trace"]
+    want = sampled_estimates(F, 0.7)[VIEWS[view][1]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a view called another view")
+
+    for other in set(VIEWS) - {view}:
+        monkeypatch.setattr(efos.ellipticity, other, refuse)
+    _assert_reports_equal(VIEWS[view][0](F), want)
+
+
+@pytest.mark.parametrize("estimator", [check_pseudomonotonicity, lipschitz_and_converse])
+def test_a_view_refuses_lam_none(estimator):
+    # sampled_estimates reads lam=None as "nearness only"; the views need a level
+    with pytest.raises(TypeError, match=r"^lam must be a real number, got NoneType"):
+        estimator(SWEEP_OPERATORS["sin_q11"], None)

@@ -204,6 +204,19 @@ def test_failed_plan_build_raises_every_time_and_is_not_cached(A, grid, error):
     assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
 
 
+def test_signed_zero_copy_shares_the_cached_plan():
+    # dirac() and a copy whose zero entries are -0.0 are equal, so they must hash equal and share one entry
+    A = dirac()
+    B = ConstantTensor(np.where(A.entries == 0, -0.0, A.entries))
+    assert A == B and np.signbit(B.entries).any()
+    assert hash(A) == hash(B)
+    grid = PeriodicGrid(n=3, G=8)
+    multiplier_plan.cache_clear()
+    assert multiplier_plan(A, grid) is multiplier_plan(B, grid)
+    info = multiplier_plan.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
 def _report_bytes(report):
     """Every field of a report or trace dataclass, as bytes."""
     return [np.asarray(v).tobytes() for v in dataclasses.astuple(report)]

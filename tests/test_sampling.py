@@ -91,3 +91,19 @@ def test_plan_is_frozen():
     plan = SamplingPlan(seed=0)
     with pytest.raises(AttributeError):
         plan.seed = 3
+
+
+@pytest.mark.parametrize(
+    "field, bad, match",
+    [
+        ("extra_q_directions", np.zeros((4, 3)), r"^extra_q_directions\[1\] needs a finite, nonzero norm, got 0\.0$"),
+        ("extra_q_directions", np.full((4, 3), np.nan), r"^extra_q_directions\[1\] needs a finite, nonzero norm, got nan$"),
+        ("extra_p", np.full((4, 3), np.inf), r"^extra_p\[1\] is not finite$"),
+    ],
+    ids=["zero_q", "nan_q", "inf_p"],
+)
+def test_plan_refuses_a_bad_extra_sample(field, bad, match):
+    # the direction filter used to drop a zero or NaN direction with only a RuntimeWarning
+    good = np.ones((4, 3))
+    with pytest.raises(ValueError, match=match):
+        SamplingPlan(**{field: (good, bad)})
