@@ -187,16 +187,13 @@ class SpectralCore:
         for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight):
             arr.flags.writeable = False
 
-    def norms(self, R: np.ndarray, nyquist: np.ndarray | None = None) -> tuple:
+    def norms(self, R: np.ndarray) -> tuple:
         """L2 norms of the half-spectrum coefficients R (C, ...) on the
         retained modes and on the Nyquist planes, from one power array.
-        ``nyquist`` (C', number of Nyquist modes), when given, stands in for
-        R's Nyquist coefficients: those of a C'-component field whose other
-        rows are zero on the retained modes, so that R may hold just the
-        rows that are not.  Either way the power adds up the rows in order."""
-        power = self.weight * _power(R)
-        leak = power[self.nyquist] if nyquist is None else self.weight[self.nyquist] * _power(nyquist)
-        return math.sqrt(power[self.retained].sum()), math.sqrt(leak.sum())
+        Its sum over R's rows adds them in row order, as numpy sums the
+        first axis of an array with three axes or more."""
+        power = self.weight * (R.real**2 + R.imag**2).sum(axis=0)
+        return math.sqrt(power[self.retained].sum()), math.sqrt(power[self.nyquist].sum())
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
@@ -227,16 +224,6 @@ class SpectralCore:
         for i, (alpha, j) in enumerate(entries):
             np.fft.irfft(work[i], n=self.grid.G, axis=-1, norm="forward", out=out[alpha * n + j])
         return out
-
-
-def _power(coeffs: np.ndarray) -> np.ndarray:
-    """|c|^2 of complex (C, ...) coefficients summed over C, one row at a
-    time in row order; numpy's sum over the first axis adds in that order
-    only for three axes or more."""
-    total = np.zeros(coeffs.shape[1:])
-    for row in coeffs:
-        total += row.real**2 + row.imag**2
-    return total
 
 
 @lru_cache(maxsize=8)

@@ -240,20 +240,18 @@ def campanato_solve(
     Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
     So a step forms U only in the rows that Phi's support names,
     transforms only the support's derivatives (the other gradient entries
-    stay zero), forms and transforms Phi only on its declared rows, and
-    keeps Phi^, R and f^ - (A:Du)^ on those rows only; the iterate is
-    transformed back once, at the end.  Off those rows R is (A:Du_0)^ - f^
-    at the start and, from step 1 on, zero on the retained modes and -f^
-    on the Nyquist planes and the mean, which are kept as they are.  R's
-    norm on the retained modes is the next step metric d, with the Nyquist
-    planes it is the residual (against f minus the compatibility mean),
-    and R's zero mode is the dropped mean.  Iteration stops when that
-    residual falls below tol * its scale or d below tol * |f|_2; it aborts
-    with DivergenceError after three consecutive non-contracting steps
-    above the noise floor, or when Phi is not finite (step 0 is the
-    start).  Requires a finite tol > 0 and max_iter >= 1, a finite f, and
-    a finite u0, if given, on f's grid with the anchor's N components.
-    The multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
+    stay zero) and forms and transforms Phi only on its declared rows; the
+    iterate is transformed back once, at the end.  R and T = f^ - (A:Du)^
+    are kept on every row; a step rewrites Phi's rows.  R's norm on the
+    retained modes is the next step metric d, with the Nyquist planes it
+    is the residual (against f minus the compatibility mean), and R's zero
+    mode is the dropped mean.  Iteration stops when that residual falls
+    below tol * its scale or d below tol * |f|_2; it aborts with
+    DivergenceError after three consecutive non-contracting steps above
+    the noise floor, or when Phi is not finite (step 0 is the start).
+    Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
+    u0, if given, on f's grid with the anchor's N components.  The
+    multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
     ``plan`` passed in must have been built for that tensor and grid.
 
     Returns (u, IterationTrace).
@@ -295,32 +293,30 @@ def campanato_solve(
         T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
         core.derivatives(U, out=Du, work=work, entries=support)
     _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
-    R = np.zeros_like(T)  # the start's residual, on every row
+    R = np.zeros_like(T)  # the start's residual
     R[phi_rows] = Phi
     d, _ = core.norms(np.subtract(R, T, out=R))
-    # the Nyquist and mean coefficients of R on every row; each step rewrites Phi's rows
-    R_nyquist, R_mean = R[:, core.nyquist], R[core.zero].copy()
-    T_rows = T[phi_rows]
-    np.copyto(T, 0, where=core.retained)  # T off Phi's rows, from step 1 on
-    R = np.empty_like(Phi)
+    # from step 1 on, off Phi's rows, both are zero on the retained modes and R is -f^ elsewhere
+    np.copyto(T, 0, where=core.retained)
+    np.copyto(R, 0, where=core.retained)
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        dropped = np.linalg.norm(R_mean)
+        dropped = np.linalg.norm(R[core.zero])
         for b in rows:  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
             U[b] = Mf[b]
             for i, a in enumerate(phi_rows):
                 U[b] -= plan.multipliers[b, a] * Phi[i]
-        np.copyto(T_rows, Phi, where=core.retained)
+        for i, a in enumerate(phi_rows):
+            np.copyto(T[a], Phi[i], where=core.retained)
         core.derivatives(U, out=Du, work=work, entries=support)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
-        np.subtract(Phi, T_rows, out=R)
-        R_nyquist[phi_rows] = R[:, core.nyquist]
-        R_mean[phi_rows] = R[core.zero]
-        d_next, leak = core.norms(R, R_nyquist)
+        for i, a in enumerate(phi_rows):
+            np.subtract(Phi[i], T[a], out=R[a])
+        d_next, leak = core.norms(R)
         res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R_mean + f_mean))
+        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:
@@ -337,8 +333,7 @@ def campanato_solve(
         d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    # T_rows holds the last step's Phi^ on the retained modes, where M lives
-    T[phi_rows] = T_rows
+    # T holds the last step's Phi^ on the retained modes, where M lives
     return GridFunction(f.grid, core.inverse(plan.apply(f_hat - T))), trace
 
 

@@ -80,6 +80,13 @@ def _coordinate_matrices(N: int, n: int) -> np.ndarray:
     return eye.reshape(N * n, N, n)
 
 
+def _extra_sample(field: str, i: int, extra, N: int, n: int) -> np.ndarray:
+    """``field[i]`` as a (1, N, n) array; ValueError unless its shape is (N, n)."""
+    if np.shape(extra) != (N, n):
+        raise ValueError(f"{field}[{i}] has shape {np.shape(extra)}; need {(N, n)}")
+    return np.asarray(extra, dtype=float)[None]
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Recipe for the (x, P, Q) triples fed to sup-type estimators.
@@ -91,7 +98,9 @@ class SamplingPlan:
     directions, the anchor tensor's strongest direction, optional extra
     directions, and random draws, each swept through MAGNITUDE_LADDER.
     An extra P anchor must be finite and an extra Q direction must have a
-    finite, nonzero norm; the plan refuses others with a ValueError.
+    finite, nonzero norm; the plan refuses others with a ValueError, and
+    ``p_matrices`` and ``q_directions`` refuse an extra sample whose shape
+    is not the (N, n) they are asked for.
 
     Random P, Q, and any future categories use separate child seeds so
     that enlarging one count extends its stream without moving any other;
@@ -102,7 +111,6 @@ class SamplingPlan:
     random_p: int = 4
     random_q: int = 8
     seed: int = 0
-    include_axis_directions: bool = True
     extra_p: tuple = ()
     extra_q_directions: tuple = ()
 
@@ -130,32 +138,24 @@ class SamplingPlan:
         for s in STRUCTURED_P_SCALES:
             parts.append(s * coords)
             parts.append(-s * coords)
-        for extra in self.extra_p:
-            parts.append(np.asarray(extra, dtype=float).reshape(1, N, n))
+        for i, extra in enumerate(self.extra_p):
+            parts.append(_extra_sample("extra_p", i, extra, N, n))
         if self.random_p:
             rng = rng_from_seed(self.seed * 5 + 1)
             parts.append(rng.normal(size=(self.random_p, N, n)))
         return np.concatenate(parts, axis=0)
 
-    def q_directions(self, N: int, n: int, anchor=None) -> np.ndarray:
+    def q_directions(self, N: int, n: int, anchor) -> np.ndarray:
         """Unit-Frobenius increment directions, shape (D, N, n)."""
-        parts = []
-        if self.include_axis_directions:
-            coords = _coordinate_matrices(N, n)
-            parts.append(coords)
-            parts.append(-coords)
-        if anchor is not None:
-            _, _, vh = np.linalg.svd(anchor.flattened())
-            parts.append(vh[0].reshape(1, N, n))
-        for extra in self.extra_q_directions:
-            d = np.asarray(extra, dtype=float).reshape(1, N, n)
+        coords = _coordinate_matrices(N, n)
+        _, _, vh = np.linalg.svd(anchor.flattened())
+        parts = [coords, -coords, vh[0].reshape(1, N, n)]
+        for i, extra in enumerate(self.extra_q_directions):
+            d = _extra_sample("extra_q_directions", i, extra, N, n)
             parts.append(d / np.linalg.norm(d))
         if self.random_q:
             rng = rng_from_seed(self.seed * 5 + 2)
-            raw = rng.normal(size=(self.random_q, N, n))
-            parts.append(raw)
-        if not parts:
-            raise ValueError("sampling plan produced no Q directions")
+            parts.append(rng.normal(size=(self.random_q, N, n)))
         dirs = np.concatenate(parts, axis=0)
         norms = np.linalg.norm(dirs.reshape(len(dirs), -1), axis=1)
         return dirs / norms[:, None, None]

@@ -1,15 +1,21 @@
-"""The benchmark's span table names functions that exist.
+"""The benchmark's span table and workloads name efos API that exists.
 
 ``perfbench/spans.py`` wraps efos (and numpy.fft) attributes by name, so a
 renamed or deleted function would silently drop its layer from traced
-runs.  The table is read with ``ast``, without importing the benchmark.
+runs; ``perfbench/workloads.py`` calls efos, so a removed function or
+parameter would fail every benchmark operation.  Both files are read with
+``ast``, without importing the benchmark.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
+import efos
+
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS_PY = SPANS_PY.with_name("workloads.py")
 
 
 def _span_targets():
@@ -28,3 +34,40 @@ def test_every_span_target_resolves():
             assert hasattr(obj, part), f"{module} has no {attribute}"
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attribute} is not callable"
+
+
+def _efos_calls():
+    """(line, dotted target, call node) of every call in workloads.py to
+    ``efos.<target>`` or ``self.efos.<target>``."""
+    for node in ast.walk(ast.parse(WORKLOADS_PY.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        path, base = [], node.func
+        while isinstance(base, ast.Attribute):
+            path.insert(0, base.attr)
+            base = base.value
+        if not isinstance(base, ast.Name):
+            continue
+        path = [base.id] + path
+        if path[0] == "self":
+            path = path[1:]
+        if path[0] == "efos" and len(path) > 1:
+            yield node.lineno, ".".join(path[1:]), node
+
+
+def test_every_workload_call_binds():
+    calls = list(_efos_calls())
+    assert len(calls) > 30
+    for line, target, call in calls:
+        where = f"workloads.py:{line} efos.{target}"
+        obj = efos
+        for part in target.split("."):
+            assert hasattr(obj, part), f"{where}: efos has no {target}"
+            obj = getattr(obj, part)
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        keywords = [k.arg for k in call.keywords]
+        assert None not in keywords, where
+        try:
+            inspect.signature(obj).bind(*call.args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None

@@ -188,20 +188,21 @@ def test_nearness_of_tanh_trace_shape():
     assert nearness_constant(F).nu_fa <= F.declared_nearness + 1e-9
     qstar = np.zeros((4, 3))
     qstar[0] = 1.0 / np.sqrt(3.0)
-    plan = SamplingPlan(random_p=0, random_q=0, include_axis_directions=False, extra_q_directions=(qstar,))
+    plan = SamplingPlan(random_p=0, random_q=0, extra_q_directions=(qstar,))
     rep = nearness_constant(F, plan=plan)
     assert abs(rep.nu_fa - F.declared_nearness) <= 1e-6
     assert not rep.worst_p.any()
 
 
 def test_nearness_estimate_monotone_under_enrichment():
+    # no axis direction attains tanh_trace's sup, so the added random directions raise the estimate
     A = dirac()
-    F = lipschitz_perturbation(A, 0.5, "sin_q11")
+    F = lipschitz_perturbation(A, 0.5, "tanh_trace")
     values = []
     for extra in (0, 4, 12):
-        plan = SamplingPlan(seed=5, random_q=4 + extra, include_axis_directions=False)
+        plan = SamplingPlan(seed=5, random_q=4 + extra)
         values.append(nearness_constant(F, plan=plan).nu_fa)
-    assert values[0] <= values[1] <= values[2]
+    assert values[0] < values[1] < values[2] <= F.declared_nearness + 1e-9
 
 
 def test_strict_ellipticity_margin():

@@ -139,6 +139,24 @@ def test_spectral_norms_split_plancherel(n, G):
     assert math.hypot(retained, nyquist, mean) == pytest.approx(norm_l2(u), rel=1e-14)
 
 
+@pytest.mark.parametrize("C", [1, 4, 9])
+@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
+def test_spectral_norms_add_rows_in_order(n, G, C):
+    # numpy sums the first axis of an array with three axes or more one row
+    # at a time, in row order; norms relies on that to give the same bits as
+    # an explicit row loop, and so keeps every Picard trace to the last bit
+    grid = PeriodicGrid(n=n, G=G, L=2.0)
+    core = spectral_core(grid)
+    scales = np.logspace(0, 4, C).reshape((C,) + (1,) * n)  # rows of unlike size, so their order shows
+    R = core.forward(scales * rng_from_seed(10 * n + C).standard_normal((C,) + grid.shape))
+    power = np.zeros(core.zmag.shape)
+    for row in R:
+        power += row.real**2 + row.imag**2
+    power *= core.weight
+    want = (math.sqrt(power[core.retained].sum()), math.sqrt(power[core.nyquist].sum()))
+    assert core.norms(R) == want
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(3) == 6.0
     assert conjugate_exponent(4) == 4.0

@@ -1,5 +1,7 @@
 """Deterministic sphere coverings and the increment sampling plan."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,12 @@ def test_plan_refuses_a_bad_extra_sample(field, bad, match):
     good = np.ones((4, 3))
     with pytest.raises(ValueError, match=match):
         SamplingPlan(**{field: (good, bad)})
+
+
+@pytest.mark.parametrize("field", ["extra_p", "extra_q_directions"])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4)], ids=["too_small", "transposed"])
+def test_plan_refuses_a_mis_shaped_extra_sample(field, shape):
+    # a (3, 4) direction for N=4, n=3 used to be reshaped silently into another direction
+    plan = SamplingPlan(**{field: (np.ones((4, 3)), np.ones(shape))})
+    with pytest.raises(ValueError, match=re.escape(f"{field}[1] has shape {shape}; need (4, 3)")):
+        plan.p_matrices(4, 3) if field == "extra_p" else plan.q_directions(4, 3, dirac())
