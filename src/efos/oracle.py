@@ -7,8 +7,9 @@ and solves that square system of N ((G-1)^n - 1) unknowns by least
 squares.  The brute-force ellipticity estimate samples the sphere densely
 with no refinement, through Gram-matrix eigenvalues rather than the fast
 path's singular values; a batched LDL^T inertia test with a rounding
-margin skips the samples certified above its own running minimum, and
-the result equals the unpruned loop's bit for bit.  Both exist to
+margin skips the samples certified above its own running minimum, an
+exactly diagonal Gram matrix gives its least diagonal entry, and the
+result equals the unpruned eigenvalue loop's bit for bit.  Both exist to
 disagree loudly if the fast paths drift.
 """
 
@@ -157,32 +158,63 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     Sylvester's law of inertia; the margin delta absorbs the rounding of
     both the pivots and LAPACK's eigenvalues, so the result equals the
     full loop's bit for bit.  Where sigma_min is flat (dirac,
-    Cauchy-Riemann) every sample lies within delta of the minimum and all
-    of them still get eigenvalues.
+    Cauchy-Riemann) every sample lies within delta of the minimum, and
+    none is certified.
+
+    Of the rest, a G whose off-diagonal entries are all zero, and whose
+    largest entry lies strictly between sqrt(tiny/eps) and sqrt(eps/tiny)
+    (about 1e-146 and 1e146), gives its least diagonal entry without
+    LAPACK.  That is what LAPACK's dsyevd returns for it, bit for bit:
+    inside that range dsyevd does not rescale, dsytd2 leaves a diagonal
+    matrix as it is (dlarfg of a zero vector gives tau = 0), dsterf splits
+    at every zero off-diagonal entry and keeps each 1x1 block's d, and the
+    eigenvalues come back sorted.  The Gram matrices of dirac and
+    Cauchy-Riemann, whose direction matrices are orthogonal, are exactly
+    diagonal in floating point too.  Only the others get eigenvalues.
+    Raises ValueError, naming the first sample direction, when a Gram
+    matrix is not finite: the tensor's entries are then too large to
+    square.
     """
     if samples < 1000:
         raise ValueError(f"brute-force sampling needs at least 1000 points, got {samples}")
     N, n = A.N, A.n
     S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(n * n, N * N)
     dirs = unit_sphere_points(n, samples)
-    diag = np.arange(N)
+    diag, off = np.arange(N), ~np.eye(N, dtype=bool)
+    # dsyevd rescales a matrix whose largest entry lies outside [sqrt(tiny/eps), sqrt(eps/tiny)]
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    lo, hi = np.sqrt(tiny / eps), np.sqrt(eps / tiny)
     best = np.inf
     for start in range(0, len(dirs), 8192):
         a = dirs[start : start + 8192]
         # einsum's own loop: a BLAS matmul this thin would wake a second thread and its buffers
-        gram = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
+        gram = batch = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
         if start:
             # delta = 64 N^2 eps (tr G + |best|): for PSD G, tr G + |best| bounds |G - best I|_2, and
             # the backward errors of LDL^T and of the symmetric eigensolver are each O(N^2 eps) times
             # it (Higham 2002, ch. 10); 64 covers both, so a certified G's eigvalsh exceed best
             W = gram.transpose(1, 2, 0).copy()  # (N, N, b): each step is a length-b vector op
-            W[diag, diag] -= best + 64 * N * N * np.finfo(float).eps * (W[diag, diag].sum(axis=0) + abs(best))
             certified = np.ones(len(a), dtype=bool)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite G fails a pivot
+                W[diag, diag] -= best + 64 * N * N * eps * (W[diag, diag].sum(axis=0) + abs(best))
                 for j in range(N):
                     certified &= W[j, j] > 0
                     W[j + 1 :, j + 1 :] -= W[j + 1 :, j, None] * (W[j, j + 1 :] / W[j, j])
             gram = gram[~certified]
+        exact = gram[:, -1, 0] == 0  # a cheap necessary condition first
+        if exact.any():
+            d = gram[:, diag, diag]
+            peak = np.abs(d).max(axis=1)
+            exact &= (lo < peak) & (peak < hi) & ~gram[:, off].any(axis=1)
+            if exact.any():
+                best = min(best, float(d[exact].min()))
+                gram = gram[~exact]
         if len(gram):
+            if not np.isfinite(gram).all():
+                i = int(np.argmin(np.isfinite(batch).all(axis=(1, 2))))
+                raise ValueError(
+                    f"the Gram matrix of sample direction {start + i}, a = {a[i].tolist()}, is not finite; "
+                    "the tensor's entries are too large for the Gram kernel"
+                )
             best = min(best, float(np.linalg.eigvalsh(gram)[:, 0].min()))
     return float(np.sqrt(max(best, 0.0)))

@@ -11,6 +11,18 @@ from efos.sampling import MAGNITUDE_LADDER, SamplingPlan
 from efos.tensor import contract
 
 
+# Left multiplication by the quaternion units 1, i, j, k on (r, x, y, z).
+QUATERNION_UNITS = np.array(
+    [
+        np.eye(4),
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    ],
+    dtype=float,
+)
+
+
 def single_mode_rhs(grid: PeriodicGrid, components: int, component: int = 0, axis: int = 0):
     """amplitude-1 sine along one axis in one component; mean-zero and band-limited."""
     x = grid.points()

@@ -24,21 +24,9 @@ from efos.grid import PeriodicGrid, gradient, random_band_limited
 from efos.nonlinear import NonlinearOperator, near_operator_check, verify_comparison
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
-from helpers import reference_sweeps
+from helpers import QUATERNION_UNITS, reference_sweeps
 
 NU_GCR_2111 = 2.0 / np.sqrt(5.0)  # interior minimum of the direction-matrix singular value
-
-# Left multiplication by the quaternion units 1, i, j, k on (r, x, y, z).
-QUATERNION_UNITS = np.array(
-    [
-        np.eye(4),
-        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-    ],
-    dtype=float,
-)
-
 
 def test_nu_cauchy_riemann_is_one():
     rep = ellipticity_constant(cauchy_riemann(), 512)
@@ -119,9 +107,9 @@ def test_resolution_validation():
 
 
 def test_resolution_is_the_sample_count():
-    # at n = 4 the sphere grid rounds its angle counts up: 2048 requested, 4394 taken
+    # at n = 4 the sphere grid rounds its angle count up: 2048 requested, 2 * 11^3 = 2662 taken
     A = ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1))
-    assert ellipticity_constant(A, 2048).resolution == len(unit_sphere_points(4, 2048)) == 4394
+    assert ellipticity_constant(A, 2048).resolution == len(unit_sphere_points(4, 2048)) == 2662
     for B, n in ((cauchy_riemann(), 2), (dirac(), 3)):
         assert ellipticity_constant(B, 2048).resolution == len(unit_sphere_points(n, 2048)) == 2048
 

@@ -1,5 +1,7 @@
 """Dense-matrix oracle against the spectral path, plus brute-force nu."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from efos.oracle import assemble_dense, brute_nu, solve_dense
 from efos.sampling import rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, direction_matrix, operator_norm
 
-from helpers import single_mode_rhs
+from helpers import QUATERNION_UNITS, single_mode_rhs
 
 
 def test_assemble_dense_matches_spectral_application():
@@ -236,6 +238,13 @@ PRUNING_TENSORS = {
     },
     # least eigenvalue about 0 or slightly negative, so G - best I shifts upward
     "zero_row": _zero_row_tensor,
+    # about 44% of its Gram matrices are exactly diagonal, so a batch mixes both readings
+    "quaternion(3,1.5,2,4)": lambda: ConstantTensor(
+        np.moveaxis(QUATERNION_UNITS, 0, -1) * np.array([3.0, 1.5, 2.0, 4.0])
+    ),
+    # exactly diagonal Gram matrices with entries near 1e-150 and 1e148, which LAPACK rescales
+    "dirac*1e-75": lambda: ConstantTensor(1e-75 * dirac().entries),
+    "dirac*1e74": lambda: ConstantTensor(1e74 * dirac().entries),
 }
 
 
@@ -247,7 +256,7 @@ def test_brute_nu_is_bit_identical_to_the_full_eigenvalue_loop(name):
         assert brute_nu(A, samples) == _full_eigvalsh_nu(A, samples), samples
 
 
-def test_brute_nu_prunes_eigenvalue_calls(monkeypatch):
+def _count_eigvalsh_rows(monkeypatch):
     eigvalsh, rows = np.linalg.eigvalsh, []
 
     def counting(a):
@@ -255,7 +264,55 @@ def test_brute_nu_prunes_eigenvalue_calls(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return rows
+
+
+def test_brute_nu_prunes_eigenvalue_calls(monkeypatch):
+    rows = _count_eigvalsh_rows(monkeypatch)
     brute_nu(_perturbed_dirac(0), 100_000)
     assert sum(rows) <= 20_000
-    # dirac's sigma_min is flat, so nothing is certified and every sample still gets an eigenvalue
+    # dirac's sigma_min is flat, so nothing is certified; its Gram matrices are exactly
+    # diagonal, so they are read off the diagonal instead
     assert brute_nu(dirac(), 100_000) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, lapack",
+    [
+        ("dirac", "none"),
+        ("cauchy_riemann", "none"),
+        ("quaternion(3,1.5,2,4)", "some"),
+        ("dirac*1e-75", "all"),
+        ("dirac*1e74", "all"),
+    ],
+)
+def test_brute_nu_sends_only_rescaled_or_non_diagonal_gram_matrices_to_lapack(monkeypatch, name, lapack):
+    A = PRUNING_TENSORS[name]()
+    total = len(unit_sphere_points(A.n, 100_000))
+    rows = _count_eigvalsh_rows(monkeypatch)
+    brute_nu(A, 100_000)
+    assert {"none": sum(rows) == 0, "some": 0 < sum(rows) < total, "all": sum(rows) == total}[lapack], sum(rows)
+
+
+def _gram_overflow_tensor():
+    # S = A_j^T A_k stays finite, (A a)^T (A a) = 1.69e308 (a_1 - a_2)^2 I overflows past
+    # a = (-0.03, 1): the first such sample lies in the fourth batch of 8192
+    entries = np.zeros((2, 2, 2))
+    entries[[0, 1], [0, 1], 0] = 1.3e154
+    entries[[0, 1], [0, 1], 1] = -1.3e154
+    return ConstantTensor(entries)
+
+
+@pytest.mark.parametrize(
+    "A, first",
+    [
+        (ConstantTensor(1e160 * generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0).entries), 0),  # nu about 8.9e159
+        (ConstantTensor(1e155 * dirac().entries), 0),
+        (_gram_overflow_tensor(), 25_507),
+    ],
+    ids=["gcr*1e160", "dirac*1e155", "overflow_in_a_later_batch"],
+)
+def test_brute_nu_refuses_a_gram_matrix_that_is_not_finite(A, first):
+    a = re.escape(str(unit_sphere_points(A.n, 100_000)[first].tolist()))
+    with pytest.raises(ValueError, match=rf"^the Gram matrix of sample direction {first}, a = {a}, is not finite"):
+        brute_nu(A, 100_000)

@@ -23,6 +23,28 @@ def test_sphere_points_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("count", [1, 7, 2048, 4096, 100_000])
+def test_sphere_points_at_n2_and_n3_are_exactly_count_points(count):
+    # equally spaced angles and the Fibonacci spiral, bit for bit, one point per request
+    theta = 2.0 * np.pi * (np.arange(count) + 0.5) / count
+    assert np.array_equal(unit_sphere_points(2, count), np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    i = np.arange(count) + 0.5
+    phi = np.arccos(1.0 - 2.0 * i / count)
+    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
+    spiral = np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1)
+    assert np.array_equal(unit_sphere_points(3, count), spiral)
+
+
+def test_sphere_grid_takes_the_least_angle_count():
+    # R = 2 m^(n-1) with the least m that reaches count, also where count / 2 is an exact power
+    assert [len(unit_sphere_points(4, c)) for c in (2048, 4096, 100_000)] == [2662, 4394, 101_306]
+    for n in (4, 5):
+        for count in list(range(1, 600)) + [2 * 7 ** (n - 1), 2 * 9 ** (n - 1)]:
+            R = len(unit_sphere_points(n, count))
+            m = round((R / 2) ** (1.0 / (n - 1)))
+            assert R == 2 * m ** (n - 1) and 2 * (m - 1) ** (n - 1) < count <= R, (n, count)
+
+
 def test_sphere_covering_gets_close_to_any_direction():
     pts = unit_sphere_points(3, 4000)
     target = np.array([0.3, -0.5, 0.8])
