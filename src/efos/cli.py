@@ -5,7 +5,7 @@ Runs are described by an INI-style config (sections in brackets,
 the output directory.  Exit codes encode the failing stage:
 
     0  requested checks all passed
-    1  config could not be parsed or named unknown objects
+    1  usage error, or config could not be parsed or named unknown objects
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .ellipticity import NonEllipticError, cached_nu, ellipticity_constant, nearness_constant
-from .exprs import ExpressionError, compile_expression
+from .exprs import ExpressionError, compile_expression, evaluate
 from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from .linear import RegularizerSequence, solve_linear, solve_representation, verify_apriori
@@ -143,7 +143,7 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
         for comp in range(N):
             key = f"f{comp + 1}"
             if cfg.has_option("rhs", key):
-                values[comp] = np.broadcast_to(_compile(cfg, "rhs", key, env)(env), grid.shape)
+                values[comp] = np.broadcast_to(evaluate(_compile(cfg, "rhs", key, env), env), grid.shape)
         f = GridFunction(grid, values)
     elif kind == "file":
         path = _get(cfg, "rhs", "file")
@@ -193,7 +193,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         for b in range(N):
             for j in range(n):
                 env[f"q{b + 1}{j + 1}"] = Q[..., b, j]
-        return np.stack(np.broadcast_arrays(*(fn(env) for fn in compiled)), axis=-1) - contract(A, Q)
+        return np.stack(np.broadcast_arrays(*(evaluate(tree, env) for tree in compiled)), axis=-1) - contract(A, Q)
 
     try:
         return NonlinearOperator(
@@ -281,7 +281,10 @@ def cmd_solve_nonlinear(cfg, args) -> int:
 def cmd_verify(cfg, args) -> int:
     A = build_tensor(cfg)
     grid = build_grid(cfg, A.n)
-    rng = rng_from_seed(args.seed if args.seed is not None else _get(cfg, "run", "seed", int, 0))
+    seed, key = (args.seed, "--seed") if args.seed is not None else (_get(cfg, "run", "seed", int, 0), "[run] seed")
+    if seed < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {seed}")
+    rng = rng_from_seed(seed)
     rows = []
 
     def record(check, case, value, bound, ok):
@@ -345,7 +348,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI-style run description")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory for reports and fields")
         p.add_argument("--seed", type=int, default=None, help="override the [run] seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, a code that means non-elliptic here
+        return 1 if exc.code else 0
     try:
         cfg = _load_config(args.config)
         try:

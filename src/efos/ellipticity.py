@@ -193,8 +193,8 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
 
 def is_elliptic(A: ConstantTensor, nu: float) -> bool:
     """The ellipticity gate: whether nu, an estimate of nu(A), exceeds
-    1e-12 max(1, |A|); false for NaN."""
-    return bool(nu > 1e-12 * max(1.0, operator_norm(A)))
+    1e-12 |A|, so that it gives for c A what it gives for A; false for NaN."""
+    return bool(nu > 1e-12 * operator_norm(A))
 
 
 @lru_cache(maxsize=None)

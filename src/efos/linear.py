@@ -113,8 +113,6 @@ class RepresentationReport:
     recorded in ``rational_bound``.
     """
 
-    kind: str
-    m: int
     residual: float
     factor_gap: float
     z_min: float
@@ -137,9 +135,6 @@ class AprioriReport:
     ratio_grad: float
     ratio_sobolev: float
     nu: float
-    norm_f: float
-    norm_du: float
-    norm_u_2star: float
 
 
 @dataclass(frozen=True)
@@ -245,8 +240,6 @@ def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: Regula
         gap = 0.0
     u, rel = _solution(plan, plan.apply(F) * s, F * s)
     return u, RepresentationReport(
-        kind=regularizer.kind,
-        m=regularizer.m,
         residual=rel,
         factor_gap=gap,
         z_min=z_min,
@@ -275,14 +268,6 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction) -> Aprio
         n2s = norm_l2star(u)
         ratio_sob = n2s / ndu if ndu > 0 else 0.0
     except ValueError:
-        n2s = float("nan")
         ratio_sob = float("nan")
     ratio_grad = ndu * nu / nf if nf > 0 else 0.0
-    return AprioriReport(
-        ratio_grad=float(ratio_grad),
-        ratio_sobolev=float(ratio_sob),
-        nu=nu,
-        norm_f=nf,
-        norm_du=ndu,
-        norm_u_2star=float(n2s),
-    )
+    return AprioriReport(ratio_grad=float(ratio_grad), ratio_sobolev=float(ratio_sob), nu=nu)

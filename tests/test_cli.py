@@ -63,6 +63,17 @@ entries = 1,0, 0,1, 0,-1, 1,0
     assert abs(float(row.split(",")[0]) - 1.0) < 1e-9
 
 
+def test_analyze_tiny_tensor_is_elliptic(tmp_path):
+    # the gate is relative to |A|, so 1e-13 CR is as elliptic as CR
+    text = "[tensor]\nsource = inline\nN = 2\nn = 2\nentries = 1e-13,0, 0,1e-13, 0,-1e-13, 1e-13,0\n"
+    code, out = run(tmp_path, text, "analyze")
+    assert code == 0
+    with open(out / "ellipticity.csv", newline="") as fh:
+        (cells,) = list(csv.DictReader(fh))
+    assert cells["elliptic"] == "True"
+    assert abs(float(cells["nu"]) / 1e-13 - 1.0) < 1e-9
+
+
 def test_analyze_non_elliptic_exit_code(tmp_path):
     text = """
 [tensor]
@@ -270,8 +281,7 @@ tol = 1e-8
     assert math.isnan(float(first[2]))  # no ratio on the first step
 
 
-def test_solve_nonlinear_expression_operator(tmp_path):
-    text = """
+CR_EXPRESSIONS = """
 [tensor]
 source = catalog:cauchy_riemann
 
@@ -288,7 +298,12 @@ f1 = q11 + q22 + 0.2*sin(q11)
 f2 = -q12 + q21
 lambda = 0.2
 """
-    code, out = run(tmp_path, text, "solve-nonlinear")
+# literals whose float overflows, each with the shortened text that the refusal quotes
+NON_FINITE_LITERALS = [("7" * 400, "7" * 20 + "..."), ("1e400", "1e400")]
+
+
+def test_solve_nonlinear_expression_operator(tmp_path):
+    code, out = run(tmp_path, CR_EXPRESSIONS, "solve-nonlinear")
     assert code == 0
     assert (out / "u.efof").exists()
 
@@ -521,6 +536,40 @@ G = 8
     assert (out1 / "verify.csv").read_bytes() == (out2 / "verify.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "run_section, extra, key",
+    [("[run]\nseed = -1\n", (), "[run] seed"), ("", ("--seed", "-1"), "--seed")],
+    ids=["config", "flag"],
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, run_section, extra, key):
+    text = "[tensor]\nsource = catalog:cauchy_riemann\n\n[grid]\nG = 8\n\n" + run_section
+    code, out = run(tmp_path, text, "verify", extra=extra)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {key} must be a non-negative integer, got -1\n"
+    assert not (out / "verify.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--config", "run.ini", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["analyze", "--config", "run.ini", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["seed_not_int", "unknown_flag", "missing_command"],
+)
+def test_usage_error_exits_1_with_argparse_message(capsys, argv, message):
+    # argparse would exit 2, which this CLI reserves for a failed ellipticity requirement
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: efos") and message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: efos")
+
+
 def test_missing_config_exit_code(tmp_path):
     assert main(["analyze", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 1
 
@@ -618,6 +667,19 @@ source = catalog:{operator}
             "catalog entry 'lipschitz_perturbation' needs a number for lam",
         ),
         ("[tensor]\nsource = catalog:dirac\n", "analyze", True, "cannot create output directory"),
+        *(
+            (
+                CR_EXPRESSIONS.replace(term, f"{literal}*{term}"),
+                command,
+                False,
+                f"bad [{section}] f1: literal {shown} is not a finite number",
+            )
+            for section, term, command in [
+                ("nonlinear", "sin(q11)", "solve-nonlinear"),
+                ("rhs", "sin(2*pi*x1)", "solve-linear"),
+            ]
+            for literal, shown in NON_FINITE_LITERALS
+        ),
     ],
     ids=[
         "tensor_extra_param",
@@ -626,6 +688,10 @@ source = catalog:{operator}
         "modulation_not_tensor",
         "lam_not_number",
         "out_is_file",
+        "nonlinear_f1_400_digits",
+        "nonlinear_f1_1e400",
+        "rhs_f1_400_digits",
+        "rhs_f1_1e400",
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, config, command, out_is_file, message):

@@ -78,6 +78,17 @@ def test_nu_scales_linearly():
     assert abs(ellipticity_constant(B, 256).nu - 3.5) < 1e-8
 
 
+@pytest.mark.parametrize("c", [1e-13, 1e-6, 1e6])
+@pytest.mark.parametrize(
+    "A", [cauchy_riemann(), dirac(), generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0)], ids=["cr", "dirac", "gcr"]
+)
+def test_ellipticity_is_scale_covariant(A, c):
+    # nu(cA) = c nu(A), and the gate compares nu with |A|, so c A is elliptic whenever A is
+    rep, ref = ellipticity_constant(ConstantTensor(c * A.entries), 256), ellipticity_constant(A, 256)
+    assert rep.elliptic and ref.elliptic
+    assert abs(rep.nu / c - ref.nu) <= 1e-12 * ref.nu
+
+
 def test_zero_tensor_not_elliptic():
     rep = ellipticity_constant(ConstantTensor(np.zeros((2, 2, 2))), 128)
     assert rep.nu == 0.0
