@@ -69,8 +69,15 @@ def compile_expression(text: str, names):
 
 def evaluate(tree, env):
     """The value of a compiled expression with numpy broadcasting; ``env``
-    maps each name the expression reads to an array or a scalar."""
+    maps each name the expression reads to an array or a scalar.  numpy's
+    floating-point warnings are off: every reader of the value refuses a
+    NaN or an infinity and names where it is."""
+    with np.errstate(all="ignore"):
+        return _value(tree, env)
+
+
+def _value(tree, env):
     if isinstance(tree, tuple):
         fn, *operands = tree
-        return fn(*(evaluate(operand, env) for operand in operands))
+        return fn(*(_value(operand, env) for operand in operands))
     return env[tree] if isinstance(tree, str) else tree

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridFunction, PeriodicGrid
 
-__all__ = ["MAGIC", "VERSION", "write_field", "read_field", "check_finite", "write_csv"]
+__all__ = ["MAGIC", "VERSION", "write_field", "read_field", "NonFiniteError", "check_finite", "write_csv"]
 
 MAGIC = b"EFOF"
 VERSION = 1
@@ -76,13 +76,22 @@ def read_field(path, L: float = 1.0) -> GridFunction:
     return GridFunction(grid, values.copy())
 
 
+class NonFiniteError(ValueError):
+    """Values are NaN or infinite; ``where`` names the first (component,
+    grid index) that is."""
+
+    def __init__(self, what: str, where: str):
+        super().__init__(f"{what} is not finite at {where}")
+        self.where = where
+
+
 def check_finite(values: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first (component, grid index) of
+    """Raise NonFiniteError naming the first (component, grid index) of
     ``values``, shape (C, ...), that is NaN or infinite."""
     bad = ~np.isfinite(values)
     if bad.any():
         component, *index = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        raise ValueError(f"{what} is not finite at component {component}, grid index {tuple(index)}")
+        raise NonFiniteError(what, f"component {component}, grid index {tuple(index)}")
 
 
 def _cell(value) -> str:

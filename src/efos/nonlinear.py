@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, nearness_constant
+from .fieldfile import NonFiniteError, check_finite
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, multiplier_plan
 from .tensor import ConstantTensor, contract
@@ -118,7 +119,9 @@ class NonlinearOperator:
         return contract(self.anchor, Q) + self.scatter(self.perturbation(x, Q))
 
     def apply_to_gradient(self, Du: GridFunction) -> GridFunction:
-        """F(x, Du(x)) over a whole grid; Du carries N*n components."""
+        """F(x, Du(x)) over a whole grid; Du carries N*n components.
+        NonFiniteError names the first component and grid index where Phi
+        is not finite."""
         Phi = self.scatter(_perturbation_values(self, np.moveaxis(Du.grid.points(), 0, -1), Du.values), axis=0)
         return GridFunction(Du.grid, apply_tensor(self.anchor, Du).values + Phi)
 
@@ -126,10 +129,14 @@ class NonlinearOperator:
 def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
     """Phi(x, Du(x)) at the grid points X (G, ..., G, n), as
     (len(F.rows), G, ..., G) values of its rows, from the N*n derivative
-    values Du."""
+    values Du.  NonFiniteError names the first component and grid index
+    where Phi is not finite."""
     N, n = F.anchor.N, F.anchor.n
     Q = np.moveaxis(Du.reshape((N, n) + Du.shape[1:]), (0, 1), (-2, -1))
-    return np.moveaxis(np.asarray(F.perturbation(X, Q), dtype=float), -1, 0)
+    phi = np.moveaxis(np.asarray(F.perturbation(X, Q), dtype=float), -1, 0)
+    if not np.isfinite(phi).all():
+        check_finite(F.scatter(phi, axis=0), "F - A")
+    return phi
 
 
 @dataclass
@@ -210,13 +217,13 @@ def _contraction_margin(A: ConstantTensor, near: float) -> float:
 
 def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> None:
     """Write the half spectrum of Phi(., Du)'s rows into ``out``.
-    DivergenceError names the first grid index where Phi is not finite."""
-    phi = _perturbation_values(F, X, Du)
-    if not np.isfinite(phi).all():
-        bad = ~np.isfinite(phi).all(axis=0)
-        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        trace.message = f"F is not finite at step {step}, first at grid index {index}"
-        raise DivergenceError(trace.message, trace)
+    DivergenceError names the step and the first component and grid index
+    where Phi is not finite."""
+    try:
+        phi = _perturbation_values(F, X, Du)
+    except NonFiniteError as exc:
+        trace.message = f"F is not finite at step {step}, first at {exc.where}"
+        raise DivergenceError(trace.message, trace) from exc
     core.forward(phi, out=out)
 
 
@@ -338,7 +345,8 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
     """Check the gradient comparison bound on a pair of fields.
 
     Requires a declared nearness bound so that nu(A) - nu(F, A) in the
-    denominator is certified.
+    denominator is certified.  NonFiniteError names the first component
+    and grid index where Phi is not finite on either field.
     """
     if F.declared_nearness is None:
         raise ValueError("comparison bound needs declared_nearness on the operator")
@@ -358,7 +366,9 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     (A[u] - A[v])|_2, must not exceed K |A[u] - A[v]|_2 with K the
     declared nearness ratio.  Degenerate pairs with A[u] = A[v] count as
     violations only if the left side is nonzero.  NonEllipticError unless
-    the declared nearness leaves a contraction margin, as in the solver.
+    the declared nearness leaves a contraction margin, as in the solver;
+    NonFiniteError names the first component and grid index where Phi is
+    not finite on a field of a pair.
     """
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")

@@ -1,10 +1,14 @@
 """Shared builders for the test suite."""
 
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import efos
 from efos.ellipticity import LipschitzConverseReport, NearnessReport, PseudoMonotonicityReport, cached_nu
 from efos.grid import GridFunction, PeriodicGrid
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan
@@ -48,6 +52,13 @@ def poke_payload(path, shape, index, value):
     offset = 16 + 4 * (len(shape) - 1) + 8 + 8 * int(np.ravel_multi_index(index, shape))
     struct.pack_into("<d", raw, offset, value)
     Path(path).write_bytes(bytes(raw))
+
+
+def run_python(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this efos, with
+    its exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
 
 
 def _reference_batch_max(values, X, P, Q):

@@ -2,21 +2,16 @@
 
 import csv
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import efos
 from efos.cli import REPORT_COLUMNS, TRACE_COLUMNS, main
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
 from efos.sampling import rng_from_seed
 
-from helpers import dirac_closed_form, poke_payload
+from helpers import dirac_closed_form, poke_payload, run_python
 
 DIRAC_LINEAR = """
 [tensor]
@@ -39,6 +34,15 @@ def run(tmp_path, config_text, command, name="run.ini", extra=()):
     cfg.write_text(config_text)
     out = tmp_path / "out"
     return main([command, "--config", str(cfg), "--out", str(out), *extra]), out
+
+
+def run_entry(tmp_path, config_text, command):
+    """``command`` through the console script's entry point in a fresh
+    interpreter, so that its stderr holds all it prints, warnings included."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config_text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    return run_python("-c", "from efos.cli import entry; entry()", *argv)
 
 
 def test_analyze_writes_report(tmp_path):
@@ -414,6 +418,52 @@ def test_bad_declared_nearness_is_config_error(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize(
+    "section",
+    [
+        DIRAC_EXPRESSION + "lambda = 0.3\n",
+        DIRAC_EXPRESSION.replace("0.3 * sin(q11)", "0.3 * cos(2 * pi * x1) * sin(q11)") + "lambda = 0.3\n",
+        "[nonlinear]\nsource = catalog:variable_linear(dirac, 0.3)\n",
+        "[nonlinear]\nsource = catalog:lipschitz_perturbation(dirac, 0.9, tanh_trace)\n",
+    ],
+    ids=["expression", "expression_x1", "variable_linear", "tanh_trace"],
+)
+def test_operator_solves_and_verifies(tmp_path, section):
+    # full-width expression operators, one reading x1 so that the sweeps evaluate it on the
+    # full (x, P) shape, and catalog operators that declare one output row and read one or
+    # three gradient entries
+    text = DIRAC_LINEAR.replace("G = 16", "G = 8") + section
+    code, out = run(tmp_path, text, "solve-nonlinear")
+    assert code == 0
+    with open(out / "trace.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) >= 2
+    code, out = run(tmp_path, text, "verify")
+    assert code == 0
+    with open(out / "verify.csv", newline="") as fh:
+        assert all(row["status"] == "pass" for row in csv.DictReader(fh))
+
+
+# 0.0 * q11 / 0 is NaN at x1 = 0.25, a grid point at G = 8 that the sampling plan's x samples miss
+NAN_ON_THE_GRID = DIRAC_LINEAR.replace("G = 16", "G = 8") + DIRAC_EXPRESSION.replace(
+    "0.3 * sin(q11)", "0.3 * sin(q11) + 0.0 * q11 / (x1 - 0.25)"
+) + "lambda = 0.3\n"
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("verify", 1, "config error: F - A is not finite at component 0, grid index (2, 0, 0)"),
+        ("solve-nonlinear", 3, "solve error: F is not finite at step 0, first at component 0, grid index (2, 0, 0)"),
+    ],
+    ids=["verify", "solve_nonlinear"],
+)
+def test_operator_not_finite_on_the_grid_is_named(tmp_path, command, code, message):
+    proc = run_entry(tmp_path, NAN_ON_THE_GRID, command)
+    assert proc.returncode == code
+    assert proc.stderr == message + "\n"  # one line: numpy's warnings are off while expressions evaluate
+    assert not (tmp_path / "out" / "verify.csv").exists() and not (tmp_path / "out" / "u.efof").exists()
+
+
+@pytest.mark.parametrize(
     "tensor, section, message",
     [
         ("catalog:variable_linear(dirac, 0.3)", "", "names an operator, not a tensor"),
@@ -695,16 +745,9 @@ source = catalog:{operator}
     ],
 )
 def test_malformed_input_exits_1_without_traceback(tmp_path, config, command, out_is_file, message):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(config)
-    out = tmp_path / "out"
     if out_is_file:
-        out.write_text("")
-    env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
-    argv = [command, "--config", str(cfg), "--out", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-c", "from efos.cli import entry; entry()", *argv], env=env, capture_output=True, text=True
-    )
+        (tmp_path / "out").write_text("")
+    proc = run_entry(tmp_path, config, command)
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:")
     assert message in proc.stderr
@@ -712,7 +755,8 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, config, command, ou
 
 
 def test_import_leaves_scipy_out():
-    env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
-    code = "import sys, efos, efos.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # nor numpy.random, which every CLI command would pay for: efos imports it where it draws
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.random')"
+    proc = run_python("-c", f"import sys, efos, efos.cli; print({loaded})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

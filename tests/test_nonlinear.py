@@ -194,6 +194,28 @@ def test_non_finite_F_fails_fast_with_witness():
         assert not exc.value.trace.converged
 
 
+@pytest.mark.parametrize("rows, component", [(None, 0), ((2,), 2)], ids=["every_row", "row_2"])
+def test_non_finite_F_on_the_grid_is_refused_with_witness(rows, component):
+    # Phi is NaN where x1 >= 1/2, first at grid index (4, 0, 0); the witness names F's
+    # component, not the position among Phi's rows
+    A = dirac()
+    grid = PeriodicGrid(n=3, G=8)
+
+    def nan_right_half(x, Q):
+        out = np.zeros(np.shape(Q)[:-2] + (1 if rows else 4,))
+        out[np.asarray(x)[..., 0] >= 0.5] = np.nan
+        return out
+
+    F = NonlinearOperator(perturbation=nan_right_half, anchor=A, declared_nearness=0.5, rows=rows)
+    w, v = (random_band_limited(grid, 4, rng_from_seed(seed)) for seed in (1, 2))
+    where = f"component {component}, grid index (4, 0, 0)"
+    for check in (lambda: verify_comparison(F, w, v), lambda: near_operator_check(F, [(w, v)])):
+        with pytest.raises(ValueError, match=re.escape(f"F - A is not finite at {where}") + "$"):
+            check()
+    with pytest.raises(DivergenceError, match=re.escape(f"F is not finite at step 0, first at {where}") + "$"):
+        campanato_solve(F, single_mode_rhs(grid, 4), tol=1e-10)
+
+
 @pytest.mark.parametrize("what", ["right-hand side", "u0"])
 def test_non_finite_rhs_or_start_rejected_with_witness(what):
     grid = PeriodicGrid(n=3, G=8)
