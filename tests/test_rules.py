@@ -98,7 +98,9 @@ def tree_files(rule):
 
 def report(rule, files):
     """The rule's message and one ``file:line: text`` per offending line of
-    ``files``, {path: text}, or "" when they keep the rule."""
+    ``files``, {path: text}, or "" when they keep the rule.  A count rule
+    that is broken also reports how many lines it found, so that a count of
+    0, which names no line, still reports."""
     hits = [
         (path, number, line.strip())
         for path, text in sorted(files.items())
@@ -107,9 +109,14 @@ def report(rule, files):
     ]
     if rule.count is None:
         hits = [hit for hit in hits if hit[0] not in rule.allowed]
+        if not hits:
+            return ""
+        tail = []
     elif len(hits) == rule.count:
-        hits = []
-    return "\n".join([rule.message, *(f"{path}:{number}: {line}" for path, number, line in hits)]) if hits else ""
+        return ""
+    else:
+        tail = [f"(found {len(hits)}, expected {rule.count})"]
+    return "\n".join([rule.message, *(f"{path}:{number}: {line}" for path, number, line in hits), *tail])
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
@@ -128,3 +135,14 @@ def test_rule_reports_its_planted_violation(rule):
     last = text.splitlines()[-1]
     assert broken.startswith(rule.message + "\n")
     assert f"\n{path}:{len(text.splitlines())}: {last.strip()}" in broken
+
+
+@pytest.mark.parametrize("rule", [rule for rule in RULES if rule.count], ids=lambda rule: rule.name)
+def test_count_rule_reports_its_lines_removed(rule):
+    """Dropping every line that a count rule counts, as when the one call
+    is deleted or renamed away, breaks the rule."""
+    files = {
+        path: "".join(line for line in text.splitlines(keepends=True) if not re.search(rule.pattern, line))
+        for path, text in tree_files(rule).items()
+    }
+    assert report(rule, files) == f"{rule.message}\n(found 0, expected {rule.count})"
