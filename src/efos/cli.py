@@ -5,7 +5,8 @@ Runs are described by an INI-style config (sections in brackets,
 the output directory.  Exit codes encode the failing stage:
 
     0  requested checks all passed
-    1  usage error, or config could not be parsed or named unknown objects
+    1  usage error, or config could not be parsed or named unknown sections,
+       keys or objects
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import re
 import sys
 from pathlib import Path
 
@@ -34,10 +36,22 @@ from .oracle import solve_dense
 from .sampling import rng_from_seed
 from .tensor import ConstantTensor, contract
 
-__all__ = ["main", "entry", "ConfigError", "REPORT_COLUMNS", "TRACE_COLUMNS"]
+__all__ = ["main", "entry", "ConfigError", "CONFIG_KEYS", "REPORT_COLUMNS", "TRACE_COLUMNS"]
 
 REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
 TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
+
+# every key that a section may hold; "fK" stands for f1, f2, ..., whose K
+# must name a component of the tensor when the section is read
+CONFIG_KEYS = {
+    "tensor": ("source", "N", "n", "entries", "resolution"),
+    "grid": ("G", "L"),
+    "rhs": ("kind", "component", "frequency", "amplitude", "phase", "file", "fK"),
+    "solver": ("tol", "max_iter", "regularizer", "m"),
+    "nonlinear": ("source", "lambda", "fK"),
+    "run": ("seed",),
+}
+_COMPONENT_KEY = re.compile(r"f[1-9]\d*")
 
 
 class ConfigError(ValueError):
@@ -54,7 +68,23 @@ def _load_config(path) -> configparser.ConfigParser:
         cfg.read(p)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    if cfg.defaults():
+        raise ConfigError(f"unknown section [{cfg.default_section}]")
+    for section in cfg.sections():
+        known = CONFIG_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg.options(section):
+            if key not in known and not ("fK" in known and _COMPONENT_KEY.fullmatch(key)):
+                raise ConfigError(f"unknown key [{section}] {key}")
     return cfg
+
+
+def _check_components(cfg, section: str, N: int) -> None:
+    """Refuse an fK of ``section`` whose K is above the tensor's N."""
+    for key in cfg.options(section):
+        if _COMPONENT_KEY.fullmatch(key) and int(key[1:]) > N:
+            raise ConfigError(f"[{section}] {key} names component {key[1:]}, but the tensor has {N}")
 
 
 def _get(cfg, section, key, cast=str, default=...):
@@ -122,6 +152,7 @@ def build_grid(cfg, n: int) -> PeriodicGrid:
 
 def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
     kind = _get(cfg, "rhs", "kind")
+    _check_components(cfg, "rhs", N)
     if kind == "mode":
         component = _get(cfg, "rhs", "component", int)
         freq = _get(cfg, "rhs", "frequency", _int_list)
@@ -165,6 +196,7 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
 def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
     if not cfg.has_section("nonlinear"):
         raise ConfigError("missing [nonlinear] section")
+    _check_components(cfg, "nonlinear", A.N)
     if cfg.has_option("nonlinear", "source"):
         source = cfg.get("nonlinear", "source")
         obj = _catalog_source("nonlinear", source)
@@ -237,7 +269,7 @@ def cmd_solve_linear(cfg, args) -> int:
     u, report = solve_linear(A, f)
     apriori = verify_apriori(A, u, f)
     write_field(args.out / "u.efof", u)
-    row = (grid.G, report.nu, report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
+    row = (grid.G, cached_nu(A), report.residual, apriori.ratio_grad, apriori.ratio_sobolev, report.dropped_mean_norm)
     write_csv(args.out / "report.csv", REPORT_COLUMNS, [row])
     print(
         f"residual = {report.residual:.3e}  ratio_grad = {apriori.ratio_grad:.12g}"

@@ -40,6 +40,7 @@ __all__ = [
     "ellipticity_constant",
     "cached_nu",
     "is_elliptic",
+    "contraction_margin",
     "sampled_estimates",
     "nearness_constant",
     "check_pseudomonotonicity",
@@ -76,7 +77,6 @@ class NearnessReport:
     """
 
     nu_fa: float
-    nu_a: float
     ratio: float
     samples_used: int
     worst_x: np.ndarray
@@ -94,7 +94,6 @@ class PseudoMonotonicityReport:
     plan, also those that a perturbation ignoring x evaluates once.
     """
 
-    lam: float
     violations: int
     worst_violation: float
     samples_used: int
@@ -107,7 +106,7 @@ class PseudoMonotonicityReport:
 class LipschitzConverseReport:
     """Sampled Lipschitz estimate with the converse ellipticity test.
 
-    If the pseudo-monotonicity inequality holds at level ``lam`` and the
+    If the pseudo-monotonicity inequality holds at a level lam and the
     Lipschitz constant of F(x, .) is below sqrt(1 - lam^2) nu(A), then F
     is strictly elliptic relative to A.  ``concluded_elliptic`` records
     whether both sampled hypotheses held.
@@ -115,7 +114,6 @@ class LipschitzConverseReport:
 
     lipschitz_estimate: float
     threshold: float
-    lam: float
     pseudo_monotone_violations: int
     lipschitz_below_threshold: bool
     concluded_elliptic: bool
@@ -203,6 +201,18 @@ def cached_nu(A: ConstantTensor) -> float:
     ``nu`` of ``ellipticity_constant(A, 4096)``, memoized on the tensor;
     shared by the solvers."""
     return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
+
+
+def contraction_margin(A: ConstantTensor, near: float) -> tuple[float, float]:
+    """(nu(A) - near, near / nu(A)): the contraction margin of an operator
+    anchored at A with nearness near, and its contraction factor K, with
+    nu(A) = cached_nu(A); NonEllipticError unless the margin is positive
+    (NaN is not)."""
+    nu = cached_nu(A)
+    margin = nu - near
+    if not margin > 0:
+        raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
+    return margin, near / nu
 
 
 # entries of one chunk of increments, each increment counted at the larger
@@ -329,13 +339,13 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
             k = int(np.argmax(top[:, 2]))
             if top[k, 2] > worst:
                 worst, witness = float(top[k, 2]), (*_sample(gap[k], X, P), s[k] * U[k])
-    near = NearnessReport(best, nu_a, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
+    near = NearnessReport(best, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
     if lam is None:
         return near, None, None
-    pm = PseudoMonotonicityReport(lam, violations, worst if worst > 0 else 0.0, total, *witness)
+    pm = PseudoMonotonicityReport(violations, worst if worst > 0 else 0.0, total, *witness)
     threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
     below = lip < threshold
-    lc = LipschitzConverseReport(lip, threshold, lam, violations, below, bool(below and violations == 0), total)
+    lc = LipschitzConverseReport(lip, threshold, violations, below, bool(below and violations == 0), total)
     return near, pm, lc
 
 

@@ -72,7 +72,6 @@ class MultiplierPlan:
             raise NonEllipticError(f"tensor is not elliptic (nu = {nu:.3e}); cannot invert")
         self.A = A
         self.grid = grid
-        self.nu = nu
         self.core = core = spectral_core(grid)
         # the zero mode's symbol is singular, so it takes a stand-in direction; its multiplier is zeroed below
         z = np.where(core.zmag > 0, core.z, 1.0)
@@ -101,7 +100,6 @@ class SolveReport:
     dropped_mean: np.ndarray
     dropped_mean_norm: float
     nyquist_truncated: bool
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,6 @@ class RepresentationReport:
     rational_bound: float
     dropped_mean: np.ndarray
     nyquist_truncated: bool
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,6 @@ class AprioriReport:
 
     ratio_grad: float
     ratio_sobolev: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -212,7 +208,6 @@ def solve_linear(A: ConstantTensor, f: GridFunction):
         dropped_mean=mean,
         dropped_mean_norm=float(np.linalg.norm(mean)),
         nyquist_truncated=truncated,
-        nu=plan.nu,
     )
 
 
@@ -246,7 +241,6 @@ def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: Regula
         rational_bound=float(regularizer.m**-2.0 / z_min**2) if np.isfinite(z_min) else 0.0,
         dropped_mean=mean,
         nyquist_truncated=truncated,
-        nu=plan.nu,
     )
 
 
@@ -270,4 +264,4 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction) -> Aprio
     except ValueError:
         ratio_sob = float("nan")
     ratio_grad = ndu * nu / nf if nf > 0 else 0.0
-    return AprioriReport(ratio_grad=float(ratio_grad), ratio_sobolev=float(ratio_sob), nu=nu)
+    return AprioriReport(ratio_grad=float(ratio_grad), ratio_sobolev=float(ratio_sob))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ellipticity import NonEllipticError, cached_nu, nearness_constant
+from .ellipticity import contraction_margin, nearness_constant
 from .fieldfile import NonFiniteError, check_finite
 from .grid import GridFunction, gradient, norm_l2
 from .linear import MultiplierPlan, apply_tensor, check_field, multiplier_plan
@@ -202,17 +202,6 @@ class NearOperatorReport:
     pairs: int
     violations: int
     max_ratio: float
-    witness_index: int | None
-
-
-def _contraction_margin(A: ConstantTensor, near: float) -> float:
-    """nu(A) - near, the contraction margin of an operator anchored at A
-    with nearness near; NonEllipticError unless it is positive (NaN is not)."""
-    nu = cached_nu(A)
-    margin = nu - near
-    if not margin > 0:
-        raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
-    return margin
 
 
 def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> None:
@@ -269,13 +258,13 @@ def campanato_solve(
     if plan is not None and (plan.A != A or plan.grid != f.grid):
         raise ValueError("the plan was built for a different tensor or grid than the right-hand side")
     near = nearness_constant(F).nu_fa if F.declared_nearness is None else F.declared_nearness
-    _contraction_margin(A, near)
+    _, K = contraction_margin(A, near)
     plan = plan or multiplier_plan(A, f.grid)
     core = plan.core
     support, phi_rows = F.support, list(F.rows)
     rows = sorted({b for b, _ in support})
 
-    trace = IterationTrace(K_theory=near / cached_nu(A))
+    trace = IterationTrace(K_theory=K)
     norm_f = norm_l2(f)
     floor = 1e-13 * max(norm_f, 1e-300)
     sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
@@ -350,7 +339,7 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
     """
     if F.declared_nearness is None:
         raise ValueError("comparison bound needs declared_nearness on the operator")
-    margin = _contraction_margin(F.anchor, F.declared_nearness)
+    margin, _ = contraction_margin(F.anchor, F.declared_nearness)
     Dw, Dv = gradient(w), gradient(v)
     lhs = norm_l2(Dw - Dv)
     image = norm_l2(F.apply_to_gradient(Dw) - F.apply_to_gradient(Dv))
@@ -373,10 +362,9 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")
     A = F.anchor
-    _contraction_margin(A, F.declared_nearness)
-    K = F.declared_nearness / cached_nu(A)
-    violations, max_ratio, witness, count = 0, 0.0, None, 0
-    for idx, (u, v) in enumerate(pairs):
+    _, K = contraction_margin(A, F.declared_nearness)
+    violations, max_ratio, count = 0, 0.0, 0
+    for u, v in pairs:
         count += 1
         Du, Dv = gradient(u), gradient(v)
         X = np.moveaxis(u.grid.points(), 0, -1)
@@ -390,11 +378,7 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
         else:
             ratio = lhs / rhs
             ok = ratio <= 1.0 + 1e-9
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness = idx
+        max_ratio = max(max_ratio, ratio)
         if not ok:
             violations += 1
-    return NearOperatorReport(
-        K=float(K), pairs=count, violations=violations, max_ratio=float(max_ratio), witness_index=witness
-    )
+    return NearOperatorReport(K=float(K), pairs=count, violations=violations, max_ratio=float(max_ratio))

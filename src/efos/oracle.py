@@ -55,15 +55,15 @@ def _dense_transforms(grid: PeriodicGrid):
     return W, Winv, (~grid.nyquist_mask()).ravel()
 
 
-def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
+def _dense_derivative_matrices(grid: PeriodicGrid, transforms) -> np.ndarray:
     """Dense matrices of the spectral derivatives, shape (n, G^n, G^n).
 
-    Built by sandwiching diagonal frequency multipliers between explicit
-    transform matrices, with whole modes on any Nyquist plane zeroed to
-    match the retained-frequency convention.
+    Built by sandwiching diagonal frequency multipliers between the
+    ``_dense_transforms(grid)`` matrices, with whole modes on any Nyquist
+    plane zeroed to match the retained-frequency convention.
     """
     G, n = grid.G, grid.n
-    W, Winv, keep = _dense_transforms(grid)
+    W, Winv, keep = transforms
     zvecs = grid.frequency_vectors().reshape(n, -1)  # (n, G^n), row-major modes
     mats = np.empty((n, G**n, G**n))
     for axis in range(n):
@@ -75,8 +75,9 @@ def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
     return mats
 
 
-def _retained_basis(grid: PeriodicGrid) -> np.ndarray:
-    """Real orthonormal basis of the solvable fields, shape (G^n, (G-1)^n - 1).
+def _retained_basis(grid: PeriodicGrid, transforms) -> np.ndarray:
+    """Real orthonormal basis of the solvable fields, shape (G^n, (G-1)^n - 1),
+    from the ``_dense_transforms(grid)`` matrices.
 
     The solvable fields are the mean-zero ones with no content on the
     Nyquist planes.  Each +-k pair of retained modes, k != 0, gives two
@@ -84,7 +85,7 @@ def _retained_basis(grid: PeriodicGrid) -> np.ndarray:
     exponential Winv[:, k]; k is the member of the pair with the smaller
     row-major index.
     """
-    _, Winv, keep = _dense_transforms(grid)
+    _, Winv, keep = transforms
     flat = np.arange(grid.num_points)
     neg = np.ravel_multi_index(np.mod(np.negative(np.unravel_index(flat, grid.shape)), grid.G), grid.shape)
     columns = Winv[:, keep & (flat < neg)] * np.sqrt(2.0 / grid.num_points)
@@ -104,7 +105,7 @@ def assemble_dense(A: ConstantTensor, grid: PeriodicGrid) -> np.ndarray:
     modes together with all Nyquist-plane modes.
     """
     _check_cap(A, grid)
-    return _contract(A, _dense_derivative_matrices(grid))
+    return _contract(A, _dense_derivative_matrices(grid, _dense_transforms(grid)))
 
 
 def solve_dense(A: ConstantTensor, f: GridFunction):
@@ -124,8 +125,9 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     if f.components != A.N:
         raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
     check_finite(f.values, "right-hand side")
-    Q = _retained_basis(grid)
-    M = _contract(A, Q.T @ _dense_derivative_matrices(grid) @ Q)
+    transforms = _dense_transforms(grid)
+    Q = _retained_basis(grid, transforms)
+    M = _contract(A, Q.T @ _dense_derivative_matrices(grid, transforms) @ Q)
     rhs = (f.values.reshape(A.N, -1) @ Q).ravel()
     coeffs, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
     resid = M @ coeffs - rhs

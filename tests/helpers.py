@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import os
 import struct
 import subprocess
@@ -61,6 +62,17 @@ def run_python(*args, cwd=None):
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
 
 
+def load_benchmark(name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by its path
+    under the name ``perfbench_<name>``, without putting ``perfbench`` on
+    the import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _reference_batch_max(values, X, P, Q):
     """The largest entry of an (nx, np) batch with its x and P samples."""
     i, j = np.unravel_index(np.argmax(values), values.shape)
@@ -109,9 +121,9 @@ def reference_sweeps(F, lam, plan=None):
             value, x, p = _reference_batch_max(gap, X, P, s * U)
             if value > worst:
                 worst, witness = value, (x.copy(), p.copy(), s * U)
-    near = NearnessReport(best, nu_a, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
-    pm = PseudoMonotonicityReport(lam, violations, worst if worst > 0 else 0.0, total, *witness)
+    near = NearnessReport(best, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
+    pm = PseudoMonotonicityReport(violations, worst if worst > 0 else 0.0, total, *witness)
     threshold = float(np.sqrt(1.0 - lam**2) * nu_a)
     below = lip < threshold
-    lc = LipschitzConverseReport(lip, threshold, lam, violations, below, bool(below and violations == 0), total)
+    lc = LipschitzConverseReport(lip, threshold, violations, below, bool(below and violations == 0), total)
     return near, pm, lc

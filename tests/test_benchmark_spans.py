@@ -4,7 +4,10 @@
 renamed or deleted function would silently drop its layer from traced
 runs; ``perfbench/workloads.py`` calls efos, so a removed function or
 parameter would fail every benchmark operation.  Both files are read with
-``ast``, without importing the benchmark.
+``ast``, without importing the benchmark.  A deleted report field that a
+workload's check or a span's extractor reads fails only when they run, so
+one traced operation of each in-process workload is run too, with the
+two files loaded by path.
 """
 
 import ast
@@ -12,7 +15,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import efos
+
+from helpers import load_benchmark
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS_PY = SPANS_PY.with_name("workloads.py")
@@ -71,3 +78,22 @@ def test_every_workload_call_binds():
             inspect.signature(obj).bind(*call.args, **dict.fromkeys(keywords))
         except TypeError as exc:
             raise AssertionError(f"{where}: {exc}") from None
+
+
+@pytest.mark.parametrize("name", ["picard-g32", "verify-toolkit"])
+def test_one_traced_operation_passes_its_check(tmp_path, name):
+    workloads, spans = load_benchmark("workloads"), load_benchmark("spans")
+    workload = workloads.WORKLOADS[name](3, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.operation("setup"):
+            workload.setup()
+        inp = workload.make_input(0)
+        with tracer.operation(0):
+            out = workload.run(inp)
+    finally:
+        tracer.uninstall()
+    assert workload.check(inp, out) is None
+    counts = spans.summarize(tracer, 0)["counts"]
+    assert counts["nonlinear.iterations" if name == "picard-g32" else "ellipticity.sweep_samples"] > 0

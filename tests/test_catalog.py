@@ -103,8 +103,9 @@ def test_lipschitz_perturbation_validation():
     with pytest.raises(KeyError):
         lipschitz_perturbation(dirac(), 0.5, "unknown_shape")
     # lam >= 1 builds fine but leaves no contraction margin
-    rep = nearness_constant(lipschitz_perturbation(dirac(), 1.5, "sin_q11"))
-    assert rep.nu_a - rep.nu_fa < 0
+    F = lipschitz_perturbation(dirac(), 1.5, "sin_q11")
+    rep = nearness_constant(F)
+    assert cached_nu(F.anchor) - rep.nu_fa < 0
 
 
 def test_variable_linear_evaluator():

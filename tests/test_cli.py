@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from efos.cli import REPORT_COLUMNS, TRACE_COLUMNS, main
+from efos.cli import REPORT_COLUMNS, TRACE_COLUMNS, _load_config, main
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
 from efos.sampling import rng_from_seed
 
-from helpers import dirac_closed_form, poke_payload, run_python
+from helpers import dirac_closed_form, load_benchmark, poke_payload, run_python
 
 DIRAC_LINEAR = """
 [tensor]
@@ -653,6 +653,55 @@ kind = banana
 """
     code, _ = run(tmp_path, text, "solve-linear")
     assert code == 1
+
+
+DIRAC_SIN_Q11 = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[nonlinear]
+source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
+"""
+CR_RHS = CR_EXPRESSIONS.split("[nonlinear]")[0]
+
+
+@pytest.mark.parametrize(
+    "config, command, message",
+    [
+        (DIRAC_SIN_Q11 + "\n[solver]\ntolerance = 1e-3\n", "solve-nonlinear", "unknown key [solver] tolerance"),
+        (DIRAC_SIN_Q11 + "\n[solver]\nmaxiter = 2\n", "solve-nonlinear", "unknown key [solver] maxiter"),
+        (DIRAC_SIN_Q11 + "lamda = 0.1\n", "solve-nonlinear", "unknown key [nonlinear] lamda"),
+        (DIRAC_SIN_Q11 + "\n[solvers]\ntol = 1e-3\n", "solve-nonlinear", "unknown section [solvers]"),
+        ("[DEFAULT]\nseed = 1\n" + DIRAC_SIN_Q11, "analyze", "unknown section [DEFAULT]"),
+        (DIRAC_SIN_Q11 + "\n[run]\nSeed = 1\n", "analyze", "unknown key [run] Seed"),
+        (CR_RHS + "f0 = 1\n", "analyze", "unknown key [rhs] f0"),
+        (CR_RHS + "f3 = 1\n", "solve-linear", "[rhs] f3 names component 3, but the tensor has 2"),
+        (CR_RHS + "f3 = 1\n", "solve-nonlinear", "[rhs] f3 names component 3, but the tensor has 2"),
+        (CR_EXPRESSIONS + "f3 = q11\n", "verify", "[nonlinear] f3 names component 3, but the tensor has 2"),
+    ],
+    ids=[
+        "solver_tolerance",
+        "solver_maxiter",
+        "nonlinear_lamda",
+        "section_solvers",
+        "section_default",
+        "run_Seed",
+        "rhs_f0",
+        "rhs_f3_solve_linear",
+        "rhs_f3_solve_nonlinear",
+        "nonlinear_f3_verify",
+    ],
+)
+def test_unknown_config_key_is_refused(tmp_path, capsys, config, command, message):
+    # a misspelled key would otherwise leave its default in force, and the run exit 0
+    code, out = run(tmp_path, config, command)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_benchmark_config_uses_only_known_keys(tmp_path):
+    # the cli-cold workload's config, which _load_config refuses if it holds an unknown section or key
+    config = tmp_path / "cli.ini"
+    config.write_text(load_benchmark("workloads").CLI_CONFIG)
+    assert _load_config(config).sections()
 
 
 def test_operator_tensor_confusion_rejected(tmp_path):

@@ -207,14 +207,14 @@ def test_nearness_estimate_monotone_under_enrichment():
 def test_strict_ellipticity_margin():
     A = dirac()
     rep = nearness_constant(lipschitz_perturbation(A, 0.5, "sin_q11"))
-    assert 0.45 < rep.nu_a - rep.nu_fa < 0.55
+    assert 0.45 < cached_nu(A) - rep.nu_fa < 0.55
     bad = NonlinearOperator(
         perturbation=lambda x, Q: 1.5 * contract(A, np.asarray(Q)),
         anchor=A,
         name="too-far",
     )
     rep = nearness_constant(bad)
-    assert rep.nu_a - rep.nu_fa < 0
+    assert cached_nu(bad.anchor) - rep.nu_fa < 0
 
 
 def test_pseudomonotone_at_true_level():

@@ -15,7 +15,7 @@ from efos.grid import (
     random_band_limited,
     spectral_core,
 )
-from efos.oracle import _dense_derivative_matrices
+from efos.oracle import _dense_derivative_matrices, _dense_transforms
 from efos.sampling import rng_from_seed
 
 
@@ -97,7 +97,7 @@ def test_gradient_matches_full_spectrum_reference(n, G):
     # the oracle's matrices are built from explicit exponentials, not an FFT
     grid = PeriodicGrid(n=n, G=G, L=0.7)
     u = GridFunction(grid, rng_from_seed(n).standard_normal((2,) + grid.shape))
-    D = _dense_derivative_matrices(grid)  # (n, G^n, G^n)
+    D = _dense_derivative_matrices(grid, _dense_transforms(grid))  # (n, G^n, G^n)
     flat = u.values.reshape(2, -1)
     ref = np.einsum("jxy,ay->ajx", D, flat).reshape((2, n) + grid.shape)
     Du = gradient(u).as_gradient(2)

@@ -22,7 +22,7 @@ from efos.nonlinear import (
 from efos.sampling import rng_from_seed
 from efos.tensor import ConstantTensor, contract, operator_norm
 
-from helpers import single_mode_rhs
+from helpers import QUATERNION_UNITS, single_mode_rhs
 
 
 def _zero(x, Q):
@@ -605,8 +605,9 @@ def test_bad_rows_declarations_refused():
 # u* has retained modes only, so it solves the discrete problem exactly and,
 # under the margin, uniquely: the solve at tol 1e-12 returns it up to the
 # stopping error, measured at most 6.9e-13 in |D(u - u*)| / |Du*| on these
-# nine cases.  The bound 1e-10 covers a contraction at K = 0.9 stopped at tol
-# 1e-12, whose error may reach K / (1 - K) = 9 times its last step.
+# twelve cases (6.8e-13 on the quaternion symbol at n = 4).  The bound 1e-10
+# covers a contraction at K = 0.9 stopped at tol 1e-12, whose error may reach
+# K / (1 - K) = 9 times its last step.
 @pytest.mark.parametrize(
     "operator",
     [
@@ -618,8 +619,13 @@ def test_bad_rows_declarations_refused():
 )
 @pytest.mark.parametrize(
     "A, G",
-    [(dirac(), 16), (cauchy_riemann(), 64), (generalized_cauchy_riemann(2, 1, 1, 1), 32)],
-    ids=["dirac-16", "cr-64", "gcr2111-32"],
+    [
+        (dirac(), 16),
+        (cauchy_riemann(), 64),
+        (generalized_cauchy_riemann(2, 1, 1, 1), 32),
+        (ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1)), 8),
+    ],
+    ids=["dirac-16", "cr-64", "gcr2111-32", "quaternion-8"],
 )
 def test_manufactured_solution_is_recovered(A, G, operator):
     F = operator(A)

@@ -40,6 +40,17 @@ def test_dense_and_spectral_solutions_agree():
     assert gap <= 1e-9
 
 
+def test_dense_and_spectral_solutions_agree_at_n4():
+    # the quaternion symbol, nu = 1: N G^n = 1024 unknowns at G = 4
+    A = ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1))
+    grid = PeriodicGrid(n=4, G=4)
+    f = random_band_limited(grid, 4, rng_from_seed(1), kmax=1)
+    u_spec, _ = solve_linear(A, f)
+    u_dense = solve_dense(A, f)
+    gap = norm_l2(gradient(u_dense - u_spec)) / norm_l2(gradient(u_spec))
+    assert gap <= 1e-9
+
+
 def test_dense_agreement_two_dimensional():
     A = cauchy_riemann()
     grid = PeriodicGrid(n=2, G=6)
@@ -124,7 +135,7 @@ def test_dense_rejects_bad_right_hand_side_with_witness():
 @pytest.mark.parametrize("n, G", [(2, 4), (2, 8), (3, 4), (3, 6), (4, 4)])
 def test_retained_basis_spans_the_solvable_fields(n, G):
     grid = PeriodicGrid(n=n, G=G)
-    Q = efos.oracle._retained_basis(grid)
+    Q = efos.oracle._retained_basis(grid, efos.oracle._dense_transforms(grid))
     assert Q.shape == (G**n, (G - 1) ** n - 1)
     np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-13)
     f = rng_from_seed(n * G).standard_normal(grid.shape) + 0.3

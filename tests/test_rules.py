@@ -1,7 +1,7 @@
 """Design rules that the reproduction's evidence rests on, read off the
 source with ``re``: one spectral core, one plan cache, one sweep, one walk
-over config text, one report writer, and reference oracles that share no
-kernel with the code they check.  Each rule is one row of RULES; a broken
+over config text, one report writer, one home for the contraction margin,
+and reference oracles that share no kernel with the code they check.  Each rule is one row of RULES; a broken
 rule reports its message and each offending ``file:line``."""
 
 import re
@@ -80,6 +80,14 @@ RULES = [
         message="src/efos/oracle.py uses the fast path's direction matrices, SVD, spectral core, multiplier plan "
         "or nu estimate",
         planted=("src/efos/oracle.py", "import numpy as np\n\nsigma = np.linalg.svd(M, compute_uv=False)\n"),
+    ),
+    Rule(
+        name="one_home_for_the_contraction_margin",
+        pattern=r"\bcached_nu\b",
+        paths="src/efos/nonlinear.py",
+        message="src/efos/nonlinear.py reads cached_nu; take nu(A)'s margin and factor from "
+        "ellipticity.contraction_margin",
+        planted=("src/efos/nonlinear.py", "from .ellipticity import nearness_constant\n\nK = near / cached_nu(A)\n"),
     ),
     Rule(
         name="the_sweep_oracle_shares_no_kernel_with_the_sweep",
