@@ -6,7 +6,7 @@ the output directory.  Exit codes encode the failing stage:
 
     0  requested checks all passed
     1  usage error, or config could not be parsed or named unknown sections,
-       keys or objects
+       keys or objects, or keys that its source or rhs kind does not read
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -41,12 +41,18 @@ __all__ = ["main", "entry", "ConfigError", "CONFIG_KEYS", "REPORT_COLUMNS", "TRA
 REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
 TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
+# the [rhs] keys that each kind reads; a key of another kind is refused
+_RHS_KIND_KEYS = {
+    "mode": ("kind", "component", "frequency", "amplitude", "phase"),
+    "expression": ("kind", "fK"),
+    "file": ("kind", "file"),
+}
 # every key that a section may hold; "fK" stands for f1, f2, ..., whose K
 # must name a component of the tensor when the section is read
 CONFIG_KEYS = {
     "tensor": ("source", "N", "n", "entries", "resolution"),
     "grid": ("G", "L"),
-    "rhs": ("kind", "component", "frequency", "amplitude", "phase", "file", "fK"),
+    "rhs": tuple(dict.fromkeys(key for keys in _RHS_KIND_KEYS.values() for key in keys)),
     "solver": ("tol", "max_iter", "regularizer", "m"),
     "nonlinear": ("source", "lambda", "fK"),
     "run": ("seed",),
@@ -75,9 +81,20 @@ def _load_config(path) -> configparser.ConfigParser:
         if known is None:
             raise ConfigError(f"unknown section [{section}]")
         for key in cfg.options(section):
-            if key not in known and not ("fK" in known and _COMPONENT_KEY.fullmatch(key)):
+            if not _is_one_of(key, known):
                 raise ConfigError(f"unknown key [{section}] {key}")
     return cfg
+
+
+def _is_one_of(key: str, keys) -> bool:
+    return key in keys or ("fK" in keys and _COMPONENT_KEY.fullmatch(key) is not None)
+
+
+def _refuse_unread(cfg, section: str, read, reader: str) -> None:
+    """Refuse a key of ``section`` outside ``read``, the keys that ``reader`` reads."""
+    for key in cfg.options(section):
+        if not _is_one_of(key, read):
+            raise ConfigError(f"[{section}] {key} is not read with {reader}")
 
 
 def _check_components(cfg, section: str, N: int) -> None:
@@ -138,6 +155,7 @@ def build_tensor(cfg) -> ConstantTensor:
             return ConstantTensor.from_flat(entries, N, n)
         except ValueError as exc:
             raise ConfigError(f"bad inline tensor: {exc}") from exc
+    _refuse_unread(cfg, "tensor", ("source", "resolution"), "a catalog source")
     return _catalog_source("tensor", source)
 
 
@@ -152,6 +170,9 @@ def build_grid(cfg, n: int) -> PeriodicGrid:
 
 def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
     kind = _get(cfg, "rhs", "kind")
+    if kind not in _RHS_KIND_KEYS:
+        raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
+    _refuse_unread(cfg, "rhs", _RHS_KIND_KEYS[kind], f"kind = {kind}")
     _check_components(cfg, "rhs", N)
     if kind == "mode":
         component = _get(cfg, "rhs", "component", int)
@@ -168,6 +189,8 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
         values[component - 1] = amplitude * np.sin(arg + phase)
         f = GridFunction(grid, values)
     elif kind == "expression":
+        if not any(_COMPONENT_KEY.fullmatch(key) for key in cfg.options("rhs")):
+            raise ConfigError(f"[rhs] kind = expression needs at least one of f1..f{N}")
         x = grid.points()
         env = {f"x{j + 1}": x[j] for j in range(grid.n)}
         values = np.zeros((N,) + grid.shape)
@@ -176,7 +199,7 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
             if cfg.has_option("rhs", key):
                 values[comp] = np.broadcast_to(evaluate(_compile(cfg, "rhs", key, env), env), grid.shape)
         f = GridFunction(grid, values)
-    elif kind == "file":
+    else:  # file
         path = _get(cfg, "rhs", "file")
         try:
             f = read_field(path, L=grid.L)
@@ -187,8 +210,6 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
                 f"rhs field has {f.components} components on G={f.grid.G}, n={f.grid.n}; "
                 f"expected {N} on G={grid.G}, n={grid.n}"
             )
-    else:
-        raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
     check_finite(f.values, "rhs field")
     return f
 
@@ -198,6 +219,7 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
         raise ConfigError("missing [nonlinear] section")
     _check_components(cfg, "nonlinear", A.N)
     if cfg.has_option("nonlinear", "source"):
+        _refuse_unread(cfg, "nonlinear", ("source",), "a catalog source")
         source = cfg.get("nonlinear", "source")
         obj = _catalog_source("nonlinear", source)
         if obj.anchor != A:

@@ -165,9 +165,10 @@ class SpectralCore:
     """Half-spectrum transforms and tables of one grid: frequencies ``z``
     (n, ...), ``zmag`` = |z|, the ``nyquist`` and ``retained`` (nonzero,
     off Nyquist) masks, ``deriv`` = 2 pi i z_j zeroed on the Nyquist
-    planes, ``zero``, the index of every component's mean coefficient, and
-    the Plancherel ``weight``, with which |u|_2^2 = sum of weight * |U|^2
-    over the half spectrum.  Instances are shared through
+    planes, ``zero``, the index of every component's mean coefficient, the
+    Plancherel ``weight``, with which |u|_2^2 = sum of weight * |U|^2 over
+    the half spectrum, and ``nyquist_index``, the flat indices of the
+    Nyquist entries in one component.  Instances are shared through
     ``spectral_core``, so the arrays are read-only."""
 
     def __init__(self, grid: PeriodicGrid):
@@ -184,16 +185,23 @@ class SpectralCore:
         self.zero = (slice(None),) + (0,) * grid.n
         # the last axis's planes 0 and G/2 hold their own conjugates; every other entry stands for two modes
         self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0) * grid.L**grid.n
-        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight):
+        self.nyquist_index = np.flatnonzero(self.nyquist)
+        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight, self.nyquist_index):
             arr.flags.writeable = False
 
-    def norms(self, R: np.ndarray) -> tuple:
+    def norms(self, R: np.ndarray, rows=None) -> tuple:
         """L2 norms of the half-spectrum coefficients R (C, ...) on the
-        retained modes and on the Nyquist planes, from one power array.
-        Its sum over R's rows adds them in row order, as numpy sums the
-        first axis of an array with three axes or more."""
-        power = self.weight * (R.real**2 + R.imag**2).sum(axis=0)
-        return math.sqrt(power[self.retained].sum()), math.sqrt(power[self.nyquist].sum())
+        retained modes and on the Nyquist planes.  The retained norm squares
+        only R's ``rows`` (default: all), so R must be zero on the retained
+        modes of every other row; the Nyquist norm reads every row's
+        Nyquist entries through ``nyquist_index``.  Each power array sums
+        R's rows in row order, as numpy sums the first axis, so the rows
+        left out change neither norm by a bit."""
+        part = R if rows is None else R[list(rows)]
+        power = self.weight * (part.real**2 + part.imag**2).sum(axis=0)
+        leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
+        leak_power = np.take(self.weight, self.nyquist_index) * (leak.real**2 + leak.imag**2).sum(axis=0)
+        return math.sqrt(power[self.retained].sum()), math.sqrt(leak_power.sum())
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written

@@ -205,15 +205,19 @@ class NearOperatorReport:
 
 
 def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> None:
-    """Write the half spectrum of Phi(., Du)'s rows into ``out``.
-    DivergenceError names the step and the first component and grid index
-    where Phi is not finite."""
+    """Write the half spectrum of Phi(., Du)'s rows into ``out``; at the
+    start (step 0) a Phi that is zero everywhere is written as zeros, with
+    no transform.  DivergenceError names the step and the first component
+    and grid index where Phi is not finite."""
     try:
         phi = _perturbation_values(F, X, Du)
     except NonFiniteError as exc:
         trace.message = f"F is not finite at step {step}, first at {exc.where}"
         raise DivergenceError(trace.message, trace) from exc
-    core.forward(phi, out=out)
+    if step == 0 and not phi.any():  # Phi(., 0) of every catalog operator
+        out[...] = 0
+    else:
+        core.forward(phi, out=out)
 
 
 def campanato_solve(
@@ -231,15 +235,18 @@ def campanato_solve(
     multipliers M.  As M (A:(2 pi i z)) = I on the retained modes, the
     coefficients R of the residual F(., Du_{k+1}) - f are Phi^_{k+1} -
     Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
-    So a step forms U only in the rows that Phi's support names,
+    So a step forms M f^ and U only in the rows that Phi's support names,
     transforms only the support's derivatives (the other gradient entries
     stay zero) and forms and transforms Phi only on its declared rows; the
-    iterate is transformed back once, at the end.  R and T = f^ - (A:Du)^
-    are kept on every row; a step rewrites Phi's rows.  R's norm on the
-    retained modes is the next step metric d, with the Nyquist planes it
-    is the residual (against f minus the compatibility mean), and R's zero
-    mode is the dropped mean.  Iteration stops when that residual falls
-    below tol * its scale or d below tol * |f|_2; it aborts with
+    iterate is transformed back once, at the end.  A start at which Phi is
+    zero everywhere, as Phi(., 0) of every catalog operator from u0 = None,
+    is not transformed.  R and T = f^ - (A:Du)^ are kept on every row; a
+    step rewrites Phi's rows.  R's norm on the retained modes is the next
+    step metric d; from step 1 on it squares only Phi's rows, as R is +0.0
+    on the retained modes of the others.  With the Nyquist planes of every
+    row it is the residual (against f minus the compatibility mean), and
+    R's zero mode is the dropped mean.  Iteration stops when that residual
+    falls below tol * its scale or d below tol * |f|_2; it aborts with
     DivergenceError after three consecutive non-contracting steps above
     the noise floor, or when Phi is not finite (step 0 is the start).
     Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
@@ -272,7 +279,7 @@ def campanato_solve(
     norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
     X = np.moveaxis(f.grid.points(), 0, -1)
     f_hat = core.forward(f.values)
-    Mf = plan.apply(f_hat)
+    Mf = [np.einsum("a...,a...->...", plan.multipliers[b], f_hat) for b in rows]  # plan.apply(f_hat)[b], bit for bit
 
     # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
     U = np.zeros(f_hat.shape, complex)
@@ -280,6 +287,7 @@ def campanato_solve(
     Phi = np.empty((len(phi_rows),) + core.zmag.shape, complex)
     Du = np.zeros((A.N * f.grid.n,) + f.grid.shape)
     work = np.empty((len(support),) + core.zmag.shape, complex)
+    product = np.empty(core.zmag.shape, complex)
 
     if u0 is not None:  # else Du = 0 needs no transform
         U[:] = core.forward(u0.values) * core.retained
@@ -295,10 +303,10 @@ def campanato_solve(
     non_contracting = 0
     for step in range(1, max_iter + 1):
         dropped = np.linalg.norm(R[core.zero])
-        for b in rows:  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
-            U[b] = Mf[b]
+        for b, Mf_b in zip(rows, Mf):  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
+            U[b] = Mf_b
             for i, a in enumerate(phi_rows):
-                U[b] -= plan.multipliers[b, a] * Phi[i]
+                U[b] -= np.multiply(plan.multipliers[b, a], Phi[i], out=product)
         for i, a in enumerate(phi_rows):
             np.copyto(T[a], Phi[i], where=core.retained)
         core.derivatives(U, out=Du, work=work, entries=support)
@@ -307,7 +315,7 @@ def campanato_solve(
         _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
         for i, a in enumerate(phi_rows):
             np.subtract(Phi[i], T[a], out=R[a])
-        d_next, leak = core.norms(R)
+        d_next, leak = core.norms(R, phi_rows)
         res = math.hypot(d_next, leak)
         res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)

@@ -142,6 +142,21 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
     return GridFunction(grid, (coeffs.reshape(A.N, -1) @ Q.T).reshape((A.N,) + grid.shape))
 
 
+def _drop_diagonal(gram: np.ndarray, best: float, lo: float, hi: float) -> tuple:
+    """The Gram matrices (b, N, N) that are not exactly diagonal with their
+    largest entry strictly between lo and hi, best lowered to the least
+    diagonal entry of those that are, and how many those are."""
+    diag = np.arange(gram.shape[-1])
+    exact = gram[:, -1, 0] == 0  # a cheap necessary condition first
+    if exact.any():
+        d = gram[:, diag, diag]
+        peak = np.abs(d).max(axis=1)
+        exact &= (lo < peak) & (peak < hi) & ~gram[:, ~np.eye(len(diag), dtype=bool)].any(axis=1)
+        if exact.any():
+            return gram[~exact], min(best, float(d[exact].min())), int(exact.sum())
+    return gram, best, 0
+
+
 def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     """Refinement-free min of sigma_min(A a) over a dense sphere sample.
 
@@ -172,7 +187,9 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     at every zero off-diagonal entry and keeps each 1x1 block's d, and the
     eigenvalues come back sorted.  The Gram matrices of dirac and
     Cauchy-Riemann, whose direction matrices are orthogonal, are exactly
-    diagonal in floating point too.  Only the others get eigenvalues.
+    diagonal in floating point too, so after a batch whose Gram matrices
+    all were, the next batch takes this test before the certification.
+    Only the others get eigenvalues.
     Raises ValueError, naming the first sample direction, when a Gram
     matrix is not finite: the tensor's entries are then too large to
     square.
@@ -182,35 +199,33 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     N, n = A.N, A.n
     S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(n * n, N * N)
     dirs = unit_sphere_points(n, samples)
-    diag, off = np.arange(N), ~np.eye(N, dtype=bool)
+    diag = np.arange(N)
     # dsyevd rescales a matrix whose largest entry lies outside [sqrt(tiny/eps), sqrt(eps/tiny)]
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     lo, hi = np.sqrt(tiny / eps), np.sqrt(eps / tiny)
-    best = np.inf
+    best, diagonal = np.inf, False  # diagonal: the last batch's Gram matrices were all exactly diagonal
     for start in range(0, len(dirs), 8192):
         a = dirs[start : start + 8192]
         # einsum's own loop: a BLAS matmul this thin would wake a second thread and its buffers
         gram = batch = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
-        if start:
+        found = 0
+        if diagonal:  # a flat tensor's: the certification would certify none of them
+            gram, best, found = _drop_diagonal(gram, best, lo, hi)
+        if start and len(gram):
             # delta = 64 N^2 eps (tr G + |best|): for PSD G, tr G + |best| bounds |G - best I|_2, and
             # the backward errors of LDL^T and of the symmetric eigensolver are each O(N^2 eps) times
             # it (Higham 2002, ch. 10); 64 covers both, so a certified G's eigvalsh exceed best
             W = gram.transpose(1, 2, 0).copy()  # (N, N, b): each step is a length-b vector op
-            certified = np.ones(len(a), dtype=bool)
+            certified = np.ones(len(gram), dtype=bool)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a non-finite G fails a pivot
                 W[diag, diag] -= best + 64 * N * N * eps * (W[diag, diag].sum(axis=0) + abs(best))
                 for j in range(N):
                     certified &= W[j, j] > 0
                     W[j + 1 :, j + 1 :] -= W[j + 1 :, j, None] * (W[j, j + 1 :] / W[j, j])
             gram = gram[~certified]
-        exact = gram[:, -1, 0] == 0  # a cheap necessary condition first
-        if exact.any():
-            d = gram[:, diag, diag]
-            peak = np.abs(d).max(axis=1)
-            exact &= (lo < peak) & (peak < hi) & ~gram[:, off].any(axis=1)
-            if exact.any():
-                best = min(best, float(d[exact].min()))
-                gram = gram[~exact]
+        if not diagonal:
+            gram, best, found = _drop_diagonal(gram, best, lo, hi)
+        diagonal = found == len(a)
         if len(gram):
             if not np.isfinite(gram).all():
                 i = int(np.argmin(np.isfinite(batch).all(axis=(1, 2))))

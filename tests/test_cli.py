@@ -704,6 +704,66 @@ def test_benchmark_config_uses_only_known_keys(tmp_path):
     assert _load_config(config).sections()
 
 
+DIRAC_TENSOR = "[tensor]\nsource = catalog:dirac\n"
+
+
+@pytest.mark.parametrize(
+    "config, command, message",
+    [
+        (
+            DIRAC_SIN_Q11 + "f1 = q11 + q22 + q33 + 5*sin(q11)\n",
+            "solve-nonlinear",
+            "[nonlinear] f1 is not read with a catalog source",
+        ),
+        (DIRAC_SIN_Q11 + "lambda = 0.1\n", "verify", "[nonlinear] lambda is not read with a catalog source"),
+        *(
+            (DIRAC_SIN_Q11.replace(DIRAC_TENSOR, DIRAC_TENSOR + line), command, message)
+            for line, command, message in [
+                ("N = 4\n", "analyze", "[tensor] N is not read with a catalog source"),
+                ("n = 3\n", "solve-linear", "[tensor] n is not read with a catalog source"),
+                ("entries = 1, 0\n", "solve-nonlinear", "[tensor] entries is not read with a catalog source"),
+            ]
+        ),
+        (
+            DIRAC_SIN_Q11.replace("kind = mode", "kind = expression"),
+            "solve-linear",
+            "[rhs] component is not read with kind = expression",
+        ),
+        (
+            CR_RHS.replace("f1 = sin(2*pi*x1)\nf2 = 0\n", ""),
+            "solve-linear",
+            "[rhs] kind = expression needs at least one of f1..f2",
+        ),
+        (CR_RHS + "phase = 0.5\n", "solve-linear", "[rhs] phase is not read with kind = expression"),
+        (CR_RHS + "file = f.efof\n", "solve-linear", "[rhs] file is not read with kind = expression"),
+        (
+            DIRAC_SIN_Q11.replace("amplitude", "f1 = 1\namplitude"),
+            "solve-linear",
+            "[rhs] f1 is not read with kind = mode",
+        ),
+    ],
+    ids=[
+        "nonlinear_f1_beside_source",
+        "nonlinear_lambda_beside_source",
+        "tensor_N_beside_source",
+        "tensor_n_beside_source",
+        "tensor_entries_beside_source",
+        "rhs_expression_with_mode_keys",
+        "rhs_expression_without_components",
+        "rhs_expression_with_phase",
+        "rhs_expression_with_file",
+        "rhs_mode_with_f1",
+    ],
+)
+def test_key_of_another_kind_is_refused(tmp_path, capsys, config, command, message):
+    # each key is known to its section but not read by its source or kind, so the
+    # run would otherwise solve another problem than the config states, and exit 0
+    code, out = run(tmp_path, config, command)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_operator_tensor_confusion_rejected(tmp_path):
     text = """
 [tensor]

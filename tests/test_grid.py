@@ -157,6 +157,22 @@ def test_spectral_norms_add_rows_in_order(n, G, C):
     assert core.norms(R) == want
 
 
+@pytest.mark.parametrize("rows", [(), (2,), (0, 3), (0, 1, 2, 3)], ids=["none", "one", "two", "all"])
+@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
+def test_row_restricted_norms_are_bit_identical(n, G, rows):
+    # the Picard step squares only Phi's rows: the others hold +0.0 on the
+    # retained modes, which leaves the row-order sums unchanged, and every
+    # row's Nyquist entries are read through the flat index
+    grid = PeriodicGrid(n=n, G=G, L=2.0)
+    core = spectral_core(grid)
+    scales = np.logspace(0, 3, 4).reshape((4,) + (1,) * n)
+    R = core.forward(scales * rng_from_seed(n).standard_normal((4,) + grid.shape) + 0.4)
+    off = [a for a in range(4) if a not in rows]
+    R[off] = np.where(core.retained, 0.0, R[off])
+    assert core.norms(R, rows) == core.norms(R)
+    assert core.norms(R)[1] > 0 and (core.norms(R)[0] > 0) == bool(rows)
+
+
 def test_conjugate_exponent():
     assert conjugate_exponent(3) == 6.0
     assert conjugate_exponent(4) == 4.0

@@ -10,7 +10,8 @@ import pytest
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
 from efos.cli import build_operator
 from efos.ellipticity import NonEllipticError, cached_nu
-from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
+from efos import nonlinear
+from efos.grid import GridFunction, PeriodicGrid, SpectralCore, gradient, norm_l2, random_band_limited
 from efos.linear import MultiplierPlan, apply_tensor, solve_linear
 from efos.nonlinear import (
     DivergenceError,
@@ -515,6 +516,57 @@ def test_support_loop_matches_physical_space_reference(build, support):
     assert F.support == support
     grid = PeriodicGrid(n=3, G=8)
     _assert_matches_reference(F, random_band_limited(grid, 4, rng_from_seed(2)))
+
+
+@pytest.mark.parametrize(
+    "build, start_transforms",
+    [(lambda A: lipschitz_perturbation(A, 0.5, "sin_q11"), 0), (_row_switching_operator, 1)],
+    ids=["sin_q11", "row_switching"],
+)
+def test_picard_transform_counts(monkeypatch, build, start_transforms):
+    # f^ once, the start's Phi^ only where Phi(., 0) is not zero everywhere,
+    # then one Phi^ and one derivative pass a step, and the iterate once
+    F = build(dirac())
+    f = random_band_limited(PeriodicGrid(n=3, G=8), 4, rng_from_seed(2))
+    counts = dict.fromkeys(("forward", "derivatives", "inverse"), 0)
+    for name in counts:
+
+        def counted(self, *args, _name=name, _method=getattr(SpectralCore, name), **kwargs):
+            counts[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralCore, name, counted)
+    _, trace = campanato_solve(F, f, tol=1e-10)
+    it = trace.iterations
+    assert counts == {"forward": 1 + start_transforms + it, "derivatives": it, "inverse": 1}
+    monkeypatch.undo()
+    _assert_matches_reference(F, f)
+
+
+@pytest.mark.parametrize("max_iter", [1, 400])
+@pytest.mark.parametrize("rhs", ["band", "zero", "mode"])
+@pytest.mark.parametrize("A, G", [(dirac(), 8), (cauchy_riemann(), 16)], ids=["dirac-8", "cr-16"])
+def test_untransformed_zero_start_solves_bit_identically(monkeypatch, A, G, rhs, max_iter):
+    # the skipped start writes +0.0 where rfftn of zeros leaves some -0.0
+    # imaginary parts; no sign of zero may reach u or the trace
+    F = lipschitz_perturbation(A, 0.5, "sin_q11")
+    grid = PeriodicGrid(n=A.n, G=G)
+    f = {
+        "band": random_band_limited(grid, A.N, rng_from_seed(2)),
+        "zero": GridFunction.zeros(grid, A.N),
+        "mode": single_mode_rhs(grid, A.N),
+    }[rhs]
+    u, trace = campanato_solve(F, f, tol=1e-10, max_iter=max_iter)
+
+    def always_transformed(F, X, Du, core, out, step, trace):
+        core.forward(nonlinear._perturbation_values(F, X, Du), out=out)
+
+    monkeypatch.setattr(nonlinear, "_perturbation_spectrum", always_transformed)
+    u_ref, trace_ref = campanato_solve(F, f, tol=1e-10, max_iter=max_iter)
+    assert u.values.tobytes() == u_ref.values.tobytes()
+    for column in ("d", "ratio", "residual", "dropped_mean_norm"):
+        assert np.array(getattr(trace, column)).tobytes() == np.array(getattr(trace_ref, column)).tobytes(), column
+    assert (trace.iterations, trace.message) == (trace_ref.iterations, trace_ref.message)
 
 
 def test_slow_contraction_does_not_drift():
