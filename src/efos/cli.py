@@ -6,7 +6,7 @@ the output directory.  Exit codes encode the failing stage:
 
     0  requested checks all passed
     1  usage error, or config could not be parsed or named unknown sections,
-       keys or objects, or keys that its source or rhs kind does not read
+       keys or objects, or a key that its section's form does not read
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -41,22 +41,27 @@ __all__ = ["main", "entry", "ConfigError", "CONFIG_KEYS", "REPORT_COLUMNS", "TRA
 REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
 TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
 
-# the [rhs] keys that each kind reads; a key of another kind is refused
-_RHS_KIND_KEYS = {
-    "mode": ("kind", "component", "frequency", "amplitude", "phase"),
-    "expression": ("kind", "fK"),
-    "file": ("kind", "file"),
+# the keys that each section reads in each of its forms, a form named to end the refusal of a key
+# outside them; "fK" stands for f1, f2, ..., whose K must name a component of the tensor
+_FORMS = {
+    "tensor": {
+        "with inline entries": ("source", "N", "n", "entries", "resolution"),
+        "with a catalog source": ("source", "resolution"),
+    },
+    "grid": {"": ("G", "L")},
+    "rhs": {
+        "with kind = mode": ("kind", "component", "frequency", "amplitude", "phase"),
+        "with kind = expression": ("kind", "fK"),
+        "with kind = file": ("kind", "file"),
+    },
+    "solver": {
+        "with a regularizer": ("tol", "max_iter", "regularizer", "m"),
+        "without a regularizer": ("tol", "max_iter"),
+    },
+    "nonlinear": {"with a catalog source": ("source",), "with expressions": ("lambda", "fK")},
+    "run": {"": ("seed",)},
 }
-# every key that a section may hold; "fK" stands for f1, f2, ..., whose K
-# must name a component of the tensor when the section is read
-CONFIG_KEYS = {
-    "tensor": ("source", "N", "n", "entries", "resolution"),
-    "grid": ("G", "L"),
-    "rhs": tuple(dict.fromkeys(key for keys in _RHS_KIND_KEYS.values() for key in keys)),
-    "solver": ("tol", "max_iter", "regularizer", "m"),
-    "nonlinear": ("source", "lambda", "fK"),
-    "run": ("seed",),
-}
+CONFIG_KEYS = {section: tuple(dict.fromkeys(sum(forms.values(), ()))) for section, forms in _FORMS.items()}
 _COMPONENT_KEY = re.compile(r"f[1-9]\d*")
 
 
@@ -90,17 +95,12 @@ def _is_one_of(key: str, keys) -> bool:
     return key in keys or ("fK" in keys and _COMPONENT_KEY.fullmatch(key) is not None)
 
 
-def _refuse_unread(cfg, section: str, read, reader: str) -> None:
-    """Refuse a key of ``section`` outside ``read``, the keys that ``reader`` reads."""
-    for key in cfg.options(section):
-        if not _is_one_of(key, read):
-            raise ConfigError(f"[{section}] {key} is not read with {reader}")
-
-
-def _check_components(cfg, section: str, N: int) -> None:
-    """Refuse an fK of ``section`` whose K is above the tensor's N."""
-    for key in cfg.options(section):
-        if _COMPONENT_KEY.fullmatch(key) and int(key[1:]) > N:
+def _read_as(cfg, section: str, form: str, N: int | None = None) -> None:
+    """Refuse a key of ``section`` that its ``form`` does not read, and an fK whose K is above N."""
+    for key in cfg.options(section) if cfg.has_section(section) else ():
+        if not _is_one_of(key, _FORMS[section][form]):
+            raise ConfigError(f"[{section}] {key} is not read {form}")
+        if N is not None and _COMPONENT_KEY.fullmatch(key) and int(key[1:]) > N:
             raise ConfigError(f"[{section}] {key} names component {key[1:]}, but the tensor has {N}")
 
 
@@ -147,7 +147,9 @@ def _compile(cfg, section: str, key: str, names):
 
 def build_tensor(cfg) -> ConstantTensor:
     source = _get(cfg, "tensor", "source")
-    if source.strip() == "inline":
+    inline = source.strip() == "inline"
+    _read_as(cfg, "tensor", "with inline entries" if inline else "with a catalog source")
+    if inline:
         N = _get(cfg, "tensor", "N", int)
         n = _get(cfg, "tensor", "n", int)
         entries = _get(cfg, "tensor", "entries", _float_list)
@@ -155,7 +157,6 @@ def build_tensor(cfg) -> ConstantTensor:
             return ConstantTensor.from_flat(entries, N, n)
         except ValueError as exc:
             raise ConfigError(f"bad inline tensor: {exc}") from exc
-    _refuse_unread(cfg, "tensor", ("source", "resolution"), "a catalog source")
     return _catalog_source("tensor", source)
 
 
@@ -170,10 +171,9 @@ def build_grid(cfg, n: int) -> PeriodicGrid:
 
 def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
     kind = _get(cfg, "rhs", "kind")
-    if kind not in _RHS_KIND_KEYS:
+    if f"with kind = {kind}" not in _FORMS["rhs"]:
         raise ConfigError(f"unknown rhs kind {kind!r} (use mode, expression, or file)")
-    _refuse_unread(cfg, "rhs", _RHS_KIND_KEYS[kind], f"kind = {kind}")
-    _check_components(cfg, "rhs", N)
+    _read_as(cfg, "rhs", f"with kind = {kind}", N)
     if kind == "mode":
         component = _get(cfg, "rhs", "component", int)
         freq = _get(cfg, "rhs", "frequency", _int_list)
@@ -217,9 +217,9 @@ def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
 def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
     if not cfg.has_section("nonlinear"):
         raise ConfigError("missing [nonlinear] section")
-    _check_components(cfg, "nonlinear", A.N)
-    if cfg.has_option("nonlinear", "source"):
-        _refuse_unread(cfg, "nonlinear", ("source",), "a catalog source")
+    catalog_source = cfg.has_option("nonlinear", "source")
+    _read_as(cfg, "nonlinear", "with a catalog source" if catalog_source else "with expressions", A.N)
+    if catalog_source:
         source = cfg.get("nonlinear", "source")
         obj = _catalog_source("nonlinear", source)
         if obj.anchor != A:
@@ -270,9 +270,16 @@ def cmd_analyze(cfg, args) -> int:
     return 0 if report.elliptic else 2
 
 
+def _read_solver(cfg) -> bool:
+    """Whether [solver] names a regularizer, after refusing the keys that its form does not read."""
+    regularized = cfg.has_option("solver", "regularizer")
+    _read_as(cfg, "solver", "with a regularizer" if regularized else "without a regularizer")
+    return regularized
+
+
 def _regularizers(cfg) -> list:
     """The [solver] regularizer ladder, one sequence per m; empty unless a kind is set."""
-    if not cfg.has_option("solver", "regularizer"):
+    if not _read_solver(cfg):
         return []
     ms = _get(cfg, "solver", "m", _int_list, [1, 10, 100, 1000])
     if not ms:
@@ -314,6 +321,7 @@ def cmd_solve_nonlinear(cfg, args) -> int:
     grid = build_grid(cfg, A.n)
     f = build_rhs(cfg, grid, A.N)
     F = build_operator(cfg, A)
+    _read_solver(cfg)
     tol = _get(cfg, "solver", "tol", float, 1e-10)
     max_iter = _get(cfg, "solver", "max_iter", int, 400)
 

@@ -115,8 +115,6 @@ class RepresentationReport:
     factor_gap: float
     z_min: float
     rational_bound: float
-    dropped_mean: np.ndarray
-    nyquist_truncated: bool
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: Regula
     distance to the exact solve.
     """
     plan = multiplier_plan(A, f.grid)
-    mean, F, truncated = _prepare_rhs(plan, f)
+    _, F, _ = _prepare_rhs(plan, f)
     core = plan.core
     s = np.where(core.retained, regularizer.factor(core.zmag), 0.0)
 
@@ -239,8 +237,6 @@ def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: Regula
         factor_gap=gap,
         z_min=z_min,
         rational_bound=float(regularizer.m**-2.0 / z_min**2) if np.isfinite(z_min) else 0.0,
-        dropped_mean=mean,
-        nyquist_truncated=truncated,
     )
 
 

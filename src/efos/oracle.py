@@ -144,8 +144,8 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
 
 def _drop_diagonal(gram: np.ndarray, best: float, lo: float, hi: float) -> tuple:
     """The Gram matrices (b, N, N) that are not exactly diagonal with their
-    largest entry strictly between lo and hi, best lowered to the least
-    diagonal entry of those that are, and how many those are."""
+    largest entry strictly between lo and hi, and best lowered to the least
+    diagonal entry of those that are."""
     diag = np.arange(gram.shape[-1])
     exact = gram[:, -1, 0] == 0  # a cheap necessary condition first
     if exact.any():
@@ -153,8 +153,8 @@ def _drop_diagonal(gram: np.ndarray, best: float, lo: float, hi: float) -> tuple
         peak = np.abs(d).max(axis=1)
         exact &= (lo < peak) & (peak < hi) & ~gram[:, ~np.eye(len(diag), dtype=bool)].any(axis=1)
         if exact.any():
-            return gram[~exact], min(best, float(d[exact].min())), int(exact.sum())
-    return gram, best, 0
+            return gram[~exact], min(best, float(d[exact].min()))
+    return gram, best
 
 
 def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
@@ -178,18 +178,16 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     Cauchy-Riemann) every sample lies within delta of the minimum, and
     none is certified.
 
-    Of the rest, a G whose off-diagonal entries are all zero, and whose
-    largest entry lies strictly between sqrt(tiny/eps) and sqrt(eps/tiny)
-    (about 1e-146 and 1e146), gives its least diagonal entry without
-    LAPACK.  That is what LAPACK's dsyevd returns for it, bit for bit:
+    Before the certification, every batch drops each G whose off-diagonal
+    entries are all zero and whose largest entry lies strictly between
+    sqrt(tiny/eps) and sqrt(eps/tiny) (about 1e-146 and 1e146), taking its
+    least diagonal entry without LAPACK.  That is what LAPACK's dsyevd returns for it, bit for bit:
     inside that range dsyevd does not rescale, dsytd2 leaves a diagonal
     matrix as it is (dlarfg of a zero vector gives tau = 0), dsterf splits
     at every zero off-diagonal entry and keeps each 1x1 block's d, and the
     eigenvalues come back sorted.  The Gram matrices of dirac and
     Cauchy-Riemann, whose direction matrices are orthogonal, are exactly
-    diagonal in floating point too, so after a batch whose Gram matrices
-    all were, the next batch takes this test before the certification.
-    Only the others get eigenvalues.
+    diagonal in floating point too, so none of theirs is left to certify.
     Raises ValueError, naming the first sample direction, when a Gram
     matrix is not finite: the tensor's entries are then too large to
     square.
@@ -203,14 +201,12 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
     # dsyevd rescales a matrix whose largest entry lies outside [sqrt(tiny/eps), sqrt(eps/tiny)]
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     lo, hi = np.sqrt(tiny / eps), np.sqrt(eps / tiny)
-    best, diagonal = np.inf, False  # diagonal: the last batch's Gram matrices were all exactly diagonal
+    best = np.inf
     for start in range(0, len(dirs), 8192):
         a = dirs[start : start + 8192]
         # einsum's own loop: a BLAS matmul this thin would wake a second thread and its buffers
         gram = batch = np.einsum("sk,kc->sc", (a[:, :, None] * a[:, None, :]).reshape(-1, n * n), S).reshape(-1, N, N)
-        found = 0
-        if diagonal:  # a flat tensor's: the certification would certify none of them
-            gram, best, found = _drop_diagonal(gram, best, lo, hi)
+        gram, best = _drop_diagonal(gram, best, lo, hi)
         if start and len(gram):
             # delta = 64 N^2 eps (tr G + |best|): for PSD G, tr G + |best| bounds |G - best I|_2, and
             # the backward errors of LDL^T and of the symmetric eigensolver are each O(N^2 eps) times
@@ -223,9 +219,6 @@ def brute_nu(A: ConstantTensor, samples: int = 100_000) -> float:
                     certified &= W[j, j] > 0
                     W[j + 1 :, j + 1 :] -= W[j + 1 :, j, None] * (W[j, j + 1 :] / W[j, j])
             gram = gram[~certified]
-        if not diagonal:
-            gram, best, found = _drop_diagonal(gram, best, lo, hi)
-        diagonal = found == len(a)
         if len(gram):
             if not np.isfinite(gram).all():
                 i = int(np.argmin(np.isfinite(batch).all(axis=(1, 2))))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from efos.cli import REPORT_COLUMNS, TRACE_COLUMNS, _load_config, main
+from efos.cli import CONFIG_KEYS, REPORT_COLUMNS, TRACE_COLUMNS, _load_config, main
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
 from efos.sampling import rng_from_seed
@@ -741,6 +741,15 @@ DIRAC_TENSOR = "[tensor]\nsource = catalog:dirac\n"
             "solve-linear",
             "[rhs] f1 is not read with kind = mode",
         ),
+        (
+            DIRAC_SIN_Q11.replace("kind = mode", "kind = file\nfile = f.efof"),
+            "solve-linear",
+            "[rhs] component is not read with kind = file",
+        ),
+        *(
+            (DIRAC_SIN_Q11 + "\n[solver]\nm = 1,10\n", command, "[solver] m is not read without a regularizer")
+            for command in ("solve-linear", "solve-nonlinear")
+        ),
     ],
     ids=[
         "nonlinear_f1_beside_source",
@@ -753,6 +762,9 @@ DIRAC_TENSOR = "[tensor]\nsource = catalog:dirac\n"
         "rhs_expression_with_phase",
         "rhs_expression_with_file",
         "rhs_mode_with_f1",
+        "rhs_file_with_component",
+        "solver_m_without_regularizer_solve_linear",
+        "solver_m_without_regularizer_solve_nonlinear",
     ],
 )
 def test_key_of_another_kind_is_refused(tmp_path, capsys, config, command, message):
@@ -762,6 +774,26 @@ def test_key_of_another_kind_is_refused(tmp_path, capsys, config, command, messa
     assert code == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_regularizer_with_m_runs_every_command(tmp_path):
+    # the form that reads m: a config that holds the ladder still runs all four commands
+    text = DIRAC_SIN_Q11 + "\n[solver]\nregularizer = rational\nm = 1,10\n"
+    for command in ("analyze", "solve-linear", "solve-nonlinear", "verify"):
+        code, out = run(tmp_path, text, command)
+        assert code == 0, command
+    assert len((out / "representation.csv").read_text().splitlines()) == 3
+
+
+def test_config_keys_are_every_key_of_every_form():
+    assert list(CONFIG_KEYS.items()) == [
+        ("tensor", ("source", "N", "n", "entries", "resolution")),
+        ("grid", ("G", "L")),
+        ("rhs", ("kind", "component", "frequency", "amplitude", "phase", "fK", "file")),
+        ("solver", ("tol", "max_iter", "regularizer", "m")),
+        ("nonlinear", ("source", "lambda", "fK")),
+        ("run", ("seed",)),
+    ]
 
 
 def test_operator_tensor_confusion_rejected(tmp_path):

@@ -1,7 +1,8 @@
 """Design rules that the reproduction's evidence rests on, read off the
 source with ``re``: one spectral core, one plan cache, one sweep, one walk
 over config text, one report writer, one home for the contraction margin,
-and reference oracles that share no kernel with the code they check.  Each rule is one row of RULES; a broken
+one home for config-key refusals, and reference oracles that share no
+kernel with the code they check.  Each rule is one row of RULES; a broken
 rule reports its message and each offending ``file:line``."""
 
 import re
@@ -88,6 +89,19 @@ RULES = [
         message="src/efos/nonlinear.py reads cached_nu; take nu(A)'s margin and factor from "
         "ellipticity.contraction_margin",
         planted=("src/efos/nonlinear.py", "from .ellipticity import nearness_constant\n\nK = near / cached_nu(A)\n"),
+    ),
+    Rule(
+        name="one_home_for_config_refusals",
+        pattern=r"is not read",
+        paths="src/efos/**/*.py",
+        count=1,
+        message="'is not read' must appear in src/efos only once, in the refusal of cli._read_as; name a form "
+        "in cli._FORMS instead",
+        planted=(
+            "src/efos/cli.py",
+            '            raise ConfigError(f"[{section}] {key} is not read {form}")\n'
+            '        raise ConfigError(f"[{section}] {key} is not read with a catalog source")\n',
+        ),
     ),
     Rule(
         name="the_sweep_oracle_shares_no_kernel_with_the_sweep",
