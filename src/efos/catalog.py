@@ -3,9 +3,9 @@
 Entries are addressed as ``name`` or ``catalog:name(param, ...)`` in
 config files.  Constant tensors: the Cauchy-Riemann system, its
 anisotropic generalization, and the real form of the Dirac operator.
-Operator families: Lipschitz perturbations of a linear anchor and
-oscillating-coefficient linear operators, both carrying analytically
-known nearness bounds.
+Operator families: Lipschitz perturbations of a linear anchor and the
+anchor plus an oscillating coefficient on one gradient entry, both
+carrying analytically known nearness bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .ellipticity import cached_nu
 from .nonlinear import NonlinearOperator
-from .tensor import ConstantTensor, contract, operator_norm
+from .tensor import ConstantTensor
 
 __all__ = [
     "get",
@@ -145,47 +145,29 @@ def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> Nonlinea
     )
 
 
-def _default_direction_tensor(N: int, n: int) -> ConstantTensor:
-    entries = np.zeros((N, N, n))
-    entries[0, 0, 0] = 1.0
-    return ConstantTensor(entries)
+def variable_linear(base, eps: float) -> NonlinearOperator:
+    """F(x, Q) = A:Q + eps cos(2 pi x1) Q11 e1, the anchor plus a unit-norm
+    modulation that reads the one entry (0, 0) and writes the one row 0.
 
-
-def variable_linear(base, eps: float, B: ConstantTensor | None = None) -> NonlinearOperator:
-    """F(x, Q) = (A + eps cos(2 pi x1) B) : Q with a unit-norm modulation B,
-    whose support is the entries (beta, j) that B reads and whose rows are
-    the components where B is nonzero.
-
-    The declared nearness is eps * |B| = eps, attained at x1 = 0, so the
-    operator is strictly elliptic relative to A iff eps < nu(A).
+    The declared nearness is eps, attained at x1 = 0, so the operator is
+    strictly elliptic relative to A iff eps < nu(A).
     """
     A = _resolve_base(base)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if B is None:
-        B = _default_direction_tensor(A.N, A.n)
-    if not isinstance(B, ConstantTensor):
-        raise ValueError(f"modulation tensor must be a ConstantTensor, got {B!r}")
-    if B.N != A.N or B.n != A.n:
-        raise ValueError("modulation tensor must match the anchor's shape")
-    nrm = operator_norm(B)
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"modulation tensor must have unit operator norm, got {nrm}")
-
-    rows = np.flatnonzero(B.entries.any(axis=(1, 2)))
 
     def perturbation(x, Q):
         x = np.asarray(x, dtype=float)
         osc = eps * np.cos(2.0 * np.pi * x[..., 0])
-        return osc[..., None] * contract(B, Q)[..., rows]
+        return osc[..., None] * np.asarray(Q, dtype=float)[..., 0, 0:1]
 
     return NonlinearOperator(
         perturbation=perturbation,
         anchor=A,
-        support=tuple(zip(*np.nonzero(B.entries.any(axis=0)))),
+        support=((0, 0),),
         declared_nearness=float(eps),
         name=f"variable_linear({eps})",
-        rows=rows,
+        rows=(0,),
     )
 
 

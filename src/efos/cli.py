@@ -12,7 +12,8 @@ the output directory.  Exit codes encode the failing stage:
     4  verification checks failed
 
 Sampled quantities derive from the seed in ``[run]`` (override with
-``--seed``) through the MT19937 generator, so reports are reproducible.
+``verify --seed``) through the MT19937 generator, so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -409,7 +410,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI-style run description")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory for reports and fields")
-        p.add_argument("--seed", type=int, default=None, help="override the [run] seed")
+        if name == "verify":  # the one command that draws samples
+            p.add_argument("--seed", type=int, default=None, help="override the [run] seed")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, a code that means non-elliptic here

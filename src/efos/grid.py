@@ -26,6 +26,7 @@ passes of ``derivatives`` run in place on its derivative spectrum.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +50,9 @@ class PeriodicGrid:
     """Uniform grid on the torus [0, L)^n with G points per axis.
 
     G must be even and at least 4 so the retained frequencies come in
-    conjugate pairs below an identifiable Nyquist plane.
+    conjugate pairs below an identifiable Nyquist plane.  L must be
+    positive and keep L**n, (L/G)**n and n*(G/L)**2, the factors of the
+    norms and the frequency tables, finite normal floats.
     """
 
     n: int
@@ -61,8 +64,18 @@ class PeriodicGrid:
             raise ValueError(f"supported dimensions are 2 <= n <= 4, got n={self.n}")
         if self.G < 4 or self.G % 2 != 0:
             raise ValueError(f"G must be even and >= 4, got G={self.G}")
-        if not (np.isfinite(self.L) and self.L > 0):
+        L, n, G = float(self.L), self.n, self.G
+        if not (math.isfinite(L) and L > 0):
             raise ValueError(f"period length must be positive, got L={self.L}")
+        try:  # the Plancherel weight, the Riemann weight and a bound on |z|^2, as Python floats
+            factors = (L**n, (L / G) ** n, n * (G / L) ** 2)
+        except OverflowError:
+            factors = (math.inf,)
+        if not all(sys.float_info.min <= f < math.inf for f in factors):
+            raise ValueError(
+                f"period L={self.L} is out of range for n={n}, G={G}: "
+                "L**n, (L/G)**n and n*(G/L)**2 must be finite normal floats"
+            )
 
     @property
     def shape(self) -> tuple:

@@ -32,7 +32,7 @@ import numpy as np
 from .ellipticity import NonEllipticError, cached_nu, is_elliptic
 from .fieldfile import check_finite
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, spectral_core
-from .tensor import ConstantTensor, direction_matrix
+from .tensor import ConstantTensor, contract, direction_matrix
 
 __all__ = [
     "MultiplierPlan",
@@ -50,9 +50,8 @@ __all__ = [
 
 def apply_tensor(A: ConstantTensor, Du: GridFunction) -> GridFunction:
     """Pointwise A : Du for a gradient field with N*n components."""
-    mats = Du.as_gradient(A.N)  # (N, n, ...)
-    vals = np.einsum("abj,bj...->a...", A.entries, mats)
-    return GridFunction(Du.grid, vals)
+    Q = np.moveaxis(Du.as_gradient(A.N), (0, 1), (-2, -1))  # (..., N, n), the gradient at each point
+    return GridFunction(Du.grid, np.moveaxis(contract(A, Q), -1, 0))
 
 
 class MultiplierPlan:

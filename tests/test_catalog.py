@@ -16,7 +16,7 @@ from efos.catalog import (
 )
 from efos.ellipticity import cached_nu, nearness_constant
 from efos.sampling import rng_from_seed
-from efos.tensor import ConstantTensor, contract, direction_matrix
+from efos.tensor import contract, direction_matrix
 
 
 def test_registry_names():
@@ -120,7 +120,7 @@ def test_variable_linear_evaluator():
     coef = 0.05 * np.cos(2 * np.pi * x[0])
     delta = out - base
     assert np.linalg.norm(delta) <= 0.05 * np.linalg.norm(Q) + 1e-12
-    assert abs(np.linalg.norm(delta) - abs(coef) * abs(Q[0, 0])) < 1e-12  # default B hits one entry
+    assert abs(np.linalg.norm(delta) - abs(coef) * abs(Q[0, 0])) < 1e-12  # the modulation reads one entry
 
 
 def test_declared_supports():
@@ -132,15 +132,47 @@ def test_declared_supports():
     for F in (lipschitz_perturbation(A, 0.5, "sin_q11"), lipschitz_perturbation(A, 0.5, "tanh_trace")):
         assert F.rows == (0,)
     assert variable_linear(A, 0.3).rows == (0,)
-    B = np.zeros((4, 4, 3))
-    B[0, 0, 1] = 1.0
-    B[1, 2, 0] = 1.0
-    F = variable_linear(A, 0.3, ConstantTensor(B))
-    assert F.support == ((0, 1), (2, 0))
-    assert F.rows == (0, 1)
-    Q = rng_from_seed(7).standard_normal((4, 3))
-    x = np.array([0.2, 0.0, 0.0])
-    np.testing.assert_allclose(F.evaluate(x, Q) - contract(A, Q), 0.3 * np.cos(0.4 * np.pi) * contract(ConstantTensor(B), Q))
+
+
+CATALOG_OPERATORS = {
+    "sin_q11": lambda A: lipschitz_perturbation(A, 0.5, "sin_q11"),
+    "tanh_trace": lambda A: lipschitz_perturbation(A, 0.5, "tanh_trace"),
+    "variable_linear": lambda A: variable_linear(A, 0.3),
+}
+CATALOG_ANCHORS = {
+    "dirac": dirac,
+    "cauchy_riemann": cauchy_riemann,
+    "generalized_cr": lambda: generalized_cauchy_riemann(2, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("anchor", CATALOG_ANCHORS)
+@pytest.mark.parametrize("op", CATALOG_OPERATORS)
+def test_declared_supports_and_rows_are_tight(op, anchor):
+    # the constructor's probe shows that Phi reads nothing outside its support; this shows that it reads
+    # every entry inside it and that every declared row is nonzero somewhere
+    F = CATALOG_OPERATORS[op](CATALOG_ANCHORS[anchor]())
+    N, n = F.anchor.N, F.anchor.n
+    rng = rng_from_seed(8)
+    x, Q = rng.uniform(size=(64, n)), rng.standard_normal((64, N, n))
+    base = F.perturbation(x, Q)
+    for b, j in F.support:
+        moved = Q.copy()
+        moved[:, b, j] += 1.0
+        assert not np.array_equal(F.perturbation(x, moved), base), (b, j)
+    assert np.all(np.any(base != 0, axis=0)), F.rows
+
+
+@pytest.mark.parametrize("anchor", CATALOG_ANCHORS)
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_variable_linear_closed_form(anchor, eps):
+    A = CATALOG_ANCHORS[anchor]()
+    F = variable_linear(A, eps)
+    rng = rng_from_seed(9)
+    x, Q = rng.uniform(size=(64, A.n)), rng.standard_normal((64, A.N, A.n))
+    expected = np.zeros((64, A.N))
+    expected[:, 0] = eps * np.cos(2 * np.pi * x[:, 0]) * Q[:, 0, 0]
+    assert np.array_equal(F.scatter(F.perturbation(x, Q)), expected)
 
 
 def test_parse_catalog_ref_forms():

@@ -223,7 +223,7 @@ regularizer = rational
 source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
 """
     for command in ("analyze", "solve-linear", "solve-nonlinear", "verify"):
-        code, out = run(tmp_path, text, command, extra=("--seed", "5"))
+        code, out = run(tmp_path, text, command, extra=("--seed", "5") if command == "verify" else ())
         assert code == 0, command
     numeric = {
         "ellipticity.csv": ("nu", "min_abs_det", "resolution"),
@@ -599,14 +599,18 @@ def test_negative_seed_is_config_error(tmp_path, capsys, run_section, extra, key
     assert not (out / "verify.csv").exists()
 
 
+SEEDLESS = ("analyze", "solve-linear", "solve-nonlinear")  # only verify draws samples, so only it takes --seed
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["verify", "--config", "run.ini", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
         (["analyze", "--config", "run.ini", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
+        *(([c, "--config", "run.ini", "--seed", "5"], "unrecognized arguments: --seed 5") for c in SEEDLESS),
     ],
-    ids=["seed_not_int", "unknown_flag", "missing_command"],
+    ids=["seed_not_int", "unknown_flag", "missing_command", *(f"seed_on_{command}" for command in SEEDLESS)],
 )
 def test_usage_error_exits_1_with_argparse_message(capsys, argv, message):
     # argparse would exit 2, which this CLI reserves for a failed ellipticity requirement
@@ -849,7 +853,7 @@ source = catalog:{operator}
             DIRAC_LINEAR + "[nonlinear]\nsource = catalog:variable_linear(dirac, 0.3, 1)\n",
             "solve-nonlinear",
             False,
-            "modulation tensor must be a ConstantTensor",
+            "catalog entry 'variable_linear' takes (base, eps)",
         ),
         (
             DIRAC_LINEAR + "[nonlinear]\nsource = catalog:lipschitz_perturbation(cauchy_riemann, x)\n",
@@ -893,6 +897,23 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, config, command, ou
     assert proc.stderr.startswith("config error:")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "tensor, L",
+    [("dirac", "1e300"), ("cauchy_riemann", "1e160"), ("dirac", "1e-150"), ("dirac", "1e-200"), ("dirac", "1e-320")],
+)
+def test_grid_period_out_of_range_exits_1_at_the_boundary(tmp_path, tensor, L):
+    # before the check: an OverflowError traceback, norms that all read 0 with exit 0, or RuntimeWarnings
+    frequency = "1,0,0" if tensor == "dirac" else "1,0"
+    text = f"[tensor]\nsource = catalog:{tensor}\n\n[grid]\nG = 8\nL = {L}\n\n"
+    text += f"[rhs]\nkind = mode\ncomponent = 1\nfrequency = {frequency}\n"
+    proc = run_entry(tmp_path, text, "solve-linear")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"config error: bad grid: period L={float(L)} is out of range")
+    assert proc.stderr.count("\n") == 1  # one line: no traceback and no warning
+    assert not (tmp_path / "out" / "u.efof").exists()
+    assert run(tmp_path, text, "analyze")[0] == 0  # analyze reads no grid
 
 
 def test_import_leaves_scipy_out():

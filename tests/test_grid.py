@@ -1,6 +1,8 @@
 """Torus grids, the spectral core's DFT convention, spectral gradients, and norms."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,24 @@ def test_grid_validation():
         PeriodicGrid(n=5, G=8)
     with pytest.raises(ValueError):
         PeriodicGrid(n=2, G=8, L=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, G, L",
+    [(3, 8, 1e300), (2, 8, 1e160), (4, 8, 1e100), (3, 8, 1e-150), (3, 8, 1e-102), (3, 8, 1e-320)],
+    ids=["L**n-overflows", "L**n-overflows-n2", "L**n-overflows-n4", "L**n-underflows", "(L/G)**n-subnormal",
+         "L-subnormal"],
+)
+def test_grid_refuses_a_period_whose_tables_leave_the_normal_floats(n, G, L):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"period L={L} is out of range for n={n}, G={G}")):
+            PeriodicGrid(n=n, G=G, L=L)
+
+
+@pytest.mark.parametrize("n, L", [(3, 1e100), (3, 1e-100), (4, 1e-70), (2, 1e150)])
+def test_grid_keeps_a_period_whose_tables_stay_normal(n, L):
+    assert PeriodicGrid(n=n, G=8, L=L).L == L
 
 
 def test_frequency_layout_matches_fft_convention():

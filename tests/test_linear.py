@@ -14,6 +14,7 @@ from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band
 from efos.linear import (
     MultiplierPlan,
     RegularizerSequence,
+    apply_tensor,
     multiplier_plan,
     solve_linear,
     solve_representation,
@@ -259,6 +260,27 @@ def test_campanato_solve_matches_with_a_cached_a_fresh_and_a_passed_plan():
     assert multiplier_plan.cache_info().currsize == 1
     assert run() == fresh
     assert run(plan=MultiplierPlan(F.anchor, grid)) == fresh
+
+
+@pytest.mark.parametrize(
+    "build, G",
+    [
+        (lambda rng: dirac(), 16),
+        (lambda rng: dirac(), 32),
+        (lambda rng: generalized_cauchy_riemann(2, 1, 1, 1), 64),
+        (lambda rng: ConstantTensor(rng.standard_normal((4, 4, 3))), 16),
+        (lambda rng: ConstantTensor(rng.standard_normal((3, 3, 4))), 8),
+    ],
+    ids=["dirac-16", "dirac-32", "generalized_cr-64", "random-4x4x3-16", "random-3x3x4-8"],
+)
+def test_apply_tensor_is_the_pointwise_contraction_bit_for_bit(build, G):
+    rng = rng_from_seed(G)
+    A = build(rng)
+    grid = PeriodicGrid(n=A.n, G=G)
+    Du = GridFunction(grid, rng.standard_normal((A.N * A.n,) + grid.shape))
+    reference = np.einsum("abj,bj...->a...", A.entries, Du.as_gradient(A.N))  # an einsum over the field layout
+    out = apply_tensor(A, Du)
+    assert out.grid == grid and np.array_equal(out.values, reference)
 
 
 def test_apriori_ratio_bounded_by_one():
