@@ -37,6 +37,7 @@ __all__ = [
     "NearnessReport",
     "PseudoMonotonicityReport",
     "LipschitzConverseReport",
+    "NU_SAMPLES",
     "ellipticity_constant",
     "cached_nu",
     "is_elliptic",
@@ -46,6 +47,8 @@ __all__ = [
     "check_pseudomonotonicity",
     "lipschitz_and_converse",
 ]
+
+NU_SAMPLES = 4096  # the sphere samples behind nu(A), for cached_nu and efos analyze alike
 
 
 class NonEllipticError(ValueError):
@@ -125,9 +128,9 @@ def _sigma_min(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
     return np.linalg.svd(direction_matrix(A, dirs), compute_uv=False)[..., -1]
 
 
-def _abs_det(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
-    """|det(A a)| for stacked directions."""
-    return np.abs(np.linalg.det(direction_matrix(A, dirs)))
+def _log_abs_det(A: ConstantTensor, dirs: np.ndarray) -> np.ndarray:
+    """log|det(A a)| for stacked directions, -inf where A a is singular."""
+    return np.linalg.slogdet(direction_matrix(A, dirs))[1]
 
 
 def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):
@@ -157,7 +160,7 @@ def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):
     return f, a, step < 1e-14
 
 
-def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> EllipticityReport:
+def ellipticity_constant(A: ConstantTensor, resolution: int = NU_SAMPLES) -> EllipticityReport:
     """Compute nu(A) by sphere sampling plus local refinement.
 
     Parameters
@@ -169,8 +172,8 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
     Returns
     -------
     EllipticityReport
-        With ``nu``, the unit ``argmin_direction``, the minimum of
-        |det(A a)| refined by a second compass search, the sample count
+        With ``nu``, the unit ``argmin_direction``, min |det(A a)| as exp of
+        log|det(A a)| refined by a second compass search, the sample count
         (at least resolution: the n >= 4 sphere grid rounds up), and flags
         for refinement convergence and ellipticity.
     """
@@ -178,7 +181,9 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = 2048) -> Elliptici
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     dirs = unit_sphere_points(A.n, resolution)
     nu, argmin, refined = _refine_on_sphere(_sigma_min, A, dirs)
-    min_det, _, _ = _refine_on_sphere(_abs_det, A, dirs)
+    log_det, _, _ = _refine_on_sphere(_log_abs_det, A, dirs)
+    with np.errstate(over="ignore"):
+        min_det = float(np.exp(log_det))
     return EllipticityReport(
         nu=nu,
         argmin_direction=argmin,
@@ -197,10 +202,10 @@ def is_elliptic(A: ConstantTensor, nu: float) -> bool:
 
 @lru_cache(maxsize=None)
 def cached_nu(A: ConstantTensor) -> float:
-    """nu(A) from 4096 sphere samples and the compass refinement, the
-    ``nu`` of ``ellipticity_constant(A, 4096)``, memoized on the tensor;
-    shared by the solvers."""
-    return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, 4096))[0]
+    """nu(A) from NU_SAMPLES sphere samples and the compass refinement,
+    bit for bit the ``nu`` of ``ellipticity_constant(A)`` that ``efos
+    analyze`` reports, memoized on the tensor; shared by the solvers."""
+    return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, NU_SAMPLES))[0]
 
 
 def contraction_margin(A: ConstantTensor, near: float) -> tuple[float, float]:

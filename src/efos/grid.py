@@ -179,9 +179,9 @@ class SpectralCore:
     (n, ...), ``zmag`` = |z|, the ``nyquist`` and ``retained`` (nonzero,
     off Nyquist) masks, ``deriv`` = 2 pi i z_j zeroed on the Nyquist
     planes, ``zero``, the index of every component's mean coefficient, the
-    Plancherel ``weight``, with which |u|_2^2 = sum of weight * |U|^2 over
-    the half spectrum, and ``nyquist_index``, the flat indices of the
-    Nyquist entries in one component.  Instances are shared through
+    Plancherel ``weight`` and ``sqrt_volume``: |u|_2 = sqrt_volume * sqrt(sum
+    of weight * |U|^2 over the half spectrum); ``nyquist_index``, the flat
+    indices of one component's Nyquist entries.  Instances are shared through
     ``spectral_core``, so the arrays are read-only."""
 
     def __init__(self, grid: PeriodicGrid):
@@ -197,7 +197,8 @@ class SpectralCore:
         self.deriv = 2j * np.pi * self.z * ~self.nyquist
         self.zero = (slice(None),) + (0,) * grid.n
         # the last axis's planes 0 and G/2 hold their own conjugates; every other entry stands for two modes
-        self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0) * grid.L**grid.n
+        self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0)
+        self.sqrt_volume = math.sqrt(grid.L**grid.n)  # applied once to a norm, so no power leaves the floats
         self.nyquist_index = np.flatnonzero(self.nyquist)
         for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight, self.nyquist_index):
             arr.flags.writeable = False
@@ -209,12 +210,12 @@ class SpectralCore:
         modes of every other row; the Nyquist norm reads every row's
         Nyquist entries through ``nyquist_index``.  Each power array sums
         R's rows in row order, as numpy sums the first axis, so the rows
-        left out change neither norm by a bit."""
+        left out change neither norm by a bit; ``sqrt_volume`` scales the sums' roots."""
         part = R if rows is None else R[list(rows)]
         power = self.weight * (part.real**2 + part.imag**2).sum(axis=0)
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
         leak_power = np.take(self.weight, self.nyquist_index) * (leak.real**2 + leak.imag**2).sum(axis=0)
-        return math.sqrt(power[self.retained].sum()), math.sqrt(leak_power.sum())
+        return self.sqrt_volume * math.sqrt(power[self.retained].sum()), self.sqrt_volume * math.sqrt(leak_power.sum())
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
@@ -264,9 +265,16 @@ def gradient(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, core.derivatives(core.forward(u.values)))
 
 
+def _power_of_two_near_max(values: np.ndarray) -> float:
+    """The 2^e with 2^e <= max |value| < 2^(e+1), 0.5 if that max is 0 or not finite: a norm divides
+    by it, squares the quotients with no overflow or underflow and multiplies back exactly."""
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1] - 1)
+
+
 def norm_l2(u: GridFunction) -> float:
-    """Riemann-sum L2 norm: sqrt(h^n sum over points of |u(x)|^2)."""
-    return float(np.sqrt(u.grid.h**u.grid.n * np.sum(u.values**2)))
+    """Riemann-sum L2 norm: sqrt(h^n sum over points of |u(x)|^2), taken on u / _power_of_two_near_max(u)."""
+    scale = _power_of_two_near_max(u.values)
+    return float(np.sqrt(u.grid.h**u.grid.n * np.sum((u.values / scale) ** 2))) * scale
 
 
 def conjugate_exponent(n: int) -> float:
@@ -277,10 +285,11 @@ def conjugate_exponent(n: int) -> float:
 
 
 def norm_l2star(u: GridFunction) -> float:
-    """Riemann-sum L^{2*} norm of the pointwise Euclidean magnitude."""
+    """Riemann-sum L^{2*} norm of the pointwise Euclidean magnitude, taken on u / _power_of_two_near_max(u)."""
     p = conjugate_exponent(u.grid.n)
-    mags = np.sqrt((u.values**2).sum(axis=0))
-    return float((u.grid.h**u.grid.n * np.sum(mags**p)) ** (1.0 / p))
+    scale = _power_of_two_near_max(u.values)
+    mags = np.sqrt(((u.values / scale) ** 2).sum(axis=0))
+    return float((u.grid.h**u.grid.n * np.sum(mags**p)) ** (1.0 / p)) * scale
 
 
 def random_band_limited(

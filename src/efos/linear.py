@@ -160,7 +160,7 @@ def check_field(u: GridFunction, A: ConstantTensor, grid: PeriodicGrid, what: st
     """Raise ValueError unless ``u`` lives on ``grid`` with A.N components,
     all finite (else naming the first bad component and grid index)."""
     if u.grid != grid:
-        raise ValueError(f"{what} lives on {u.grid}, but the right-hand side on {grid}")
+        raise ValueError(f"{what} lives on {u.grid}, not on {grid}")
     if u.components != A.N:
         raise ValueError(f"{what} must have {A.N} components, got {u.components}")
     check_finite(u.values, what)

@@ -34,6 +34,7 @@ __all__ = [
     "DivergenceError",
     "ComparisonReport",
     "NearOperatorReport",
+    "PAIR_BOUND",
     "campanato_solve",
     "verify_comparison",
     "near_operator_check",
@@ -188,7 +189,7 @@ class ComparisonReport:
 
     Checks |Dw - Dv|_2 <= |F(., Dw) - F(., Dv)|_2 / (nu(A) - nu(F, A)),
     using the declared nearness bound.  ``ratio`` is the left side over
-    the right side and must stay <= 1 up to rounding.
+    the right side and must stay <= PAIR_BOUND, 1 up to rounding.
     """
 
     ratio: float
@@ -274,9 +275,8 @@ def campanato_solve(
     trace = IterationTrace(K_theory=K)
     norm_f = norm_l2(f)
     floor = 1e-13 * max(norm_f, 1e-300)
-    sqrt_volume = math.sqrt(f.grid.L**f.grid.n)
     f_mean = f.values.mean(axis=core.axes)
-    norm_f_tilde = sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
+    norm_f_tilde = core.sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
     X = np.moveaxis(f.grid.points(), 0, -1)
     f_hat = core.forward(f.values)
     Mf = [np.einsum("a...,a...->...", plan.multipliers[b], f_hat) for b in rows]  # plan.apply(f_hat)[b], bit for bit
@@ -317,7 +317,7 @@ def campanato_solve(
             np.subtract(Phi[i], T[a], out=R[a])
         d_next, leak = core.norms(R, phi_rows)
         res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
+        res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:
@@ -338,22 +338,30 @@ def campanato_solve(
     return GridFunction(f.grid, core.inverse(plan.apply(f_hat - T))), trace
 
 
+PAIR_BOUND = 1.0 + 1e-9  # the largest ratio that a pair check passes: its estimate's bound 1, up to rounding
+
+
+def _pair_ratio(lhs: float, rhs: float) -> float:
+    """A pair check's left side over its right side: 0 when both are 0, inf when only the right side is."""
+    return lhs / rhs if rhs != 0 else (0.0 if lhs == 0 else math.inf)
+
+
 def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) -> ComparisonReport:
     """Check the gradient comparison bound on a pair of fields.
 
     Requires a declared nearness bound so that nu(A) - nu(F, A) in the
-    denominator is certified.  NonFiniteError names the first component
-    and grid index where Phi is not finite on either field.
+    denominator is certified.  ValueError names ``w`` or ``v`` unless both
+    are finite fields on w's grid with the anchor's N components, and
+    NonFiniteError where Phi is not finite, by component and grid index.
     """
     if F.declared_nearness is None:
         raise ValueError("comparison bound needs declared_nearness on the operator")
     margin, _ = contraction_margin(F.anchor, F.declared_nearness)
+    for field_, name in ((w, "w"), (v, "v")):
+        check_field(field_, F.anchor, w.grid, name)
     Dw, Dv = gradient(w), gradient(v)
-    lhs = norm_l2(Dw - Dv)
     image = norm_l2(F.apply_to_gradient(Dw) - F.apply_to_gradient(Dv))
-    rhs = image / margin
-    ratio = 0.0 if lhs == 0 else (lhs / rhs if rhs > 0 else float("inf"))
-    return ComparisonReport(float(ratio))
+    return ComparisonReport(float(_pair_ratio(norm_l2(Dw - Dv), image / margin)))
 
 
 def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
@@ -361,32 +369,26 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
 
     For each pair (u, v): |Phi[u] - Phi[v]|_2, that is |F[u] - F[v] -
     (A[u] - A[v])|_2, must not exceed K |A[u] - A[v]|_2 with K the
-    declared nearness ratio.  Degenerate pairs with A[u] = A[v] count as
-    violations only if the left side is nonzero.  NonEllipticError unless
-    the declared nearness leaves a contraction margin, as in the solver;
-    NonFiniteError names the first component and grid index where Phi is
-    not finite on a field of a pair.
+    declared nearness ratio.  Each pair is scored as in
+    ``verify_comparison``, so a pair with A[u] = A[v] violates it exactly
+    when the left side is nonzero; ``violations`` counts the ratios not
+    <= PAIR_BOUND, and ``max_ratio``, their max, is NaN if one is.
+    NonEllipticError unless the declared nearness leaves a contraction
+    margin, as in the solver; ValueError and NonFiniteError as in
+    ``verify_comparison``, naming a field ``pairs[i][0]`` or ``pairs[i][1]``.
     """
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")
     A = F.anchor
     _, K = contraction_margin(A, F.declared_nearness)
-    violations, max_ratio, count = 0, 0.0, 0
-    for u, v in pairs:
-        count += 1
+    ratios = []
+    for i, (u, v) in enumerate(pairs):
+        for side, field_ in enumerate((u, v)):
+            check_field(field_, A, u.grid, f"pairs[{i}][{side}]")
         Du, Dv = gradient(u), gradient(v)
         X = np.moveaxis(u.grid.points(), 0, -1)
         Adiff = apply_tensor(A, Du) - apply_tensor(A, Dv)
         Phidiff = F.scatter(_perturbation_values(F, X, Du.values) - _perturbation_values(F, X, Dv.values), axis=0)
-        lhs = norm_l2(GridFunction(u.grid, Phidiff))
-        rhs = K * norm_l2(Adiff)
-        if rhs == 0:
-            ok = lhs <= 1e-14
-            ratio = 0.0 if ok else float("inf")
-        else:
-            ratio = lhs / rhs
-            ok = ratio <= 1.0 + 1e-9
-        max_ratio = max(max_ratio, ratio)
-        if not ok:
-            violations += 1
-    return NearOperatorReport(K=float(K), pairs=count, violations=violations, max_ratio=float(max_ratio))
+        ratios.append(_pair_ratio(norm_l2(GridFunction(u.grid, Phidiff)), K * norm_l2(Adiff)))
+    violations = sum(not ratio <= PAIR_BOUND for ratio in ratios)
+    return NearOperatorReport(float(K), len(ratios), violations, float(np.max(ratios, initial=0.0)))

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from efos.catalog import cauchy_riemann, dirac
 from efos.cli import CONFIG_KEYS, REPORT_COLUMNS, TRACE_COLUMNS, _load_config, main
+from efos.ellipticity import cached_nu
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
 from efos.sampling import rng_from_seed
+from efos.tensor import ConstantTensor
 
 from helpers import dirac_closed_form, load_benchmark, poke_payload, run_python
 
@@ -92,12 +95,38 @@ entries = 0,0, 0,0, 0,0, 0,0
     assert row.split(",")[0] == "0.0"
 
 
-def test_analyze_small_resolution_is_config_error(tmp_path, capsys):
-    code, out = run(tmp_path, "[tensor]\nsource = catalog:dirac\nresolution = 50\n", "analyze")
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "resolution must be >= 100, got 50" in err
-    assert not (out / "ellipticity.csv").exists()
+def _inline(entries: np.ndarray) -> str:
+    N, _, n = entries.shape
+    return f"[tensor]\nsource = inline\nN = {N}\nn = {n}\nentries = {', '.join(map(repr, entries.ravel().tolist()))}\n"
+
+
+def test_analyze_reports_the_nu_that_the_solvers_use(tmp_path):
+    # a noisy dirac tensor whose 2048-sample nu is not its 4096-sample cached_nu
+    A = ConstantTensor(dirac().entries + 0.05 * np.random.default_rng(1).standard_normal((4, 4, 3)))
+    code, out = run(tmp_path, _inline(A.entries), "analyze")
+    assert code == 0
+    with open(out / "ellipticity.csv", newline="") as fh:
+        (cells,) = list(csv.DictReader(fh))
+    assert float(cells["nu"]) == cached_nu(A)
+    assert cells["resolution"] == "4096"
+
+
+@pytest.mark.parametrize(
+    "entries, code, min_abs_det",
+    [
+        (1e200 * np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]]), 2, "0.0"),
+        (1e160 * cauchy_riemann().entries, 0, "inf"),
+    ],
+    ids=["singular_1e200", "cr_1e160"],
+)
+def test_analyze_min_abs_det_beyond_the_float_range(tmp_path, capsys, entries, code, min_abs_det):
+    # min|det| is exp of the least log|det|: a singular tensor gives 0 and 1e160 CR, whose
+    # least |det| is 1e320, gives inf, with no overflow warning on the way
+    assert run(tmp_path, _inline(entries), "analyze")[0] == code
+    with open(tmp_path / "out" / "ellipticity.csv", newline="") as fh:
+        (cells,) = list(csv.DictReader(fh))
+    assert cells["min_abs_det"] == min_abs_det
+    assert f"min|det| = {float(min_abs_det):.12g} " in capsys.readouterr().out
 
 
 def test_solve_linear_closed_form(tmp_path):
@@ -241,6 +270,9 @@ source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
             cells = dict(zip(header, row))
             for column in columns:
                 float(cells[column])
+    with open(out / "verify.csv", newline="") as fh:
+        for cells in csv.DictReader(fh):  # a row passes exactly when its value is at most its bound
+            assert cells["status"] == ("pass" if float(cells["value"]) <= float(cells["bound"]) else "FAIL"), cells
     with open(out / "ellipticity.csv", newline="") as fh:
         (cells,) = list(csv.DictReader(fh))
     direction = [float(v) for v in cells["argmin_direction"].split(" ")]
@@ -675,6 +707,7 @@ CR_RHS = CR_EXPRESSIONS.split("[nonlinear]")[0]
         (DIRAC_SIN_Q11 + "\n[solvers]\ntol = 1e-3\n", "solve-nonlinear", "unknown section [solvers]"),
         ("[DEFAULT]\nseed = 1\n" + DIRAC_SIN_Q11, "analyze", "unknown section [DEFAULT]"),
         (DIRAC_SIN_Q11 + "\n[run]\nSeed = 1\n", "analyze", "unknown key [run] Seed"),
+        ("[tensor]\nsource = catalog:dirac\nresolution = 4096\n", "analyze", "unknown key [tensor] resolution"),
         (CR_RHS + "f0 = 1\n", "analyze", "unknown key [rhs] f0"),
         (CR_RHS + "f3 = 1\n", "solve-linear", "[rhs] f3 names component 3, but the tensor has 2"),
         (CR_RHS + "f3 = 1\n", "solve-nonlinear", "[rhs] f3 names component 3, but the tensor has 2"),
@@ -687,6 +720,7 @@ CR_RHS = CR_EXPRESSIONS.split("[nonlinear]")[0]
         "section_solvers",
         "section_default",
         "run_Seed",
+        "tensor_resolution",
         "rhs_f0",
         "rhs_f3_solve_linear",
         "rhs_f3_solve_nonlinear",
@@ -791,7 +825,7 @@ def test_regularizer_with_m_runs_every_command(tmp_path):
 
 def test_config_keys_are_every_key_of_every_form():
     assert list(CONFIG_KEYS.items()) == [
-        ("tensor", ("source", "N", "n", "entries", "resolution")),
+        ("tensor", ("source", "N", "n", "entries")),
         ("grid", ("G", "L")),
         ("rhs", ("kind", "component", "frequency", "amplitude", "phase", "fK", "file")),
         ("solver", ("tol", "max_iter", "regularizer", "m")),

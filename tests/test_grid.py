@@ -159,6 +159,15 @@ def test_spectral_norms_split_plancherel(n, G):
     assert math.hypot(retained, nyquist, mean) == pytest.approx(norm_l2(u), rel=1e-14)
 
 
+@pytest.mark.parametrize("k", range(-100, 101, 25))
+def test_spectral_norms_scale_with_the_volume_outside_the_sums(k):
+    # the weight holds no power of L, so no power of L leaves the floats inside the sums
+    grid, unit = PeriodicGrid(n=3, G=8, L=10.0**k), PeriodicGrid(n=3, G=8)
+    R = spectral_core(unit).forward(rng_from_seed(3).standard_normal((2,) + unit.shape))
+    for got, want in zip(spectral_core(grid).norms(R), spectral_core(unit).norms(R)):
+        assert got == pytest.approx(math.sqrt(grid.L**3) * want, rel=1e-15)
+
+
 @pytest.mark.parametrize("C", [1, 4, 9])
 @pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
 def test_spectral_norms_add_rows_in_order(n, G, C):
@@ -173,7 +182,7 @@ def test_spectral_norms_add_rows_in_order(n, G, C):
     for row in R:
         power += row.real**2 + row.imag**2
     power *= core.weight
-    want = (math.sqrt(power[core.retained].sum()), math.sqrt(power[core.nyquist].sum()))
+    want = tuple(core.sqrt_volume * math.sqrt(power[modes].sum()) for modes in (core.retained, core.nyquist))
     assert core.norms(R) == want
 
 

@@ -296,6 +296,23 @@ def test_apriori_ratio_bounded_by_one():
         assert rep.ratio_grad >= 1.0 - 1e-10
 
 
+def _mode_solve(L):
+    f = single_mode_rhs(PeriodicGrid(n=3, G=8, L=L), 4)
+    u, report = solve_linear(dirac(), f)
+    return report, verify_apriori(dirac(), u, f)
+
+
+@pytest.mark.parametrize("k", range(-100, 101, 25))
+def test_solve_and_apriori_ratios_do_not_depend_on_the_period(k):
+    # u scales with L, so no power of L may enter a norm's sums: |u|^6 would overflow the L^{2*} sum at
+    # L = 1e50 and underflow it at L = 1e-50, and L^n would underflow the residual's Plancherel sums at 1e-100
+    report, apriori = _mode_solve(10.0**k)
+    _, unit = _mode_solve(1.0)
+    assert 0.0 < report.residual < 1e-14
+    assert apriori.ratio_grad == pytest.approx(unit.ratio_grad, abs=1e-12)
+    assert apriori.ratio_sobolev == pytest.approx(unit.ratio_sobolev, abs=1e-12)
+
+
 def test_apriori_zero_rhs():
     grid = PeriodicGrid(n=3, G=8)
     rep = verify_apriori(dirac(), GridFunction.zeros(grid, 4), GridFunction.zeros(grid, 4))

@@ -400,6 +400,66 @@ def test_near_operator_identical_operator():
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs, want",
+    [(0.0, 0.0, 0.0), (3.0, 0.0, math.inf), (1e-300, 0.0, math.inf), (3.0, 4.0, 0.75), (0.0, 2.0, 0.0)],
+)
+def test_pair_ratio_closed_forms(lhs, rhs, want):
+    # a left side of 1e-300 against a zero right side is a violation: no absolute floor forgives it
+    assert nonlinear._pair_ratio(lhs, rhs) == want
+
+
+def test_near_operator_check_scores_a_field_against_itself_zero():
+    u = random_band_limited(PeriodicGrid(n=3, G=8), 4, rng_from_seed(11))
+    rep = near_operator_check(lipschitz_perturbation(dirac(), 0.5, "sin_q11"), [(u, u)])
+    assert (rep.violations, rep.max_ratio) == (0, 0.0)
+
+
+def test_near_operator_check_reports_a_nan_ratio_as_a_violation_and_the_max(monkeypatch):
+    grid = PeriodicGrid(n=3, G=8)
+    rng = rng_from_seed(12)
+    pairs = [(random_band_limited(grid, 4, rng), random_band_limited(grid, 4, rng)) for _ in range(3)]
+    ratios = iter([0.5, math.nan, 0.25])
+    monkeypatch.setattr(nonlinear, "_pair_ratio", lambda lhs, rhs: next(ratios))
+    rep = near_operator_check(lipschitz_perturbation(dirac(), 0.5, "sin_q11"), pairs)
+    assert (rep.pairs, rep.violations) == (3, 1)
+    assert math.isnan(rep.max_ratio)
+
+
+@pytest.mark.parametrize("component", [2, 0], ids=["unread_by_phi", "read_by_phi"])
+def test_pair_checks_name_a_non_finite_field(component):
+    # the field is refused by its name first: a NaN that Phi does not read would otherwise reach the
+    # pair's score, and one that Phi reads spreads through the gradient and would be blamed on F - A
+    grid = PeriodicGrid(n=3, G=8)
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    rng = rng_from_seed(1)
+    w, v = random_band_limited(grid, 4, rng), random_band_limited(grid, 4, rng)
+    bad = w.values.copy()
+    bad[component, 1, 1, 1] = np.nan
+    bad = GridFunction(grid, bad)
+    where = re.escape(f" is not finite at component {component}, grid index (1, 1, 1)") + "$"
+    with pytest.raises(ValueError, match="^w" + where):
+        verify_comparison(F, bad, v)
+    with pytest.raises(ValueError, match="^v" + where):
+        verify_comparison(F, w, bad)
+    with pytest.raises(ValueError, match="^" + re.escape("pairs[1][0]") + where):
+        near_operator_check(F, [(w, v), (bad, v)])
+    with pytest.raises(ValueError, match="^" + re.escape("pairs[0][1]") + where):
+        near_operator_check(F, [(w, bad)])
+
+
+def test_pair_checks_need_one_grid_and_the_anchor_width():
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    rng = rng_from_seed(2)
+    w = random_band_limited(PeriodicGrid(n=3, G=8), 4, rng)
+    elsewhere = random_band_limited(PeriodicGrid(n=3, G=8, L=2.0), 4, rng)
+    narrow = random_band_limited(PeriodicGrid(n=3, G=8), 3, rng)
+    with pytest.raises(ValueError, match="^v lives on .*, not on "):
+        verify_comparison(F, w, elsewhere)
+    with pytest.raises(ValueError, match=re.escape("pairs[0][1] must have 4 components, got 3") + "$"):
+        near_operator_check(F, [(w, narrow)])
+
+
 def _reference_picard(F, f, tol, u0=None, max_iter=400):
     """The Picard loop written with the public linear solve: each step
     solves for u_{k+1} in physical space and differentiates it again."""

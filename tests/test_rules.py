@@ -1,8 +1,9 @@
 """Design rules that the reproduction's evidence rests on, read off the
 source with ``re``: one spectral core, one plan cache, one sweep, one walk
 over config text, one report writer, one home for the contraction margin,
-one home for config-key refusals, and reference oracles that share no
-kernel with the code they check.  Each rule is one row of RULES; a broken
+one home for config-key refusals, one pass bound for the pair checks,
+one sample count for nu(A), and reference oracles that share no kernel
+with the code they check.  Each rule is one row of RULES; a broken
 rule reports its message and each offending ``file:line``."""
 
 import re
@@ -102,6 +103,22 @@ RULES = [
             '            raise ConfigError(f"[{section}] {key} is not read {form}")\n'
             '        raise ConfigError(f"[{section}] {key} is not read with a catalog source")\n',
         ),
+    ),
+    Rule(
+        name="one_pair_bound",
+        pattern=r"\b1(\.0*)?\s*\+\s*1e-9\b",
+        paths="src/efos/**/*.py",
+        count=1,
+        message="1.0 + 1e-9 must appear in src/efos only once, as nonlinear.PAIR_BOUND; read that constant",
+        planted=("src/efos/cli.py", 'record("comparison", case, ratio, 1.0 + 1e-9)\n'),
+    ),
+    Rule(
+        name="one_sample_count_for_nu",
+        pattern=r"(?<!def )ellipticity_constant\((?:[^()]|\([^()]*\))*,",  # a second argument, at one nesting level
+        paths="src/efos/**/*.py",
+        message="src/efos passes ellipticity_constant a resolution; its default NU_SAMPLES is also cached_nu's, "
+        "so that efos analyze reports the nu that the solvers use",
+        planted=("src/efos/cli.py", "report = ellipticity_constant(build_tensor(cfg), 2048)\n"),
     ),
     Rule(
         name="the_sweep_oracle_shares_no_kernel_with_the_sweep",
