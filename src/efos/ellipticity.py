@@ -225,7 +225,7 @@ def contraction_margin(A: ConstantTensor, near: float) -> tuple[float, float]:
 _LADDER_CHUNK_ELEMENTS = 1 << 16
 
 
-def _increment_sweep(F, plan: SamplingPlan | None):
+def _increment_sweep(F, plan: SamplingPlan | None, unit: float = 1.0):
     """Yield ``(s, U, AU, X, P, D)`` for each chunk of the plan's increments,
     on the broadcast shape that the perturbation returns.
 
@@ -233,12 +233,13 @@ def _increment_sweep(F, plan: SamplingPlan | None):
     plan and a scale of MAGNITUDE_LADDER, direction by direction and each
     ladder in order.  A chunk is a run of consecutive pairs, which may cross
     directions, as many as fit in ``_LADDER_CHUNK_ELEMENTS``, at least one:
-    s is (S,), U (S, N, n) and AU (S, N) holds A:U_d, contracted once per
-    direction.  X is (nx, 1, n), P is (1, np, N, n) and
-    D = Phi(X, P + s U) - Phi(X, P) is a fresh (S, a, b, N) array with a in
-    {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  D[k] is the batch
-    of the increment s[k] U[k], and an axis of length 1 stands for all of
-    its samples.  D holds all N components, zero off Phi's rows.
+    s is (S,), U (S, N, n) and AU (S, N) holds A:U_d / unit, contracted once
+    per direction, for the power of two ``unit``.  X is (nx, 1, n), P is
+    (1, np, N, n) and D = (Phi(X, P + s U) - Phi(X, P)) / unit is a fresh
+    (S, a, b, N) array with a in {1, nx} and b in {1, np}: a is 1 when Phi
+    ignores x.  D[k] is the batch of the increment s[k] U[k], and an axis of
+    length 1 stands for all of its samples.  D holds all N components, zero
+    off Phi's rows.
     """
     A = F.anchor
     plan = plan or SamplingPlan()
@@ -246,7 +247,7 @@ def _increment_sweep(F, plan: SamplingPlan | None):
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
     dirs = plan.q_directions(N, n, anchor=A)
-    AU = np.array([contract(A, U) for U in dirs])  # (D, N), each rounded as a lone A:U
+    AU = np.array([contract(A, U) for U in dirs]) / unit  # (D, N), each rounded as a lone A:U
     scales = np.tile(MAGNITUDE_LADDER, len(dirs))
     which = np.repeat(np.arange(len(dirs)), len(MAGNITUDE_LADDER))
     Phi0 = np.asarray(F.perturbation(X, P))
@@ -255,7 +256,7 @@ def _increment_sweep(F, plan: SamplingPlan | None):
         s, d = scales[start : start + step], which[start : start + step]
         U = dirs[d]
         Phi1 = F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None])
-        yield s, U, AU[d], X, P, F.scatter(Phi1 - Phi0)
+        yield s, U, AU[d], X, P, F.scatter((Phi1 - Phi0) / unit)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -315,13 +316,19 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     Lipschitz quotient |F(x, P+Q) - F(x, P)| / |Q| and the
     pseudo-monotonicity gap follow on the same samples.  A non-finite
     sample raises ValueError, increment by increment in that order.
+    The sweep runs in units of the power of two u <= nu(A) < 2u, so its
+    quotients scale exactly with F; with lam, an anchor whose nu(A)**2, the
+    gap's scale, leaves the normal floats is refused (ValueError).
     """
     if lam is not None:
         _level(lam)
     nu_a = cached_nu(F.anchor)
+    if lam is not None and not 2.0**-1022 <= nu_a * nu_a < math.inf:
+        raise ValueError(f"the anchor's scale nu(A) = {nu_a:.3e} is out of range: nu(A)**2 leaves the normal floats")
+    unit = math.ldexp(1.0, math.frexp(nu_a)[1] - 1)  # 0.5 for a nu(A) of 0 or inf
     best, near_witness, total = -1.0, None, 0
     lip, violations, worst, witness = 0.0, 0, 0.0, (None, None, None)
-    for s, U, AU, X, P, D in _increment_sweep(F, plan):
+    for s, U, AU, X, P, D in _increment_sweep(F, plan, unit):
         samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
         total += len(s) * samples
         values = [_row_norms(D) / s[:, None, None]]
@@ -330,8 +337,8 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
             D += AQ[:, None, None]  # the sweep's fresh D becomes F(x, P+Q) - F(x, P)
             aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
             s_sq = s**2
-            rhs = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s_sq
-            guard = 1e-12 * (aq_sq + nu_a**2 * s_sq)
+            rhs = 0.5 * aq_sq - 0.5 * lam**2 * (nu_a / unit) ** 2 * s_sq
+            guard = 1e-12 * (aq_sq + (nu_a / unit) ** 2 * s_sq)
             gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", D, AQ)  # positive where violated
             violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
             values += [_row_norms(D) / s[:, None, None], gap]
@@ -344,6 +351,7 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
             k = int(np.argmax(top[:, 2]))
             if top[k, 2] > worst:
                 worst, witness = float(top[k, 2]), (*_sample(gap[k], X, P), s[k] * U[k])
+    best, lip, worst = best * unit, lip * unit, worst * unit * unit
     near = NearnessReport(best, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
     if lam is None:
         return near, None, None

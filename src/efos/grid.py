@@ -40,6 +40,7 @@ __all__ = [
     "gradient",
     "norm_l2",
     "norm_l2star",
+    "norm_vector",
     "conjugate_exponent",
     "random_band_limited",
 ]
@@ -181,8 +182,9 @@ class SpectralCore:
     planes, ``zero``, the index of every component's mean coefficient, the
     Plancherel ``weight`` and ``sqrt_volume``: |u|_2 = sqrt_volume * sqrt(sum
     of weight * |U|^2 over the half spectrum); ``nyquist_index``, the flat
-    indices of one component's Nyquist entries.  Instances are shared through
-    ``spectral_core``, so the arrays are read-only."""
+    indices of one component's Nyquist entries, and ``nyquist_weight``, their
+    weights.  Instances are shared through ``spectral_core``, so the arrays
+    are read-only."""
 
     def __init__(self, grid: PeriodicGrid):
         self.grid = grid
@@ -200,22 +202,23 @@ class SpectralCore:
         self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0)
         self.sqrt_volume = math.sqrt(grid.L**grid.n)  # applied once to a norm, so no power leaves the floats
         self.nyquist_index = np.flatnonzero(self.nyquist)
-        for arr in (self.nyquist, self.z, self.zmag, self.retained, self.deriv, self.weight, self.nyquist_index):
+        self.nyquist_weight = self.weight.flat[self.nyquist_index]
+        for arr in (a for a in vars(self).values() if isinstance(a, np.ndarray)):
             arr.flags.writeable = False
 
     def norms(self, R: np.ndarray, rows=None) -> tuple:
-        """L2 norms of the half-spectrum coefficients R (C, ...) on the
-        retained modes and on the Nyquist planes.  The retained norm squares
-        only R's ``rows`` (default: all), so R must be zero on the retained
-        modes of every other row; the Nyquist norm reads every row's
-        Nyquist entries through ``nyquist_index``.  Each power array sums
-        R's rows in row order, as numpy sums the first axis, so the rows
-        left out change neither norm by a bit; ``sqrt_volume`` scales the sums' roots."""
+        """L2 norms of the half-spectrum coefficients R (C, ...) on the retained modes and on the
+        Nyquist planes.  The retained norm squares only R's ``rows`` (default: all), so R must be
+        zero on the retained modes of every other row; the Nyquist norm reads every row's Nyquist
+        entries through ``nyquist_index``.  Each power array sums R's rows in row order, as numpy
+        sums the first axis, so the rows left out change neither norm by a bit.  Each sum keeps to
+        the float range by ``_root_sum_of_squares``, and ``sqrt_volume`` scales its root."""
         part = R if rows is None else R[list(rows)]
-        power = self.weight * (part.real**2 + part.imag**2).sum(axis=0)
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
-        leak_power = np.take(self.weight, self.nyquist_index) * (leak.real**2 + leak.imag**2).sum(axis=0)
-        return self.sqrt_volume * math.sqrt(power[self.retained].sum()), self.sqrt_volume * math.sqrt(leak_power.sum())
+        return tuple(
+            self.sqrt_volume * _root_sum_of_squares(x, lambda v: (w * (v.real**2 + v.imag**2).sum(axis=0))[m].sum())
+            for x, w, m in ((part, self.weight, self.retained), (leak, self.nyquist_weight, ...))
+        )
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
@@ -271,10 +274,27 @@ def _power_of_two_near_max(values: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1] - 1)
 
 
+def _root_sum_of_squares(values: np.ndarray, total, factor: float = 1.0) -> float:
+    """sqrt(factor * total(values)), total(v) a sum of weighted squares of v's entries, by the one rule that keeps
+    every norm in the float range: the plain sum, bits and all, where it and the product lie in [2**-600, inf) (no
+    square lost to the subnormals moves it by an ulp; one that total drops may overflow); else s times the root over
+    values / s, s = _power_of_two_near_max(values), divided as floats: numpy makes complex / subnormal s a NaN."""
+    with np.errstate(over="ignore"):
+        plain = float(total(values))
+    if 2.0**-600 <= plain and 2.0**-600 <= factor * plain < math.inf:
+        return math.sqrt(factor * plain)
+    s = _power_of_two_near_max(values)
+    return math.sqrt(factor * total((np.ascontiguousarray(values).view(np.float64) / s).view(values.dtype))) * s
+
+
 def norm_l2(u: GridFunction) -> float:
-    """Riemann-sum L2 norm: sqrt(h^n sum over points of |u(x)|^2), taken on u / _power_of_two_near_max(u)."""
-    scale = _power_of_two_near_max(u.values)
-    return float(np.sqrt(u.grid.h**u.grid.n * np.sum((u.values / scale) ** 2))) * scale
+    """Riemann-sum L2 norm: sqrt(h^n sum over points of |u(x)|^2), by _root_sum_of_squares."""
+    return _root_sum_of_squares(u.values, lambda v: np.sum(v**2), u.grid.h**u.grid.n)
+
+
+def norm_vector(v: np.ndarray) -> float:
+    """Euclidean norm of a real or complex vector by _root_sum_of_squares: np.linalg.norm's bits in range."""
+    return _root_sum_of_squares(np.ravel(v), lambda x: x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def conjugate_exponent(n: int) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ellipticity import NonEllipticError, cached_nu, is_elliptic
 from .fieldfile import check_finite
-from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, spectral_core
+from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, norm_l2star, norm_vector, spectral_core
 from .tensor import ConstantTensor, contract, direction_matrix
 
 __all__ = [
@@ -172,9 +172,7 @@ def _prepare_rhs(plan: MultiplierPlan, f: GridFunction):
     mean = f.values.mean(axis=core.axes)
     F = core.forward(f.values)
     F[core.zero] = 0.0
-    fmax = float(np.abs(F).max())
-    on_nyquist = float(np.abs(F[:, core.nyquist]).max()) if fmax > 0 else 0.0
-    truncated = bool(fmax > 0 and on_nyquist > 1e-13 * fmax)
+    truncated = bool(np.abs(F[:, core.nyquist]).max() > 1e-13 * np.abs(F).max())
     return mean, F, truncated
 
 
@@ -203,7 +201,7 @@ def solve_linear(A: ConstantTensor, f: GridFunction):
     return u, SolveReport(
         residual=rel,
         dropped_mean=mean,
-        dropped_mean_norm=float(np.linalg.norm(mean)),
+        dropped_mean_norm=norm_vector(mean),
         nyquist_truncated=truncated,
     )
 
@@ -223,13 +221,9 @@ def solve_representation(A: ConstantTensor, f: GridFunction, regularizer: Regula
     core = plan.core
     s = np.where(core.retained, regularizer.factor(core.zmag), 0.0)
 
-    active = core.retained & (np.abs(F).max(axis=0) > 1e-13 * max(np.abs(F).max(), 1e-300))
-    if active.any():
-        z_min = float(core.zmag[active].min())
-        gap = float((1.0 - s[active]).max())
-    else:
-        z_min = np.inf
-        gap = 0.0
+    active = core.retained & (np.abs(F).max(axis=0) > 1e-13 * np.abs(F).max())
+    z_min = float(core.zmag[active].min(initial=np.inf))
+    gap = float((1.0 - s[active]).max(initial=0.0))
     u, rel = _solution(plan, plan.apply(F) * s, F * s)
     return u, RepresentationReport(
         residual=rel,
@@ -248,15 +242,12 @@ def verify_apriori(A: ConstantTensor, u: GridFunction, f: GridFunction) -> Aprio
     """
     check_field(f, A, f.grid, "right-hand side")
     check_field(u, A, f.grid, "solution")
-    nu = cached_nu(A)
     axes = tuple(range(1, f.grid.n + 1))
     nf = norm_l2(GridFunction(f.grid, f.values - f.values.mean(axis=axes, keepdims=True)))
-    du = gradient(u)
-    ndu = norm_l2(du)
+    ndu = norm_l2(gradient(u))
     try:
-        n2s = norm_l2star(u)
-        ratio_sob = n2s / ndu if ndu > 0 else 0.0
+        ratio_sob = norm_l2star(u) / ndu if ndu > 0 else 0.0
     except ValueError:
         ratio_sob = float("nan")
-    ratio_grad = ndu * nu / nf if nf > 0 else 0.0
+    ratio_grad = ndu * cached_nu(A) / nf if nf > 0 else 0.0
     return AprioriReport(ratio_grad=float(ratio_grad), ratio_sobolev=float(ratio_sob))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ellipticity import contraction_margin, nearness_constant
 from .fieldfile import NonFiniteError, check_finite
-from .grid import GridFunction, gradient, norm_l2
+from .grid import GridFunction, gradient, norm_l2, norm_vector
 from .linear import MultiplierPlan, apply_tensor, check_field, multiplier_plan
 from .tensor import ConstantTensor, contract
 
@@ -274,11 +274,11 @@ def campanato_solve(
 
     trace = IterationTrace(K_theory=K)
     norm_f = norm_l2(f)
-    floor = 1e-13 * max(norm_f, 1e-300)
+    floor = 1e-13 * norm_f
     f_mean = f.values.mean(axis=core.axes)
-    norm_f_tilde = core.sqrt_volume * math.sqrt(f.values.var(axis=core.axes).sum())  # |f - mean(f)|_2
     X = np.moveaxis(f.grid.points(), 0, -1)
     f_hat = core.forward(f.values)
+    norm_f_tilde = math.hypot(*core.norms(f_hat))  # |f - mean(f)|_2, as _solution scales the linear residual
     Mf = [np.einsum("a...,a...->...", plan.multipliers[b], f_hat) for b in rows]  # plan.apply(f_hat)[b], bit for bit
 
     # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
@@ -302,7 +302,7 @@ def campanato_solve(
     np.copyto(R, 0, where=core.retained)
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        dropped = np.linalg.norm(R[core.zero])
+        dropped = norm_vector(R[core.zero])
         for b, Mf_b in zip(rows, Mf):  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
             U[b] = Mf_b
             for i, a in enumerate(phi_rows):
@@ -317,7 +317,7 @@ def campanato_solve(
             np.subtract(Phi[i], T[a], out=R[a])
         d_next, leak = core.norms(R, phi_rows)
         res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * np.linalg.norm(R[core.zero] + f_mean))
+        res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * norm_vector(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:

@@ -956,3 +956,34 @@ def test_import_leaves_scipy_out():
     proc = run_python("-c", f"import sys, efos, efos.cli; print({loaded})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.filterwarnings("error")
+def test_rhs_amplitude_scales_every_output(tmp_path, capsys):
+    # before the one sum-of-squares rule: residual = 0 and a 1-step trace at 1e-200, residual = nan after
+    # overflow warnings at 1e200
+    fields = {}
+    for amplitude in ("1e-200", "1", "1e200"):
+        text = DIRAC_LINEAR.replace("G = 16", "G = 8").replace("amplitude = 1.0", f"amplitude = {amplitude}")
+        text += "\n[solver]\nregularizer = rational\n\n[nonlinear]\nsource = catalog:variable_linear(dirac, 0.3)\n"
+        (tmp_path / amplitude).mkdir()
+        for command in ("solve-linear", "solve-nonlinear"):
+            code, out = run(tmp_path / amplitude, text, command)
+            assert code == 0 and capsys.readouterr().err == "", (amplitude, command)
+            fields[amplitude, command] = read_field(out / "u.efof").values
+        with open(out / "report.csv", newline="") as fh:
+            (report,) = list(csv.DictReader(fh))
+        assert 0 < float(report["residual"]) < 1e-14 and math.isfinite(float(report["dropped_mean_norm"])), amplitude
+        with open(out / "representation.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(math.isfinite(float(v)) for row in rows for k, v in row.items() if k != "kind"), amplitude
+        with open(out / "trace.csv", newline="") as fh:
+            trace = list(csv.DictReader(fh))
+        assert len(trace) == 15, amplitude
+        assert all(math.isfinite(float(row[k])) for row in trace[1:] for k in TRACE_COLUMNS), amplitude
+        assert all(math.isfinite(float(trace[0][k])) for k in TRACE_COLUMNS if k != "ratio_k"), amplitude
+    for amplitude in ("1e-200", "1e200"):
+        for command in ("solve-linear", "solve-nonlinear"):
+            want = float(amplitude) * fields["1", command]
+            gap = np.abs(fields[amplitude, command] - want).max() / np.abs(want).max()
+            assert gap <= 1e-12, (amplitude, command, gap)

@@ -4,6 +4,7 @@ import ast
 import configparser
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -95,6 +96,27 @@ def test_ellipticity_is_scale_covariant(A, c):
         assert rep.min_abs_det == math.inf
     elif log_det > math.log(sys.float_info.min):
         assert rep.min_abs_det == pytest.approx(c**A.N * ref.min_abs_det, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", range(-200, 201, 10))
+def test_sampled_estimates_scale_with_the_anchor_or_refuse_it(k):
+    # the sweep works in units of a power of two near nu(A), so its quotients scale with c exactly; its gap is
+    # quadratic in c, so with a level an anchor whose nu(A)**2 leaves the normal floats is refused by name.
+    # Before: c = 1e-170 read nu_fa = 0 and concluded the ellipticity that c = 1 refutes, 1e-160 read nu_fa
+    # 0.6% low and 1e160 warned of an overflow
+    c = 10.0**k
+    ref = sampled_estimates(lipschitz_perturbation(dirac(), 0.5), 0.5)
+    F = lipschitz_perturbation(ConstantTensor(c * dirac().entries), 0.5)
+    assert abs(nearness_constant(F).nu_fa / c - ref[0].nu_fa) <= 1e-12 * ref[0].nu_fa
+    nu_a = cached_nu(F.anchor)
+    if abs(k) > 150:
+        with pytest.raises(ValueError, match="^" + re.escape(f"the anchor's scale nu(A) = {nu_a:.3e} is out of range")):
+            sampled_estimates(F, 0.5)
+        return
+    near, pm, lc = sampled_estimates(F, 0.5)
+    assert abs(near.nu_fa / c - ref[0].nu_fa) <= 1e-12 * ref[0].nu_fa
+    assert (pm.violations, lc.concluded_elliptic) == (ref[1].violations, ref[2].concluded_elliptic)
 
 
 def test_zero_tensor_not_elliptic():

@@ -14,6 +14,7 @@ from efos.grid import (
     gradient,
     norm_l2,
     norm_l2star,
+    norm_vector,
     random_band_limited,
     spectral_core,
 )
@@ -200,6 +201,47 @@ def test_row_restricted_norms_are_bit_identical(n, G, rows):
     R[off] = np.where(core.retained, 0.0, R[off])
     assert core.norms(R, rows) == core.norms(R)
     assert core.norms(R)[1] > 0 and (core.norms(R)[0] > 0) == bool(rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", range(-960, 961, 80))
+def test_every_norm_is_exactly_homogeneous_under_powers_of_two(k):
+    # one rule for every sum of squares: the plain sum where it lies in [2**-600, inf), else the sum over
+    # values divided by a power of two near their largest magnitude, so 2^k u has norm 2^k |u| to the bit
+    # wherever the entries of 2^k u stay normal floats
+    grid = PeriodicGrid(n=3, G=8)
+    core = spectral_core(grid)
+    u = GridFunction(grid, rng_from_seed(7).standard_normal((4,) + grid.shape) + 0.4)
+    R = core.forward(u.values)
+    c = 2.0**k
+    assert core.norms(c * R) == tuple(c * v for v in core.norms(R))
+    assert core.norms(c * R, [1]) == tuple(c * v for v in core.norms(R, [1]))
+    assert norm_l2(c * u) == c * norm_l2(u)
+    for v in (R[core.zero], R[:, 1, 2, 3], u.values[:, 0, 0, 0]):
+        assert norm_vector(c * v) == c * norm_vector(v)
+
+
+def test_norms_in_range_keep_the_plain_formula_bits():
+    grid = PeriodicGrid(n=3, G=8, L=2.0)
+    u = GridFunction(grid, rng_from_seed(8).standard_normal((4,) + grid.shape))
+    R = spectral_core(grid).forward(u.values)
+    assert norm_l2(u) == float(np.sqrt(grid.h**3 * np.sum(u.values**2)))
+    for v in (R[:, 0, 0, 0], R[:, 1, 2, 3], u.values[:, 1, 1, 1], np.zeros(3), np.zeros(2, complex)):
+        assert norm_vector(v) == float(np.linalg.norm(v))
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_of_subnormal_and_overflowing_values():
+    # numpy divides a complex value by a subnormal power of two into NaN, so the rule divides the parts apart;
+    # a Nyquist entry whose square overflows leaves the retained norm alone
+    assert norm_vector(np.array([3e-320 + 4e-320j])) == pytest.approx(5e-320, rel=1e-3)
+    assert norm_vector(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+    grid = PeriodicGrid(n=2, G=4)
+    core = spectral_core(grid)
+    R = np.zeros((1,) + core.zmag.shape, complex)
+    R[0, 1, 1], R[0, 2, 0] = 1e-3, 1e200  # a retained mode and one on the Nyquist planes
+    assert core.norms(R) == pytest.approx((math.sqrt(core.weight[1, 1]) * 1e-3, 1e200), rel=1e-15)
+    assert norm_l2(GridFunction(grid, np.full((1,) + grid.shape, 1e-170))) == 1e-170
 
 
 def test_conjugate_exponent():

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
 from efos.cli import build_operator
@@ -746,5 +748,26 @@ def test_manufactured_solution_is_recovered(A, G, operator):
     Du_star = gradient(u_star)
     f = F.apply_to_gradient(Du_star)  # F(x, Du*) pointwise, aliasing and all
     u, trace = campanato_solve(F, f, tol=1e-12)
+    assert trace.converged
+    assert norm_l2(gradient(u) - Du_star) <= 1e-10 * norm_l2(Du_star)
+
+
+# the fixed point and the contraction metric are homogeneous in f, so neither the seed, the level below the
+# margin nor the amplitude 10^k may move the recovery; before the one sum-of-squares rule the solve stopped
+# after one step 6-20% off at k <= -200 and warned of an overflow at k >= 200.  Where sin is near linear (10^k
+# small) the step contracts by about lam, and K = 0.95 needs log(1e-12) / log(0.95) = 539 steps to reach tol.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(0.0, 0.95, exclude_min=True),
+    k=st.integers(-300, 300),
+    shape=st.sampled_from(["sin_q11", "tanh_trace", "variable_linear"]),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_manufactured_solution_is_recovered_at_every_amplitude(seed, lam, k, shape):
+    F = variable_linear(dirac(), lam) if shape == "variable_linear" else lipschitz_perturbation(dirac(), lam, shape)
+    grid = PeriodicGrid(n=3, G=8)
+    u_star = 10.0**k * random_band_limited(grid, 4, rng_from_seed(seed))
+    Du_star = gradient(u_star)
+    u, trace = campanato_solve(F, F.apply_to_gradient(Du_star), tol=1e-12, max_iter=600)
     assert trace.converged
     assert norm_l2(gradient(u) - Du_star) <= 1e-10 * norm_l2(Du_star)

@@ -2,9 +2,10 @@
 source with ``re``: one spectral core, one plan cache, one sweep, one walk
 over config text, one report writer, one home for the contraction margin,
 one home for config-key refusals, one pass bound for the pair checks,
-one sample count for nu(A), and reference oracles that share no kernel
-with the code they check.  Each rule is one row of RULES; a broken
-rule reports its message and each offending ``file:line``."""
+one sample count for nu(A), one rule for every sum of squares, and
+reference oracles that share no kernel with the code they check.  Each
+rule is one row of RULES; a broken rule reports its message and each
+offending ``file:line``."""
 
 import re
 from dataclasses import dataclass
@@ -119,6 +120,15 @@ RULES = [
         message="src/efos passes ellipticity_constant a resolution; its default NU_SAMPLES is also cached_nu's, "
         "so that efos analyze reports the nu that the solvers use",
         planted=("src/efos/cli.py", "report = ellipticity_constant(build_tensor(cfg), 2048)\n"),
+    ),
+    Rule(
+        name="one_rule_for_sums_of_squares",
+        pattern=r"np\.linalg\.norm\(|\.var\(|\.std\(",
+        paths="src/efos/*linear.py",
+        message="src/efos/linear.py or src/efos/nonlinear.py squares a field or a mean by hand; take the norm from "
+        "efos.grid (norm_l2, norm_vector or SpectralCore.norms), whose one rule keeps each sum of squares in the "
+        "float range",
+        planted=("src/efos/nonlinear.py", "import numpy as np\n\ndropped = np.linalg.norm(R[core.zero])\n"),
     ),
     Rule(
         name="the_sweep_oracle_shares_no_kernel_with_the_sweep",
