@@ -137,23 +137,27 @@ def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):
     """Minimize a batched sphere function from its best sample in dirs.
 
     Compass search (Kolda, Lewis & Torczon, SIAM Review 45, 2003): try
-    normalize(a +/- step t) for a tangent basis t at a, move to the best
-    trial on strict improvement and halve step otherwise, from 1e-2 down
-    to 1e-14 or until 8000 evaluations.  Returns (value, point, reached
-    the step floor); the value never exceeds the best sample's.
+    normalize(a +/- step t) for a tangent basis t at a, taken once per
+    move of a, move to the best trial on strict improvement and halve step
+    otherwise, from 1e-2 down to 1e-14 or until 8000 evaluations.  Returns
+    (value, point, reached the step floor); the value never exceeds the
+    best sample's.
     """
     values = objective(A, dirs)
     best = int(np.argmin(values))  # ties: first sample wins
     f, a = float(values[best]), dirs[best] / np.linalg.norm(dirs[best])
-    step, evals = 1e-2, 0
+    step, evals, moved = 1e-2, 0, True
     while step >= 1e-14 and evals < 8000:
-        tangent = np.linalg.svd(a[None])[2][1:]  # rows span the tangent space at a
-        trial = a + step * np.concatenate([tangent, -tangent])
+        if moved:
+            tangent = np.linalg.svd(a[None])[2][1:]  # rows span the tangent space at a
+            signed = np.concatenate([tangent, -tangent])
+        trial = a + step * signed
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         values = objective(A, trial)
         evals += len(trial)
         k = int(np.argmin(values))
-        if values[k] < f:
+        moved = values[k] < f
+        if moved:
             f, a = float(values[k]), trial[k]
         else:
             step /= 2
@@ -231,15 +235,21 @@ def _increment_sweep(F, plan: SamplingPlan | None, unit: float = 1.0):
 
     The increments are the pairs of an increment direction U_d (N, n) of the
     plan and a scale of MAGNITUDE_LADDER, direction by direction and each
-    ladder in order.  A chunk is a run of consecutive pairs, which may cross
-    directions, as many as fit in ``_LADDER_CHUNK_ELEMENTS``, at least one:
-    s is (S,), U (S, N, n) and AU (S, N) holds A:U_d / unit, contracted once
-    per direction, for the power of two ``unit``.  X is (nx, 1, n), P is
-    (1, np, N, n) and D = (Phi(X, P + s U) - Phi(X, P)) / unit is a fresh
-    (S, a, b, N) array with a in {1, nx} and b in {1, np}: a is 1 when Phi
-    ignores x.  D[k] is the batch of the increment s[k] U[k], and an axis of
-    length 1 stands for all of its samples.  D holds all N components, zero
-    off Phi's rows.
+    ladder in order.  U_d moves Phi when it is nonzero on an entry of
+    F.support, and every U_d does when Phi(X, P) is not finite somewhere.
+    A chunk is a run of consecutive pairs, which may cross directions but
+    never mixes moving and still ones: a run of still pairs is one chunk,
+    and a run of moving pairs is cut into chunks of as many as fit in
+    ``_LADDER_CHUNK_ELEMENTS``, at least one.  s is (S,), U (S, N, n) and
+    AU (S, N) holds A:U_d / unit, contracted once per direction, for the
+    power of two ``unit``.  X is (nx, 1, n), P is (1, np, N, n) and D =
+    (Phi(X, P + s U) - Phi(X, P)) / unit holds Phi's R = len(F.rows)
+    components.  For moving pairs D is a fresh (S, a, b, R) array with a in
+    {1, nx} and b in {1, np}: a is 1 when Phi ignores x.  For still pairs
+    Phi is not called and D is np.zeros((S, 1, 1, R)), where the full grid
+    loop finds x - x = +0.0 at every sample; the only difference it can make
+    is the sign of a zero.  D[k] is the batch of the increment s[k] U[k],
+    and an axis of length 1 stands for all of its samples.
     """
     A = F.anchor
     plan = plan or SamplingPlan()
@@ -251,12 +261,22 @@ def _increment_sweep(F, plan: SamplingPlan | None, unit: float = 1.0):
     scales = np.tile(MAGNITUDE_LADDER, len(dirs))
     which = np.repeat(np.arange(len(dirs)), len(MAGNITUDE_LADDER))
     Phi0 = np.asarray(F.perturbation(X, P))
+    finite = np.isfinite(Phi0).all()
+    moving = np.repeat([not finite or any(U[b, j] for b, j in F.support) for U in dirs], len(MAGNITUDE_LADDER))
     step = max(1, _LADDER_CHUNK_ELEMENTS // max(math.prod(Phi0.shape[:-1]) * N, P.size))
-    for start in range(0, len(scales), step):
-        s, d = scales[start : start + step], which[start : start + step]
-        U = dirs[d]
-        Phi1 = F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None])
-        yield s, U, AU[d], X, P, F.scatter((Phi1 - Phi0) / unit)
+    edges = [0, *(np.flatnonzero(moving[1:] != moving[:-1]) + 1), len(scales)]
+    for lo, hi in zip(edges, edges[1:]):
+        width = step if moving[lo] else hi - lo  # a still run is one chunk
+        for start in range(lo, hi, width):
+            stop = min(start + width, hi)
+            s, d = scales[start:stop], which[start:stop]
+            U = dirs[d]
+            if moving[lo]:
+                Phi1 = F.perturbation(X[None], P[None] + (s[:, None, None] * U)[:, None, None])
+                D = np.asarray((Phi1 - Phi0) / unit, dtype=float)
+            else:
+                D = np.zeros((stop - start, 1, 1, len(F.rows)))
+            yield s, U, AU[d], X, P, D
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -312,10 +332,11 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     Returns ``(NearnessReport, PseudoMonotonicityReport,
     LipschitzConverseReport)``, the last two at level lam and ``None``
     when lam is None.  Per increment, the nearness quotient
-    |Phi(x, P+Q) - Phi(x, P)| / |Q| is taken first; with lam, the
-    Lipschitz quotient |F(x, P+Q) - F(x, P)| / |Q| and the
-    pseudo-monotonicity gap follow on the same samples.  A non-finite
-    sample raises ValueError, increment by increment in that order.
+    |Phi(x, P+Q) - Phi(x, P)| / |Q| is taken first, on Phi's rows; with
+    lam, the Lipschitz quotient |F(x, P+Q) - F(x, P)| / |Q| and the
+    pseudo-monotonicity gap follow on the same samples, on all N
+    components.  A non-finite sample raises ValueError, increment by
+    increment in that order.
     The sweep runs in units of the power of two u <= nu(A) < 2u, so its
     quotients scale exactly with F; with lam, an anchor whose nu(A)**2, the
     gap's scale, leaves the normal floats is refused (ValueError).
@@ -326,22 +347,31 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     if lam is not None and not 2.0**-1022 <= nu_a * nu_a < math.inf:
         raise ValueError(f"the anchor's scale nu(A) = {nu_a:.3e} is out of range: nu(A)**2 leaves the normal floats")
     unit = math.ldexp(1.0, math.frexp(nu_a)[1] - 1)  # 0.5 for a nu(A) of 0 or inf
+    N, rows = F.anchor.N, list(F.rows)
+    # from 8 components on, numpy's norm adds more than two rows in an order set by their columns
+    full_width_norm = N >= 8 and len(rows) > 2
     best, near_witness, total = -1.0, None, 0
     lip, violations, worst, witness = 0.0, 0, 0.0, (None, None, None)
     for s, U, AU, X, P, D in _increment_sweep(F, plan, unit):
         samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
         total += len(s) * samples
-        values = [_row_norms(D) / s[:, None, None]]
+        near = D
+        if full_width_norm:
+            near = np.zeros(D.shape[:-1] + (N,))
+            near[..., rows] = D
+        values = [_row_norms(near) / s[:, None, None]]
         if lam is not None:
             AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
-            D += AQ[:, None, None]  # the sweep's fresh D becomes F(x, P+Q) - F(x, P)
+            dF = np.empty(D.shape[:-1] + (N,))  # F(x, P+Q) - F(x, P), all N components in order
+            dF[:] = AQ[:, None, None]
+            dF[..., rows] += D
             aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
             s_sq = s**2
             rhs = 0.5 * aq_sq - 0.5 * lam**2 * (nu_a / unit) ** 2 * s_sq
             guard = 1e-12 * (aq_sq + (nu_a / unit) ** 2 * s_sq)
-            gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", D, AQ)  # positive where violated
+            gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated
             violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
-            values += [_row_norms(D) / s[:, None, None], gap]
+            values += [_row_norms(dF) / s[:, None, None], gap]
         top = _batch_max(s, U, X, P, *values)
         k = int(np.argmax(top[:, 0]))  # ties: the first increment wins
         if top[k, 0] > best:

@@ -365,6 +365,23 @@ def _expression_operator(f1):
     return build_operator(cfg, dirac())
 
 
+def _off_diagonal_rows_operator():
+    """Phi on dirac's rows 1 and 3, reading the entries (2, 1) and (3, 0) only: the plan's first
+    seven coordinate directions do not move it, and row 2 is a zero between its rows.  A unit
+    increment of either entry moves A:Q in row 3 alone, so the gap sees where that row lands."""
+
+    def perturbation(x, Q):
+        q21, q30 = Q[..., 2, 1], Q[..., 3, 0]
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], Q.shape[:-2]) + (2,))
+        out[..., 0] = 0.2 * np.cos(2 * np.pi * x[..., 1]) * np.sin(q21)
+        out[..., 1] = 0.9 * np.tanh(q30 - q21)
+        return out
+
+    return NonlinearOperator(
+        perturbation=perturbation, anchor=dirac(), support=((2, 1), (3, 0)), rows=(1, 3), name="off-diagonal-rows"
+    )
+
+
 SWEEP_OPERATORS = {
     "sin_q11": lipschitz_perturbation(dirac(), 0.5, "sin_q11"),
     "tanh_trace": lipschitz_perturbation(cauchy_riemann(), 0.9, "tanh_trace"),
@@ -373,6 +390,8 @@ SWEEP_OPERATORS = {
     "expression": _expression_operator("q11 + q22 + q33 + 0.3 * sin(q11)"),
     # reads x1, so the sweep keeps its full (nx, np) shape
     "expression_x1": _expression_operator("q11 + q22 + q33 + 0.3 * cos(2 * pi * x1) * sin(q11)"),
+    # the sweep starts with a still run and norms two rows that are not neighbours
+    "off_diagonal_rows": _off_diagonal_rows_operator(),
 }
 
 
@@ -458,13 +477,50 @@ def test_ladder_chunks_cover_the_ladder_in_order():
             assert np.array_equal(U, np.repeat(dirs, len(MAGNITUDE_LADDER), axis=0))
             assert np.array_equal(AU, np.repeat([contract(F.anchor, d) for d in dirs], len(MAGNITUDE_LADDER), axis=0))
             lengths[op, name] = [len(c[0]) for c in chunks]
+            budget = _chunk_budget(F, plan, 1)  # the elements that one moving increment costs
+            for c_s, c_U, _, X, P, D in efos.ellipticity._increment_sweep(F, plan):
+                moves = c_U[:, 0, 0] != 0  # both operators read the one entry (0, 0)
+                assert moves.all() or not moves.any()  # a chunk never mixes moving and still increments
+                if moves.any():
+                    assert len(c_s) == 1 or len(c_s) * budget <= efos.ellipticity._LADDER_CHUNK_ELEMENTS
+                    assert D.shape == (len(c_s), 1 if op == "sin_q11" else len(X), P.shape[1], 1)
+                else:  # one exact-zero batch per increment, on Phi's one row
+                    assert D.shape == (len(c_s), 1, 1, 1) and not D.any()
             if (op, name) == ("variable_linear", "benchmark"):
                 # 9 increments of 7 scales each: a chunk holds parts of two directions
                 assert any(len({u.tobytes() for u in c[1]}) > 1 for c in chunks)
-    assert set(lengths["variable_linear", "benchmark"][:-1]) == {9}
-    # x-free: an increment costs its 780-entry (np, N, n) input, more than its 260 values
-    assert len(lengths["sin_q11", "benchmark"]) == 5
-    assert max(lengths["variable_linear", "large"]) < len(MAGNITUDE_LADDER)
+    # e_11 and -e_11 move, each followed by the 11 other signed coordinate directions, still;
+    # the strongest direction and the 32 random ones all move
+    assert lengths["variable_linear", "benchmark"] == [7, 77, 7, 77, *[9] * 25, 6]
+    # x-free: a moving increment costs its 780-entry (np, N, n) input, more than its 260 values
+    assert lengths["sin_q11", "benchmark"] == [7, 77, 7, 77, 84, 84, 63]
+    assert lengths["sin_q11", "large"] == [7, 77, 7, 77, 21, 14]
+    # a moving increment's (nx, np) batch alone exceeds the budget; each still run is still one chunk
+    assert lengths["variable_linear", "large"] == [*[1] * 7, 77, *[1] * 7, 77, *[1] * 35]
+
+
+def test_sweep_calls_phi_only_on_moving_directions():
+    # sin_q11 reads the entry (0, 0) alone: of the benchmark plan's 57 directions, the 22 signed
+    # coordinate directions off it leave Phi as it is, and the sweep calls Phi on none of their increments
+    base = SWEEP_OPERATORS["sin_q11"]
+    evaluated = []
+
+    def perturbation(x, Q):
+        if Q.ndim == 5:  # an (S, 1, np, N, n) chunk of increments; P's first sample is 0, so Q[:, 0, 0] = s U
+            evaluated.extend(Q[:, 0, 0])
+        return base.perturbation(x, Q)
+
+    F = NonlinearOperator(perturbation=perturbation, anchor=base.anchor, support=base.support, rows=base.rows)
+    reports = sampled_estimates(F, 0.7, plan=BENCHMARK_PLAN)
+    dirs = BENCHMARK_PLAN.q_directions(4, 3, anchor=F.anchor)
+    moving = dirs[dirs[:, 0, 0] != 0]
+    assert len(moving) == 35
+    assert np.array_equal(evaluated, [s * U for U in moving for s in MAGNITUDE_LADDER])
+    # every (x, P, Q) triple of the plan is still counted
+    want = reference_sweeps(base, 0.7, BENCHMARK_PLAN)
+    assert reports[0].samples_used == 27 * 65 * 57 * len(MAGNITUDE_LADDER) == want[0].samples_used
+    for got, expected in zip(reports, want, strict=True):
+        _assert_reports_equal(got, expected)
 
 
 @pytest.mark.parametrize("increments", [3, 5])
@@ -474,7 +530,8 @@ def test_sweep_reports_match_the_full_grid_loop_across_directions(op, increments
     # and the start of the next one's
     F, sampling = SWEEP_OPERATORS[op], SWEEP_PLANS["seed3"]
     monkeypatch.setattr(efos.ellipticity, "_LADDER_CHUNK_ELEMENTS", _chunk_budget(F, sampling, increments))
-    assert len(_sweep_chunks(F, sampling)[0][0]) == increments
+    moving = [c for c in _sweep_chunks(F, sampling) if any(c[1][0][b, j] for b, j in F.support)]
+    assert len(moving[0][0]) == increments
     near = nearness_constant(F, plan=sampling)
     for lam in (0.3, 0.7, 0.95):
         want = reference_sweeps(F, lam, sampling)
@@ -503,7 +560,7 @@ def _full_width(F):
 
 @pytest.mark.parametrize("op", ["sin_q11", "tanh_trace", "variable_linear"])
 def test_narrow_and_full_width_rows_give_the_estimators_the_same_arrays(op):
-    # every reader outside the Picard loop sees Phi on all N components
+    # every reader outside the Picard loop answers alike for Phi on its rows and on all N components
     F = SWEEP_OPERATORS[op]
     wide = _full_width(F)
     N, n = F.anchor.N, F.anchor.n
@@ -596,6 +653,43 @@ def test_sweep_reports_match_the_full_grid_loop_with_eight_components(shape, rot
         _assert_reports_equal(lipschitz_and_converse(F, lam), want[2])
 
 
+def _five_row_operator(anchor):
+    """Phi on the rows 0, 2, 3, 5 and 6 of an (8, 8, 2) anchor, five functions of one sum of the
+    entries (0, 0), (1, 1) and (4, 0)."""
+    scales = np.array([0.1, 0.13, 0.07, 0.09, 0.11])
+
+    def perturbation(x, Q):
+        t = Q[..., 0, 0] + Q[..., 1, 1] + Q[..., 4, 0]
+        parts = [np.sin(t), np.tanh(t), np.sin(2 * t), np.tanh(0.5 * t + 0.3), np.sin(t + 1)]
+        return scales * np.stack(parts, axis=-1)
+
+    return NonlinearOperator(
+        perturbation=perturbation, anchor=anchor, support=((0, 0), (1, 1), (4, 0)), rows=(0, 2, 3, 5, 6)
+    )
+
+
+def _support_plan(seed):
+    """The default plan at seed, plus 8 increment directions near the sum's gradient."""
+    rng = rng_from_seed(seed)
+    extra = np.zeros((8, 8, 2))
+    extra[:, [0, 1, 4], [0, 1, 0]] = 1 + 0.3 * rng.standard_normal((8, 3))
+    return SamplingPlan(seed=seed, extra_q_directions=tuple(extra))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12])
+@pytest.mark.parametrize("rotate", [False, True], ids=["blocks", "rotated"])
+def test_sweep_reports_match_the_full_grid_loop_with_eight_components_and_five_rows(rotate, seed):
+    # with more than two of N >= 8 rows, numpy's pairwise norm adds the rows in an order set by
+    # their columns, so the nearness norm is taken on all N columns; at the seeds 1 and 12, a sum
+    # over the rows alone would move the nearness estimate in its last bit
+    F, plan = _five_row_operator(_block_cauchy_riemann(rotate)), _support_plan(seed)
+    for lam in (0.3, 0.7, 0.95):
+        want = reference_sweeps(F, lam, plan)
+        for got, expected in zip(sampled_estimates(F, lam, plan=plan), want, strict=True):
+            _assert_reports_equal(got, expected)
+    _assert_reports_equal(nearness_constant(F, plan=plan), want[0])
+
+
 def _sample_nan_operator():
     """0.1 cos(2 pi x1) sin(q11) e_1, NaN at one (x, P + Q) sample deep in the default plan."""
     A, plan = dirac(), SamplingPlan()
@@ -645,6 +739,17 @@ def _overflow_then_minus_inf(q11):
     return np.where((11 < q11) & (q11 < 12), -np.inf, big)
 
 
+def _p_nan_operator():
+    """0.1 sin(q23) e_1, NaN where q23 = pi: Phi(x, P) is not finite at the plan's P sample
+    pi e_23, and the plan's first direction, e_11, is off the support."""
+
+    def perturbation(x, Q):
+        q23 = Q[..., 1, 2]
+        return np.where(q23 == np.pi, np.nan, 0.1 * np.sin(q23))[..., None]
+
+    return NonlinearOperator(perturbation=perturbation, anchor=dirac(), support=((1, 2),), rows=(0,), name="p-nan")
+
+
 def _error_message(call):
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="not finite") as info:
         call()
@@ -656,6 +761,7 @@ NAMED_SAMPLE_OPERATORS = {
     "far_nan": _far_nan_operator,
     "overflow_then_nan": lambda: _q11_operator(_overflow_then_nan),
     "overflow_then_minus_inf": lambda: _q11_operator(_overflow_then_minus_inf),
+    "p_nan": _p_nan_operator,
 }
 
 
@@ -678,6 +784,8 @@ def test_non_finite_error_names_the_reference_sample(kind):
         assert x == _sample_nan_operator()[1].tolist()  # deep in the sweep, x-index 5
     elif kind == "far_nan":
         assert x == [0.0, 0.0, 0.0]  # the broadcast x-index 0
+    elif kind == "p_nan":  # at the first increment, along e_11, which moves no entry that Phi reads
+        assert p[1][2] == math.pi and q[0][0] == 1e-4 and np.count_nonzero(q) == 1
     else:  # the quotient's sample, checked before the gap's
         assert np.linalg.norm(q) == 10.0 and not np.any(p)
     for estimator in NAMING_ESTIMATORS:

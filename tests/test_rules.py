@@ -1,11 +1,11 @@
 """Design rules that the reproduction's evidence rests on, read off the
-source with ``re``: one spectral core, one plan cache, one sweep, one walk
-over config text, one report writer, one home for the contraction margin,
-one home for config-key refusals, one pass bound for the pair checks,
-one sample count for nu(A), one rule for every sum of squares, and
-reference oracles that share no kernel with the code they check.  Each
-rule is one row of RULES; a broken rule reports its message and each
-offending ``file:line``."""
+source with ``re``: one spectral core, one plan cache, one sweep, kept on
+the perturbation's rows, one walk over config text, one report writer,
+one home for the contraction margin, one home for config-key refusals,
+one pass bound for the pair checks, one sample count for nu(A), one rule
+for every sum of squares, and reference oracles that share no kernel
+with the code they check.  Each rule is one row of RULES; a broken rule
+reports its message and each offending ``file:line``."""
 
 import re
 from dataclasses import dataclass
@@ -57,6 +57,14 @@ RULES = [
         count=1,
         message="_increment_sweep( must appear in src/efos only at its def and one call, in sampled_estimates",
         planted=("src/efos/nonlinear.py", "def sweep(F):\n    return list(_increment_sweep(F, None))\n"),
+    ),
+    Rule(
+        name="the_sweep_stays_on_phis_rows",
+        pattern=r"scatter\(",
+        paths="src/efos/ellipticity.py",
+        message="src/efos/ellipticity.py calls scatter(; the sweep takes Phi on its rows and places them "
+        "itself where a norm or the gap needs all N components",
+        planted=("src/efos/ellipticity.py", "import numpy as np\n\nD = F.scatter((Phi1 - Phi0) / unit)\n"),
     ),
     Rule(
         name="one_walk_over_config_text",
