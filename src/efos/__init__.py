@@ -53,7 +53,7 @@ from .nonlinear import (
     near_operator_check,
     verify_comparison,
 )
-from .oracle import assemble_dense, brute_nu, solve_dense
+from .oracle import brute_nu, solve_dense
 from .sampling import SamplingPlan, rng_from_seed, unit_sphere_points
 from .tensor import ConstantTensor, contract, direction_matrix, operator_norm
 
@@ -72,7 +72,6 @@ __all__ = [
     "PeriodicGrid",
     "RegularizerSequence",
     "SamplingPlan",
-    "assemble_dense",
     "brute_nu",
     "cached_nu",
     "campanato_solve",

@@ -22,7 +22,6 @@ from .tensor import ConstantTensor
 
 __all__ = [
     "get",
-    "names",
     "parse_catalog_ref",
     "cauchy_riemann",
     "generalized_cauchy_riemann",
@@ -175,10 +174,6 @@ _TENSORS = {"cauchy_riemann": cauchy_riemann, "generalized_cr": generalized_cauc
 _OPERATORS = {"lipschitz_perturbation": lipschitz_perturbation, "variable_linear": variable_linear}
 
 
-def names() -> list:
-    return sorted({**_TENSORS, **_OPERATORS})
-
-
 def get(name: str, params=()):
     """Construct a catalog entry by name with positional params.
 
@@ -189,7 +184,7 @@ def get(name: str, params=()):
     """
     build = _TENSORS.get(name) or _OPERATORS.get(name)
     if build is None:
-        raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
+        raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(sorted({**_TENSORS, **_OPERATORS}))}")
     signature = inspect.signature(build)
     try:
         bound = signature.bind(*params)

@@ -177,7 +177,8 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = NU_SAMPLES) -> Ell
     -------
     EllipticityReport
         With ``nu``, the unit ``argmin_direction``, min |det(A a)| as exp of
-        log|det(A a)| refined by a second compass search, the sample count
+        log|det(A a)| refined by a second compass search (0 where that lies
+        below N eps |A|^N, the rounding floor of det(A a)), the sample count
         (at least resolution: the n >= 4 sphere grid rounds up), and flags
         for refinement convergence and ellipticity.
     """
@@ -186,8 +187,10 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = NU_SAMPLES) -> Ell
     dirs = unit_sphere_points(A.n, resolution)
     nu, argmin, refined = _refine_on_sphere(_sigma_min, A, dirs)
     log_det, _, _ = _refine_on_sphere(_log_abs_det, A, dirs)
-    with np.errstate(over="ignore"):
-        min_det = float(np.exp(log_det))
+    # det(A a) is rounding below N eps |A|^N, where the search stalls short of a true 0; |A| = 0 logs to -inf
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = np.log(A.N * np.finfo(float).eps) + A.N * np.log(operator_norm(A))
+        min_det = 0.0 if log_det < floor else float(np.exp(log_det))
     return EllipticityReport(
         nu=nu,
         argmin_direction=argmin,

@@ -162,11 +162,6 @@ class GridFunction:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
     def as_gradient(self, N: int) -> np.ndarray:
         """Reinterpret an N*n-component field as gradients, shape (N, n, ...)."""
         n = self.grid.n

@@ -12,6 +12,7 @@ import numpy as np
 import efos
 from efos.ellipticity import LipschitzConverseReport, NearnessReport, PseudoMonotonicityReport, cached_nu
 from efos.grid import GridFunction, PeriodicGrid
+from efos.oracle import _contract, _dense_derivative_matrices, _dense_transforms, _retained_basis
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan
 from efos.tensor import contract
 
@@ -60,6 +61,19 @@ def run_python(*args, cwd=None):
     its exit code, stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(efos.__file__).parents[1]))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def full_system_solve_dense(A, f):
+    """The values of u = Q c that solve A:Du = f as one square
+    least-squares system of N ((G-1)^n - 1) unknowns on the whole retained
+    basis Q, cosines and sines together: the unsplit reference for
+    efos.oracle.solve_dense, which solves the two halves apart."""
+    grid = f.grid
+    transforms = _dense_transforms(grid)
+    Q = _retained_basis(grid, transforms)
+    M = _contract(A, Q.T @ _dense_derivative_matrices(grid, transforms) @ Q)
+    coeffs = np.linalg.lstsq(M, (f.values.reshape(A.N, -1) @ Q).ravel(), rcond=None)[0]
+    return (coeffs.reshape(A.N, -1) @ Q.T).reshape((A.N,) + grid.shape)
 
 
 def load_benchmark(name: str):

@@ -10,7 +10,6 @@ from efos.catalog import (
     generalized_cauchy_riemann,
     get,
     lipschitz_perturbation,
-    names,
     parse_catalog_ref,
     variable_linear,
 )
@@ -20,9 +19,10 @@ from efos.tensor import contract, direction_matrix
 
 
 def test_registry_names():
-    known = names()
-    for expected in ("cauchy_riemann", "dirac", "generalized_cr", "lipschitz_perturbation", "variable_linear"):
-        assert expected in known
+    # an unknown name is refused with every known one, sorted
+    known = "cauchy_riemann, dirac, generalized_cr, lipschitz_perturbation, variable_linear"
+    with pytest.raises(KeyError, match=f"^\"unknown catalog entry 'nope'; known: {known}\"$"):
+        get("nope")
 
 
 def test_cauchy_riemann_equations():

@@ -142,6 +142,36 @@ def test_det_condition_known_values():
     assert ellipticity_constant(ConstantTensor(np.zeros((2, 2, 2))), 128).min_abs_det == 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
+def test_min_abs_det_of_a_tensor_singular_along_one_direction_is_zero(scale):
+    # A a = a1 I: det(A a) = a1^2 vanishes on the circle a1 = 0, where the compass search stalls near
+    # |a1| = 3e-15; exp of its log|det| read 1.05e-29 |A|^2, and inf at 1e200, against the true 0
+    entries = np.zeros((2, 2, 2))
+    entries[0, 0, 0] = entries[1, 1, 0] = scale
+    rep = ellipticity_constant(ConstantTensor(entries))
+    assert rep.min_abs_det == 0.0
+    assert not rep.elliptic
+
+
+@pytest.mark.parametrize(
+    "A, expected",
+    [
+        (dirac(), 1.0),
+        (cauchy_riemann(), 1.0),
+        (generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0), 1.0),  # min(kappa nu a1^2 + lam mu a2^2) = 1
+        (ConstantTensor(np.moveaxis(QUATERNION_UNITS, 0, -1) * np.array([3.0, 1.5, 2.0, 4.0])), 1.5**4),
+    ],
+    ids=["dirac", "cauchy_riemann", "generalized_cr(2,1,1,1)", "quaternion(3,1.5,2,4)"],
+)
+def test_min_abs_det_of_an_elliptic_tensor_is_exp_of_the_least_log_det(A, expected):
+    # far above the rounding floor N eps |A|^N, the report is the refined log|det|'s exp, bit for bit
+    dirs = unit_sphere_points(A.n, efos.ellipticity.NU_SAMPLES)
+    log_det, _, _ = efos.ellipticity._refine_on_sphere(efos.ellipticity._log_abs_det, A, dirs)
+    rep = ellipticity_constant(A)
+    assert rep.min_abs_det == float(np.exp(log_det))
+    assert rep.min_abs_det == pytest.approx(expected, rel=1e-12)
+
+
 def test_resolution_validation():
     with pytest.raises(ValueError):
         ellipticity_constant(dirac(), 10)

@@ -10,18 +10,18 @@ from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann
 from efos.ellipticity import NonEllipticError
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import apply_tensor, solve_linear
-from efos.oracle import assemble_dense, brute_nu, solve_dense
+from efos.oracle import _contract, _dense_derivative_matrices, _dense_transforms, brute_nu, solve_dense
 from efos.sampling import rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, direction_matrix, operator_norm
 
-from helpers import QUATERNION_UNITS, single_mode_rhs
+from helpers import QUATERNION_UNITS, full_system_solve_dense, single_mode_rhs
 
 
 def test_assemble_dense_matches_spectral_application():
     # the dense matrix and the FFT route compute the same operator
     A = dirac()
     grid = PeriodicGrid(n=3, G=4)
-    M = assemble_dense(A, grid)
+    M = _contract(A, _dense_derivative_matrices(grid, _dense_transforms(grid)))
     rng = rng_from_seed(0)
     u = random_band_limited(grid, 4, rng, kmax=1)
     via_matrix = (M @ u.values.reshape(-1)).reshape((4,) + grid.shape)
@@ -101,6 +101,71 @@ def test_dense_rejects_non_elliptic_tensor(G, seed):
         solve_dense(ConstantTensor(entries), f)
 
 
+HALF_SYSTEM_CASES = {
+    "dirac G=4": (dirac, PeriodicGrid(n=3, G=4)),
+    "dirac G=6": (dirac, PeriodicGrid(n=3, G=6)),
+    "cauchy_riemann G=8": (cauchy_riemann, PeriodicGrid(n=2, G=8)),
+    "cauchy_riemann G=16": (cauchy_riemann, PeriodicGrid(n=2, G=16)),
+    "generalized_cr(2,1,1,1) L=2": (
+        lambda: generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0),
+        PeriodicGrid(n=2, G=8, L=2.0),
+    ),
+    "dirac+0.2 noise G=6": (
+        lambda: ConstantTensor(dirac().entries + 0.2 * rng_from_seed(3).normal(size=(4, 4, 3))),
+        PeriodicGrid(n=3, G=6),
+    ),
+}
+
+
+@pytest.mark.parametrize("rhs", ["band_limited", "white_noise"])
+@pytest.mark.parametrize("name", list(HALF_SYSTEM_CASES))
+def test_half_systems_agree_with_the_full_system(name, rhs):
+    # the cosine and the sine halves solved apart give the one square system's solution to
+    # rounding; white noise also fills the mean and the Nyquist planes, which both drop
+    build, grid = HALF_SYSTEM_CASES[name]
+    A = build()
+    rng = rng_from_seed(11)
+    if rhs == "band_limited":
+        f = random_band_limited(grid, A.N, rng)
+    else:
+        f = GridFunction(grid, rng.standard_normal((A.N,) + grid.shape))
+    reference = full_system_solve_dense(A, f)
+    u = solve_dense(A, f).values
+    assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("G, seed", [(G, seed) for G in (4, 6, 8) for seed in range(5)])
+def test_dense_refusal_names_a_peak_of_the_residual(G, seed):
+    # diag(z1, z1) on white noise: what no u can match is f's content on the retained modes with
+    # k1 = 0, and over both halves, as in the one full system, the witness is a peak of that field
+    entries = np.zeros((2, 2, 2))
+    entries[0, 0, 0] = 1.0
+    entries[1, 1, 0] = 1.0
+    grid = PeriodicGrid(n=2, G=G)
+    f = GridFunction(grid, rng_from_seed(seed).standard_normal((2,) + grid.shape))
+    k = np.fft.fftfreq(G, 1.0 / G)
+    unmatched = (k[:, None] == 0) & (k[None, :] != 0) & (np.abs(k[None, :]) < G // 2)
+    residual = np.fft.ifftn(np.fft.fftn(f.values, axes=(1, 2)) * unmatched, axes=(1, 2)).real
+    witness = r"component (\d), grid point \((\d+), (\d+)\)$"
+    with pytest.raises(NonEllipticError, match=witness) as refusal:
+        solve_dense(ConstantTensor(entries), f)
+    comp, i, j = (int(g) for g in re.search(witness, str(refusal.value)).groups())
+    assert abs(residual[comp, i, j]) >= (1 - 1e-9) * np.abs(residual).max()
+
+
+def test_dense_refuses_a_derivative_that_maps_cosines_to_cosines(monkeypatch):
+    # the identity keeps each cosine a cosine: the split into two half systems would drop it
+    derivatives = efos.oracle._dense_derivative_matrices
+
+    def leaking(grid, transforms):
+        return derivatives(grid, transforms) + 1e-6 * np.eye(grid.num_points)
+
+    monkeypatch.setattr(efos.oracle, "_dense_derivative_matrices", leaking)
+    grid = PeriodicGrid(n=3, G=4)
+    with pytest.raises(AssertionError, match="^derivative matrix should map cosines to sines and sines to cosines$"):
+        solve_dense(dirac(), random_band_limited(grid, 4, rng_from_seed(2)))
+
+
 @pytest.mark.parametrize(
     "A, grid",
     [(cauchy_riemann(), PeriodicGrid(n=2, G=8)), (dirac(), PeriodicGrid(n=3, G=4))],
@@ -147,8 +212,9 @@ def test_retained_basis_spans_the_solvable_fields(n, G):
 
 
 def test_dense_size_cap_enforced():
-    with pytest.raises(ValueError):
-        assemble_dense(dirac(), PeriodicGrid(n=3, G=16))
+    grid = PeriodicGrid(n=3, G=16)
+    with pytest.raises(ValueError, match="^dense assembly of size 16384 exceeds the cap 4096"):
+        solve_dense(dirac(), GridFunction.zeros(grid, 4))
 
 
 def test_brute_nu_known_values():
@@ -279,9 +345,14 @@ def _count_eigvalsh_rows(monkeypatch):
 
 
 def test_brute_nu_prunes_eigenvalue_calls(monkeypatch):
+    # the 1031 directions of the spread first batch, then the few that the certification cannot
+    # place above its running minimum
     rows = _count_eigvalsh_rows(monkeypatch)
     brute_nu(_perturbed_dirac(0), 100_000)
-    assert sum(rows) <= 20_000
+    assert sum(rows) <= 1_500
+    rows.clear()
+    brute_nu(generalized_cauchy_riemann(2.0, 1.0, 1.0, 1.0), 100_000)
+    assert sum(rows) <= 1_500
     # dirac's sigma_min is flat, so nothing is certified; its Gram matrices are exactly
     # diagonal, so they are read off the diagonal instead
     assert brute_nu(dirac(), 100_000) == pytest.approx(1.0, abs=1e-12)
@@ -325,5 +396,23 @@ def _gram_overflow_tensor():
 )
 def test_brute_nu_refuses_a_gram_matrix_that_is_not_finite(A, first):
     a = re.escape(str(unit_sphere_points(A.n, 100_000)[first].tolist()))
+    with pytest.raises(ValueError, match=rf"^the Gram matrix of sample direction {first}, a = {a}, is not finite"):
+        brute_nu(A, 100_000)
+
+
+def test_brute_nu_names_the_first_non_finite_direction_outside_the_spread_batch():
+    # the n = 3 twin of _gram_overflow_tensor: (A a)^T (A a) = 1e308 (a_1 - a_3)^2 I overflows where
+    # |a_1 - a_3| > 1.34; the spread first batch meets later overflowing directions before the first
+    entries = np.zeros((2, 2, 3))
+    entries[[0, 1], [0, 1], 0] = 1e154
+    entries[[0, 1], [0, 1], 2] = -1e154
+    A = ConstantTensor(entries)
+    dirs = unit_sphere_points(3, 100_000)
+    S = np.einsum("abj,ack->jkbc", A.entries, A.entries).reshape(9, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(np.einsum("sk,kc->sc", (dirs[:, :, None] * dirs[:, None, :]).reshape(-1, 9), S)).all(axis=1)
+    first, step = int(np.argmax(bad)), len(dirs) // 1024
+    assert first % step and bad[::step].any()
+    a = re.escape(str(dirs[first].tolist()))
     with pytest.raises(ValueError, match=rf"^the Gram matrix of sample direction {first}, a = {a}, is not finite"):
         brute_nu(A, 100_000)

@@ -4,8 +4,9 @@ the perturbation's rows, one walk over config text, one report writer,
 one home for the contraction margin, one home for config-key refusals,
 one pass bound for the pair checks, one sample count for nu(A), one rule
 for every sum of squares, and reference oracles that share no kernel
-with the code they check.  Each rule is one row of RULES; a broken rule
-reports its message and each offending ``file:line``."""
+with the code they check, in either direction.  Each rule is one row of
+RULES; a broken rule reports its message and each offending
+``file:line``."""
 
 import re
 from dataclasses import dataclass
@@ -91,6 +92,15 @@ RULES = [
         message="src/efos/oracle.py uses the fast path's direction matrices, SVD, spectral core, multiplier plan "
         "or nu estimate",
         planted=("src/efos/oracle.py", "import numpy as np\n\nsigma = np.linalg.svd(M, compute_uv=False)\n"),
+    ),
+    Rule(
+        name="the_fast_path_shares_no_kernel_with_the_oracle",
+        pattern=r"\b(eigvalsh|lstsq)\b",
+        paths="src/efos/**/*.py",
+        allowed=("src/efos/oracle.py",),
+        message="eigvalsh or lstsq is used outside src/efos/oracle.py; the fast path must not borrow the "
+        "oracle's Gram eigenvalues or least squares",
+        planted=("src/efos/ellipticity.py", "import numpy as np\n\nlam = np.linalg.eigvalsh(gram)[:, 0]\n"),
     ),
     Rule(
         name="one_home_for_the_contraction_margin",
