@@ -298,6 +298,19 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _unit_row_norms(v: np.ndarray, unit: float) -> np.ndarray:
+    """``_row_norms(v)`` of differences v in units of the power of two unit:
+    its bits where their largest lies in [2**-300, inf), else those of v *
+    unit, the differences in absolute units, divided by unit.  So a
+    perturbation far out of scale with nu(A) overflows or underflows only
+    where its absolute differences would."""
+    with np.errstate(over="ignore"):
+        norms = _row_norms(v)
+        if not 2.0**-300 <= norms.max(initial=0.0) < math.inf:
+            norms = _row_norms(v * unit) / unit
+    return norms
+
+
 def _sample(batch: np.ndarray, X, P):
     """Copies of the x and P samples of an (a, b) batch's first largest
     entry, or first NaN; an index on an axis of length 1 maps to sample 0,
@@ -341,8 +354,10 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     components.  A non-finite sample raises ValueError, increment by
     increment in that order.
     The sweep runs in units of the power of two u <= nu(A) < 2u, so its
-    quotients scale exactly with F; with lam, an anchor whose nu(A)**2, the
-    gap's scale, leaves the normal floats is refused (ValueError).
+    quotients scale exactly with F; a chunk whose norms leave the float
+    range in those units takes them in absolute units (``_unit_row_norms``).
+    With lam, an anchor whose nu(A)**2, the gap's scale, leaves the normal
+    floats is refused (ValueError).
     """
     if lam is not None:
         _level(lam)
@@ -362,7 +377,7 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
         if full_width_norm:
             near = np.zeros(D.shape[:-1] + (N,))
             near[..., rows] = D
-        values = [_row_norms(near) / s[:, None, None]]
+        values = [_unit_row_norms(near, unit) / s[:, None, None]]
         if lam is not None:
             AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
             dF = np.empty(D.shape[:-1] + (N,))  # F(x, P+Q) - F(x, P), all N components in order
@@ -374,7 +389,7 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
             guard = 1e-12 * (aq_sq + (nu_a / unit) ** 2 * s_sq)
             gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated
             violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
-            values += [_row_norms(dF) / s[:, None, None], gap]
+            values += [_unit_row_norms(dF, unit) / s[:, None, None], gap]
         top = _batch_max(s, U, X, P, *values)
         k = int(np.argmax(top[:, 0]))  # ties: the first increment wins
         if top[k, 0] > best:

@@ -19,6 +19,7 @@ disagree loudly if the fast paths drift.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +99,31 @@ def _retained_basis(grid: PeriodicGrid, transforms) -> np.ndarray:
     return np.concatenate([columns.real, columns.imag], axis=1)
 
 
+@lru_cache(maxsize=2)
+def _dense_tables(grid: PeriodicGrid) -> tuple:
+    """The basis Q = [C | S] of ``_retained_basis`` and the derivatives in
+    it, D = Q^T D_j Q of shape (n, 2m, 2m), read-only and shared per grid.
+
+    A real derivative maps the m cosine columns C onto the span of the m
+    sine columns S and back, so the diagonal blocks of each Q^T D_j Q
+    vanish up to rounding; an AssertionError refuses any above 1e-10 of the
+    largest entry, and a refused build is not kept.  At most 2 grids are
+    kept, G^n (2m) + n (2m)^2 floats each: with even G and G^n <= 2048,
+    which ``solve_dense``'s cap implies for N >= 2, at most 83 MB (n=2,
+    G=44), 167 MB for both.
+    """
+    transforms = _dense_transforms(grid)
+    Q = _retained_basis(grid, transforms)
+    m = Q.shape[1] // 2
+    D = Q.T @ _dense_derivative_matrices(grid, transforms) @ Q
+    cos, sin = slice(None, m), slice(m, None)
+    if max(np.abs(D[:, cos, cos]).max(), np.abs(D[:, sin, sin]).max()) > 1e-10 * np.abs(D).max():
+        raise AssertionError("derivative matrix should map cosines to sines and sines to cosines")
+    Q.flags.writeable = False
+    D.flags.writeable = False
+    return Q, D
+
+
 def _contract(A: ConstantTensor, D: np.ndarray) -> np.ndarray:
     """u -> A:Du from derivative matrices D of shape (n, m, k): block (a, b) is sum_j A[a, b, j] D[j]."""
     return np.einsum("abj,jrs->arbs", A.entries, D).reshape(A.N * D.shape[1], -1)
@@ -108,30 +134,25 @@ def solve_dense(A: ConstantTensor, f: GridFunction):
 
     The derivatives map the basis Q = [C | S] of ``_retained_basis`` into
     itself, and, being real, map its m cosine columns C onto the span of
-    its m sine columns S and back; the diagonal blocks of Q^T D_j Q vanish
-    up to rounding, and an AssertionError refuses any above 1e-10 of the
-    largest entry.  So A:Du = f splits into two square systems of N m
-    unknowns, (A:D)_CS c_S = C^T f and (A:D)_SC c_C = S^T f, whose
-    right-hand sides drop f's mean and Nyquist content; u = C c_C + S c_S.
-    Least squares, not LU: where A is singular on the grid those rows are
-    rounding noise, not zeros, and LU returns a huge c with a tiny
-    residual.  Raises ValueError unless f is finite with A.N components on
-    a grid of A's dimension (naming the first bad component and grid
-    index), and NonEllipticError, naming a grid point, when a residual
-    survives over both halves.
+    its m sine columns S and back (``_dense_tables``, which builds Q and
+    Q^T D_j Q once per grid, refuses any other).  So A:Du = f splits into
+    two square systems of N m unknowns, (A:D)_CS c_S = C^T f and
+    (A:D)_SC c_C = S^T f, whose right-hand sides drop f's mean and Nyquist
+    content; u = C c_C + S c_S.  Least squares, not LU: where A is singular
+    on the grid those rows are rounding noise, not zeros, and LU returns a
+    huge c with a tiny residual.  Raises ValueError unless f is finite with
+    A.N components on a grid of A's dimension (naming the first bad
+    component and grid index), and NonEllipticError, naming a grid point,
+    when a residual survives over both halves.
     """
     grid = f.grid
     _check_cap(A, grid)
     if f.components != A.N:
         raise ValueError(f"right-hand side must have {A.N} components, got {f.components}")
     check_finite(f.values, "right-hand side")
-    transforms = _dense_transforms(grid)
-    Q = _retained_basis(grid, transforms)
+    Q, D = _dense_tables(grid)
     m = Q.shape[1] // 2
-    D = Q.T @ _dense_derivative_matrices(grid, transforms) @ Q
     cos, sin = slice(None, m), slice(m, None)
-    if max(np.abs(D[:, cos, cos]).max(), np.abs(D[:, sin, sin]).max()) > 1e-10 * np.abs(D).max():
-        raise AssertionError("derivative matrix should map cosines to sines and sines to cosines")
     rhs = f.values.reshape(A.N, -1) @ Q
     coeffs, resid = np.empty_like(rhs), np.empty_like(rhs)
     for rows, cols in ((cos, sin), (sin, cos)):

@@ -119,6 +119,17 @@ def test_sampled_estimates_scale_with_the_anchor_or_refuse_it(k):
     assert (pm.violations, lc.concluded_elliptic) == (ref[1].violations, ref[2].concluded_elliptic)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-160, 1e200])
+def test_sweep_reads_a_perturbation_far_out_of_scale_with_its_anchor(c):
+    # Phi = 0.3 cos(2 pi x1) Q11 does not scale with the anchor: in units of nu(A) its differences
+    # square past the float range.  Before: 1e-160 warned of an overflow and 1e200 read nu_fa = 0
+    ref = nearness_constant(variable_linear(dirac(), 0.3)).nu_fa
+    near = nearness_constant(variable_linear(ConstantTensor(c * dirac().entries), 0.3))
+    assert abs(near.nu_fa - ref) <= 1e-12 * ref
+    assert near.ratio == pytest.approx(ref / cached_nu(ConstantTensor(c * dirac().entries)), rel=1e-12)
+
+
 def test_zero_tensor_not_elliptic():
     rep = ellipticity_constant(ConstantTensor(np.zeros((2, 2, 2))), 128)
     assert rep.nu == 0.0

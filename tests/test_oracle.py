@@ -161,9 +161,31 @@ def test_dense_refuses_a_derivative_that_maps_cosines_to_cosines(monkeypatch):
         return derivatives(grid, transforms) + 1e-6 * np.eye(grid.num_points)
 
     monkeypatch.setattr(efos.oracle, "_dense_derivative_matrices", leaking)
+    efos.oracle._dense_tables.cache_clear()  # else a grid's tables built earlier skip the patched build
     grid = PeriodicGrid(n=3, G=4)
-    with pytest.raises(AssertionError, match="^derivative matrix should map cosines to sines and sines to cosines$"):
-        solve_dense(dirac(), random_band_limited(grid, 4, rng_from_seed(2)))
+    f = random_band_limited(grid, 4, rng_from_seed(2))
+    for _ in range(2):  # a refused build is not kept
+        with pytest.raises(AssertionError, match="^derivative matrix should map cosines to sines and sines to cosines$"):
+            solve_dense(dirac(), f)
+
+
+@pytest.mark.parametrize(
+    "A, n, G",
+    [(dirac(), 3, 4), (dirac(), 3, 6), (cauchy_riemann(), 2, 8)],
+    ids=["dirac-G4", "dirac-G6", "cauchy_riemann-G8"],
+)
+def test_dense_tables_are_built_once_per_grid_and_change_no_bit(A, n, G):
+    grid = PeriodicGrid(n=n, G=G)
+    f = random_band_limited(grid, A.N, rng_from_seed(G))
+    efos.oracle._dense_tables.cache_clear()
+    cold = solve_dense(A, f).values
+    Q, D = efos.oracle._dense_tables(grid)
+    warm = solve_dense(A, f).values
+    assert efos.oracle._dense_tables(PeriodicGrid(n=n, G=G))[0] is Q
+    assert cold.tobytes() == warm.tobytes()
+    for table in (Q, D):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from efos.catalog import dirac
+from efos.catalog import dirac, generalized_cauchy_riemann
+from efos.ellipticity import NU_SAMPLES, ellipticity_constant
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed, unit_sphere_points
 
 
@@ -33,6 +34,23 @@ def test_sphere_points_at_n2_and_n3_are_exactly_count_points(count):
     theta = np.pi * (1.0 + np.sqrt(5.0)) * i
     spiral = np.stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=1)
     assert np.array_equal(unit_sphere_points(3, count), spiral)
+
+
+def test_sphere_table_is_shared_and_read_only():
+    table = unit_sphere_points(3, 2048)
+    assert unit_sphere_points(3, 2048) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+    for A in (dirac(), generalized_cauchy_riemann(2, 1, 1, 1)):
+        report = ellipticity_constant(A)
+        assert not np.shares_memory(unit_sphere_points(A.n, NU_SAMPLES), report.argmin_direction)
+
+
+@pytest.mark.parametrize("count", [2048, 4096, 100_000])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sphere_table_matches_a_cold_build(n, count):
+    warm = unit_sphere_points(n, count)
+    assert np.array_equal(warm, unit_sphere_points.__wrapped__(n, count))
 
 
 def test_sphere_grid_takes_the_least_angle_count():
