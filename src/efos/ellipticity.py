@@ -164,6 +164,16 @@ def _refine_on_sphere(objective, A: ConstantTensor, dirs: np.ndarray):
     return f, a, step < 1e-14
 
 
+def _refine_nu(A: ConstantTensor, dirs: np.ndarray):
+    """``_refine_on_sphere(_sigma_min, A, dirs)`` on A scaled by the power
+    of two that brings its largest entry into [1/2, 1), the value scaled
+    back.  LAPACK rescales a matrix far from 1 by a factor that is not a
+    power of two, so only this way is nu(2**k A) = 2**k nu(A) exactly."""
+    e = math.frexp(float(np.abs(A.entries).max()))[1]
+    nu, argmin, refined = _refine_on_sphere(_sigma_min, ConstantTensor(np.ldexp(A.entries, -e)), dirs)
+    return math.ldexp(nu, e), argmin, refined
+
+
 def ellipticity_constant(A: ConstantTensor, resolution: int = NU_SAMPLES) -> EllipticityReport:
     """Compute nu(A) by sphere sampling plus local refinement.
 
@@ -185,7 +195,7 @@ def ellipticity_constant(A: ConstantTensor, resolution: int = NU_SAMPLES) -> Ell
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     dirs = unit_sphere_points(A.n, resolution)
-    nu, argmin, refined = _refine_on_sphere(_sigma_min, A, dirs)
+    nu, argmin, refined = _refine_nu(A, dirs)
     log_det, _, _ = _refine_on_sphere(_log_abs_det, A, dirs)
     # det(A a) is rounding below N eps |A|^N, where the search stalls short of a true 0; |A| = 0 logs to -inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -212,7 +222,7 @@ def cached_nu(A: ConstantTensor) -> float:
     """nu(A) from NU_SAMPLES sphere samples and the compass refinement,
     bit for bit the ``nu`` of ``ellipticity_constant(A)`` that ``efos
     analyze`` reports, memoized on the tensor; shared by the solvers."""
-    return _refine_on_sphere(_sigma_min, A, unit_sphere_points(A.n, NU_SAMPLES))[0]
+    return _refine_nu(A, unit_sphere_points(A.n, NU_SAMPLES))[0]
 
 
 def contraction_margin(A: ConstantTensor, near: float) -> tuple[float, float]:
@@ -282,32 +292,45 @@ def _increment_sweep(F, plan: SamplingPlan | None, unit: float = 1.0):
             yield s, U, AU[d], X, P, D
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=-1)``, bit for bit.
+def _ordered_sum(terms) -> np.ndarray:
+    """The sum of an iterable of fresh float arrays, added one at a time in
+    its order, in place once the sum has the shape that every later term
+    broadcasts to; a term of some other shape raises ValueError."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        if t.size > total.size:
+            total = total + t
+        else:
+            total += t
+    return total
+
+
+def _row_norms(columns: list) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``, bit for bit, of the (..., K) array v
+    whose K columns broadcast from the list columns.
 
     numpy sums fewer than 8 squares in index order, so the columns are
-    added one at a time; from 8 on its pairwise kernel keeps eight partial
-    sums, and the norm is left to numpy.
+    squared and added one at a time, each at its own shape until the sum
+    broadcasts; from 8 on its pairwise kernel keeps eight partial sums, and
+    the norm of the stacked columns is left to numpy.
     """
-    if v.shape[-1] >= 8:
-        return np.linalg.norm(v, axis=-1)
-    sq = v * v
-    out = sq[..., 0].copy()
-    for j in range(1, v.shape[-1]):
-        out += sq[..., j]
+    if len(columns) >= 8:
+        return np.linalg.norm(np.stack(np.broadcast_arrays(*columns), axis=-1), axis=-1)
+    out = _ordered_sum(c * c for c in columns)
     return np.sqrt(out, out=out)
 
 
-def _unit_row_norms(v: np.ndarray, unit: float) -> np.ndarray:
-    """``_row_norms(v)`` of differences v in units of the power of two unit:
-    its bits where their largest lies in [2**-300, inf), else those of v *
-    unit, the differences in absolute units, divided by unit.  So a
-    perturbation far out of scale with nu(A) overflows or underflows only
-    where its absolute differences would."""
+def _unit_row_norms(columns: list, unit: float) -> np.ndarray:
+    """``_row_norms(columns)`` of differences in units of the power of two
+    unit: its bits where their largest lies in [2**-300, inf), else those of
+    the columns times unit, the differences in absolute units, divided by
+    unit.  So a perturbation far out of scale with nu(A) overflows or
+    underflows only where its absolute differences would."""
     with np.errstate(over="ignore"):
-        norms = _row_norms(v)
+        norms = _row_norms(columns)
         if not 2.0**-300 <= norms.max(initial=0.0) < math.inf:
-            norms = _row_norms(v * unit) / unit
+            norms = _row_norms([c * unit for c in columns]) / unit
     return norms
 
 
@@ -350,9 +373,12 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     when lam is None.  Per increment, the nearness quotient
     |Phi(x, P+Q) - Phi(x, P)| / |Q| is taken first, on Phi's rows; with
     lam, the Lipschitz quotient |F(x, P+Q) - F(x, P)| / |Q| and the
-    pseudo-monotonicity gap follow on the same samples, on all N
-    components.  A non-finite sample raises ValueError, increment by
-    increment in that order.
+    pseudo-monotonicity gap follow on the same samples.  Their sums run
+    over the N components in index order, and off Phi's rows F(x, P+Q) -
+    F(x, P) is A:Q, so those components add one constant per increment;
+    from N = 8 on the Lipschitz norm is numpy's, on all N components.  A
+    non-finite sample raises ValueError, increment by increment in that
+    order.
     The sweep runs in units of the power of two u <= nu(A) < 2u, so its
     quotients scale exactly with F; a chunk whose norms leave the float
     range in those units takes them in absolute units (``_unit_row_norms``).
@@ -373,21 +399,23 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     for s, U, AU, X, P, D in _increment_sweep(F, plan, unit):
         samples = len(X) * P.shape[1]  # per batch; a gap entry stands for samples / gap[0].size
         total += len(s) * samples
-        near = D
+        phi = {c: D[..., i] for i, c in enumerate(rows)}  # Phi's differences by component
+        near = list(phi.values())
         if full_width_norm:
-            near = np.zeros(D.shape[:-1] + (N,))
-            near[..., rows] = D
+            zero = np.zeros(D.shape[:-1])
+            near = [phi.get(c, zero) for c in range(N)]
         values = [_unit_row_norms(near, unit) / s[:, None, None]]
         if lam is not None:
             AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
-            dF = np.empty(D.shape[:-1] + (N,))  # F(x, P+Q) - F(x, P), all N components in order
-            dF[:] = AQ[:, None, None]
-            dF[..., rows] += D
+            aq = [AQ[:, c, None, None] for c in range(N)]  # (S, 1, 1) each
+            # F(x, P+Q) - F(x, P) by components; off Phi's rows it is A:Q, one constant per increment
+            dF = [aq[c] + phi[c] if c in phi else aq[c] for c in range(N)]
             aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
             s_sq = s**2
             rhs = 0.5 * aq_sq - 0.5 * lam**2 * (nu_a / unit) ** 2 * s_sq
             guard = 1e-12 * (aq_sq + (nu_a / unit) ** 2 * s_sq)
-            gap = rhs[:, None, None] - np.einsum("k...a,ka->k...", dF, AQ)  # positive where violated
+            # (A:Q) . dF summed in index order; positive where violated
+            gap = rhs[:, None, None] - _ordered_sum(f * q for f, q in zip(dF, aq))
             violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
             values += [_unit_row_norms(dF, unit) / s[:, None, None], gap]
         top = _batch_max(s, U, X, P, *values)

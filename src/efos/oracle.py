@@ -19,7 +19,7 @@ disagree loudly if the fast paths drift.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,41 +44,49 @@ def _check_cap(A: ConstantTensor, grid: PeriodicGrid) -> None:
         raise ValueError(f"tensor has n={A.n} but grid has n={grid.n}")
 
 
+def _axis_transforms(grid: PeriodicGrid):
+    """One axis's explicit transform matrices, shape (G, G) each: the
+    forward W1[k, x] = exp(-2 pi i k x / G) / G and its inverse Winv1; and
+    the mask of the modes off that axis's Nyquist index."""
+    j = np.arange(grid.G)
+    W1 = np.exp(-2j * np.pi * np.outer(j, j) / grid.G) / grid.G
+    Winv1 = np.exp(2j * np.pi * np.outer(j, j) / grid.G)
+    return W1, Winv1, j != grid.G // 2
+
+
 def _dense_transforms(grid: PeriodicGrid):
-    """Explicit transform matrices of the grid, shape (G^n, G^n) each: the
-    forward W[k, x] = exp(-2 pi i k x / G) / G and its inverse, as
-    Kronecker products over the axes, modes and points row-major; and the
-    mask of the modes off every Nyquist plane."""
-    G, n = grid.G, grid.n
-    j = np.arange(G)
-    W1 = np.exp(-2j * np.pi * np.outer(j, j) / G) / G
-    Winv1 = np.exp(2j * np.pi * np.outer(j, j) / G)
-    W = W1
+    """The explicit inverse transform of the grid, shape (G^n, G^n): the
+    Kronecker product over the axes of ``_axis_transforms``' Winv1, modes
+    and points row-major; and the mask of the modes off every Nyquist
+    plane."""
+    _, Winv1, _ = _axis_transforms(grid)
     Winv = Winv1
-    for _ in range(n - 1):
-        W = np.kron(W, W1)
+    for _ in range(grid.n - 1):
         Winv = np.kron(Winv, Winv1)
-    return W, Winv, (~grid.nyquist_mask()).ravel()
+    return Winv, (~grid.nyquist_mask()).ravel()
 
 
-def _dense_derivative_matrices(grid: PeriodicGrid, transforms) -> np.ndarray:
+def _dense_derivative_matrices(grid: PeriodicGrid) -> np.ndarray:
     """Dense matrices of the spectral derivatives, shape (n, G^n, G^n).
 
-    Built by sandwiching diagonal frequency multipliers between the
-    ``_dense_transforms(grid)`` matrices, with whole modes on any Nyquist
-    plane zeroed to match the retained-frequency convention.
+    Each D_j is a Kronecker product over the axes of real (G, G) factors
+    from ``_axis_transforms``: Winv1 diag(2 pi i z keep1) W1, the
+    derivative, on axis j and Winv1 diag(keep1) W1, the projector off the
+    Nyquist index, on the others.  So whole modes on any Nyquist plane are
+    zeroed, to match the retained-frequency convention, and D_j is Winv
+    diag(2 pi i z_j keep) W of the whole grid in exact arithmetic.
     """
-    G, n = grid.G, grid.n
-    W, Winv, keep = transforms
-    zvecs = grid.frequency_vectors().reshape(n, -1)  # (n, G^n), row-major modes
-    mats = np.empty((n, G**n, G**n))
-    for axis in range(n):
-        mult = 2j * np.pi * zvecs[axis] * keep
-        D = Winv @ (mult[:, None] * W)
-        if np.abs(D.imag).max() > 1e-10 * max(1.0, np.abs(D.real).max()):
+    W1, Winv1, keep1 = _axis_transforms(grid)
+    z = grid.axis_freq_indices() / grid.L
+    factors = []
+    for mult in (keep1.astype(float), 2j * np.pi * z * keep1):
+        F = Winv1 @ (mult[:, None] * W1)
+        if np.abs(F.imag).max() > 1e-10 * max(1.0, np.abs(F.real).max()):
             raise AssertionError("derivative matrix should be real after symmetrization")
-        mats[axis] = D.real
-    return mats
+        factors.append(F.real)
+    project, derive = factors
+    n = grid.n
+    return np.stack([reduce(np.kron, [project] * j + [derive] + [project] * (n - 1 - j)) for j in range(n)])
 
 
 def _retained_basis(grid: PeriodicGrid, transforms) -> np.ndarray:
@@ -92,7 +100,7 @@ def _retained_basis(grid: PeriodicGrid, transforms) -> np.ndarray:
     row-major index.  The m real parts, the cosines, come first and the m
     imaginary parts, the sines, after them.
     """
-    _, Winv, keep = transforms
+    Winv, keep = transforms
     flat = np.arange(grid.num_points)
     neg = np.ravel_multi_index(np.mod(np.negative(np.unravel_index(flat, grid.shape)), grid.G), grid.shape)
     columns = Winv[:, keep & (flat < neg)] * np.sqrt(2.0 / grid.num_points)
@@ -112,10 +120,9 @@ def _dense_tables(grid: PeriodicGrid) -> tuple:
     which ``solve_dense``'s cap implies for N >= 2, at most 83 MB (n=2,
     G=44), 167 MB for both.
     """
-    transforms = _dense_transforms(grid)
-    Q = _retained_basis(grid, transforms)
+    Q = _retained_basis(grid, _dense_transforms(grid))
     m = Q.shape[1] // 2
-    D = Q.T @ _dense_derivative_matrices(grid, transforms) @ Q
+    D = Q.T @ _dense_derivative_matrices(grid) @ Q
     cos, sin = slice(None, m), slice(m, None)
     if max(np.abs(D[:, cos, cos]).max(), np.abs(D[:, sin, sin]).max()) > 1e-10 * np.abs(D).max():
         raise AssertionError("derivative matrix should map cosines to sines and sines to cosines")

@@ -69,9 +69,8 @@ def full_system_solve_dense(A, f):
     basis Q, cosines and sines together: the unsplit reference for
     efos.oracle.solve_dense, which solves the two halves apart."""
     grid = f.grid
-    transforms = _dense_transforms(grid)
-    Q = _retained_basis(grid, transforms)
-    M = _contract(A, Q.T @ _dense_derivative_matrices(grid, transforms) @ Q)
+    Q = _retained_basis(grid, _dense_transforms(grid))
+    M = _contract(A, Q.T @ _dense_derivative_matrices(grid) @ Q)
     coeffs = np.linalg.lstsq(M, (f.values.reshape(A.N, -1) @ Q).ravel(), rcond=None)[0]
     return (coeffs.reshape(A.N, -1) @ Q.T).reshape((A.N,) + grid.shape)
 
@@ -96,10 +95,18 @@ def _reference_batch_max(values, X, P, Q):
     return float(values[i, j]), X[i, 0], P[0, j]
 
 
-def reference_sweeps(F, lam, plan=None):
+def index_order_dot(v, w):
+    """sum_a v[..., a] w[a], the products added in index order."""
+    out = v[..., 0] * w[0]
+    for a in range(1, len(w)):
+        out = out + v[..., a] * w[a]
+    return out
+
+
+def reference_sweeps(F, lam, plan=None, dot=index_order_dot):
     """The three sampled estimators' reports, from a plain loop over every
     (direction, scale) batch on the full (nx, np) sample grid, with Phi on
-    all N components.
+    all N components; the gap's dot (A:Q) . dF is dot(dF, A:Q).
 
     The test oracle for efos.ellipticity's sweep: returns the
     (NearnessReport, PseudoMonotonicityReport, LipschitzConverseReport)
@@ -129,7 +136,7 @@ def reference_sweeps(F, lam, plan=None):
             dF = Phi1 - Phi0 + AQ
             lip = max(lip, _reference_batch_max(np.linalg.norm(dF, axis=-1) / s, X, P, s * U)[0])
             aq_sq = float(AQ @ AQ)
-            gap = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2 - np.einsum("...a,a->...", dF, AQ)
+            gap = 0.5 * aq_sq - 0.5 * lam**2 * nu_a**2 * s**2 - dot(dF, AQ)
             total += gap.size
             violations += int(np.count_nonzero(gap > 1e-12 * (aq_sq + nu_a**2 * s**2)))
             value, x, p = _reference_batch_max(gap, X, P, s * U)

@@ -27,7 +27,7 @@ from efos.grid import PeriodicGrid, gradient, random_band_limited
 from efos.nonlinear import NonlinearOperator, near_operator_check, verify_comparison
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan, rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, contract, direction_matrix, operator_norm
-from helpers import QUATERNION_UNITS, reference_sweeps
+from helpers import QUATERNION_UNITS, index_order_dot, reference_sweeps
 
 NU_GCR_2111 = 2.0 / np.sqrt(5.0)  # interior minimum of the direction-matrix singular value
 
@@ -117,6 +117,24 @@ def test_sampled_estimates_scale_with_the_anchor_or_refuse_it(k):
     near, pm, lc = sampled_estimates(F, 0.5)
     assert abs(near.nu_fa / c - ref[0].nu_fa) <= 1e-12 * ref[0].nu_fa
     assert (pm.violations, lc.concluded_elliptic) == (ref[1].violations, ref[2].concluded_elliptic)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-505, -500, 500])
+def test_the_lam_pass_scales_exactly_with_a_power_of_two(k):
+    # off Phi's rows the lam pass adds A:Q as one constant per increment; in units of nu(A) those
+    # constants, the gap and the Lipschitz norm keep their bits when the anchor is scaled by 2**k.
+    # The worst gap, about 2**-11 4**k, is still a normal float at k = -505
+    F = lipschitz_perturbation(cauchy_riemann(), 0.8)
+    ref = sampled_estimates(F, 0.7)
+    assert ref[1].violations > 0
+    scaled = lipschitz_perturbation(ConstantTensor(2.0**k * cauchy_riemann().entries), 0.8)
+    assert cached_nu(scaled.anchor) / 2.0**k == cached_nu(F.anchor)
+    near, pm, lc = sampled_estimates(scaled, 0.7)
+    assert (lc.lipschitz_estimate / 2.0**k).hex() == ref[2].lipschitz_estimate.hex()
+    assert (pm.worst_violation / 4.0**k).hex() == ref[1].worst_violation.hex()
+    assert (pm.violations, lc.pseudo_monotone_violations) == (ref[1].violations, ref[2].pseudo_monotone_violations)
+    assert (near.nu_fa / 2.0**k).hex() == ref[0].nu_fa.hex()
 
 
 @pytest.mark.filterwarnings("error")
@@ -581,6 +599,41 @@ def test_sweep_reports_match_the_full_grid_loop_across_directions(op, increments
         _assert_reports_equal(lipschitz_and_converse(F, lam, plan=sampling), want[2])
 
 
+def _opposing_operator():
+    """Phi = -3 A:Q + 0.05 (A:Q)**3 / (1 + (A:Q)**2) on all four rows of a noisy Dirac anchor: F
+    turns against its anchor, so most samples violate the gap, and each of the four products
+    in the dot (A:Q) . dF is of its own size."""
+    A = ConstantTensor(dirac().entries + 0.2 * rng_from_seed(3).normal(size=(4, 4, 3)))
+
+    def perturbation(x, Q):
+        aq = np.einsum("abj,...bj->...a", A.entries, Q)
+        return -3.0 * aq + 0.05 * aq**3 / (1 + aq**2)
+
+    return NonlinearOperator(perturbation=perturbation, anchor=A, name="opposing")
+
+
+def _paired_dot(v, w):
+    """sum_a v[..., a] w[a] with the even and the odd components summed apart, then added."""
+    return index_order_dot(v[..., 0::2], w[0::2]) + index_order_dot(v[..., 1::2], w[1::2])
+
+
+def test_the_gap_adds_its_dot_in_index_order():
+    # how np.einsum associates a sum of products is numpy's own choice, and some builds pair the
+    # even and the odd components; the sweep adds (A:Q) . dF in index order, and on these plans
+    # pairing would move the worst gap
+    F = _opposing_operator()
+    apart = 0
+    for seed in range(4):
+        plan = SamplingPlan(seed=seed)
+        for lam in (0.3, 0.7, 0.95):
+            want = reference_sweeps(F, lam, plan)[1]
+            paired = reference_sweeps(F, lam, plan, dot=_paired_dot)[1]
+            apart += want.worst_violation != paired.worst_violation
+            assert want.violations > 0
+            _assert_reports_equal(check_pseudomonotonicity(F, lam, plan=plan), want)
+    assert apart > 0
+
+
 def _full_width(F):
     """F with its perturbation declared on all N rows, the zero columns included."""
 
@@ -659,9 +712,21 @@ def test_row_norms_equal_numpy_norm(N):
     v[3, :, 0] = special[rng.integers(len(special), size=(7, N))]
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.linalg.norm(v, axis=-1)
-        assert np.array_equal(efos.ellipticity._row_norms(v), want, equal_nan=True)
-        assert np.array_equal(efos.ellipticity._row_norms(v[:, :, 1:2]), want[:, :, 1:2])
+        assert np.array_equal(efos.ellipticity._row_norms(list(np.moveaxis(v, -1, 0))), want, equal_nan=True)
+        assert np.array_equal(efos.ellipticity._row_norms(list(np.moveaxis(v[:, :, 1:2], -1, 0))), want[:, :, 1:2])
     assert np.isinf(want[1, :, 0]).all() and not want[0, :, 0].any()
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_row_norms_of_broadcast_columns_equal_numpy_norm(N):
+    # the sweep passes A:Q off Phi's rows as one (S, 1, 1) constant per increment
+    rng = rng_from_seed(100 + N)
+    v = rng.normal(size=(5, 7, 3, N)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, 3, N))
+    still = np.arange(N) % 3 != 1  # a constant comes first, and for N = 1 there is no other
+    v[..., still] = v[:, :1, :1, still]
+    columns = [v[:, :1, :1, c] if still[c] else v[..., c] for c in range(N)]
+    want = np.linalg.norm(v, axis=-1)
+    assert np.array_equal(np.broadcast_to(efos.ellipticity._row_norms(columns), want.shape), want)
 
 
 def _block_cauchy_riemann(rotate):

@@ -10,7 +10,7 @@ from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann
 from efos.ellipticity import NonEllipticError
 from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from efos.linear import apply_tensor, solve_linear
-from efos.oracle import _contract, _dense_derivative_matrices, _dense_transforms, brute_nu, solve_dense
+from efos.oracle import _contract, _dense_derivative_matrices, brute_nu, solve_dense
 from efos.sampling import rng_from_seed, unit_sphere_points
 from efos.tensor import ConstantTensor, direction_matrix, operator_norm
 
@@ -21,7 +21,7 @@ def test_assemble_dense_matches_spectral_application():
     # the dense matrix and the FFT route compute the same operator
     A = dirac()
     grid = PeriodicGrid(n=3, G=4)
-    M = _contract(A, _dense_derivative_matrices(grid, _dense_transforms(grid)))
+    M = _contract(A, _dense_derivative_matrices(grid))
     rng = rng_from_seed(0)
     u = random_band_limited(grid, 4, rng, kmax=1)
     via_matrix = (M @ u.values.reshape(-1)).reshape((4,) + grid.shape)
@@ -157,8 +157,8 @@ def test_dense_refuses_a_derivative_that_maps_cosines_to_cosines(monkeypatch):
     # the identity keeps each cosine a cosine: the split into two half systems would drop it
     derivatives = efos.oracle._dense_derivative_matrices
 
-    def leaking(grid, transforms):
-        return derivatives(grid, transforms) + 1e-6 * np.eye(grid.num_points)
+    def leaking(grid):
+        return derivatives(grid) + 1e-6 * np.eye(grid.num_points)
 
     monkeypatch.setattr(efos.oracle, "_dense_derivative_matrices", leaking)
     efos.oracle._dense_tables.cache_clear()  # else a grid's tables built earlier skip the patched build

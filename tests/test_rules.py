@@ -87,7 +87,7 @@ RULES = [
     Rule(
         name="the_oracle_shares_no_kernel_with_the_fast_path",
         pattern=r"direction_matrix|linalg\.svd|spectral_core|SpectralCore|MultiplierPlan|cached_nu"
-        r"|ellipticity_constant|_sigma_min|_refine_on_sphere",
+        r"|ellipticity_constant|_sigma_min|_refine_on_sphere|_refine_nu",
         paths="src/efos/oracle.py",
         message="src/efos/oracle.py uses the fast path's direction matrices, SVD, spectral core, multiplier plan "
         "or nu estimate",
