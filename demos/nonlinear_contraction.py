@@ -34,7 +34,7 @@ for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
     u, trace = campanato_solve(F, f, tol=1e-10)
     ratios = [r for r in trace.ratio if not math.isnan(r)]
     print(
-        f"{lam:5.1f} {trace.iterations:11d} {max(ratios):12.4f} {trace.K_theory:9.2f} "
+        f"{lam:5.1f} {trace.iterations:11d} {max(ratios):12.4f} {trace.margin.K:9.2f} "
         f"{trace.residual[-1]:10.1e}"
     )
 

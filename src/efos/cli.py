@@ -332,7 +332,8 @@ def cmd_solve_nonlinear(cfg, args) -> int:
         raise
     write_field(args.out / "u.efof", u)
     write_trace(trace)
-    print(f"{trace.message}; final residual = {trace.residual[-1]:.3e}, K_theory = {trace.K_theory:.4g}")
+    K, source = trace.margin.K, trace.margin.source
+    print(f"{trace.message}; final residual = {trace.residual[-1]:.3e}, K_theory = {K:.4g} ({source} nearness)")
     return 0 if trace.converged else 3
 
 
@@ -371,7 +372,8 @@ def cmd_verify(cfg, args) -> int:
 
     write_csv(args.out / "verify.csv", ("check", "case", "value", "bound", "status"), rows)
     failed = sum(row[-1] == "FAIL" for row in rows)
-    print(f"{len(rows)} checks, {failed} failed")
+    skipped = "" if F.declared_nearness is not None else "; nearness and pair checks not run: no declared nearness"
+    print(f"{len(rows)} checks, {failed} failed{skipped}")
     return 0 if failed == 0 else 4
 
 

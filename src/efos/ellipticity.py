@@ -41,6 +41,7 @@ __all__ = [
     "ellipticity_constant",
     "cached_nu",
     "is_elliptic",
+    "Margin",
     "contraction_margin",
     "sampled_estimates",
     "nearness_constant",
@@ -225,16 +226,29 @@ def cached_nu(A: ConstantTensor) -> float:
     return _refine_nu(A, unit_sphere_points(A.n, NU_SAMPLES))[0]
 
 
-def contraction_margin(A: ConstantTensor, near: float) -> tuple[float, float]:
-    """(nu(A) - near, near / nu(A)): the contraction margin of an operator
-    anchored at A with nearness near, and its contraction factor K, with
-    nu(A) = cached_nu(A); NonEllipticError unless the margin is positive
-    (NaN is not)."""
-    nu = cached_nu(A)
+@dataclass(frozen=True)
+class Margin:
+    """nu(A) - near and the contraction factor K = near / nu(A), nu(A) =
+    cached_nu(A), for a nearness near of kind ``source``: "declared" or "sampled"."""
+
+    source: str
+    margin: float
+    K: float
+
+
+def contraction_margin(F) -> Margin:
+    """The contraction margin of F, from its declared nearness when it has
+    one, else from the sampled ``nearness_constant(F).nu_fa``, a lower
+    bound of the true nu(F, A); NonEllipticError unless the margin is
+    positive (NaN is not)."""
+    source, near = "declared", F.declared_nearness
+    if near is None:
+        source, near = "sampled", nearness_constant(F).nu_fa
+    nu = cached_nu(F.anchor)
     margin = nu - near
     if not margin > 0:
         raise NonEllipticError(f"no contraction margin: nearness {near:.6g} >= nu(A) {nu:.6g}")
-    return margin, near / nu
+    return Margin(source, margin, near / nu)
 
 
 # entries of one chunk of increments, each increment counted at the larger

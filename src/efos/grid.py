@@ -105,12 +105,6 @@ class PeriodicGrid:
         k[k >= self.G // 2] -= self.G
         return k
 
-    def frequency_vectors(self) -> np.ndarray:
-        """Frequencies z = k / L for all modes, shape (n, G, ..., G)."""
-        z1d = self.axis_freq_indices() / self.L
-        axes = np.meshgrid(*([z1d] * self.n), indexing="ij")
-        return np.stack(axes, axis=0)
-
     def nyquist_mask(self) -> np.ndarray:
         """True on modes with index -G/2 on at least one axis."""
         hit = np.arange(self.G) == self.G // 2

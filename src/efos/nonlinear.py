@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ellipticity import contraction_margin, nearness_constant
+from .ellipticity import Margin, contraction_margin
 from .fieldfile import NonFiniteError, check_finite
 from .grid import GridFunction, gradient, norm_l2, norm_vector
 from .linear import MultiplierPlan, apply_tensor, check_field, multiplier_plan
@@ -150,7 +150,8 @@ class IterationTrace:
     residual[k] the mean-adjusted equation residual of iterate k, retained
     modes and Nyquist leak together, and dropped_mean_norm[k] the mean
     removed from that step's linear right-hand side, the norm of the
-    previous iterate's residual mean.
+    previous iterate's residual mean.  ``margin`` is the solver's
+    ``contraction_margin(F)``: the source of its nearness and K.
     """
 
     k: list = field(default_factory=list)
@@ -158,7 +159,7 @@ class IterationTrace:
     ratio: list = field(default_factory=list)
     residual: list = field(default_factory=list)
     dropped_mean_norm: list = field(default_factory=list)
-    K_theory: float = float("nan")
+    margin: Margin | None = None
     converged: bool = False
     message: str = ""
 
@@ -255,7 +256,7 @@ def campanato_solve(
     multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
     ``plan`` passed in must have been built for that tensor and grid.
 
-    Returns (u, IterationTrace).
+    Returns (u, IterationTrace), the trace keeping ``contraction_margin(F)``.
     """
     if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
         raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
@@ -265,14 +266,13 @@ def campanato_solve(
         check_field(u0, A, f.grid, "u0")
     if plan is not None and (plan.A != A or plan.grid != f.grid):
         raise ValueError("the plan was built for a different tensor or grid than the right-hand side")
-    near = nearness_constant(F).nu_fa if F.declared_nearness is None else F.declared_nearness
-    _, K = contraction_margin(A, near)
+    margin = contraction_margin(F)
     plan = plan or multiplier_plan(A, f.grid)
     core = plan.core
     support, phi_rows = F.support, list(F.rows)
     rows = sorted({b for b, _ in support})
 
-    trace = IterationTrace(K_theory=K)
+    trace = IterationTrace(margin=margin)
     norm_f = norm_l2(f)
     floor = 1e-13 * norm_f
     f_mean = f.values.mean(axis=core.axes)
@@ -356,7 +356,7 @@ def verify_comparison(F: NonlinearOperator, w: GridFunction, v: GridFunction) ->
     """
     if F.declared_nearness is None:
         raise ValueError("comparison bound needs declared_nearness on the operator")
-    margin, _ = contraction_margin(F.anchor, F.declared_nearness)
+    margin = contraction_margin(F).margin
     for field_, name in ((w, "w"), (v, "v")):
         check_field(field_, F.anchor, w.grid, name)
     Dw, Dv = gradient(w), gradient(v)
@@ -380,7 +380,7 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
     if F.declared_nearness is None:
         raise ValueError("near-operator check needs declared_nearness on the operator")
     A = F.anchor
-    _, K = contraction_margin(A, F.declared_nearness)
+    K = contraction_margin(F).K
     ratios = []
     for i, (u, v) in enumerate(pairs):
         for side, field_ in enumerate((u, v)):

@@ -534,6 +534,43 @@ seed = 3
     assert any(line.startswith("oracle_gradient") for line in lines)
 
 
+# dirac with a perturbation of row 0 whose true nearness 0.1 * 3 sqrt(3) / 8 = 0.064952 only a sweep can estimate
+UNDECLARED = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[nonlinear]
+f1 = q11+q22+q33+0.1/(1+q11*q11)
+f2 = -q12 + q21 + q43
+f3 = -q13 + q31 - q42
+f4 = -q23 + q32 + q41
+"""
+DECLARED = DIRAC_LINEAR.replace("G = 16", "G = 8") + """
+[nonlinear]
+source = catalog:lipschitz_perturbation(dirac, 0.5, sin_q11)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, label", [(DECLARED, "K_theory = 0.5 (declared nearness)"), (UNDECLARED, "(sampled nearness)")]
+)
+def test_solve_nonlinear_names_the_source_of_its_nearness(tmp_path, capsys, text, label):
+    code, _ = run(tmp_path, text, "solve-nonlinear")
+    assert code == 0
+    assert capsys.readouterr().out.rstrip().endswith(label)
+
+
+@pytest.mark.parametrize(
+    "text, summary",
+    [
+        (DECLARED, "23 checks, 0 failed"),
+        (UNDECLARED, "11 checks, 0 failed; nearness and pair checks not run: no declared nearness"),
+    ],
+)
+def test_verify_says_when_it_skips_the_nearness_and_pair_checks(tmp_path, capsys, text, summary):
+    code, out = run(tmp_path, text, "verify")
+    assert code == 0
+    assert capsys.readouterr().out == summary + "\n"
+    assert len((out / "verify.csv").read_text().strip().split("\n")) == 1 + int(summary.split()[0])
+
+
 def test_verify_understated_nearness_fails(tmp_path):
     # the operator really wiggles at 0.3 nu but declares 0.1
     text = """

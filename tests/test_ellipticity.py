@@ -18,6 +18,7 @@ from efos.ellipticity import (
     NonEllipticError,
     cached_nu,
     check_pseudomonotonicity,
+    contraction_margin,
     ellipticity_constant,
     lipschitz_and_converse,
     nearness_constant,
@@ -317,6 +318,29 @@ def test_strict_ellipticity_margin():
     assert cached_nu(bad.anchor) - rep.nu_fa < 0
 
 
+def test_contraction_margin_reads_a_declared_nearness_without_sampling(monkeypatch):
+    F = lipschitz_perturbation(dirac(), 0.9)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a declared nearness needs no sweep")
+
+    monkeypatch.setattr(efos.ellipticity, "nearness_constant", no_sweep)
+    margin = contraction_margin(F)
+    assert margin.source == "declared"
+    assert margin.K == F.declared_nearness / cached_nu(F.anchor)
+    assert margin.margin == cached_nu(F.anchor) - F.declared_nearness
+
+
+def test_contraction_margin_samples_an_undeclared_nearness():
+    # 0.1 / (1 + q11^2) has Lipschitz constant 0.1 * 3 sqrt(3) / 8, which the sampled sup misses from below
+    F = _expression_operator("q11+q22+q33+0.1/(1+q11*q11)", lam=None)
+    margin = contraction_margin(F)
+    assert margin.source == "sampled"
+    assert margin.K == nearness_constant(F).nu_fa / cached_nu(F.anchor)
+    assert margin.margin == cached_nu(F.anchor) - nearness_constant(F).nu_fa
+    assert 0.06 < margin.K < 0.1 * 3 * math.sqrt(3) / 8
+
+
 def test_pseudomonotone_at_true_level():
     A = dirac()
     F = lipschitz_perturbation(A, 0.5, "sin_q11")
@@ -414,12 +438,12 @@ def test_partial_nan_witness_is_a_nan_sample():
     assert abs(p11) > 50 or abs(p11 + q11) > 50  # Phi(x, P) or Phi(x, P + Q) is NaN
 
 
-def _expression_operator(f1):
-    """CI's Dirac expression operator with the first equation f1."""
+def _expression_operator(f1, lam=0.3):
+    """CI's Dirac expression operator with the first equation f1, declaring lambda = lam unless lam is None."""
     cfg = configparser.ConfigParser()
     cfg.read_string(
         f"[nonlinear]\nf1 = {f1}\nf2 = -q12 + q21 + q43\n"
-        "f3 = -q13 + q31 - q42\nf4 = -q23 + q32 + q41\nlambda = 0.3\n"
+        "f3 = -q13 + q31 - q42\nf4 = -q23 + q32 + q41\n" + ("" if lam is None else f"lambda = {lam}\n")
     )
     return build_operator(cfg, dirac())
 

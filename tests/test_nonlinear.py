@@ -106,7 +106,7 @@ def test_contraction_tracks_declared_rate():
     u, trace = campanato_solve(F, f, tol=1e-10)
     assert trace.converged
     assert trace.iterations <= 40
-    assert trace.K_theory == pytest.approx(0.5, abs=1e-9)
+    assert trace.margin.K == pytest.approx(0.5, abs=1e-9)
     ratios = [r for r in trace.ratio if not math.isnan(r)]
     assert max(ratios) <= 0.55
     # fixed point solves the equation
@@ -149,7 +149,7 @@ def test_variable_coefficient_operator_converges():
     F = variable_linear(dirac(), 0.05)
     u, trace = campanato_solve(F, f, tol=1e-10)
     assert trace.converged
-    assert trace.K_theory == pytest.approx(0.05, abs=1e-9)
+    assert trace.margin.K == pytest.approx(0.05, abs=1e-9)
     assert trace.residual[-1] <= 1e-8
 
 

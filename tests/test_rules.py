@@ -104,10 +104,10 @@ RULES = [
     ),
     Rule(
         name="one_home_for_the_contraction_margin",
-        pattern=r"\bcached_nu\b",
+        pattern=r"\b(cached_nu|nearness_constant|sampled_estimates)\b",
         paths="src/efos/nonlinear.py",
-        message="src/efos/nonlinear.py reads cached_nu; take nu(A)'s margin and factor from "
-        "ellipticity.contraction_margin",
+        message="src/efos/nonlinear.py reads cached_nu or a nearness sweep; take the margin, its factor and the "
+        "choice of nearness from ellipticity.contraction_margin",
         planted=("src/efos/nonlinear.py", "from .ellipticity import nearness_constant\n\nK = near / cached_nu(A)\n"),
     ),
     Rule(
