@@ -17,6 +17,15 @@ are estimated here: nu(A) by quasi-uniform sphere sampling plus
 derivative-free refinement, nu(F, A) by sampled difference quotients over
 an (x, P, Q) plan.  Sampled sup estimates are lower bounds of the true
 sup; sampled min estimates are upper bounds of the true min.
+
+The sweep behind the sampled estimates takes each increment's extreme
+first: a sum over the components runs on the full batch of (x, P) samples
+only through the last component that varies over it and is reduced there.
+Adding a constant, sqrt, dividing by |Q| > 0 and subtracting from a
+constant are monotone under IEEE 754 round-to-nearest, so the rest of each
+quotient runs on one number per increment and keeps the full batch's bits.
+Full batches remain for the witnesses, the violation count, the sample
+that a non-finite error names, and numpy's norms from 8 components on.
 """
 
 from __future__ import annotations
@@ -284,7 +293,7 @@ def _increment_sweep(F, plan: SamplingPlan | None, unit: float = 1.0):
     X = plan.x_points(n)[:, None, :]  # (nx, 1, n)
     P = plan.p_matrices(N, n)[None, :, :, :]  # (1, np, N, n)
     dirs = plan.q_directions(N, n, anchor=A)
-    AU = np.array([contract(A, U) for U in dirs]) / unit  # (D, N), each rounded as a lone A:U
+    AU = contract(A, dirs) / unit  # (D, N), each row bit for bit a lone A:U
     scales = np.tile(MAGNITUDE_LADDER, len(dirs))
     which = np.repeat(np.arange(len(dirs)), len(MAGNITUDE_LADDER))
     Phi0 = np.asarray(F.perturbation(X, P))
@@ -335,17 +344,57 @@ def _row_norms(columns: list) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _unit_row_norms(columns: list, unit: float) -> np.ndarray:
-    """``_row_norms(columns)`` of differences in units of the power of two
-    unit: its bits where their largest lies in [2**-300, inf), else those of
-    the columns times unit, the differences in absolute units, divided by
-    unit.  So a perturbation far out of scale with nu(A) overflows or
-    underflows only where its absolute differences would."""
+def _extreme_first(reduce, terms: list):
+    """``reduce(_ordered_sum(terms), axis=(1, 2), keepdims=True)`` bit for bit,
+    for reduce np.max or np.min over each increment's (a, b) batch of the
+    fresh (S, a, b) or (S, 1, 1) terms.
+
+    The sum runs at full shape only through the last term that varies over
+    its batch, the head; the (S, 1, 1) terms after it, the tail, are added
+    to the head's reduced (S, 1, 1) values.  A correctly rounded x + c is
+    monotone in x, so the extreme passes through them.  Returns
+    ``(extremes, head, tail)``; ``_ordered_sum([head, *tail])`` finishes
+    the full sum, in place into head.
+    """
+    last = max((i for i, t in enumerate(terms) if t.shape[1:] != (1, 1)), default=0)
+    head, tail = _ordered_sum(terms[: last + 1]), terms[last + 1 :]
+    return _ordered_sum([reduce(head, axis=(1, 2), keepdims=True), *tail]), head, tail
+
+
+def _top_row_norms(columns: list) -> np.ndarray:
+    """The largest entry of each increment's ``_row_norms(columns)``, shape
+    (S, 1, 1): sqrt of ``_extreme_first``'s largest sum of squares, or from
+    8 columns on, the max of numpy's norms of the full batches."""
+    if len(columns) >= 8:
+        return _row_norms(columns).max(axis=(1, 2), keepdims=True)
+    top = _extreme_first(np.max, [c * c for c in columns])[0]
+    return np.sqrt(top, out=top)
+
+
+def _top_unit_norms(columns: list, unit: float):
+    """``(top, absolute)``: the chunk's units decision and the largest entry
+    of each increment's ``_unit_row_norms(columns, unit, absolute)``, shape
+    (S, 1, 1).  absolute holds where the chunk's largest norm in units of
+    the power of two unit lies outside [2**-300, inf), and then the norms
+    are those of the columns times unit, the differences in absolute units,
+    divided by unit.  So a perturbation far out of scale with nu(A)
+    overflows or underflows only where its absolute differences would."""
     with np.errstate(over="ignore"):
-        norms = _row_norms(columns)
-        if not 2.0**-300 <= norms.max(initial=0.0) < math.inf:
-            norms = _row_norms([c * unit for c in columns]) / unit
-    return norms
+        top = _top_row_norms(columns)
+        absolute = not 2.0**-300 <= top.max(initial=0.0) < math.inf
+        if absolute:
+            top = _top_row_norms([c * unit for c in columns]) / unit
+    return top, absolute
+
+
+def _unit_row_norms(columns: list, unit: float, absolute: bool) -> np.ndarray:
+    """``_row_norms(columns)`` of differences in units of the power of two
+    unit, or with absolute, that of the columns times unit divided by unit:
+    the full batches whose largest entries ``_top_unit_norms`` gives."""
+    with np.errstate(over="ignore"):
+        if absolute:
+            return _row_norms([c * unit for c in columns]) / unit
+        return _row_norms(columns)
 
 
 def _sample(batch: np.ndarray, X, P):
@@ -354,20 +403,6 @@ def _sample(batch: np.ndarray, X, P):
     the first occurrence in broadcast order, as on the full (nx, np) grid."""
     i, j = np.unravel_index(np.argmax(batch), batch.shape)
     return X[i, 0].copy(), P[0, j].copy()
-
-
-def _batch_max(s, U, X, P, *values):
-    """The largest entry of each (a, b) batch of the (S, a, b) values, shape
-    (S, len(values)).  ValueError names the (x, P, Q) sample of the first
-    batch, increment by increment and then in the order of values, whose
-    largest entry is not finite."""
-    top = np.stack([v.max(axis=(1, 2)) for v in values], axis=1)  # NaN where a batch holds one
-    bad = np.argwhere(~np.isfinite(top))
-    if len(bad):
-        k, c = bad[0]
-        (x, p), q = _sample(values[c][k], X, P), s[k] * U[k]
-        raise ValueError(f"F - A is not finite at the sample x = {x.tolist()}, P = {p.tolist()}, Q = {q.tolist()}")
-    return top
 
 
 def _level(lam):
@@ -393,9 +428,20 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
     from N = 8 on the Lipschitz norm is numpy's, on all N components.  A
     non-finite sample raises ValueError, increment by increment in that
     order.
+
+    Each increment takes its extreme first (``_extreme_first``): the sums
+    run on the full (a, b) batch through Phi's last row only, where each
+    norm's sum of squares is reduced to its max and the gap's dot to its
+    min; the constants after that row, sqrt, / |Q| and the gap's rhs -
+    follow on one number per increment, with the full batches' bits.  Full
+    batches are built for a new nearness or gap witness's increment, for a
+    chunk whose largest gap passes its guard (the violation count, finished
+    from the same sums), for the first non-finite extreme (the error's
+    sample) and for numpy's norms from 8 columns on.
+
     The sweep runs in units of the power of two u <= nu(A) < 2u, so its
     quotients scale exactly with F; a chunk whose norms leave the float
-    range in those units takes them in absolute units (``_unit_row_norms``).
+    range in those units takes them in absolute units (``_top_unit_norms``).
     With lam, an anchor whose nu(A)**2, the gap's scale, leaves the normal
     floats is refused (ValueError).
     """
@@ -418,29 +464,48 @@ def sampled_estimates(F, lam: float | None = None, *, plan: SamplingPlan | None 
         if full_width_norm:
             zero = np.zeros(D.shape[:-1])
             near = [phi.get(c, zero) for c in range(N)]
-        values = [_unit_row_norms(near, unit) / s[:, None, None]]
+        top, near_absolute = _top_unit_norms(near, unit)
+        tops, gap = [top / s[:, None, None]], None
         if lam is not None:
             AQ = s[:, None] * AU  # (S, N), s (A:U) as for a lone increment
             aq = [AQ[:, c, None, None] for c in range(N)]  # (S, 1, 1) each
             # F(x, P+Q) - F(x, P) by components; off Phi's rows it is A:Q, one constant per increment
             dF = [aq[c] + phi[c] if c in phi else aq[c] for c in range(N)]
-            aq_sq = np.array([q @ q for q in AQ])  # one 1-D dot per increment, summed as for a lone one
+            aq_sq = np.vecdot(AQ, AQ)  # each row's dot bit for bit as a lone 1-D q @ q
             s_sq = s**2
             rhs = 0.5 * aq_sq - 0.5 * lam**2 * (nu_a / unit) ** 2 * s_sq
             guard = 1e-12 * (aq_sq + (nu_a / unit) ** 2 * s_sq)
-            # (A:Q) . dF summed in index order; positive where violated
-            gap = rhs[:, None, None] - _ordered_sum(f * q for f, q in zip(dF, aq))
-            violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
-            values += [_unit_row_norms(dF, unit) / s[:, None, None], gap]
-        top = _batch_max(s, U, X, P, *values)
+            top, lip_absolute = _top_unit_norms(dF, unit)
+            # (A:Q) . dF summed in index order, least first; the gap rhs - dot is positive where violated
+            low, head, tail = _extreme_first(np.min, [f * q for f, q in zip(dF, aq)])
+            tops += [top / s[:, None, None], rhs[:, None, None] - low]
+
+        def batch(c, k):
+            """The full (a, b) batch of value c (nearness, Lipschitz, gap) at increment k."""
+            if c == 2:
+                if gap is not None:
+                    return gap[k]
+                return rhs[k] - _ordered_sum([head[k : k + 1].copy(), *(t[k : k + 1] for t in tail)])[0]
+            columns, absolute = (near, near_absolute) if c == 0 else (dF, lip_absolute)
+            return _unit_row_norms([t[k : k + 1] for t in columns], unit, absolute)[0] / s[k]
+
+        top = np.concatenate(tops, axis=1)[..., 0]  # (S, values), NaN where a batch holds one
+        bad = np.argwhere(~np.isfinite(top))
+        if len(bad):
+            k, c = bad[0]
+            (x, p), q = _sample(batch(c, k), X, P), s[k] * U[k]
+            raise ValueError(f"F - A is not finite at the sample x = {x.tolist()}, P = {p.tolist()}, Q = {q.tolist()}")
         k = int(np.argmax(top[:, 0]))  # ties: the first increment wins
         if top[k, 0] > best:
-            best, near_witness = float(top[k, 0]), (*_sample(values[0][k], X, P), s[k] * U[k])
+            best, near_witness = float(top[k, 0]), (*_sample(batch(0, k), X, P), s[k] * U[k])
         if lam is not None:
             lip = max(lip, float(top[:, 1].max()))
+            if (top[:, 2] > guard).any():  # the chunk's full gaps, finished in place on the head
+                gap = rhs[:, None, None] - _ordered_sum([head, *tail])
+                violations += int(np.count_nonzero(gap > guard[:, None, None])) * (samples // gap[0].size)
             k = int(np.argmax(top[:, 2]))
             if top[k, 2] > worst:
-                worst, witness = float(top[k, 2]), (*_sample(gap[k], X, P), s[k] * U[k])
+                worst, witness = float(top[k, 2]), (*_sample(batch(2, k), X, P), s[k] * U[k])
     best, lip, worst = best * unit, lip * unit, worst * unit * unit
     near = NearnessReport(best, best / nu_a if nu_a > 0 else np.inf, total, *near_witness)
     if lam is None:

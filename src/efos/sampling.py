@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grid import _power_of_two_near_max
+
 __all__ = [
     "MAGNITUDE_LADDER",
     "rng_from_seed",
@@ -111,7 +113,9 @@ class SamplingPlan:
     directions, the anchor tensor's strongest direction, optional extra
     directions, and random draws, each swept through MAGNITUDE_LADDER.
     An extra P anchor must be finite and an extra Q direction must have a
-    finite, nonzero norm; the plan refuses others with a ValueError, and
+    finite, nonzero norm, taken on the direction divided by the power of two
+    near its largest entry, so that any finite nonzero direction passes
+    however large or small; the plan refuses others with a ValueError, and
     ``p_matrices`` and ``q_directions`` refuse an extra sample whose shape
     is not the (N, n) they are asked for.
 
@@ -134,7 +138,8 @@ class SamplingPlan:
             if not np.isfinite(np.asarray(extra, dtype=float)).all():
                 raise ValueError(f"extra_p[{i}] is not finite")
         for i, extra in enumerate(self.extra_q_directions):
-            norm = np.linalg.norm(np.asarray(extra, dtype=float))
+            d = np.asarray(extra, dtype=float)
+            norm = np.linalg.norm(d / _power_of_two_near_max(d))  # no square leaves the float range
             if not 0.0 < norm < np.inf:
                 raise ValueError(f"extra_q_directions[{i}] needs a finite, nonzero norm, got {norm}")
 
@@ -165,6 +170,7 @@ class SamplingPlan:
         parts = [coords, -coords, vh[0].reshape(1, N, n)]
         for i, extra in enumerate(self.extra_q_directions):
             d = _extra_sample("extra_q_directions", i, extra, N, n)
+            d = d / _power_of_two_near_max(d)  # exact, so that its squares stay in range
             parts.append(d / np.linalg.norm(d))
         if self.random_q:
             rng = rng_from_seed(self.seed * 5 + 2)

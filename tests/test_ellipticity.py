@@ -10,6 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import efos.ellipticity
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation, variable_linear
@@ -529,6 +532,34 @@ def test_sweep_reports_match_the_full_grid_loop_one_scale_per_chunk(op, monkeypa
         _assert_reports_equal(got, expected)
 
 
+def _batched_constant_cases():
+    """(A, dirs): the catalog tensors on the benchmark plan's shape of directions, and seeded random
+    tensors at N = 2..8, n = 2..4 on the default plan's."""
+    cases = [
+        (A, SamplingPlan(x_per_axis=3, random_p=16, random_q=32, seed=seed).q_directions(A.N, A.n, anchor=A))
+        for A in (dirac(), cauchy_riemann(), generalized_cauchy_riemann(2, 1, 1, 1))
+        for seed in range(3)
+    ]
+    for N in range(2, 9):
+        for n in range(2, 5):
+            A = ConstantTensor(rng_from_seed(10 * N + n).normal(size=(N, N, n)))
+            cases.append((A, SamplingPlan(seed=N + n).q_directions(N, n, anchor=A)))
+    return cases
+
+
+def test_batched_sweep_constants_equal_the_per_increment_ones():
+    # the sweep contracts all directions in one call and takes every increment's |A:Q|^2 in one
+    # vecdot; each row must keep the bits, signed zeros included, of a lone contract and a lone 1-D @
+    for A, dirs in _batched_constant_cases():
+        AU = contract(A, dirs)
+        lone = np.array([contract(A, U) for U in dirs])
+        assert np.array_equal(AU.view(np.int64), lone.view(np.int64)), (A.N, A.n)
+        for s in MAGNITUDE_LADDER:
+            AQ = s * AU
+            want = np.array([q @ q for q in AQ])
+            assert np.array_equal(np.vecdot(AQ, AQ).view(np.int64), want.view(np.int64)), (A.N, A.n, s)
+
+
 def _sweep_chunks(F, plan):
     """The (s, U, AU) of each chunk of the sweep."""
     return [(s, U, AU) for s, U, AU, *_ in efos.ellipticity._increment_sweep(F, plan)]
@@ -751,6 +782,65 @@ def test_row_norms_of_broadcast_columns_equal_numpy_norm(N):
     columns = [v[:, :1, :1, c] if still[c] else v[..., c] for c in range(N)]
     want = np.linalg.norm(v, axis=-1)
     assert np.array_equal(np.broadcast_to(efos.ellipticity._row_norms(columns), want.shape), want)
+
+
+# edges of the floats: NaN, +-inf, +-0, subnormals, 1e+-300 and any other finite float
+_EDGE_ENTRIES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _chunk_array(data, shape):
+    """A seeded normal draw of the shape, so that the order of a sum shows in its rounding, with
+    drawn entries set to drawn edge values."""
+    values = rng_from_seed(data.draw(st.integers(0, 2**32 - 1))).normal(size=shape)
+    for i in data.draw(st.lists(st.integers(0, values.size - 1), max_size=values.size)):
+        values.flat[i] = data.draw(_EDGE_ENTRIES)
+    return values
+
+
+def _same_bits(got, want):
+    """got and want equal as int64 bits, so that signed zeros count, and NaN at the same entries,
+    whatever their payload."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_extreme_first_tops_equal_the_full_batch_extremes(data):
+    # a chunk's S increments of (a, b) batches: Phi's differences on a random set of the N rows, one
+    # (S, 1, 1) constant A:Q per component, so arrays and constants come in every order
+    S, a, b, N = (data.draw(st.integers(1, top)) for top in (3, 3, 4, 9))
+    rows = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    phi = {c: _chunk_array(data, (S, a, b)) for c in range(N) if rows[c]}
+    aq = [_chunk_array(data, (S, 1, 1)) for _ in range(N)]
+    rhs = _chunk_array(data, (S, 1, 1))
+    unit = math.ldexp(1.0, data.draw(st.sampled_from([-600, -1, 0, 1, 600])))
+    near = list(phi.values()) or [np.zeros((S, 1, 1))]  # a still chunk's zeros stand in for no rows
+    ellipticity = efos.ellipticity
+    with np.errstate(all="ignore"):
+        dF = [aq[c] + phi[c] if c in phi else aq[c] for c in range(N)]
+        for columns in (near, dF):
+            # numpy's norms of the full batches, in absolute units where their largest leaves the range
+            full = np.linalg.norm(np.stack(np.broadcast_arrays(*columns), axis=-1), axis=-1)
+            absolute = not 2.0**-300 <= full.max(initial=0.0) < math.inf
+            if absolute:
+                full = np.linalg.norm(np.stack(np.broadcast_arrays(*columns), axis=-1) * unit, axis=-1) / unit
+            top, got_absolute = ellipticity._top_unit_norms(columns, unit)
+            assert got_absolute == absolute
+            assert _same_bits(top, full.max(axis=(1, 2), keepdims=True))
+            assert _same_bits(ellipticity._unit_row_norms(columns, unit, absolute), full)
+        # the gap rhs - (A:Q) . dF: its least dot, taken first, gives the largest gap; a gap that the
+        # full batch makes NaN (inf - inf) may read inf here, and both are refused as not finite
+        full = rhs - ellipticity._ordered_sum([f * q for f, q in zip(dF, aq)])
+        low, head, tail = ellipticity._extreme_first(np.min, [f * q for f, q in zip(dF, aq)])
+        top, want = rhs - low, full.max(axis=(1, 2), keepdims=True)
+        assert np.array_equal(np.isfinite(top), np.isfinite(want))
+        finite = np.isfinite(want)
+        assert _same_bits(top[finite], want[finite])
+        assert _same_bits(rhs - ellipticity._ordered_sum([head, *tail]), full)
 
 
 def _block_cauchy_riemann(rotate):

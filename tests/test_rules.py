@@ -150,10 +150,10 @@ RULES = [
     ),
     Rule(
         name="the_sweep_oracle_shares_no_kernel_with_the_sweep",
-        pattern=r"\b(_increment_sweep|_row_norms|_batch_max|_LADDER_CHUNK_ELEMENTS)\b",
+        pattern=r"\b(_increment_sweep|_(top_)?(unit_)?row_norms|_top_unit_norms|_extreme_first|_LADDER_CHUNK_ELEMENTS)\b",
         paths="tests/helpers.py",
-        message="tests/helpers.py (reference_sweeps) uses the sweep's chunking, norm or batch maximum",
-        planted=("tests/helpers.py", "import numpy as np\nfrom efos.ellipticity import _batch_max\n"),
+        message="tests/helpers.py (reference_sweeps) uses the sweep's chunking, norms or batch extremes",
+        planted=("tests/helpers.py", "import numpy as np\nfrom efos.ellipticity import _extreme_first\n"),
     ),
 ]
 

@@ -140,15 +140,34 @@ def test_plan_is_frozen():
     [
         ("extra_q_directions", np.zeros((4, 3)), r"^extra_q_directions\[1\] needs a finite, nonzero norm, got 0\.0$"),
         ("extra_q_directions", np.full((4, 3), np.nan), r"^extra_q_directions\[1\] needs a finite, nonzero norm, got nan$"),
+        ("extra_q_directions", np.full((4, 3), np.inf), r"^extra_q_directions\[1\] needs a finite, nonzero norm, got inf$"),
         ("extra_p", np.full((4, 3), np.inf), r"^extra_p\[1\] is not finite$"),
     ],
-    ids=["zero_q", "nan_q", "inf_p"],
+    ids=["zero_q", "nan_q", "inf_q", "inf_p"],
 )
 def test_plan_refuses_a_bad_extra_sample(field, bad, match):
     # the direction filter used to drop a zero or NaN direction with only a RuntimeWarning
     good = np.ones((4, 3))
     with pytest.raises(ValueError, match=match):
         SamplingPlan(**{field: (good, bad)})
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1.7e308])
+def test_plan_takes_an_extra_direction_at_any_finite_scale(scale):
+    # the plain norm of scale e_11 underflows to 0.0 at 1e-200 and overflows to inf at 1e200
+    e11 = np.zeros((4, 3))
+    e11[0, 0] = 1.0
+    dirs = SamplingPlan(extra_q_directions=(scale * e11,)).q_directions(4, 3, dirac())
+    assert np.array_equal(dirs[25], e11)
+
+
+@pytest.mark.parametrize("power", [-660, -1, 0, 1, 660])
+def test_plan_scales_an_extra_direction_by_powers_of_two_exactly(power):
+    # dividing by the power of two near its largest entry is exact, so 2**power U keeps the bits of U
+    skewed = rng_from_seed(5).normal(size=(2, 4, 3))
+    plan = SamplingPlan(extra_q_directions=tuple(np.ldexp(skewed, power)))
+    want = SamplingPlan(extra_q_directions=tuple(skewed)).q_directions(4, 3, dirac())
+    assert np.array_equal(plan.q_directions(4, 3, dirac()), want)
 
 
 @pytest.mark.parametrize("field", ["extra_p", "extra_q_directions"])
