@@ -94,7 +94,8 @@ def _shape_tanh_row1(Q):
 
 # Each shape is 1-Lipschitz in the Frobenius norm, so a perturbation
 # lam * nu(A) * shape has nearness constant at most lam * nu(A).  Each
-# returns (..., 1), output component 0, the only row it makes nonzero.
+# returns a new array (..., 1), output component 0, the only row it makes
+# nonzero, which the perturbation scales in place.
 SHAPE_FUNCTIONS = {
     "sin_q11": _shape_sin_q11,
     "tanh_trace": _shape_tanh_row1,
@@ -132,7 +133,9 @@ def lipschitz_perturbation(base, lam: float, shape: str = "sin_q11") -> Nonlinea
     amp = lam * cached_nu(A)
 
     def perturbation(x, Q):
-        return amp * s(np.asarray(Q, dtype=float))
+        phi = s(np.asarray(Q, dtype=float))
+        phi *= amp
+        return phi
 
     return NonlinearOperator(
         perturbation=perturbation,
@@ -167,6 +170,7 @@ def variable_linear(base, eps: float) -> NonlinearOperator:
         declared_nearness=float(eps),
         name=f"variable_linear({eps})",
         rows=(0,),
+        reads_x=True,
     )
 
 

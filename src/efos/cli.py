@@ -6,7 +6,8 @@ the output directory.  Exit codes encode the failing stage:
 
     0  requested checks all passed
     1  usage error, or config could not be parsed or named unknown sections,
-       keys or objects, or a key that its section's form does not read
+       keys or objects, or a key that its section's form does not read, or
+       a [grid] G whose multiplier plan passes PLAN_BUDGET_BYTES
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import catalog, nonlinear
 from .ellipticity import NonEllipticError, cached_nu, ellipticity_constant, nearness_constant
-from .exprs import ExpressionError, compile_expression, evaluate
+from .exprs import ExpressionError, compile_expression, evaluate, names_read
 from .fieldfile import check_finite, read_field, write_csv, write_field
 from .grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
 from .linear import RegularizerSequence, solve_linear, solve_representation, verify_apriori
@@ -37,7 +38,7 @@ from .oracle import solve_dense
 from .sampling import rng_from_seed
 from .tensor import ConstantTensor, contract
 
-__all__ = ["main", "entry", "ConfigError", "CONFIG_KEYS", "REPORT_COLUMNS", "TRACE_COLUMNS"]
+__all__ = ["main", "entry", "ConfigError", "CONFIG_KEYS", "PLAN_BUDGET_BYTES", "REPORT_COLUMNS", "TRACE_COLUMNS"]
 
 REPORT_COLUMNS = ("grid", "nu", "residual", "ratio_grad", "ratio_sobolev", "dropped_mean_norm")
 TRACE_COLUMNS = ("k", "d_k", "ratio_k", "residual_k", "dropped_mean_norm")
@@ -62,6 +63,9 @@ _FORMS = {
     "nonlinear": {"with a catalog source": ("source",), "with expressions": ("lambda", "fK")},
     "run": {"": ("seed",)},
 }
+# the most bytes that a solve's multiplier plan may take: a fixed constant, not the machine's free memory, so that
+# a config's exit code does not depend on the machine
+PLAN_BUDGET_BYTES = 2**30
 CONFIG_KEYS = {section: tuple(dict.fromkeys(sum(forms.values(), ()))) for section, forms in _FORMS.items()}
 _COMPONENT_KEY = re.compile(r"f[1-9]\d*")
 
@@ -161,13 +165,23 @@ def build_tensor(cfg) -> ConstantTensor:
     return _catalog_source("tensor", source)
 
 
-def build_grid(cfg, n: int) -> PeriodicGrid:
+def build_grid(cfg, A: ConstantTensor) -> PeriodicGrid:
+    """The [grid] of a tensor's solves; ConfigError for a bad grid, or for a
+    G whose multiplier plan alone, N^2 G^(n-1) (G/2 + 1) complex numbers,
+    would pass PLAN_BUDGET_BYTES."""
     G = _get(cfg, "grid", "G", int)
     L = _get(cfg, "grid", "L", float, 1.0)
     try:
-        return PeriodicGrid(n=n, G=G, L=L)
+        grid = PeriodicGrid(n=A.n, G=G, L=L)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
+    plan_bytes = 16.0 * A.N**2 * float(G) ** (A.n - 1) * (G // 2 + 1)  # a float: inf past the range, never an error
+    if plan_bytes > PLAN_BUDGET_BYTES:
+        raise ConfigError(
+            f"[grid] G = {G} needs a multiplier plan of {plan_bytes / 2**30:.4g} GiB for N = {A.N}, n = {A.n}, "
+            f"above the budget of {PLAN_BUDGET_BYTES / 2**30:g} GiB"
+        )
+    return grid
 
 
 def build_rhs(cfg, grid: PeriodicGrid, N: int) -> GridFunction:
@@ -250,9 +264,10 @@ def build_operator(cfg, A: ConstantTensor) -> NonlinearOperator:
                 env[f"q{b + 1}{j + 1}"] = Q[..., b, j]
         return np.stack(np.broadcast_arrays(*(evaluate(tree, env) for tree in compiled)), axis=-1) - contract(A, Q)
 
+    reads_x = any(f"x{j + 1}" in names_read(tree) for tree in compiled for j in range(n))
     try:
         return NonlinearOperator(
-            perturbation=perturbation, anchor=A, declared_nearness=declared, name="config-expression"
+            perturbation=perturbation, anchor=A, declared_nearness=declared, name="config-expression", reads_x=reads_x
         )
     except ValueError as exc:
         raise ConfigError(f"bad [nonlinear] lambda: {exc}") from exc
@@ -288,7 +303,7 @@ def _regularizers(cfg) -> list:
 
 def cmd_solve_linear(cfg, args) -> int:
     A = build_tensor(cfg)
-    grid = build_grid(cfg, A.n)
+    grid = build_grid(cfg, A)
     f = build_rhs(cfg, grid, A.N)
     ladder = _regularizers(cfg)
     u, report = solve_linear(A, f)
@@ -314,7 +329,7 @@ def cmd_solve_linear(cfg, args) -> int:
 
 def cmd_solve_nonlinear(cfg, args) -> int:
     A = build_tensor(cfg)
-    grid = build_grid(cfg, A.n)
+    grid = build_grid(cfg, A)
     f = build_rhs(cfg, grid, A.N)
     F = build_operator(cfg, A)
     _read_solver(cfg)
@@ -339,7 +354,7 @@ def cmd_solve_nonlinear(cfg, args) -> int:
 
 def cmd_verify(cfg, args) -> int:
     A = build_tensor(cfg)
-    grid = build_grid(cfg, A.n)
+    grid = build_grid(cfg, A)
     seed, key = (args.seed, "--seed") if args.seed is not None else (_get(cfg, "run", "seed", int, 0), "[run] seed")
     if seed < 0:
         raise ConfigError(f"{key} must be a non-negative integer, got {seed}")

@@ -18,7 +18,7 @@ import ast
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression", "evaluate"]
+__all__ = ["ExpressionError", "compile_expression", "evaluate", "names_read"]
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "exp": np.exp}
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
@@ -81,3 +81,10 @@ def _value(tree, env):
         fn, *operands = tree
         return fn(*(_value(operand, env) for operand in operands))
     return env[tree] if isinstance(tree, str) else tree
+
+
+def names_read(tree) -> set:
+    """The variable names that a compiled expression reads."""
+    if isinstance(tree, tuple):
+        return set().union(*(names_read(operand) for operand in tree[1:]))
+    return {tree} if isinstance(tree, str) else set()

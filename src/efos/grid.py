@@ -170,8 +170,9 @@ class SpectralCore:
     off Nyquist) masks, ``deriv`` = 2 pi i z_j zeroed on the Nyquist
     planes, ``zero``, the index of every component's mean coefficient, the
     Plancherel ``weight`` and ``sqrt_volume``: |u|_2 = sqrt_volume * sqrt(sum
-    of weight * |U|^2 over the half spectrum); ``nyquist_index``, the flat
-    indices of one component's Nyquist entries, and ``nyquist_weight``, their
+    of weight * |U|^2 over the half spectrum); ``retained_index`` and
+    ``nyquist_index``, the flat indices of one component's retained and
+    Nyquist entries, and ``retained_weight`` and ``nyquist_weight``, their
     weights.  Instances are shared through ``spectral_core``, so the arrays
     are read-only."""
 
@@ -190,6 +191,8 @@ class SpectralCore:
         # the last axis's planes 0 and G/2 hold their own conjugates; every other entry stands for two modes
         self.weight = np.where(np.isin(k[-1], (0, grid.G // 2)), 1.0, 2.0)
         self.sqrt_volume = math.sqrt(grid.L**grid.n)  # applied once to a norm, so no power leaves the floats
+        self.retained_index = np.flatnonzero(self.retained)
+        self.retained_weight = self.weight.flat[self.retained_index]
         self.nyquist_index = np.flatnonzero(self.nyquist)
         self.nyquist_weight = self.weight.flat[self.nyquist_index]
         for arr in (a for a in vars(self).values() if isinstance(a, np.ndarray)):
@@ -197,16 +200,17 @@ class SpectralCore:
 
     def norms(self, R: np.ndarray, rows=None) -> tuple:
         """L2 norms of the half-spectrum coefficients R (C, ...) on the retained modes and on the
-        Nyquist planes.  The retained norm squares only R's ``rows`` (default: all), so R must be
-        zero on the retained modes of every other row; the Nyquist norm reads every row's Nyquist
-        entries through ``nyquist_index``.  Each power array sums R's rows in row order, as numpy
-        sums the first axis, so the rows left out change neither norm by a bit.  Each sum keeps to
-        the float range by ``_root_sum_of_squares``, and ``sqrt_volume`` scales its root."""
-        part = R if rows is None else R[list(rows)]
+        Nyquist planes.  The retained norm squares only R's ``rows`` (default: all), each where it
+        lies, so R must be zero on the retained modes of every other row; the Nyquist norm reads
+        every row's Nyquist entries through ``nyquist_index``.  Each power array is (weight * sum
+        over the rows of |R|^2)[modes].sum(), the rows added in row order and the retained modes
+        picked before their weights, so the rows left out change neither norm by a bit.  Each sum
+        keeps to the float range by ``_root_sum_of_squares``, and ``sqrt_volume`` scales its root."""
+        part = R if rows is None else [R[a] for a in rows]
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
         return tuple(
-            self.sqrt_volume * _root_sum_of_squares(x, lambda v: (w * (v.real**2 + v.imag**2).sum(axis=0))[m].sum())
-            for x, w, m in ((part, self.weight, self.retained), (leak, self.nyquist_weight, ...))
+            self.sqrt_volume * _root_sum_of_squares(x, lambda v: _weighted_power_sum(v, index, weight))
+            for x, index, weight in ((part, self.retained_index, self.retained_weight), (leak, None, self.nyquist_weight))
         )
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -263,17 +267,38 @@ def _power_of_two_near_max(values: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(values), initial=0.0)))[1] - 1)
 
 
-def _root_sum_of_squares(values: np.ndarray, total, factor: float = 1.0) -> float:
+def _root_sum_of_squares(values, total, factor: float = 1.0) -> float:
     """sqrt(factor * total(values)), total(v) a sum of weighted squares of v's entries, by the one rule that keeps
     every norm in the float range: the plain sum, bits and all, where it and the product lie in [2**-600, inf) (no
     square lost to the subnormals moves it by an ulp; one that total drops may overflow); else s times the root over
-    values / s, s = _power_of_two_near_max(values), divided as floats: numpy makes complex / subnormal s a NaN."""
+    values / s, s = _power_of_two_near_max(values), divided as floats: numpy makes complex / subnormal s a NaN.
+    values is an array or a list of equal-shape rows, stacked only when the plain sum is out of range."""
     with np.errstate(over="ignore"):
         plain = float(total(values))
     if 2.0**-600 <= plain and 2.0**-600 <= factor * plain < math.inf:
         return math.sqrt(factor * plain)
     s = _power_of_two_near_max(values)
-    return math.sqrt(factor * total((np.ascontiguousarray(values).view(np.float64) / s).view(values.dtype))) * s
+    values = np.ascontiguousarray(values)
+    return math.sqrt(factor * total((values.view(np.float64) / s).view(values.dtype))) * s
+
+
+def _weighted_power_sum(rows, index, weight) -> float:
+    """(weight * (|row_0|^2 + |row_1|^2 + ...).flat[index]).sum() for equal-shape rows, index None for every entry:
+    |z|^2 as re^2 + im^2, the rows added in order into the first one's squares, in place, and the entries picked
+    before their weights, so a row left out costs nothing and one row is summed with nothing."""
+    power = None
+    for row in rows:
+        square = np.square(row.real)
+        square += np.square(row.imag)
+        if power is None:
+            power = square
+        else:
+            power += square
+    if power is None:
+        return 0.0
+    picked = power.ravel() if index is None else np.take(power, index)
+    picked *= weight
+    return picked.sum()
 
 
 def norm_l2(u: GridFunction) -> float:

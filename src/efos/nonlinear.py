@@ -56,7 +56,13 @@ class NonlinearOperator:
     Phi through ``scatter``, on all N components.  Both are probed once on
     a seeded random (x, Q) batch: Phi must return len(rows) components, and
     moving an entry outside the support must leave Phi unchanged, else
-    ValueError names the rows or the entry.  ``declared_nearness``, a
+    ValueError names the rows or the entry.  ``reads_x`` True declares
+    that Phi reads x; else the probe also moves x to one broadcast (1, n)
+    point, and Phi reads x unless its values and shape stay the same.
+    Where Phi does not read x, grid readers pass one (1, ..., 1, n) point
+    for x instead of the grid's points.  The probe sees only what moves
+    Phi on its batch: x read only where a denominator vanishes, say, must
+    be declared.  ``declared_nearness``, a
     finite number >= 0 when given, is an analytically known upper bound
     for nu(F, anchor); solvers trust it for the contraction margin.
     """
@@ -67,6 +73,7 @@ class NonlinearOperator:
     declared_nearness: float | None = None
     name: str = ""
     rows: tuple | None = None
+    reads_x: bool = False
 
     def __post_init__(self):
         near = self.declared_nearness
@@ -90,13 +97,20 @@ class NonlinearOperator:
             raise ValueError(
                 f"perturbation returns shape {np.shape(base)} for its rows {self.rows}; need (..., {len(self.rows)})"
             )
-        if len(support) == N * n:  # every entry, so there is nothing to probe
+        if len(support) < N * n:  # else every entry, so there is nothing to probe
+            for b, j in np.ndindex(N, n):
+                moved = Q.copy()
+                moved[:, b, j] = [rng.gauss(0.0, 1.0) for _ in range(len(Q))]
+                if (b, j) not in support and not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
+                    raise ValueError(f"perturbation reads gradient entry ({b}, {j}) outside its support {support}")
+        if self.reads_x:
             return
-        for b, j in np.ndindex(N, n):
-            moved = Q.copy()
-            moved[:, b, j] = [rng.gauss(0.0, 1.0) for _ in range(len(Q))]
-            if (b, j) not in support and not np.array_equal(self.perturbation(x, moved), base, equal_nan=True):
-                raise ValueError(f"perturbation reads gradient entry ({b}, {j}) outside its support {support}")
+        try:  # a Phi that cannot take x as one point reads x's shape
+            at_point = self.perturbation(np.reshape([rng.gauss(0.0, 1.0) for _ in range(n)], (1, n)), Q)
+        except Exception:
+            at_point = None
+        same = np.shape(at_point) == np.shape(base) and np.array_equal(at_point, base, equal_nan=True)
+        object.__setattr__(self, "reads_x", not same)
 
     def scatter(self, phi, axis: int = -1) -> np.ndarray:
         """Perturbation values with ``rows`` along ``axis`` as all N
@@ -123,12 +137,21 @@ class NonlinearOperator:
         """F(x, Du(x)) over a whole grid; Du carries N*n components.
         NonFiniteError names the first component and grid index where Phi
         is not finite."""
-        Phi = self.scatter(_perturbation_values(self, np.moveaxis(Du.grid.points(), 0, -1), Du.values), axis=0)
+        Phi = self.scatter(_perturbation_values(self, _points(self, Du.grid), Du.values), axis=0)
         return GridFunction(Du.grid, apply_tensor(self.anchor, Du).values + Phi)
 
 
+def _points(F: NonlinearOperator, grid) -> np.ndarray:
+    """The x at which F's perturbation is evaluated on ``grid``: the grid
+    points (G, ..., G, n), or the origin as one (1, ..., 1, n) point when
+    Phi does not read x."""
+    if F.reads_x:
+        return np.moveaxis(grid.points(), 0, -1)
+    return np.zeros((1,) * grid.n + (grid.n,))
+
+
 def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
-    """Phi(x, Du(x)) at the grid points X (G, ..., G, n), as
+    """Phi(x, Du(x)) at X from ``_points``, (G, ..., G, n) or one point, as
     (len(F.rows), G, ..., G) values of its rows, from the N*n derivative
     values Du.  NonFiniteError names the first component and grid index
     where Phi is not finite."""
@@ -206,11 +229,11 @@ class NearOperatorReport:
     max_ratio: float
 
 
-def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> None:
+def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> bool:
     """Write the half spectrum of Phi(., Du)'s rows into ``out``; at the
     start (step 0) a Phi that is zero everywhere is written as zeros, with
-    no transform.  DivergenceError names the step and the first component
-    and grid index where Phi is not finite."""
+    no transform, and True is returned.  DivergenceError names the step and
+    the first component and grid index where Phi is not finite."""
     try:
         phi = _perturbation_values(F, X, Du)
     except NonFiniteError as exc:
@@ -218,8 +241,9 @@ def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace
         raise DivergenceError(trace.message, trace) from exc
     if step == 0 and not phi.any():  # Phi(., 0) of every catalog operator
         out[...] = 0
-    else:
-        core.forward(phi, out=out)
+        return True
+    core.forward(phi, out=out)
+    return False
 
 
 def campanato_solve(
@@ -238,14 +262,18 @@ def campanato_solve(
     coefficients R of the residual F(., Du_{k+1}) - f are Phi^_{k+1} -
     Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
     So a step forms M f^ and U only in the rows that Phi's support names,
-    transforms only the support's derivatives (the other gradient entries
-    stay zero) and forms and transforms Phi only on its declared rows; the
-    iterate is transformed back once, at the end.  A start at which Phi is
-    zero everywhere, as Phi(., 0) of every catalog operator from u0 = None,
-    is not transformed.  R and T = f^ - (A:Du)^ are kept on every row; a
-    step rewrites Phi's rows.  R's norm on the retained modes is the next
-    step metric d; from step 1 on it squares only Phi's rows, as R is +0.0
-    on the retained modes of the others.  With the Nyquist planes of every
+    each U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a with its first
+    subtraction written straight into U; it transforms only the support's
+    derivatives (the other gradient entries stay zero) and forms and
+    transforms Phi only on its declared rows, at the grid's points when Phi
+    reads x and at one point otherwise; the iterate is transformed back
+    once, at the end.  A start at which Phi is zero everywhere, as Phi(., 0)
+    of every catalog operator, is not transformed, and from u0 = None its
+    residual is 0 - f^, whose norm the set-up already took for the residual
+    scale.  R and T = f^ - (A:Du)^ are kept on every row; a step rewrites
+    Phi's rows.  R's norm on the retained modes is the next step metric d;
+    from step 1 on it squares only Phi's rows, as R is +0.0 on the retained
+    modes of the others.  With the Nyquist planes of every
     row it is the residual (against f minus the compatibility mean), and
     R's zero mode is the dropped mean.  Iteration stops when that residual
     falls below tol * its scale or d below tol * |f|_2; it aborts with
@@ -276,9 +304,10 @@ def campanato_solve(
     norm_f = norm_l2(f)
     floor = 1e-13 * norm_f
     f_mean = f.values.mean(axis=core.axes)
-    X = np.moveaxis(f.grid.points(), 0, -1)
+    X = _points(F, f.grid)
     f_hat = core.forward(f.values)
-    norm_f_tilde = math.hypot(*core.norms(f_hat))  # |f - mean(f)|_2, as _solution scales the linear residual
+    f_norms = core.norms(f_hat)
+    norm_f_tilde = math.hypot(*f_norms)  # |f - mean(f)|_2, as _solution scales the linear residual
     Mf = [np.einsum("a...,a...->...", plan.multipliers[b], f_hat) for b in rows]  # plan.apply(f_hat)[b], bit for bit
 
     # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
@@ -293,20 +322,25 @@ def campanato_solve(
         U[:] = core.forward(u0.values) * core.retained
         T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
         core.derivatives(U, out=Du, work=work, entries=support)
-    _perturbation_spectrum(F, X, Du, core, Phi, 0, trace)
-    R = np.zeros_like(T)  # the start's residual
-    R[phi_rows] = Phi
-    d, _ = core.norms(np.subtract(R, T, out=R))
+    if _perturbation_spectrum(F, X, Du, core, Phi, 0, trace) and u0 is None:
+        # the start's residual Phi^ - T is 0 - f^, whose retained norm the set-up took
+        R, d = np.subtract(0.0, f_hat), f_norms[0]
+    else:
+        R = np.zeros_like(T)
+        R[phi_rows] = Phi
+        d, _ = core.norms(np.subtract(R, T, out=R))
     # from step 1 on, off Phi's rows, both are zero on the retained modes and R is -f^ elsewhere
     np.copyto(T, 0, where=core.retained)
     np.copyto(R, 0, where=core.retained)
+    if not phi_rows:  # U_b = (M f^)_b at every step
+        for b, Mf_b in zip(rows, Mf):
+            U[b] = Mf_b
     non_contracting = 0
     for step in range(1, max_iter + 1):
         dropped = norm_vector(R[core.zero])
         for b, Mf_b in zip(rows, Mf):  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
-            U[b] = Mf_b
-            for i, a in enumerate(phi_rows):
-                U[b] -= np.multiply(plan.multipliers[b, a], Phi[i], out=product)
+            for i, a in enumerate(phi_rows):  # the first subtraction writes over U_b
+                np.subtract(U[b] if i else Mf_b, np.multiply(plan.multipliers[b, a], Phi[i], out=product), out=U[b])
         for i, a in enumerate(phi_rows):
             np.copyto(T[a], Phi[i], where=core.retained)
         core.derivatives(U, out=Du, work=work, entries=support)
@@ -335,7 +369,7 @@ def campanato_solve(
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
     # T holds the last step's Phi^ on the retained modes, where M lives
-    return GridFunction(f.grid, core.inverse(plan.apply(f_hat - T))), trace
+    return GridFunction(f.grid, core.inverse(plan.apply(np.subtract(f_hat, T, out=T)))), trace
 
 
 PAIR_BOUND = 1.0 + 1e-9  # the largest ratio that a pair check passes: its estimate's bound 1, up to rounding
@@ -386,7 +420,7 @@ def near_operator_check(F: NonlinearOperator, pairs) -> NearOperatorReport:
         for side, field_ in enumerate((u, v)):
             check_field(field_, A, u.grid, f"pairs[{i}][{side}]")
         Du, Dv = gradient(u), gradient(v)
-        X = np.moveaxis(u.grid.points(), 0, -1)
+        X = _points(F, u.grid)
         Adiff = apply_tensor(A, Du) - apply_tensor(A, Dv)
         Phidiff = F.scatter(_perturbation_values(F, X, Du.values) - _perturbation_values(F, X, Dv.values), axis=0)
         ratios.append(_pair_ratio(norm_l2(GridFunction(u.grid, Phidiff)), K * norm_l2(Adiff)))

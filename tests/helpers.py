@@ -11,7 +11,7 @@ import numpy as np
 
 import efos
 from efos.ellipticity import LipschitzConverseReport, NearnessReport, PseudoMonotonicityReport, cached_nu
-from efos.grid import GridFunction, PeriodicGrid
+from efos.grid import GridFunction, PeriodicGrid, _root_sum_of_squares
 from efos.oracle import _contract, _dense_derivative_matrices, _dense_transforms, _retained_basis
 from efos.sampling import MAGNITUDE_LADDER, SamplingPlan
 from efos.tensor import contract
@@ -148,3 +148,16 @@ def reference_sweeps(F, lam, plan=None, dot=index_order_dot):
     below = lip < threshold
     lc = LipschitzConverseReport(lip, threshold, violations, below, bool(below and violations == 0), total)
     return near, pm, lc
+
+
+def reference_norms(core, R, rows=None):
+    """SpectralCore.norms by its whole-array formula: (weight * sum over the
+    rows of |R|^2)[modes].sum() on a copy of the listed rows for the
+    retained modes and on every row's Nyquist entries, through
+    _root_sum_of_squares; the lean row-by-row path must give its bits."""
+    part = R if rows is None else R[list(rows)]
+    leak = np.take(R.reshape(len(R), -1), core.nyquist_index, axis=1)
+    return tuple(
+        core.sqrt_volume * _root_sum_of_squares(x, lambda v: (w * (v.real**2 + v.imag**2).sum(axis=0))[m].sum())
+        for x, w, m in ((part, core.weight, core.retained), (leak, core.nyquist_weight, ...))
+    )

@@ -1,13 +1,15 @@
 """End-to-end CLI runs: configs in, reports and fields out, coded exits."""
 
+import configparser
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from efos.catalog import cauchy_riemann, dirac
-from efos.cli import CONFIG_KEYS, REPORT_COLUMNS, TRACE_COLUMNS, _load_config, main
+from efos.cli import CONFIG_KEYS, PLAN_BUDGET_BYTES, REPORT_COLUMNS, TRACE_COLUMNS, _load_config, build_grid, main
 from efos.ellipticity import cached_nu
 from efos.fieldfile import read_field, write_field
 from efos.grid import GridFunction, PeriodicGrid, random_band_limited
@@ -1024,3 +1026,42 @@ def test_rhs_amplitude_scales_every_output(tmp_path, capsys):
             want = float(amplitude) * fields["1", command]
             gap = np.abs(fields[amplitude, command] - want).max() / np.abs(want).max()
             assert gap <= 1e-12, (amplitude, command, gap)
+
+
+def _load_config_text(text):
+    cfg = configparser.ConfigParser()
+    cfg.optionxform = str
+    cfg.read_string(text)
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["solve-linear", "solve-nonlinear", "verify"])
+@pytest.mark.parametrize("G, gib", [(256, "2.016"), (4096, "8196")])
+def test_grid_above_the_plan_budget_is_refused_before_any_array(tmp_path, capsys, command, G, gib):
+    # dirac's plan alone holds 16 * 4^2 * G^2 (G/2 + 1) bytes: 2.0 GiB at G = 256 and 8 TiB at 4096;
+    # the refusal comes before any array is made
+    text = DIRAC_LINEAR.replace("G = 16", f"G = {G}") + DIRAC_EXPRESSION + "lambda = 0.3\n"
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, text, command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20
+    assert capsys.readouterr().err == (
+        f"config error: [grid] G = {G} needs a multiplier plan of {gib} GiB for N = 4, n = 3, above the budget of 1 GiB\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_largest_grid_under_the_plan_budget():
+    # G = 202 is the largest even G whose dirac plan, 1,065,474,048 bytes, keeps within 2**30
+    assert PLAN_BUDGET_BYTES == 2**30
+    for G, accepted in ((202, True), (204, False)):
+        cfg = _load_config_text(f"[grid]\nG = {G}\n")
+        if accepted:
+            assert build_grid(cfg, dirac()).G == G
+        else:
+            with pytest.raises(ValueError, match=rf"\[grid\] G = {G} needs a multiplier plan of 1.022 GiB"):
+                build_grid(cfg, dirac())
+    assert build_grid(_load_config_text("[grid]\nG = 4096\n"), cauchy_riemann()).G == 4096  # 2 x 2 at n = 2

@@ -21,6 +21,8 @@ from efos.grid import (
 from efos.oracle import _dense_derivative_matrices
 from efos.sampling import rng_from_seed
 
+from helpers import reference_norms
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -187,20 +189,35 @@ def test_spectral_norms_add_rows_in_order(n, G, C):
     assert core.norms(R) == want
 
 
-@pytest.mark.parametrize("rows", [(), (2,), (0, 3), (0, 1, 2, 3)], ids=["none", "one", "two", "all"])
-@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
-def test_row_restricted_norms_are_bit_identical(n, G, rows):
+def _row_restricted_norms_case(n, G, rows, exponent):
     # the Picard step squares only Phi's rows: the others hold +0.0 on the
     # retained modes, which leaves the row-order sums unchanged, and every
-    # row's Nyquist entries are read through the flat index
+    # row's Nyquist entries are read through the flat index; the lean path,
+    # row by row in place with the retained modes picked before their weights,
+    # gives the whole-array formula's bits
     grid = PeriodicGrid(n=n, G=G, L=2.0)
     core = spectral_core(grid)
     scales = np.logspace(0, 3, 4).reshape((4,) + (1,) * n)
-    R = core.forward(scales * rng_from_seed(n).standard_normal((4,) + grid.shape) + 0.4)
+    R = core.forward(scales * rng_from_seed(n).standard_normal((4,) + grid.shape) + 0.4) * 2.0**exponent
     off = [a for a in range(4) if a not in rows]
     R[off] = np.where(core.retained, 0.0, R[off])
-    assert core.norms(R, rows) == core.norms(R)
+    assert core.norms(R, rows) == core.norms(R) == reference_norms(core, R) == reference_norms(core, R, rows)
     assert core.norms(R)[1] > 0 and (core.norms(R)[0] > 0) == bool(rows)
+
+
+@pytest.mark.parametrize("rows", [(), (2,), (0, 3), (0, 1, 2, 3)], ids=["none", "one", "two", "all"])
+@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
+def test_row_restricted_norms_are_bit_identical(n, G, rows):
+    _row_restricted_norms_case(n, G, rows, 0)
+
+
+@pytest.mark.parametrize("exponent", [700, -700], ids=["overflowing", "underflowing"])
+@pytest.mark.parametrize("rows", [(), (2,), (0, 3), (0, 1, 2, 3)], ids=["none", "one", "two", "all"])
+@pytest.mark.parametrize("n,G", [(2, 16), (3, 8), (4, 6)])
+def test_row_restricted_norms_keep_the_fallback_bits(n, G, rows, exponent):
+    # R scaled by 2**700 squares past the float range and by 2**-700 into the
+    # subnormals, so every sum takes the power-of-two fallback
+    _row_restricted_norms_case(n, G, rows, exponent)
 
 
 @pytest.mark.filterwarnings("error")
