@@ -382,7 +382,7 @@ def cmd_verify(cfg, args) -> int:
         for i in range(10):
             w, v = random_band_limited(grid, A.N, rng), random_band_limited(grid, A.N, rng)
             record("comparison", f"pair_{i}", verify_comparison(F, w, v).ratio, nonlinear.PAIR_BOUND)
-        pairs = [(random_band_limited(grid, A.N, rng), random_band_limited(grid, A.N, rng)) for _ in range(10)]
+        pairs = ((random_band_limited(grid, A.N, rng), random_band_limited(grid, A.N, rng)) for _ in range(10))
         record("near_operator", "pairs", near_operator_check(F, pairs).max_ratio, nonlinear.PAIR_BOUND)
 
     write_csv(args.out / "verify.csv", ("check", "case", "value", "bound", "status"), rows)

@@ -10,17 +10,27 @@ unmatched Nyquist plane (index -G/2 on any axis) is excluded from every
 differentiation and inversion multiplier, and the zero mode is reserved
 for the mean, which solvers project away and report.
 
-Solvers use the half spectrum of ``SpectralCore`` (``rfftn``): arrays of
-shape (C, G, ..., G, G/2 + 1) whose last axis holds only the indices
-0..G/2, every other mode being the conjugate of a stored one; index G/2
-is that axis's Nyquist plane.  ``SpectralCore`` makes the only FFT calls
-in the package; the dense oracle builds its own exponential matrices as an
+Solvers use the half spectrum of ``SpectralCore``: arrays of shape
+(C, G, ..., G, G/2 + 1) whose last axis holds only the indices 0..G/2,
+every other mode being the conjugate of a stored one; index G/2 is that
+axis's Nyquist plane.  ``SpectralCore`` makes the only FFT calls in the
+package; the dense oracle builds its own exponential matrices as an
 independent reference.
+
+A multidimensional transform is a sequence of 1-D passes, one per axis,
+and the core runs numpy's 1-D passes itself, in the order and with the
+bits of numpy's ``rfftn`` and ``irfftn``: ``forward`` takes ``rfft`` of
+the last axis and then ``fft`` of the leading axes from last to first;
+``inverse`` and ``derivatives`` take ``ifft`` of the leading axes from
+first to last and then ``irfft`` of the last.  The complex passes run in
+place on one buffer.
 
 The shared core holds read-only tables and no buffer: each solve owns its
 transform buffers and passes them to ``forward``/``derivatives`` as
-``out``/``work`` (numpy.fft's ``out=``, numpy >= 2.0), and the complex
-passes of ``derivatives`` run in place on its derivative spectrum.
+``out``/``work`` (numpy.fft's ``out=``, numpy >= 2.0).  A solve that
+rewrites only some rows of its residual between norms takes them from
+``SpectralCore.row_norms``, which squares the other rows' Nyquist entries
+once.
 """
 
 from __future__ import annotations
@@ -206,21 +216,65 @@ class SpectralCore:
         over the rows of |R|^2)[modes].sum(), the rows added in row order and the retained modes
         picked before their weights, so the rows left out change neither norm by a bit.  Each sum
         keeps to the float range by ``_root_sum_of_squares``, and ``sqrt_volume`` scales its root."""
-        part = R if rows is None else [R[a] for a in rows]
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
-        return tuple(
-            self.sqrt_volume * _root_sum_of_squares(x, lambda v: _weighted_power_sum(v, index, weight))
-            for x, index, weight in ((part, self.retained_index, self.retained_weight), (leak, None, self.nyquist_weight))
+        leak_norm = _root_sum_of_squares(leak, lambda v: _weighted_power_sum(v, None, self.nyquist_weight))
+        return self._retained_norm(R, rows), self.sqrt_volume * leak_norm
+
+    def _retained_norm(self, R: np.ndarray, rows) -> float:
+        part = R if rows is None else [R[a] for a in rows]
+        return self.sqrt_volume * _root_sum_of_squares(
+            part, lambda v: _weighted_power_sum(v, self.retained_index, self.retained_weight)
         )
+
+    def row_norms(self, R: np.ndarray, rows):
+        """A function of no arguments that returns ``norms(R, rows)``, bit for bit, for as long as
+        R changes only in its ``rows``, as a Picard step's residual does.  The other rows' Nyquist
+        squares are taken here, once; each call gathers and squares only the Nyquist entries of
+        ``rows`` and adds every row's squares in row order into +0.0, which leaves the first one's
+        bits as ``_weighted_power_sum`` does (no square is -0.0) and no constant row summed into.
+        Where that sum is not one that ``_root_sum_of_squares`` takes plain, the call returns
+        ``norms(R, rows)`` itself."""
+        rows, size, flat = list(rows), len(self.nyquist_index), R.reshape(len(R), -1)
+        gather = (np.array(rows, dtype=np.intp)[:, None] * flat.shape[1] + self.nyquist_index).ravel()
+        with np.errstate(over="ignore"):  # an overflow leaves the plain range, and the call takes norms
+            fixed = {a: _squares(row.take(self.nyquist_index)) for a, row in enumerate(flat) if a not in rows}
+
+        def norms() -> tuple:
+            with np.errstate(over="ignore"):
+                varying = iter(_squares(np.take(R, gather)).reshape(len(rows), size))
+                power = np.zeros(size)
+                for a in range(len(R)):
+                    power += fixed[a] if a in fixed else next(varying)
+                power *= self.nyquist_weight
+                plain = float(power.sum())
+            if not _plain_in_range(plain):
+                return self.norms(R, rows)
+            return self._retained_norm(R, rows), self.sqrt_volume * math.sqrt(plain)
+
+        return norms
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
-        into ``out`` (complex, C x the shape of ``zmag``) when given."""
-        return np.fft.rfftn(values, axes=self.axes, norm="forward", out=out)
+        into ``out`` (complex, C x the shape of ``zmag``) when given: ``rfft``
+        of the last axis, then ``fft`` in place over the others from last to
+        first, as ``rfftn`` runs them."""
+        out = np.fft.rfft(values, axis=self.axes[-1], norm="forward", out=out)
+        for axis in self.axes[-2::-1]:
+            np.fft.fft(out, axis=axis, norm="forward", out=out)
+        return out
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Real (C, G, ..., G) values of half-spectrum coefficients."""
-        return np.fft.irfftn(coeffs, s=self.grid.shape, axes=self.axes, norm="forward")
+        return np.fft.irfft(self._complex_passes(coeffs), n=self.grid.G, axis=self.axes[-1], norm="forward")
+
+    def _complex_passes(self, spectrum: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """``ifft`` of the leading axes from first to last, as ``irfftn`` runs
+        them before its last-axis ``irfft``: the first pass writes into
+        ``work`` (made when None, so ``spectrum`` is kept) and the others run
+        in place there."""
+        for axis in self.axes[:-1]:
+            spectrum = work = np.fft.ifft(spectrum, axis=axis, norm="forward", out=work)
+        return spectrum
 
     def derivatives(
         self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None
@@ -230,15 +284,14 @@ class SpectralCore:
         grid shape, zeros when None), whose other rows are kept.  ``work``
         (complex, C-contiguous, one per entry x the shape of ``zmag``, made when
         None) holds the derivative spectrum while the complex passes run in
-        place on it.  Each row is bit-identical to ``inverse`` of its spectrum:
-        ``ifftn`` runs the passes over the reversed axes, in ``irfftn``'s order."""
+        place on it.  Each row is bit-identical to ``inverse`` of its spectrum."""
         n = self.grid.n
         entries = tuple(np.ndindex(len(coeffs), n)) if entries is None else entries
         out = np.zeros((len(coeffs) * n,) + self.grid.shape) if out is None else out
         work = np.empty((len(entries),) + self.zmag.shape, complex) if work is None else work
         for i, (alpha, j) in enumerate(entries):
             np.multiply(coeffs[alpha], self.deriv[j], out=work[i])
-        np.fft.ifftn(work, axes=self.axes[-2::-1], norm="forward", out=work)
+        self._complex_passes(work, work)
         for i, (alpha, j) in enumerate(entries):
             np.fft.irfft(work[i], n=self.grid.G, axis=-1, norm="forward", out=out[alpha * n + j])
         return out
@@ -275,11 +328,23 @@ def _root_sum_of_squares(values, total, factor: float = 1.0) -> float:
     values is an array or a list of equal-shape rows, stacked only when the plain sum is out of range."""
     with np.errstate(over="ignore"):
         plain = float(total(values))
-    if 2.0**-600 <= plain and 2.0**-600 <= factor * plain < math.inf:
+    if _plain_in_range(plain, factor):
         return math.sqrt(factor * plain)
     s = _power_of_two_near_max(values)
     values = np.ascontiguousarray(values)
     return math.sqrt(factor * total((values.view(np.float64) / s).view(values.dtype))) * s
+
+
+def _plain_in_range(plain: float, factor: float = 1.0) -> bool:
+    """Whether _root_sum_of_squares takes the plain sum: it and factor * it lie in [2**-600, inf)."""
+    return 2.0**-600 <= plain and 2.0**-600 <= factor * plain < math.inf
+
+
+def _squares(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of complex z as re^2 + im^2, in a new array."""
+    square = np.square(z.real)
+    square += np.square(z.imag)
+    return square
 
 
 def _weighted_power_sum(rows, index, weight) -> float:
@@ -288,8 +353,7 @@ def _weighted_power_sum(rows, index, weight) -> float:
     before their weights, so a row left out costs nothing and one row is summed with nothing."""
     power = None
     for row in rows:
-        square = np.square(row.real)
-        square += np.square(row.imag)
+        square = _squares(row)
         if power is None:
             power = square
         else:

@@ -273,12 +273,14 @@ def campanato_solve(
     scale.  R and T = f^ - (A:Du)^ are kept on every row; a step rewrites
     Phi's rows.  R's norm on the retained modes is the next step metric d;
     from step 1 on it squares only Phi's rows, as R is +0.0 on the retained
-    modes of the others.  With the Nyquist planes of every
-    row it is the residual (against f minus the compatibility mean), and
-    R's zero mode is the dropped mean.  Iteration stops when that residual
-    falls below tol * its scale or d below tol * |f|_2; it aborts with
-    DivergenceError after three consecutive non-contracting steps above
-    the noise floor, or when Phi is not finite (step 0 is the start).
+    modes of the others, whose Nyquist entries, -f^ from then on, are
+    squared once per solve (``SpectralCore.row_norms``).  With the Nyquist
+    planes of every row it is the residual (against f minus the
+    compatibility mean), and R's zero mode is the dropped mean.  Iteration
+    stops when that residual falls below tol * its scale or d below
+    tol * |f|_2; it aborts with DivergenceError after three consecutive
+    non-contracting steps above the noise floor, or when Phi is not finite
+    (step 0 is the start).
     Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
     u0, if given, on f's grid with the anchor's N components.  The
     multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
@@ -332,6 +334,7 @@ def campanato_solve(
     # from step 1 on, off Phi's rows, both are zero on the retained modes and R is -f^ elsewhere
     np.copyto(T, 0, where=core.retained)
     np.copyto(R, 0, where=core.retained)
+    norms = core.row_norms(R, phi_rows)
     if not phi_rows:  # U_b = (M f^)_b at every step
         for b, Mf_b in zip(rows, Mf):
             U[b] = Mf_b
@@ -349,7 +352,7 @@ def campanato_solve(
         _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
         for i, a in enumerate(phi_rows):
             np.subtract(Phi[i], T[a], out=R[a])
-        d_next, leak = core.norms(R, phi_rows)
+        d_next, leak = norms()
         res = math.hypot(d_next, leak)
         res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * norm_vector(R[core.zero] + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)

@@ -348,3 +348,34 @@ def test_grid_function_component_mismatch():
     grid = PeriodicGrid(n=2, G=8)
     with pytest.raises(ValueError):
         GridFunction(grid, np.zeros((2,) + (8, 9)))
+
+
+@pytest.mark.parametrize("n, G", [(2, 4), (2, 16), (3, 6), (3, 32), (4, 4), (4, 8)])
+def test_spectral_core_matches_numpys_nd_transforms(n, G):
+    # the core runs numpy's 1-D passes itself, in rfftn's and irfftn's order, so every
+    # transform keeps their bits, signed zeros included (tobytes tells -0.0 from +0.0)
+    grid = PeriodicGrid(n=n, G=G, L=2.0)
+    core = spectral_core(grid)
+    axes = tuple(range(1, n + 1))
+    v = rng_from_seed(n * G).standard_normal((2,) + grid.shape)
+    want = np.fft.rfftn(v, axes=axes, norm="forward")
+    out = np.full(want.shape, np.nan, complex)
+    assert core.forward(v, out=out) is out
+    assert out.tobytes() == core.forward(v).tobytes() == want.tobytes()
+    zeros = np.zeros((2,) + grid.shape)
+    zero_spectrum = core.forward(zeros)
+    assert zero_spectrum.tobytes() == np.fft.rfftn(zeros, axes=axes, norm="forward").tobytes()
+    assert G < 8 or np.signbit(zero_spectrum.imag).any()  # from G = 8 on, rfftn of zeros leaves some -0.0
+    U = want.copy()
+    assert core.inverse(U).tobytes() == np.fft.irfftn(want, s=grid.shape, axes=axes, norm="forward").tobytes()
+    assert U.tobytes() == want.tobytes()  # the inverse keeps its coefficients
+    spectra = (U[:, None] * core.deriv).reshape((2 * n,) + core.zmag.shape)
+    reference = np.fft.irfftn(spectra, s=grid.shape, axes=axes, norm="forward")
+    for entries in (None, ((1, n - 1), (0, 0)), ()):
+        listed = list(range(2 * n)) if entries is None else [alpha * n + j for alpha, j in entries]
+        values = np.full((2 * n,) + grid.shape, np.nan)
+        work = np.empty((len(listed),) + core.zmag.shape, complex)
+        assert core.derivatives(U, out=values, work=work, entries=entries) is values
+        assert values[listed].tobytes() == reference[listed].tobytes()
+        assert np.isnan(np.delete(values, listed, axis=0)).all()
+    assert U.tobytes() == want.tobytes()

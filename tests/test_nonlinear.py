@@ -393,6 +393,20 @@ def test_near_operator_inequality():
     assert 0.0 < rep.max_ratio <= 1.0
 
 
+def test_near_operator_check_reads_pairs_drawn_lazily():
+    # efos verify passes a generator, so each pair is drawn only when it is checked; the
+    # draws come in the same order as a list's, and the report is the same to the bit
+    grid = PeriodicGrid(n=3, G=8)
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+
+    def draws(rng):
+        return ((random_band_limited(grid, 4, rng), random_band_limited(grid, 4, rng)) for _ in range(4))
+
+    lazy = near_operator_check(F, draws(rng_from_seed(13)))
+    assert lazy == near_operator_check(F, list(draws(rng_from_seed(13))))
+    assert lazy.pairs == 4 and lazy.max_ratio > 0
+
+
 def test_near_operator_identical_operator():
     grid = PeriodicGrid(n=3, G=8)
     rng = rng_from_seed(10)
@@ -677,28 +691,63 @@ def _row_operators(A, rows):
     )
 
 
-@pytest.mark.parametrize("with_u0", [False, True], ids=["from_zero", "from_u0"])
-@pytest.mark.parametrize(
-    "A, G, rows",
-    [(dirac(), 8, (0,)), (dirac(), 8, (2,)), (dirac(), 8, (0, 3)), (dirac(), 8, ()), (cauchy_riemann(), 16, (1,))],
-    ids=["dirac-0", "dirac-2", "dirac-0-3", "dirac-none", "cr-1"],
-)
-def test_narrow_and_full_width_rows_solve_identically(A, G, rows, with_u0):
-    # white noise puts Nyquist and mean content on every row, so the rows that
-    # Phi leaves alone carry a residual that a reordered leak sum would change
+def _narrow_and_full_width_solves(monkeypatch, A, G, rows, with_u0, scale):
+    """Assert that a solve of Phi on its ``rows`` gives the bytes of the same
+    Phi declared full-width and of a step that takes SpectralCore.norms of R
+    afresh, on white noise times ``scale``: it puts Nyquist and mean content
+    on every row, so the rows that Phi leaves alone carry a residual that a
+    reordered leak sum would change.  Returns (narrow Phi, f, u0, trace)."""
     narrow, full_width = _row_operators(A, list(rows))
     assert narrow.rows == rows and full_width.rows == tuple(range(A.N))
     grid = PeriodicGrid(n=A.n, G=G)
     rng = rng_from_seed(11)
-    f = GridFunction(grid, rng.standard_normal((A.N,) + grid.shape))
-    u0 = GridFunction(grid, rng.standard_normal((A.N,) + grid.shape)) if with_u0 else None
+    f = GridFunction(grid, scale * rng.standard_normal((A.N,) + grid.shape))
+    u0 = GridFunction(grid, scale * rng.standard_normal((A.N,) + grid.shape)) if with_u0 else None
     u, trace = campanato_solve(narrow, f, tol=1e-10, u0=u0)
-    u_ref, trace_ref = campanato_solve(full_width, f, tol=1e-10, u0=u0)
-    assert np.array_equal(u.values, u_ref.values)
-    for column in ("d", "ratio", "residual", "dropped_mean_norm"):
-        assert np.array_equal(getattr(trace, column), getattr(trace_ref, column), equal_nan=True), column
-    assert (trace.iterations, trace.message) == (trace_ref.iterations, trace_ref.message)
+    references = [campanato_solve(full_width, f, tol=1e-10, u0=u0)]
+    with monkeypatch.context() as m:
+        m.setattr(SpectralCore, "row_norms", lambda self, R, rows: lambda: self.norms(R, rows))
+        references.append(campanato_solve(narrow, f, tol=1e-10, u0=u0))
+    for u_ref, trace_ref in references:
+        assert u.values.tobytes() == u_ref.values.tobytes()
+        for column in ("d", "ratio", "residual", "dropped_mean_norm"):
+            assert np.array(getattr(trace, column)).tobytes() == np.array(getattr(trace_ref, column)).tobytes(), column
+        assert (trace.iterations, trace.message) == (trace_ref.iterations, trace_ref.message)
     assert trace.dropped_mean_norm[0] > 0 and trace.iterations > 1
+    return narrow, f, u0, trace
+
+
+@pytest.mark.parametrize("with_u0", [False, True], ids=["from_zero", "from_u0"])
+@pytest.mark.parametrize(
+    "A, G, rows",
+    [
+        (dirac(), 8, (0,)),
+        (dirac(), 8, (2,)),
+        (dirac(), 8, (0, 3)),
+        (dirac(), 8, ()),
+        (cauchy_riemann(), 16, (1,)),
+        (dirac(), 8, (1,)),
+        (dirac(), 8, (0, 2)),
+    ],
+    ids=["dirac-0", "dirac-2", "dirac-0-3", "dirac-none", "cr-1", "dirac-1", "dirac-0-2"],
+)
+def test_narrow_and_full_width_rows_solve_identically(monkeypatch, A, G, rows, with_u0):
+    # a constant row before Phi's first row, or between two of its rows, has its
+    # Nyquist squares taken once per solve, and they join the leak sum in row order
+    _narrow_and_full_width_solves(monkeypatch, A, G, rows, with_u0, 1.0)
+
+
+@pytest.mark.parametrize("with_u0", [False, True], ids=["from_zero", "from_u0"])
+@pytest.mark.parametrize("rows", [(1,), (0, 2)], ids=["one", "gapped"])
+def test_narrow_and_full_width_rows_keep_the_fallback_bits(monkeypatch, rows, with_u0):
+    # scaled by 2**-700, the squares fall into the subnormals, so every step's leak
+    # sum leaves the plain range and the step takes SpectralCore.norms of R itself
+    narrow, f, u0, trace = _narrow_and_full_width_solves(monkeypatch, dirac(), 8, rows, with_u0, 2.0**-700)
+    calls = []
+    norms = SpectralCore.norms
+    monkeypatch.setattr(SpectralCore, "norms", lambda self, R, rows=None: calls.append(rows) or norms(self, R, rows))
+    campanato_solve(narrow, f, tol=1e-10, u0=u0)
+    assert calls.count(list(rows)) == trace.iterations
 
 
 def test_bad_rows_declarations_refused():

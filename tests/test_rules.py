@@ -1,12 +1,12 @@
 """Design rules that the reproduction's evidence rests on, read off the
-source with ``re``: one spectral core, one plan cache, one sweep, kept on
-the perturbation's rows, one walk over config text, one report writer,
-one home for the contraction margin, one home for config-key refusals,
-one pass bound for the pair checks, one sample count for nu(A), one rule
-for every sum of squares, and reference oracles that share no kernel
-with the code they check, in either direction.  Each rule is one row of
-RULES; a broken rule reports its message and each offending
-``file:line``."""
+source with ``re``: one spectral core, which runs numpy's 1-D passes
+itself, one plan cache, one sweep, kept on the perturbation's rows, one
+walk over config text, one report writer, one home for the contraction
+margin, one home for config-key refusals, one pass bound for the pair
+checks, one sample count for nu(A), one rule for every sum of squares,
+and reference oracles that share no kernel with the code they check, in
+either direction.  Each rule is one row of RULES; a broken rule reports
+its message and each offending ``file:line``."""
 
 import re
 from dataclasses import dataclass
@@ -42,6 +42,14 @@ RULES = [
         allowed=("src/efos/grid.py",),
         message="numpy.fft is used outside src/efos/grid.py",
         planted=("src/efos/linear.py", "import numpy as np\n\nspectrum = np.fft.rfftn(values)\n"),
+    ),
+    Rule(
+        name="one_transform_path",
+        pattern=r"(?<!`)\b(fftn|ifftn|rfftn|irfftn)\b",
+        paths="src/efos/**/*.py",
+        message="src/efos names one of numpy's n-D transforms; SpectralCore runs numpy's 1-D passes itself, so "
+        "the core keeps one transform path (a docstring names them as ``literals``)",
+        planted=("src/efos/grid.py", "import numpy as np\n\nvalues = np.fft.irfftn(coeffs, s=shape, axes=axes)\n"),
     ),
     Rule(
         name="plans_only_from_the_cache",
