@@ -7,7 +7,8 @@ the output directory.  Exit codes encode the failing stage:
     0  requested checks all passed
     1  usage error, or config could not be parsed or named unknown sections,
        keys or objects, or a key that its section's form does not read, or
-       a [grid] G whose multiplier plan passes PLAN_BUDGET_BYTES
+       a [grid] G whose multiplier plan, N^2 G^(n-1) (G/2 + 1) float64
+       numbers, passes PLAN_BUDGET_BYTES
     2  ellipticity requirement failed
     3  solve failed (divergence or no convergence)
     4  verification checks failed
@@ -167,7 +168,7 @@ def build_tensor(cfg) -> ConstantTensor:
 
 def build_grid(cfg, A: ConstantTensor) -> PeriodicGrid:
     """The [grid] of a tensor's solves; ConfigError for a bad grid, or for a
-    G whose multiplier plan alone, N^2 G^(n-1) (G/2 + 1) complex numbers,
+    G whose multiplier plan alone, N^2 G^(n-1) (G/2 + 1) float64 numbers,
     would pass PLAN_BUDGET_BYTES."""
     G = _get(cfg, "grid", "G", int)
     L = _get(cfg, "grid", "L", float, 1.0)
@@ -175,7 +176,7 @@ def build_grid(cfg, A: ConstantTensor) -> PeriodicGrid:
         grid = PeriodicGrid(n=A.n, G=G, L=L)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
-    plan_bytes = 16.0 * A.N**2 * float(G) ** (A.n - 1) * (G // 2 + 1)  # a float: inf past the range, never an error
+    plan_bytes = 8.0 * A.N**2 * float(G) ** (A.n - 1) * (G // 2 + 1)  # a float: inf past the range, never an error
     if plan_bytes > PLAN_BUDGET_BYTES:
         raise ConfigError(
             f"[grid] G = {G} needs a multiplier plan of {plan_bytes / 2**30:.4g} GiB for N = {A.N}, n = {A.n}, "

@@ -27,10 +27,10 @@ place on one buffer.
 
 The shared core holds read-only tables and no buffer: each solve owns its
 transform buffers and passes them to ``forward``/``derivatives`` as
-``out``/``work`` (numpy.fft's ``out=``, numpy >= 2.0).  A solve that
-rewrites only some rows of its residual between norms takes them from
-``SpectralCore.row_norms``, which squares the other rows' Nyquist entries
-once.
+``out``/``work`` and to ``inverse`` as ``work`` (numpy.fft's ``out=``,
+numpy >= 2.0).  A solve that rewrites only some rows of its residual
+between norms takes them from ``SpectralCore.row_norms``, which squares
+the other rows' Nyquist entries once.
 """
 
 from __future__ import annotations
@@ -263,9 +263,11 @@ class SpectralCore:
             np.fft.fft(out, axis=axis, norm="forward", out=out)
         return out
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real (C, G, ..., G) values of half-spectrum coefficients."""
-        return np.fft.irfft(self._complex_passes(coeffs), n=self.grid.G, axis=self.axes[-1], norm="forward")
+    def inverse(self, coeffs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Real (C, G, ..., G) values of half-spectrum coefficients.  The complex
+        passes run in ``work`` (complex, of coeffs' shape), which may be coeffs
+        itself; made when None, so that coeffs is kept."""
+        return np.fft.irfft(self._complex_passes(coeffs, work), n=self.grid.G, axis=self.axes[-1], norm="forward")
 
     def _complex_passes(self, spectrum: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """``ifft`` of the leading axes from first to last, as ``irfftn`` runs

@@ -7,8 +7,10 @@ A[alpha, beta, j] z_j, so the solution is the multiplier
     u_hat(z) = (2 pi i)^{-1} (A z)^{-1} . f_hat(z)
 
 on every retained mode (z nonzero, off the Nyquist plane).  Ellipticity
-makes A z invertible for every z != 0; the plan inverts all the symbols
-of the half spectrum in one batched call to numpy.linalg.inv.
+makes A z invertible for every z != 0; the plan inverts the symbols of
+the half spectrum in batched calls to numpy.linalg.inv, one part of the
+leading frequency axis at a time.  As A z is real, the multiplier is
+purely imaginary, M = i m, and the plan stores only the real m.
 
 The regularized variant replaces the 1 / |z| in (A z)^{-1} =
 |z|^{-1} (A z/|z|)^{-1} by a member h_m of an even sequence with
@@ -54,12 +56,19 @@ def apply_tensor(A: ConstantTensor, Du: GridFunction) -> GridFunction:
     return GridFunction(Du.grid, np.moveaxis(contract(A, Q), -1, 0))
 
 
+# the plan build inverts the symbols of one part of the leading frequency axis at a time, so that a part's
+# direction matrices and their inverses stay a small share of the plan beside it
+_BUILD_PARTS = 16
+
+
 class MultiplierPlan:
     """Precomputed per-mode inverse multipliers for one (tensor, grid) pair.
 
-    Building the plan checks ellipticity once and stores the N x N complex
-    multipliers of the half spectrum of ``core`` as one C-contiguous array
-    M[a, b, ...], zero off the retained modes.  Solvers share plans through
+    Building the plan checks ellipticity once.  For a real tensor the
+    multiplier M = (A:2 pi i z)^{-1} is purely imaginary, so the plan
+    stores m = Im M, M = i m: the N x N real multipliers of the half
+    spectrum of ``core`` as one C-contiguous float64 array m[a, b, ...],
+    zero off the retained modes.  Solvers share plans through
     ``multiplier_plan``, so the array is read-only.
     """
 
@@ -72,16 +81,48 @@ class MultiplierPlan:
         self.A = A
         self.grid = grid
         self.core = core = spectral_core(grid)
-        # the zero mode's symbol is singular, so it takes a stand-in direction; its multiplier is zeroed below
-        z = np.where(core.zmag > 0, core.z, 1.0)
-        inv = np.linalg.inv(direction_matrix(A, np.moveaxis(z, 0, -1)))  # (..., N, N), the inverse of A:z on every mode
-        out = np.empty((A.N, A.N) + core.zmag.shape, complex)  # M[a, b, ...], the build's one complex array
-        self.multipliers = np.multiply(np.moveaxis(inv, (-2, -1), (0, 1)), core.retained / (2j * np.pi), out=out)
-        self.multipliers.flags.writeable = False
+        self.multipliers = m = np.empty((A.N, A.N) + core.zmag.shape)  # m[a, b, ...], the build's one plan-sized array
+        step = -(-len(core.zmag) // _BUILD_PARTS)  # no mode's bits depend on its part
+        for part in (slice(start, start + step) for start in range(0, len(core.zmag), step)):
+            # the zero mode's symbol is singular, so it takes a stand-in direction; its multiplier is zeroed below
+            z = np.where(core.zmag[part] > 0, core.z[:, part], 1.0)
+            inv = np.linalg.inv(direction_matrix(A, np.moveaxis(z, 0, -1)))  # (..., N, N), the inverse of A:z
+            # Im(inv * retained / (2 pi i)) of the complex product, bit for bit: inv Im(retained / (2 pi i)) + 0.0,
+            # as einsum sums each product into +0.0
+            np.einsum("...ab,...->ab...", inv, (core.retained[part] / (2j * np.pi)).imag, out=m[:, :, part])
+        m.flags.writeable = False
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Multiply stacked mode coefficients (N, ...) by the plan."""
-        return np.einsum("ab...,b...->a...", self.multipliers, coeffs)
+    def apply(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Multiply stacked mode coefficients (N, ...) by the plan M = i m, into ``out`` (complex, of coeffs'
+        shape, another array than coeffs) when given."""
+        out = np.empty(coeffs.shape, complex) if out is None else out
+        return _times_i(self.multipliers, coeffs, "ab...,b...->a...", out)
+
+    def apply_row(self, coeffs: np.ndarray, a: int) -> np.ndarray:
+        """Row a of ``apply(coeffs)``, bit for bit, without the other rows."""
+        return _times_i(self.multipliers[a], coeffs, "b...,b...->...", np.empty(coeffs.shape[1:], complex))
+
+    def subtract_product(self, src, b: int, a: int, x, out: np.ndarray, product: np.ndarray) -> np.ndarray:
+        """out = src - M_ba x for one row x of mode coefficients, in real arithmetic: ``product`` (complex, of
+        x's shape) takes m_ba x, whose nonzero parts are exact, and out's real part is src's plus Im(m_ba x),
+        its imaginary part src's minus Re(m_ba x).  Where src holds no -0.0, that is the complex subtraction
+        of M_ba x, bit for bit, as the signs of the product's zeros then do not matter."""
+        np.multiply(self.multipliers[b, a], x, out=product)
+        np.add(src.real, product.imag, out=out.real)
+        np.subtract(src.imag, product.real, out=out.imag)
+        return out
+
+
+def _times_i(m: np.ndarray, coeffs: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
+    """i m x, contracted by the einsum ``spec``, in real arithmetic into the complex ``out``: its real part is
+    0 - the sum of m x_im and its imaginary part the sum of m x_re, each summed over the contracted index in
+    order into +0.0, as the complex einsum of M = (+-0) + i m and x sums each part.  That einsum's nonzero terms
+    are -m x_im and m x_re exactly, and its zero terms, of either sign, leave its sums, never -0.0, as they
+    are; so ``out`` is its product, bit for bit."""
+    np.einsum(spec, m, coeffs.imag, out=out.real)
+    np.subtract(0.0, out.real, out=out.real)
+    np.einsum(spec, m, coeffs.real, out=out.imag)
+    return out
 
 
 @lru_cache(maxsize=8)

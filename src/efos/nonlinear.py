@@ -258,12 +258,14 @@ def campanato_solve(
 
     Each step is u_{k+1} = T[u_k] = A^{-1}(f - Phi(., Du_k)), in
     half-spectrum coefficients U_{k+1} = M f^ - M Phi^_k with the plan's
-    multipliers M.  As M (A:(2 pi i z)) = I on the retained modes, the
+    multipliers M = i m.  As M (A:(2 pi i z)) = I on the retained modes, the
     coefficients R of the residual F(., Du_{k+1}) - f are Phi^_{k+1} -
     Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
     So a step forms M f^ and U only in the rows that Phi's support names,
     each U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a with its first
-    subtraction written straight into U; it transforms only the support's
+    subtraction written straight into U, each term by the plan's
+    ``subtract_product`` (U_b is never -0.0, as M f^ sums into +0.0, so
+    these are the complex subtraction's bits); it transforms only the support's
     derivatives (the other gradient entries stay zero) and forms and
     transforms Phi only on its declared rows, at the grid's points when Phi
     reads x and at one point otherwise; the iterate is transformed back
@@ -310,7 +312,7 @@ def campanato_solve(
     f_hat = core.forward(f.values)
     f_norms = core.norms(f_hat)
     norm_f_tilde = math.hypot(*f_norms)  # |f - mean(f)|_2, as _solution scales the linear residual
-    Mf = [np.einsum("a...,a...->...", plan.multipliers[b], f_hat) for b in rows]  # plan.apply(f_hat)[b], bit for bit
+    Mf = [plan.apply_row(f_hat, b) for b in rows]
 
     # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
     U = np.zeros(f_hat.shape, complex)
@@ -343,7 +345,7 @@ def campanato_solve(
         dropped = norm_vector(R[core.zero])
         for b, Mf_b in zip(rows, Mf):  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
             for i, a in enumerate(phi_rows):  # the first subtraction writes over U_b
-                np.subtract(U[b] if i else Mf_b, np.multiply(plan.multipliers[b, a], Phi[i], out=product), out=U[b])
+                plan.subtract_product(U[b] if i else Mf_b, b, a, Phi[i], out=U[b], product=product)
         for i, a in enumerate(phi_rows):
             np.copyto(T[a], Phi[i], where=core.retained)
         core.derivatives(U, out=Du, work=work, entries=support)
@@ -371,8 +373,10 @@ def campanato_solve(
         d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    # T holds the last step's Phi^ on the retained modes, where M lives
-    return GridFunction(f.grid, core.inverse(plan.apply(np.subtract(f_hat, T, out=T)))), trace
+    # T holds the last step's Phi^ on the retained modes, where M lives; M (f^ - T) and the inverse's complex
+    # passes take U, which no step reads any more
+    spectrum = plan.apply(np.subtract(f_hat, T, out=T), out=U)
+    return GridFunction(f.grid, core.inverse(spectrum, work=spectrum)), trace
 
 
 PAIR_BOUND = 1.0 + 1e-9  # the largest ratio that a pair check passes: its estimate's bound 1, up to rounding

@@ -1036,9 +1036,9 @@ def _load_config_text(text):
 
 
 @pytest.mark.parametrize("command", ["solve-linear", "solve-nonlinear", "verify"])
-@pytest.mark.parametrize("G, gib", [(256, "2.016"), (4096, "8196")])
+@pytest.mark.parametrize("G, gib", [(256, "1.008"), (4096, "4098")])
 def test_grid_above_the_plan_budget_is_refused_before_any_array(tmp_path, capsys, command, G, gib):
-    # dirac's plan alone holds 16 * 4^2 * G^2 (G/2 + 1) bytes: 2.0 GiB at G = 256 and 8 TiB at 4096;
+    # dirac's plan alone holds 8 * 4^2 * G^2 (G/2 + 1) bytes: 1.008 GiB at G = 256 and 4 TiB at 4096;
     # the refusal comes before any array is made
     text = DIRAC_LINEAR.replace("G = 16", f"G = {G}") + DIRAC_EXPRESSION + "lambda = 0.3\n"
     tracemalloc.start()
@@ -1055,13 +1055,13 @@ def test_grid_above_the_plan_budget_is_refused_before_any_array(tmp_path, capsys
 
 
 def test_largest_grid_under_the_plan_budget():
-    # G = 202 is the largest even G whose dirac plan, 1,065,474,048 bytes, keeps within 2**30
+    # G = 254 is the largest even G whose dirac plan, 1,057,030,144 bytes, keeps within 2**30
     assert PLAN_BUDGET_BYTES == 2**30
-    for G, accepted in ((202, True), (204, False)):
+    for G, accepted in ((254, True), (256, False)):
         cfg = _load_config_text(f"[grid]\nG = {G}\n")
         if accepted:
             assert build_grid(cfg, dirac()).G == G
         else:
-            with pytest.raises(ValueError, match=rf"\[grid\] G = {G} needs a multiplier plan of 1.022 GiB"):
+            with pytest.raises(ValueError, match=rf"\[grid\] G = {G} needs a multiplier plan of 1.008 GiB"):
                 build_grid(cfg, dirac())
     assert build_grid(_load_config_text("[grid]\nG = 4096\n"), cauchy_riemann()).G == 4096  # 2 x 2 at n = 2

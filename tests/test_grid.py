@@ -369,6 +369,8 @@ def test_spectral_core_matches_numpys_nd_transforms(n, G):
     U = want.copy()
     assert core.inverse(U).tobytes() == np.fft.irfftn(want, s=grid.shape, axes=axes, norm="forward").tobytes()
     assert U.tobytes() == want.tobytes()  # the inverse keeps its coefficients
+    in_place = want.copy()  # unless they are its work array
+    assert core.inverse(in_place, work=in_place).tobytes() == core.inverse(U).tobytes()
     spectra = (U[:, None] * core.deriv).reshape((2 * n,) + core.zmag.shape)
     reference = np.fft.irfftn(spectra, s=grid.shape, axes=axes, norm="forward")
     for entries in (None, ((1, n - 1), (0, 0)), ()):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efos.catalog import cauchy_riemann, dirac, generalized_cauchy_riemann, lipschitz_perturbation
-from efos.ellipticity import NonEllipticError
-from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited
+from efos.ellipticity import NonEllipticError, cached_nu
+from efos.grid import GridFunction, PeriodicGrid, gradient, norm_l2, random_band_limited, spectral_core
 from efos.linear import (
     MultiplierPlan,
     RegularizerSequence,
@@ -146,7 +147,7 @@ def test_plan_inverts_the_symbol(name):
     plan = MultiplierPlan(A, PeriodicGrid(n=A.n, G=8))
     core = plan.core
     symbol = np.einsum("abj,j...->...ab", A.entries, 2j * np.pi * core.z)
-    M = np.moveaxis(plan.multipliers, (0, 1), (-2, -1))  # stored as M[a, b, ...]
+    M = 1j * np.moveaxis(plan.multipliers, (0, 1), (-2, -1))  # stored as m[a, b, ...] with M = i m
     prod = M @ symbol
     np.testing.assert_allclose(prod[core.retained], np.broadcast_to(np.eye(A.N), prod[core.retained].shape), atol=1e-13)
     assert not M[~core.retained].any()
@@ -176,11 +177,90 @@ def test_value_equal_tensors_share_one_cached_plan():
 
 @pytest.mark.parametrize("build", [multiplier_plan, MultiplierPlan])
 def test_plan_multipliers_are_read_only(build):
-    plan = build(cauchy_riemann(), PeriodicGrid(n=2, G=8))
+    A = cauchy_riemann()
+    plan = build(A, PeriodicGrid(n=2, G=8))
+    # m = Im M: one float64 per entry, N^2 entries per mode of the half spectrum
+    assert plan.multipliers.dtype == np.float64 and plan.multipliers.flags.c_contiguous
+    assert not plan.multipliers.flags.writeable
+    assert plan.multipliers.nbytes == 8 * A.N**2 * plan.core.zmag.size
     with pytest.raises(ValueError, match="read-only"):
         plan.multipliers[0, 0, 1, 1] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         plan.multipliers *= 2.0
+
+
+def _complex_multipliers(A, grid):
+    """M[a, b, ...] = inv(A:z) retained / (2 pi i) as one complex array, the product that the plan's m = Im M
+    stands for, with the zero mode's stand-in direction."""
+    core = spectral_core(grid)
+    z = np.moveaxis(np.where(core.zmag > 0, core.z, 1.0), 0, -1)
+    inv = np.linalg.inv(np.einsum("abj,...j->...ab", A.entries, z))
+    return np.moveaxis(inv, (-2, -1), (0, 1)) * (core.retained / (2j * np.pi))
+
+
+def _signed_coefficients(rng, shape):
+    """Complex coefficients whose parts are half-integers in [-1, 1], so that sums cancel exactly, or normal
+    draws; a zero part is +0.0 or -0.0 at random."""
+    size = (2,) + shape
+    parts = np.where(rng.random(size) < 0.5, rng.integers(-2, 3, size) / 2, rng.standard_normal(size))
+    parts = np.where(parts == 0, np.where(rng.random(size) < 0.5, -0.0, 0.0), parts)
+    x = np.empty(shape, complex)
+    x.real, x.imag = parts
+    return x
+
+
+@pytest.mark.parametrize("name", ["cr_N2", "dirac_N4", "dirac2_N8"])
+def test_plan_apply_is_the_complex_product_bit_for_bit(name):
+    # the plan holds Im M bit for bit; apply and each of its rows are the complex einsum of M, and
+    # subtract_product the complex subtraction of one product, signed zeros too
+    A = DIRECT_SUMS[name]
+    grid = PeriodicGrid(n=A.n, G=8)
+    plan = MultiplierPlan(A, grid)
+    M = _complex_multipliers(A, grid)
+    assert not M.real.any() and plan.multipliers.tobytes() == M.imag.tobytes()
+    rng = rng_from_seed(43)
+    for _ in range(4):
+        x = _signed_coefficients(rng, (A.N,) + plan.core.zmag.shape)
+        parts = x.view(float)
+        assert (np.signbit(parts) & (parts == 0)).any() and (~np.signbit(parts) & (parts == 0)).any()
+        want = np.einsum("ab...,b...->a...", M, x)
+        out = np.empty_like(x)
+        assert plan.apply(x).tobytes() == want.tobytes()
+        assert plan.apply(x, out=out) is out and out.tobytes() == want.tobytes()
+        assert [plan.apply_row(x, a).tobytes() for a in range(A.N)] == [row.tobytes() for row in want]
+        src = _signed_coefficients(rng, plan.core.zmag.shape) + 0.0  # no -0.0, as in the Picard step
+        for b, a in np.ndindex(A.N, A.N):
+            got = plan.subtract_product(src, b, a, x[a], out=np.empty_like(src), product=np.empty_like(src))
+            assert got.tobytes() == (src - M[b, a] * x[a]).tobytes()
+
+
+def _traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plan_build_and_solve_peaks_stay_near_the_float64_plan():
+    A = dirac()
+    cached_nu(A)
+    for G in (16, 32):
+        # the build holds the plan, 8 N^2 bytes per mode, and one sixteenth of the leading axis's direction matrices
+        # and inverses beside it: 1.22x the plan at G = 16 and 1.20x at G = 32 at landing; a build that inverted
+        # every mode in one batch would hold at least 3x
+        grid = PeriodicGrid(n=3, G=G)
+        modes = spectral_core(grid).zmag.size
+        assert _traced_peak(lambda: MultiplierPlan(A, grid)) <= 1.3 * 8 * A.N**2 * modes
+    # a solve that builds and caches its plan peaks at the plan plus its own buffers, 9.85 MB at G = 32 at
+    # landing; a complex copy of the plan (4.46 MB) or of its support's block of M (1.11 MB) would pass the bound
+    F = lipschitz_perturbation(A, 0.5, "sin_q11")
+    f = random_band_limited(grid, 4, rng_from_seed(43))
+    multiplier_plan.cache_clear()
+    peak = _traced_peak(lambda: campanato_solve(F, f, tol=1e-10))
+    assert peak - 8 * A.N**2 * modes <= 10_400_000
 
 
 def _non_elliptic():
