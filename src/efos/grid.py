@@ -28,9 +28,10 @@ place on one buffer.
 The shared core holds read-only tables and no buffer: each solve owns its
 transform buffers and passes them to ``forward``/``derivatives`` as
 ``out``/``work`` and to ``inverse`` as ``work`` (numpy.fft's ``out=``,
-numpy >= 2.0).  A solve that rewrites only some rows of its residual
-between norms takes them from ``SpectralCore.row_norms``, which squares
-the other rows' Nyquist entries once.
+numpy >= 2.0).  A Picard step carries i times its coefficients, so its
+derivative spectra take real factors (``derivatives`` with ``times_i``),
+and it takes its residual's Nyquist norm from
+``SpectralCore.residual_leak``, which squares the rows off Phi once.
 """
 
 from __future__ import annotations
@@ -183,8 +184,10 @@ class SpectralCore:
     of weight * |U|^2 over the half spectrum); ``retained_index`` and
     ``nyquist_index``, the flat indices of one component's retained and
     Nyquist entries, and ``retained_weight`` and ``nyquist_weight``, their
-    weights.  Instances are shared through ``spectral_core``, so the arrays
-    are read-only."""
+    weights.  Norms are ``norms``, ``retained_norm`` and ``leak_norm``; a
+    Picard step takes its residual's Nyquist norm from ``residual_leak``.
+    Instances are shared through ``spectral_core``, so the arrays are
+    read-only."""
 
     def __init__(self, grid: PeriodicGrid):
         self.grid = grid
@@ -212,46 +215,59 @@ class SpectralCore:
         """L2 norms of the half-spectrum coefficients R (C, ...) on the retained modes and on the
         Nyquist planes.  The retained norm squares only R's ``rows`` (default: all), each where it
         lies, so R must be zero on the retained modes of every other row; the Nyquist norm reads
-        every row's Nyquist entries through ``nyquist_index``.  Each power array is (weight * sum
-        over the rows of |R|^2)[modes].sum(), the rows added in row order and the retained modes
-        picked before their weights, so the rows left out change neither norm by a bit.  Each sum
-        keeps to the float range by ``_root_sum_of_squares``, and ``sqrt_volume`` scales its root."""
+        every row's Nyquist entries through ``nyquist_index``.  Each is ``retained_norm`` or
+        ``leak_norm`` of those rows, so the rows left out change neither norm by a bit."""
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
-        leak_norm = _root_sum_of_squares(leak, lambda v: _weighted_power_sum(v, None, self.nyquist_weight))
-        return self._retained_norm(R, rows), self.sqrt_volume * leak_norm
+        return self.retained_norm(R if rows is None else [R[a] for a in rows]), self.leak_norm(leak)
 
-    def _retained_norm(self, R: np.ndarray, rows) -> float:
-        part = R if rows is None else [R[a] for a in rows]
+    def retained_norm(self, rows) -> float:
+        """The L2 norm on the retained modes of coefficient rows (an array or a list of rows of
+        ``zmag``'s shape): (weight * sum over the rows of |R|^2)[retained].sum(), the rows added in
+        row order and the retained modes picked before their weights, kept to the float range by
+        ``_root_sum_of_squares``, whose root ``sqrt_volume`` scales."""
         return self.sqrt_volume * _root_sum_of_squares(
-            part, lambda v: _weighted_power_sum(v, self.retained_index, self.retained_weight)
+            rows, lambda v: _weighted_power_sum(v, self.retained_index, self.retained_weight)
         )
 
-    def row_norms(self, R: np.ndarray, rows):
-        """A function of no arguments that returns ``norms(R, rows)``, bit for bit, for as long as
-        R changes only in its ``rows``, as a Picard step's residual does.  The other rows' Nyquist
-        squares are taken here, once; each call gathers and squares only the Nyquist entries of
-        ``rows`` and adds every row's squares in row order into +0.0, which leaves the first one's
-        bits as ``_weighted_power_sum`` does (no square is -0.0) and no constant row summed into.
-        Where that sum is not one that ``_root_sum_of_squares`` takes plain, the call returns
-        ``norms(R, rows)`` itself."""
-        rows, size, flat = list(rows), len(self.nyquist_index), R.reshape(len(R), -1)
-        gather = (np.array(rows, dtype=np.intp)[:, None] * flat.shape[1] + self.nyquist_index).ravel()
-        with np.errstate(over="ignore"):  # an overflow leaves the plain range, and the call takes norms
-            fixed = {a: _squares(row.take(self.nyquist_index)) for a, row in enumerate(flat) if a not in rows}
+    def leak_norm(self, leak: np.ndarray) -> float:
+        """The L2 norm of the Nyquist entries ``leak`` (C, len(nyquist_index)) of C coefficient rows,
+        summed as ``retained_norm`` sums the retained modes."""
+        return self.sqrt_volume * _root_sum_of_squares(
+            leak, lambda v: _weighted_power_sum(v, None, self.nyquist_weight)
+        )
 
-        def norms() -> tuple:
+    def residual_leak(self, base: np.ndarray, rows):
+        """A function of X, half-spectrum rows (len(rows), ...), that returns ``norms(R)[1]`` bit for
+        bit, R = S - base with S holding X in its ``rows`` and zero in every other: a Picard step's
+        residual, X being Phi^ and base f^.  The other rows' Nyquist squares are taken here, once
+        (|0 - b|^2 = |b|^2); each call gathers and squares only X's Nyquist entries less base's and
+        adds every row's squares in row order into +0.0, which leaves the first one's bits as
+        ``_weighted_power_sum`` does (no square is -0.0).  Where that sum is not one that
+        ``_root_sum_of_squares`` takes plain, the call takes ``leak_norm`` of every row's entries."""
+        rows, size = list(rows), len(self.nyquist_index)
+        base_leak = np.take(base.reshape(len(base), -1), self.nyquist_index, axis=1)
+        row_leak = base_leak[rows]
+        gather = (np.arange(len(rows))[:, None] * self.zmag.size + self.nyquist_index).ravel()
+        with np.errstate(over="ignore"):  # an overflow leaves the plain range, and the call takes leak_norm
+            fixed = [None if b in rows else _squares(entries) for b, entries in enumerate(base_leak)]
+
+        def leak(X: np.ndarray) -> float:
+            entries = X.take(gather).reshape(len(rows), size)
+            entries -= row_leak
             with np.errstate(over="ignore"):
-                varying = iter(_squares(np.take(R, gather)).reshape(len(rows), size))
+                varying = iter(_squares(entries))
                 power = np.zeros(size)
-                for a in range(len(R)):
-                    power += fixed[a] if a in fixed else next(varying)
+                for squares in fixed:
+                    power += next(varying) if squares is None else squares
                 power *= self.nyquist_weight
                 plain = float(power.sum())
             if not _plain_in_range(plain):
-                return self.norms(R, rows)
-            return self._retained_norm(R, rows), self.sqrt_volume * math.sqrt(plain)
+                every = base_leak.copy()
+                every[rows] = entries
+                return self.leak_norm(every)
+            return self.sqrt_volume * math.sqrt(plain)
 
-        return norms
+        return leak
 
     def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum coefficients of real (C, G, ..., G) values, written
@@ -279,20 +295,26 @@ class SpectralCore:
         return spectrum
 
     def derivatives(
-        self, coeffs: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None
+        self, coeffs, out: np.ndarray | None = None, work: np.ndarray | None = None, entries=None, times_i: bool = False
     ) -> np.ndarray:
         """Values of the listed (alpha, j) derivatives of (N, ...) coefficients
         (default: all), each in row alpha * n + j of ``out`` (real, N * n x the
-        grid shape, zeros when None), whose other rows are kept.  ``work``
-        (complex, C-contiguous, one per entry x the shape of ``zmag``, made when
-        None) holds the derivative spectrum while the complex passes run in
-        place on it.  Each row is bit-identical to ``inverse`` of its spectrum."""
+        grid shape, zeros when None), whose other rows are kept; ``coeffs`` may
+        also be a list of N rows of which only the listed entries' are read.
+        ``work`` (complex, C-contiguous, one per entry x the shape of ``zmag``,
+        made when None) holds the derivative spectrum while the complex passes
+        run in place on it.  Each row is bit-identical to ``inverse`` of its
+        spectrum, deriv_j * coeffs_alpha.  With ``times_i`` the rows hold i times
+        the coefficients, and each spectrum is the real Im(deriv_j) = 2 pi z_j
+        times coeffs_alpha: the complex product's bits but for the signs of
+        exact zeros."""
         n = self.grid.n
         entries = tuple(np.ndindex(len(coeffs), n)) if entries is None else entries
         out = np.zeros((len(coeffs) * n,) + self.grid.shape) if out is None else out
         work = np.empty((len(entries),) + self.zmag.shape, complex) if work is None else work
+        factors = self.deriv.imag if times_i else self.deriv
         for i, (alpha, j) in enumerate(entries):
-            np.multiply(coeffs[alpha], self.deriv[j], out=work[i])
+            np.multiply(coeffs[alpha], factors[j], out=work[i])
         self._complex_passes(work, work)
         for i, (alpha, j) in enumerate(entries):
             np.fft.irfft(work[i], n=self.grid.G, axis=-1, norm="forward", out=out[alpha * n + j])

@@ -68,8 +68,12 @@ class MultiplierPlan:
     multiplier M = (A:2 pi i z)^{-1} is purely imaginary, so the plan
     stores m = Im M, M = i m: the N x N real multipliers of the half
     spectrum of ``core`` as one C-contiguous float64 array m[a, b, ...],
-    zero off the retained modes.  Solvers share plans through
-    ``multiplier_plan``, so the array is read-only.
+    zero off the retained modes.  ``apply`` and ``apply_row`` multiply by
+    i in real arithmetic with the complex products' bits, and
+    ``add_products`` forms a Picard step's i U = i M (f^ - Phi^) from
+    i (M f^) and the products m Phi^, with no factor i left to apply and no
+    complex copy of m.  Solvers share plans through ``multiplier_plan``, so
+    the array is read-only.
     """
 
     def __init__(self, A: ConstantTensor, grid: PeriodicGrid):
@@ -102,14 +106,21 @@ class MultiplierPlan:
         """Row a of ``apply(coeffs)``, bit for bit, without the other rows."""
         return _times_i(self.multipliers[a], coeffs, "b...,b...->...", np.empty(coeffs.shape[1:], complex))
 
-    def subtract_product(self, src, b: int, a: int, x, out: np.ndarray, product: np.ndarray) -> np.ndarray:
-        """out = src - M_ba x for one row x of mode coefficients, in real arithmetic: ``product`` (complex, of
-        x's shape) takes m_ba x, whose nonzero parts are exact, and out's real part is src's plus Im(m_ba x),
-        its imaginary part src's minus Re(m_ba x).  Where src holds no -0.0, that is the complex subtraction
-        of M_ba x, bit for bit, as the signs of the product's zeros then do not matter."""
-        np.multiply(self.multipliers[b, a], x, out=product)
-        np.add(src.real, product.imag, out=out.real)
-        np.subtract(src.imag, product.real, out=out.imag)
+    def add_products(self, base: np.ndarray, b: int, cols, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = base + sum over k of m_b,cols[k] x[k] for rows x[k] of mode coefficients, the products added in
+        order: the first written straight into out, each later one through one row of scratch; out = base with
+        no cols.  With base = i c_b holding no -0.0, out is i (c - M x)_b, c less each M_b,cols[k] x[k] in turn,
+        bit for bit: its real part is 0 - Im and its imaginary part Re of that complex difference, as the
+        nonzero parts of each product are exact, its zeros of either sign leave a sum with no -0.0 as it is,
+        and rounding is symmetric in sign.  So out holds no -0.0 either."""
+        if len(cols) == 0:
+            out[...] = base
+            return out
+        np.multiply(self.multipliers[b, cols[0]], x[0], out=out)
+        np.add(base, out, out=out)
+        term = np.empty_like(out) if len(cols) > 1 else None
+        for a, row in zip(cols[1:], x[1:]):
+            np.add(out, np.multiply(self.multipliers[b, a], row, out=term), out=out)
         return out
 
 

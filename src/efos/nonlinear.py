@@ -16,6 +16,7 @@ nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -150,15 +151,16 @@ def _points(F: NonlinearOperator, grid) -> np.ndarray:
     return np.zeros((1,) * grid.n + (grid.n,))
 
 
-def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray) -> np.ndarray:
+def _perturbation_values(F: NonlinearOperator, X: np.ndarray, Du: np.ndarray, check: bool = True) -> np.ndarray:
     """Phi(x, Du(x)) at X from ``_points``, (G, ..., G, n) or one point, as
     (len(F.rows), G, ..., G) values of its rows, from the N*n derivative
-    values Du.  NonFiniteError names the first component and grid index
-    where Phi is not finite."""
-    N, n = F.anchor.N, F.anchor.n
-    Q = np.moveaxis(Du.reshape((N, n) + Du.shape[1:]), (0, 1), (-2, -1))
-    phi = np.moveaxis(np.asarray(F.perturbation(X, Q), dtype=float), -1, 0)
-    if not np.isfinite(phi).all():
+    values Du.  With ``check``, NonFiniteError names the first component and
+    grid index where Phi is not finite."""
+    N, n, points = F.anchor.N, F.anchor.n, Du.ndim - 1
+    Q = Du.reshape((N, n) + Du.shape[1:]).transpose(tuple(range(2, points + 2)) + (0, 1))  # (..., N, n)
+    phi = np.asarray(F.perturbation(X, Q), dtype=float)
+    phi = phi.transpose((phi.ndim - 1,) + tuple(range(phi.ndim - 1)))  # the rows first
+    if check and not np.isfinite(phi).all():
         check_finite(F.scatter(phi, axis=0), "F - A")
     return phi
 
@@ -229,21 +231,59 @@ class NearOperatorReport:
     max_ratio: float
 
 
-def _perturbation_spectrum(F, X, Du, core, out, step: int, trace: IterationTrace) -> bool:
-    """Write the half spectrum of Phi(., Du)'s rows into ``out``; at the
-    start (step 0) a Phi that is zero everywhere is written as zeros, with
-    no transform, and True is returned.  DivergenceError names the step and
-    the first component and grid index where Phi is not finite."""
-    try:
-        phi = _perturbation_values(F, X, Du)
-    except NonFiniteError as exc:
-        trace.message = f"F is not finite at step {step}, first at {exc.where}"
-        raise DivergenceError(trace.message, trace) from exc
-    if step == 0 and not phi.any():  # Phi(., 0) of every catalog operator
+def _perturbation_spectrum(F, X, Du, core, out, zero_start: bool = False) -> bool:
+    """Write the half spectrum of Phi(., Du)'s rows into ``out``, with no
+    finiteness pass: a non-finite Phi shows in the step's residual norm.
+    With ``zero_start`` (Du = 0 everywhere, the start from u0 = None) a Phi
+    that is zero everywhere, as Phi(., 0) of every catalog operator, is
+    written as zeros, with no transform, and True is returned; a Phi that
+    does not read x is constant there, so one point decides, and only a
+    value other than zero takes the grid."""
+    if zero_start and not F.reads_x:
+        at_point = _perturbation_values(F, X, np.zeros((len(Du),) + X.shape[:-1]), check=False)
+        zero_start = not at_point.any()
+        if zero_start:
+            out[...] = 0
+            return True
+    phi = _perturbation_values(F, X, Du, check=False)
+    if zero_start and not phi.any():
         out[...] = 0
         return True
     core.forward(phi, out=out)
     return False
+
+
+def _refuse_non_finite(F, X, Du, step: int, trace: IterationTrace) -> None:
+    """DivergenceError naming ``step`` and the first component and grid
+    index where Phi(., Du) is not finite, Phi being taken again at Du;
+    nothing if it is finite, as where only its transform overflowed."""
+    try:
+        _perturbation_values(F, X, Du)
+    except NonFiniteError as exc:
+        trace.message = f"F is not finite at step {step}, first at {exc.where}"
+        raise DivergenceError(trace.message, trace) from exc
+
+
+def _start(F, f_hat, u0, core, X, Du, spectra, Phi, trace) -> tuple:
+    """Write Du and Phi^ of the start u0 (None: zero) into ``Du`` and ``Phi``,
+    and return (d, mean) of its residual F(., Du) - f: d its retained norm,
+    over every row, and mean its zero-mode coefficients.  A start that
+    ``_perturbation_spectrum`` does not transform returns (None, mean), its
+    residual being 0 - f^."""
+    if u0 is not None:  # else Du = 0 needs no transform
+        U = core.forward(u0.values) * core.retained
+        R = f_hat - np.einsum("abj,j...,b...->a...", F.anchor.entries, core.deriv, U)
+        core.derivatives(U, out=Du, work=spectra, entries=F.support)
+    if _perturbation_spectrum(F, X, Du, core, Phi, zero_start=u0 is None):
+        return None, np.subtract(0.0, f_hat[core.zero])
+    if u0 is None:
+        R = f_hat.copy()
+    for b in range(len(R)):  # R = f^ - (A:Du)^ becomes Phi^ - R on Phi's rows and 0 - R on the others
+        np.subtract(Phi[F.rows.index(b)] if b in F.rows else 0.0, R[b], out=R[b])
+    d = core.retained_norm(R)
+    if not math.isfinite(d):
+        _refuse_non_finite(F, X, Du, 0, trace)
+    return d, R[core.zero].copy()
 
 
 def campanato_solve(
@@ -258,40 +298,49 @@ def campanato_solve(
 
     Each step is u_{k+1} = T[u_k] = A^{-1}(f - Phi(., Du_k)), in
     half-spectrum coefficients U_{k+1} = M f^ - M Phi^_k with the plan's
-    multipliers M = i m.  As M (A:(2 pi i z)) = I on the retained modes, the
-    coefficients R of the residual F(., Du_{k+1}) - f are Phi^_{k+1} -
-    Phi^_k there and Phi^_{k+1} - f^ on the Nyquist planes and the mean.
-    So a step forms M f^ and U only in the rows that Phi's support names,
-    each U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a with its first
-    subtraction written straight into U, each term by the plan's
-    ``subtract_product`` (U_b is never -0.0, as M f^ sums into +0.0, so
-    these are the complex subtraction's bits); it transforms only the support's
-    derivatives (the other gradient entries stay zero) and forms and
-    transforms Phi only on its declared rows, at the grid's points when Phi
-    reads x and at one point otherwise; the iterate is transformed back
-    once, at the end.  A start at which Phi is zero everywhere, as Phi(., 0)
-    of every catalog operator, is not transformed, and from u0 = None its
-    residual is 0 - f^, whose norm the set-up already took for the residual
-    scale.  R and T = f^ - (A:Du)^ are kept on every row; a step rewrites
-    Phi's rows.  R's norm on the retained modes is the next step metric d;
-    from step 1 on it squares only Phi's rows, as R is +0.0 on the retained
-    modes of the others, whose Nyquist entries, -f^ from then on, are
-    squared once per solve (``SpectralCore.row_norms``).  With the Nyquist
-    planes of every row it is the residual (against f minus the
-    compatibility mean), and R's zero mode is the dropped mean.  Iteration
-    stops when that residual falls below tol * its scale or d below
-    tol * |f|_2; it aborts with DivergenceError after three consecutive
-    non-contracting steps above the noise floor, or when Phi is not finite
-    (step 0 is the start).
-    Requires a finite tol > 0 and max_iter >= 1, a finite f, and a finite
-    u0, if given, on f's grid with the anchor's N components.  The
-    multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a
-    ``plan`` passed in must have been built for that tensor and grid.
+    multipliers M = i m.  A step carries Y = i U, only on the rows that
+    Phi's support names: Y_b = i (M f^)_b + sum over Phi's rows a of
+    m_ba Phi^_a (``MultiplierPlan.add_products``), and each derivative
+    spectrum is the real 2 pi z_j times Y_b (``SpectralCore.derivatives``
+    with ``times_i``).  Both take real factors times complex coefficients,
+    exact rearrangements of the complex U_b and 2 pi i z_j U_b, so only the
+    signs of exact zeros can differ, and Y holds no -0.0.  A step
+    transforms only the support's derivatives (the other gradient entries
+    stay zero), and forms and transforms Phi only on its declared rows, at
+    the grid's points when Phi reads x and at one point otherwise.  A start
+    from u0 = None at which Phi is zero everywhere, as Phi(., 0) of every
+    catalog operator, is not transformed (one point decides for a Phi that
+    does not read x), and its residual is 0 - f^, whose norm the set-up
+    already took for the residual scale.
+    As M (A:(2 pi i z)) = I on the retained modes, the residual
+    F(., Du_{k+1}) - f has coefficients Phi^_{k+1} - Phi^_k there and
+    Phi^_{k+1} - f^ on the Nyquist planes and the mean, that is -f^ on the
+    rows off Phi.  So a step keeps Phi^ and its previous value, two buffers
+    that swap, and forms the residual on Phi's rows alone: its retained
+    norm is the next step metric d; with the Nyquist planes of every row,
+    whose squares off Phi's rows are taken once per solve
+    (``SpectralCore.residual_leak``), it is the residual (against f minus
+    the compatibility mean), and its zero mode is the dropped mean.  The
+    iterate is transformed back once, at the end, from M (f^ - Phi^_k) by
+    ``MultiplierPlan.apply``.  Iteration stops when that residual falls
+    below tol * its scale or d below tol * |f|_2; it aborts with
+    DivergenceError after three consecutive non-contracting steps above the
+    noise floor, or when Phi is not finite (step 0 is the start): a
+    non-finite Phi makes the residual norm non-finite, and only then is Phi
+    taken again and searched for its first non-finite value.
+    Requires a real, finite tol > 0 and an integer max_iter >= 1 (not a
+    bool), a finite f, and a finite u0, if given, on f's grid with the
+    anchor's N components; bad settings are refused before any work.  The
+    multipliers come from ``multiplier_plan(F.anchor, f.grid)``; a ``plan``
+    passed in must have been built for that tensor and grid.
 
     Returns (u, IterationTrace), the trace keeping ``contraction_margin(F)``.
     """
-    if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
-        raise ValueError(f"need a finite tol > 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
+    real_tol = isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol > 0 and math.isfinite(tol)
+    if not (real_tol and isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 1):
+        raise ValueError(
+            f"need a real, finite tol > 0 and max_iter >= 1, an integer; got tol={tol!r}, max_iter={max_iter!r}"
+        )
     A = F.anchor
     check_field(f, A, f.grid, "right-hand side")
     if u0 is not None:
@@ -312,51 +361,43 @@ def campanato_solve(
     f_hat = core.forward(f.values)
     f_norms = core.norms(f_hat)
     norm_f_tilde = math.hypot(*f_norms)  # |f - mean(f)|_2, as _solution scales the linear residual
-    Mf = [plan.apply_row(f_hat, b) for b in rows]
 
-    # buffers of this solve, rewritten in place by every step; R = Phi^ - T with T = f^ - (A:Du)^
-    U = np.zeros(f_hat.shape, complex)
-    T = f_hat.copy()
-    Phi = np.empty((len(phi_rows),) + core.zmag.shape, complex)
+    # buffers of this solve, rewritten in place by every step: i (M f^) and Y = i U on the support's rows, Phi^
+    # and its previous value on Phi's rows, and the derivative spectra, whose buffer then holds the residual
+    iMf = np.empty((len(rows),) + core.zmag.shape, complex)
+    for k, b in enumerate(rows):
+        Mf_b = plan.apply_row(f_hat, b)
+        np.subtract(0.0, Mf_b.imag, out=iMf[k].real)
+        iMf[k].imag = Mf_b.real
+    Y = np.empty_like(iMf)
+    carried = [Y[rows.index(b)] if b in rows else None for b in range(A.N)]  # Y's rows by component
+    Phi, Phi_prev = (np.empty((len(phi_rows),) + core.zmag.shape, complex) for _ in range(2))
     Du = np.zeros((A.N * f.grid.n,) + f.grid.shape)
-    work = np.empty((len(support),) + core.zmag.shape, complex)
-    product = np.empty(core.zmag.shape, complex)
+    work = np.empty((max(len(support), len(phi_rows)),) + core.zmag.shape, complex)
+    spectra, residual = work[: len(support)], work[: len(phi_rows)]
 
-    if u0 is not None:  # else Du = 0 needs no transform
-        U[:] = core.forward(u0.values) * core.retained
-        T -= np.einsum("abj,j...,b...->a...", A.entries, core.deriv, U)
-        core.derivatives(U, out=Du, work=work, entries=support)
-    if _perturbation_spectrum(F, X, Du, core, Phi, 0, trace) and u0 is None:
-        # the start's residual Phi^ - T is 0 - f^, whose retained norm the set-up took
-        R, d = np.subtract(0.0, f_hat), f_norms[0]
-    else:
-        R = np.zeros_like(T)
-        R[phi_rows] = Phi
-        d, _ = core.norms(np.subtract(R, T, out=R))
-    # from step 1 on, off Phi's rows, both are zero on the retained modes and R is -f^ elsewhere
-    np.copyto(T, 0, where=core.retained)
-    np.copyto(R, 0, where=core.retained)
-    norms = core.row_norms(R, phi_rows)
-    if not phi_rows:  # U_b = (M f^)_b at every step
-        for b, Mf_b in zip(rows, Mf):
-            U[b] = Mf_b
+    d, mean = _start(F, f_hat, u0, core, X, Du, spectra, Phi, trace)
+    if d is None:  # the start's residual Phi^ - f^ is 0 - f^, whose retained norm the set-up took
+        d = f_norms[0]
+    leak_norm = core.residual_leak(f_hat, phi_rows)
+    f_zero, f_zero_phi = f_hat[core.zero], f_hat[(phi_rows,) + core.zero[1:]]
     non_contracting = 0
     for step in range(1, max_iter + 1):
-        dropped = norm_vector(R[core.zero])
-        for b, Mf_b in zip(rows, Mf):  # U_b = (M f^)_b - sum over Phi's rows a of M_ba Phi^_a
-            for i, a in enumerate(phi_rows):  # the first subtraction writes over U_b
-                plan.subtract_product(U[b] if i else Mf_b, b, a, Phi[i], out=U[b], product=product)
-        for i, a in enumerate(phi_rows):
-            np.copyto(T[a], Phi[i], where=core.retained)
-        core.derivatives(U, out=Du, work=work, entries=support)
+        dropped = norm_vector(mean)
+        for k, b in enumerate(rows):  # Y_b = i (M f^)_b + sum over Phi's rows a of m_ba Phi^_a
+            plan.add_products(iMf[k], b, phi_rows, Phi, out=Y[k])
+        core.derivatives(carried, out=Du, work=spectra, entries=support, times_i=True)
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
-        _perturbation_spectrum(F, X, Du, core, Phi, step, trace)
-        for i, a in enumerate(phi_rows):
-            np.subtract(Phi[i], T[a], out=R[a])
-        d_next, leak = norms()
-        res = math.hypot(d_next, leak)
-        res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * norm_vector(R[core.zero] + f_mean))
+        Phi, Phi_prev = Phi_prev, Phi
+        _perturbation_spectrum(F, X, Du, core, Phi)
+        d_next = core.retained_norm(np.subtract(Phi, Phi_prev, out=residual))
+        res = math.hypot(d_next, leak_norm(Phi))
+        if not math.isfinite(res):
+            _refuse_non_finite(F, X, Du, step, trace)
+        mean = np.subtract(0.0, f_zero)
+        mean[phi_rows] = Phi[core.zero] - f_zero_phi
+        res_scale = math.hypot(norm_f_tilde, core.sqrt_volume * norm_vector(mean + f_mean))
         trace.record(d, ratio, res / res_scale if res_scale > 0 else res, dropped)
 
         if res <= tol * res_scale or d <= tol * norm_f:
@@ -373,9 +414,11 @@ def campanato_solve(
         d = d_next
     else:
         trace.message = f"stopped at max_iter = {max_iter} without meeting tolerance"
-    # T holds the last step's Phi^ on the retained modes, where M lives; M (f^ - T) and the inverse's complex
-    # passes take U, which no step reads any more
-    spectrum = plan.apply(np.subtract(f_hat, T, out=T), out=U)
+    # the iterate is M (f^ - Phi^_prev) on the retained modes, where M lives, Phi^_prev being the spectrum that
+    # made the last Y; off them f^ stays, finite, which M's zeros take to +0.0 as they took f^ - T
+    for i, a in enumerate(phi_rows):
+        np.subtract(f_hat[a], Phi_prev[i], out=f_hat[a], where=core.retained)
+    spectrum = plan.apply(f_hat)
     return GridFunction(f.grid, core.inverse(spectrum, work=spectrum)), trace
 
 

@@ -333,6 +333,44 @@ def test_buffered_transforms_match_allocating_ones(n, G):
     assert np.array_equal(spec, U)
 
 
+@pytest.mark.parametrize("n, G", [(2, 16), (3, 8), (4, 6)])
+def test_derivatives_of_i_times_the_coefficients(n, G):
+    # Y = i U, carried as (0 - Im U) + i Re U: each spectrum is the real Im(deriv_j) times Y, the complex
+    # product deriv_j U but for the signs of exact zeros, so every value keeps its bits once -0.0 reads +0.0
+    core = spectral_core(PeriodicGrid(n=n, G=G))
+    U = core.forward(rng_from_seed(n).standard_normal((2,) + core.grid.shape))
+    Y = np.empty_like(U)
+    Y.real, Y.imag = 0.0 - U.imag, U.real
+    Y_before = Y.copy()
+    want = core.derivatives(U) + 0.0
+    assert (core.derivatives(Y, times_i=True) + 0.0).tobytes() == want.tobytes()
+    # a list of rows, of which only the listed entries' are read
+    entries = ((1, n - 1), (1, 0))
+    part = np.full((2 * n,) + core.grid.shape, np.nan)
+    work = np.empty((len(entries),) + core.zmag.shape, complex)
+    assert core.derivatives([None, Y[1]], out=part, work=work, entries=entries, times_i=True) is part
+    listed = [alpha * n + j for alpha, j in entries]
+    assert (part[listed] + 0.0).tobytes() == want[listed].tobytes()
+    assert np.isnan(np.delete(part, listed, axis=0)).all()
+    assert Y.tobytes() == Y_before.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-700, 2.0**600], ids=["plain", "subnormal", "overflow"])
+@pytest.mark.parametrize("rows", [(0,), (2,), (1, 3), (0, 1, 2, 3), ()])
+def test_residual_leak_is_the_full_width_nyquist_norm(rows, scale):
+    # S - base, S holding X in its rows and zero in the others: the Nyquist norm of a Picard step's residual,
+    # bit for bit, where the squares leave the plain range too
+    core = spectral_core(PeriodicGrid(n=3, G=8))
+    rng = rng_from_seed(17)
+    base, full = (core.forward(scale * rng.standard_normal((4,) + core.grid.shape)) for _ in range(2))
+    leak = core.residual_leak(base, rows)
+    for X in (full[list(rows)], 2.0 * full[list(rows)]):
+        R = np.subtract(0.0, base)
+        R[list(rows)] = X - base[list(rows)]
+        want = core.norms(R)[1]
+        assert math.isfinite(want) and leak(X).hex() == want.hex()
+
+
 def test_grid_function_arithmetic():
     grid = PeriodicGrid(n=2, G=8)
     rng = rng_from_seed(4)

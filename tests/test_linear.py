@@ -26,6 +26,7 @@ from efos.sampling import rng_from_seed
 from efos.tensor import ConstantTensor
 
 from helpers import dirac_closed_form, single_mode_rhs
+from test_nonlinear import _expression_operator
 
 
 def test_dirac_closed_form():
@@ -212,7 +213,7 @@ def _signed_coefficients(rng, shape):
 @pytest.mark.parametrize("name", ["cr_N2", "dirac_N4", "dirac2_N8"])
 def test_plan_apply_is_the_complex_product_bit_for_bit(name):
     # the plan holds Im M bit for bit; apply and each of its rows are the complex einsum of M, and
-    # subtract_product the complex subtraction of one product, signed zeros too
+    # add_products i times the complex subtraction of each product in turn, signed zeros too
     A = DIRECT_SUMS[name]
     grid = PeriodicGrid(n=A.n, G=8)
     plan = MultiplierPlan(A, grid)
@@ -228,10 +229,24 @@ def test_plan_apply_is_the_complex_product_bit_for_bit(name):
         assert plan.apply(x).tobytes() == want.tobytes()
         assert plan.apply(x, out=out) is out and out.tobytes() == want.tobytes()
         assert [plan.apply_row(x, a).tobytes() for a in range(A.N)] == [row.tobytes() for row in want]
-        src = _signed_coefficients(rng, plan.core.zmag.shape) + 0.0  # no -0.0, as in the Picard step
-        for b, a in np.ndindex(A.N, A.N):
-            got = plan.subtract_product(src, b, a, x[a], out=np.empty_like(src), product=np.empty_like(src))
-            assert got.tobytes() == (src - M[b, a] * x[a]).tobytes()
+        src = _signed_coefficients(rng, plan.core.zmag.shape) + 0.0  # no -0.0, as (M f^)_b in the Picard step
+        for b in range(A.N):
+            for cols in (list(range(A.N)), [A.N - 1], [0, A.N - 1], []):
+                U = src
+                for a in cols:
+                    U = U - M[b, a] * x[a]
+                want = _times_i_no_negative_zero(U)
+                got = plan.add_products(_times_i_no_negative_zero(src), b, cols, x[cols], out=np.empty_like(src))
+                assert got.tobytes() == want.tobytes()
+                assert not (np.signbit(got.view(float)) & (got.view(float) == 0)).any()
+
+
+def _times_i_no_negative_zero(z):
+    """i z as (0 - Im z) + i Re z: the product's parts, +0.0 where an exact zero would be -0.0 for z with no -0.0."""
+    out = np.empty_like(z)
+    out.real = 0.0 - z.imag
+    out.imag = z.real
+    return out
 
 
 def _traced_peak(call):
@@ -261,6 +276,26 @@ def test_plan_build_and_solve_peaks_stay_near_the_float64_plan():
     multiplier_plan.cache_clear()
     peak = _traced_peak(lambda: campanato_solve(F, f, tol=1e-10))
     assert peak - 8 * A.N**2 * modes <= 10_400_000
+
+
+def test_lean_picard_state_peaks():
+    A = dirac()
+    cached_nu(A)
+    grid = PeriodicGrid(n=3, G=32)
+    modes = spectral_core(grid).zmag.size
+    f = random_band_limited(grid, 4, rng_from_seed(43))
+    # a sin_q11 solve that builds and caches its plan keeps Phi^ and its previous value on Phi's one row and Y = i U
+    # on the support's one: it peaked 8.34 MB above 8 N^2 modes at landing, at its last product and inverse, and
+    # 9.85 MB when a step kept T and R (1.11 MB each) on every row; one more full-width complex array fails the bound
+    F = lipschitz_perturbation(A, 0.5, "sin_q11")
+    multiplier_plan.cache_clear()
+    peak = _traced_peak(lambda: campanato_solve(F, f, tol=1e-10))
+    assert peak - 8 * A.N**2 * modes <= 8_800_000
+    # the full-support expression operator (12 entries, 4 rows) with its plan built: 14.85 MB at landing, against
+    # 15.71 MB when a step kept T and R on every row
+    F = _expression_operator(A)
+    multiplier_plan(A, grid)
+    assert _traced_peak(lambda: campanato_solve(F, f, tol=1e-10)) <= 15_710_000
 
 
 def _non_elliptic():

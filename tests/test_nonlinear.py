@@ -186,15 +186,30 @@ def test_non_finite_F_fails_fast_with_witness():
         out[np.asarray(x)[..., 0] >= 0.5] = np.nan
         return out
 
-    # the first bad grid index in row-major order: x1 = 1/8, then x1 = 1/2
-    for perturbation, step, index in ((nan_above, 1, (1, 0, 0)), (nan_right_half, 0, (4, 0, 0))):
+    grid_calls = []
+
+    def nan_from_step_3(x, Q):
+        # finite until its third evaluation on the grid, the third step's; NaN at one grid point from then on
+        Q = np.asarray(Q)
+        out = 0.25 * np.sin(Q[..., :, 0])
+        if Q.shape[:-2] == grid.shape:
+            grid_calls.append(len(grid_calls) + 1)
+            if len(grid_calls) >= 3:
+                out[2, 5, 1, 3] = np.nan
+        return out
+
+    # the first bad grid index in row-major order: x1 = 1/8, then x1 = 1/2; the third Phi at one point
+    cases = ((nan_above, 1, (1, 0, 0)), (nan_right_half, 0, (4, 0, 0)), (nan_from_step_3, 3, "3, grid index (2, 5, 1)"))
+    for perturbation, step, index in cases:
         F = NonlinearOperator(perturbation=perturbation, anchor=A, declared_nearness=0.5)
         with pytest.raises(DivergenceError) as exc:
             campanato_solve(F, f, tol=1e-10)
         assert f"step {step}," in str(exc.value)
         assert str(index) in str(exc.value)
-        assert exc.value.trace.iterations == 0
+        assert exc.value.trace.iterations == max(step - 1, 0)
         assert not exc.value.trace.converged
+    # the step's residual norm turned non-finite, and only then was Phi taken again to locate the NaN
+    assert grid_calls == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("rows, component", [(None, 0), ((2,), 2)], ids=["every_row", "row_2"])
@@ -280,11 +295,24 @@ def test_no_margin_rejected_before_iterating():
         campanato_solve(F, single_mode_rhs(grid, 4), tol=1e-10)
 
 
-@pytest.mark.parametrize("tol, max_iter", [(0.0, 400), (-1.0, 400), (math.nan, 400), (math.inf, 400), (1e-10, 0)])
-def test_bad_solver_settings_rejected(tol, max_iter):
+@pytest.mark.parametrize(
+    "tol, max_iter",
+    [(0.0, 400), (-1.0, 400), (math.nan, 400), (math.inf, 400), (1e-10, 0)]
+    + [(1e-10, 2.5), (1e-10, True), ("1e-10", 400)],
+)
+def test_bad_solver_settings_rejected(monkeypatch, tol, max_iter):
+    # refused before any work: no transform of f is taken
     f = single_mode_rhs(PeriodicGrid(n=3, G=8), 4)
+    monkeypatch.setattr(SpectralCore, "forward", lambda *args, **kwargs: pytest.fail("transformed f"))
     with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
         campanato_solve(_linear_anchor_operator(dirac()), f, tol=tol, max_iter=max_iter)
+
+
+def test_numpy_solver_settings_accepted():
+    f = single_mode_rhs(PeriodicGrid(n=3, G=8), 4)
+    F = lipschitz_perturbation(dirac(), 0.5, "sin_q11")
+    _, trace = campanato_solve(F, f, tol=np.float64(1e-10), max_iter=np.int64(2))
+    assert trace.iterations == 2 and trace.message == "stopped at max_iter = 2 without meeting tolerance"
 
 
 def test_component_mismatch_rejected():
@@ -594,10 +622,23 @@ def test_support_loop_matches_physical_space_reference(build, support):
     _assert_matches_reference(F, random_band_limited(grid, 4, rng_from_seed(2)))
 
 
+def _nonzero_start_operator(A):
+    # row 1 of Phi is 0.3 cos(Q_11), which does not read x: 0.3 at the start
+    # Du = 0, so the one point that decides the start finds it not zero
+    def perturbation(x, Q):
+        return 0.3 * np.cos(np.asarray(Q, dtype=float)[..., 0, 0])[..., None]
+
+    return NonlinearOperator(perturbation=perturbation, anchor=A, support=((0, 0),), rows=(1,), declared_nearness=0.3)
+
+
 @pytest.mark.parametrize(
     "build, start_transforms",
-    [(lambda A: lipschitz_perturbation(A, 0.5, "sin_q11"), 0), (_row_switching_operator, 1)],
-    ids=["sin_q11", "row_switching"],
+    [
+        (lambda A: lipschitz_perturbation(A, 0.5, "sin_q11"), 0),
+        (_row_switching_operator, 1),
+        (_nonzero_start_operator, 1),
+    ],
+    ids=["sin_q11", "row_switching", "nonzero_start"],
 )
 def test_picard_transform_counts(monkeypatch, build, start_transforms):
     # f^ once, the start's Phi^ only where Phi(., 0) is not zero everywhere,
@@ -634,7 +675,7 @@ def test_untransformed_zero_start_solves_bit_identically(monkeypatch, A, G, rhs,
     }[rhs]
     u, trace = campanato_solve(F, f, tol=1e-10, max_iter=max_iter)
 
-    def always_transformed(F, X, Du, core, out, step, trace):
+    def always_transformed(F, X, Du, core, out, zero_start=False):
         core.forward(nonlinear._perturbation_values(F, X, Du), out=out)
 
     monkeypatch.setattr(nonlinear, "_perturbation_spectrum", always_transformed)
@@ -691,12 +732,25 @@ def _row_operators(A, rows):
     )
 
 
+def _full_width_leak(core, base, rows):
+    """SpectralCore.residual_leak's function, as norms of the full-width residual R = S - base, S holding X
+    in its ``rows`` and zero in the others."""
+
+    def leak(X):
+        R = np.subtract(0.0, base)
+        R[list(rows)] = X - base[list(rows)]
+        return core.norms(R)[1]
+
+    return leak
+
+
 def _narrow_and_full_width_solves(monkeypatch, A, G, rows, with_u0, scale):
     """Assert that a solve of Phi on its ``rows`` gives the bytes of the same
-    Phi declared full-width and of a step that takes SpectralCore.norms of R
-    afresh, on white noise times ``scale``: it puts Nyquist and mean content
-    on every row, so the rows that Phi leaves alone carry a residual that a
-    reordered leak sum would change.  Returns (narrow Phi, f, u0, trace)."""
+    Phi declared full-width and of a step that takes SpectralCore.norms of the
+    full-width residual R afresh, on white noise times ``scale``: it puts
+    Nyquist and mean content on every row, so the rows that Phi leaves alone
+    carry a residual that a reordered leak sum would change.  Returns
+    (narrow Phi, f, u0, trace)."""
     narrow, full_width = _row_operators(A, list(rows))
     assert narrow.rows == rows and full_width.rows == tuple(range(A.N))
     grid = PeriodicGrid(n=A.n, G=G)
@@ -706,7 +760,7 @@ def _narrow_and_full_width_solves(monkeypatch, A, G, rows, with_u0, scale):
     u, trace = campanato_solve(narrow, f, tol=1e-10, u0=u0)
     references = [campanato_solve(full_width, f, tol=1e-10, u0=u0)]
     with monkeypatch.context() as m:
-        m.setattr(SpectralCore, "row_norms", lambda self, R, rows: lambda: self.norms(R, rows))
+        m.setattr(SpectralCore, "residual_leak", _full_width_leak)
         references.append(campanato_solve(narrow, f, tol=1e-10, u0=u0))
     for u_ref, trace_ref in references:
         assert u.values.tobytes() == u_ref.values.tobytes()
@@ -741,13 +795,14 @@ def test_narrow_and_full_width_rows_solve_identically(monkeypatch, A, G, rows, w
 @pytest.mark.parametrize("rows", [(1,), (0, 2)], ids=["one", "gapped"])
 def test_narrow_and_full_width_rows_keep_the_fallback_bits(monkeypatch, rows, with_u0):
     # scaled by 2**-700, the squares fall into the subnormals, so every step's leak
-    # sum leaves the plain range and the step takes SpectralCore.norms of R itself
+    # sum leaves the plain range and the step takes SpectralCore.leak_norm of every row,
+    # as the set-up does once for f^'s norms
     narrow, f, u0, trace = _narrow_and_full_width_solves(monkeypatch, dirac(), 8, rows, with_u0, 2.0**-700)
     calls = []
-    norms = SpectralCore.norms
-    monkeypatch.setattr(SpectralCore, "norms", lambda self, R, rows=None: calls.append(rows) or norms(self, R, rows))
+    leak_norm = SpectralCore.leak_norm
+    monkeypatch.setattr(SpectralCore, "leak_norm", lambda self, leak: calls.append(len(leak)) or leak_norm(self, leak))
     campanato_solve(narrow, f, tol=1e-10, u0=u0)
-    assert calls.count(list(rows)) == trace.iterations
+    assert calls == [4] * (1 + trace.iterations)
 
 
 def test_bad_rows_declarations_refused():
