@@ -211,22 +211,20 @@ class SpectralCore:
         for arr in (a for a in vars(self).values() if isinstance(a, np.ndarray)):
             arr.flags.writeable = False
 
-    def norms(self, R: np.ndarray, rows=None) -> tuple:
+    def norms(self, R: np.ndarray) -> tuple:
         """L2 norms of the half-spectrum coefficients R (C, ...) on the retained modes and on the
-        Nyquist planes.  The retained norm squares only R's ``rows`` (default: all), each where it
-        lies, so R must be zero on the retained modes of every other row; the Nyquist norm reads
-        every row's Nyquist entries through ``nyquist_index``.  Each is ``retained_norm`` or
-        ``leak_norm`` of those rows, so the rows left out change neither norm by a bit."""
+        Nyquist planes: ``retained_norm`` of R and ``leak_norm`` of every row's Nyquist entries,
+        read through ``nyquist_index``."""
         leak = np.take(R.reshape(len(R), -1), self.nyquist_index, axis=1)
-        return self.retained_norm(R if rows is None else [R[a] for a in rows]), self.leak_norm(leak)
+        return self.retained_norm(R), self.leak_norm(leak)
 
-    def retained_norm(self, rows) -> float:
-        """The L2 norm on the retained modes of coefficient rows (an array or a list of rows of
-        ``zmag``'s shape): (weight * sum over the rows of |R|^2)[retained].sum(), the rows added in
-        row order and the retained modes picked before their weights, kept to the float range by
+    def retained_norm(self, R: np.ndarray) -> float:
+        """The L2 norm on the retained modes of coefficient rows R (C, ...):
+        (weight * sum over the rows of |R|^2)[retained].sum(), the rows added in row order and the
+        retained modes picked before their weights, kept to the float range by
         ``_root_sum_of_squares``, whose root ``sqrt_volume`` scales."""
         return self.sqrt_volume * _root_sum_of_squares(
-            rows, lambda v: _weighted_power_sum(v, self.retained_index, self.retained_weight)
+            R, lambda v: _weighted_power_sum(v, self.retained_index, self.retained_weight)
         )
 
     def leak_norm(self, leak: np.ndarray) -> float:
@@ -349,7 +347,7 @@ def _root_sum_of_squares(values, total, factor: float = 1.0) -> float:
     every norm in the float range: the plain sum, bits and all, where it and the product lie in [2**-600, inf) (no
     square lost to the subnormals moves it by an ulp; one that total drops may overflow); else s times the root over
     values / s, s = _power_of_two_near_max(values), divided as floats: numpy makes complex / subnormal s a NaN.
-    values is an array or a list of equal-shape rows, stacked only when the plain sum is out of range."""
+    That float view needs a contiguous copy of a strided array."""
     with np.errstate(over="ignore"):
         plain = float(total(values))
     if _plain_in_range(plain, factor):
@@ -372,9 +370,9 @@ def _squares(z: np.ndarray) -> np.ndarray:
 
 
 def _weighted_power_sum(rows, index, weight) -> float:
-    """(weight * (|row_0|^2 + |row_1|^2 + ...).flat[index]).sum() for equal-shape rows, index None for every entry:
-    |z|^2 as re^2 + im^2, the rows added in order into the first one's squares, in place, and the entries picked
-    before their weights, so a row left out costs nothing and one row is summed with nothing."""
+    """(weight * (|row_0|^2 + |row_1|^2 + ...).flat[index]).sum() for the rows of an array, index None for every
+    entry: |z|^2 as re^2 + im^2, the rows added in order into the first one's squares, in place, and the entries
+    picked before their weights, so one row is summed with nothing."""
     power = None
     for row in rows:
         square = _squares(row)

@@ -10,7 +10,8 @@ on every retained mode (z nonzero, off the Nyquist plane).  Ellipticity
 makes A z invertible for every z != 0; the plan inverts the symbols of
 the half spectrum in batched calls to numpy.linalg.inv, one part of the
 leading frequency axis at a time.  As A z is real, the multiplier is
-purely imaginary, M = i m, and the plan stores only the real m.
+purely imaginary, M = i m: the plan stores only the real m, and every
+product with it is a sum of real m_ba times complex x_a.
 
 The regularized variant replaces the 1 / |z| in (A z)^{-1} =
 |z|^{-1} (A z/|z|)^{-1} by a member h_m of an even sequence with
@@ -68,12 +69,12 @@ class MultiplierPlan:
     multiplier M = (A:2 pi i z)^{-1} is purely imaginary, so the plan
     stores m = Im M, M = i m: the N x N real multipliers of the half
     spectrum of ``core`` as one C-contiguous float64 array m[a, b, ...],
-    zero off the retained modes.  ``apply`` and ``apply_row`` multiply by
-    i in real arithmetic with the complex products' bits, and
-    ``add_products`` forms a Picard step's i U = i M (f^ - Phi^) from
-    i (M f^) and the products m Phi^, with no factor i left to apply and no
-    complex copy of m.  Solvers share plans through ``multiplier_plan``, so
-    the array is read-only.
+    zero off the retained modes.  Every product with the plan is
+    ``add_products``, an ordered sum of real m_ba times complex x_a: ``apply``
+    takes i times it, row by row, with the complex product's bits, and a
+    Picard step its i U = i M (f^ - Phi^) from i (M f^) and the products
+    m Phi^, with no complex copy of m.  Solvers share plans through
+    ``multiplier_plan``, so the array is read-only.
     """
 
     def __init__(self, A: ConstantTensor, grid: PeriodicGrid):
@@ -96,17 +97,19 @@ class MultiplierPlan:
             np.einsum("...ab,...->ab...", inv, (core.retained[part] / (2j * np.pi)).imag, out=m[:, :, part])
         m.flags.writeable = False
 
-    def apply(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Multiply stacked mode coefficients (N, ...) by the plan M = i m, into ``out`` (complex, of coeffs'
-        shape, another array than coeffs) when given."""
-        out = np.empty(coeffs.shape, complex) if out is None else out
-        return _times_i(self.multipliers, coeffs, "ab...,b...->a...", out)
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """Multiply stacked mode coefficients (N, ...) by the plan M = i m: row a is (0 - Im P) + i Re P for
+        P = ``add_products(0.0, a, range(N), coeffs)``, whose parts sum the nonzero products in order into +0.0,
+        as the complex einsum of M sums the parts of i m x; so it is that einsum's row, bit for bit."""
+        out = np.empty(coeffs.shape, complex)
+        row = np.empty(coeffs.shape[1:], complex)
+        for a in range(len(coeffs)):
+            self.add_products(0.0, a, range(len(coeffs)), coeffs, out=row)
+            np.subtract(0.0, row.imag, out=out[a].real)
+            out[a].imag = row.real
+        return out
 
-    def apply_row(self, coeffs: np.ndarray, a: int) -> np.ndarray:
-        """Row a of ``apply(coeffs)``, bit for bit, without the other rows."""
-        return _times_i(self.multipliers[a], coeffs, "b...,b...->...", np.empty(coeffs.shape[1:], complex))
-
-    def add_products(self, base: np.ndarray, b: int, cols, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def add_products(self, base: np.ndarray | float, b: int, cols, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = base + sum over k of m_b,cols[k] x[k] for rows x[k] of mode coefficients, the products added in
         order: the first written straight into out, each later one through one row of scratch; out = base with
         no cols.  With base = i c_b holding no -0.0, out is i (c - M x)_b, c less each M_b,cols[k] x[k] in turn,
@@ -122,18 +125,6 @@ class MultiplierPlan:
         for a, row in zip(cols[1:], x[1:]):
             np.add(out, np.multiply(self.multipliers[b, a], row, out=term), out=out)
         return out
-
-
-def _times_i(m: np.ndarray, coeffs: np.ndarray, spec: str, out: np.ndarray) -> np.ndarray:
-    """i m x, contracted by the einsum ``spec``, in real arithmetic into the complex ``out``: its real part is
-    0 - the sum of m x_im and its imaginary part the sum of m x_re, each summed over the contracted index in
-    order into +0.0, as the complex einsum of M = (+-0) + i m and x sums each part.  That einsum's nonzero terms
-    are -m x_im and m x_re exactly, and its zero terms, of either sign, leave its sums, never -0.0, as they
-    are; so ``out`` is its product, bit for bit."""
-    np.einsum(spec, m, coeffs.imag, out=out.real)
-    np.subtract(0.0, out.real, out=out.real)
-    np.einsum(spec, m, coeffs.real, out=out.imag)
-    return out
 
 
 @lru_cache(maxsize=8)

@@ -11,6 +11,9 @@ contraction in the metric d(u, v) = |A:Du - A:Dv|_2 with factor
 K = nu(F, A) / nu(A), and u_{k+1} = T[u_k] converges to the unique
 solution.  The metric is equivalent to the gradient distance:
 nu(A) |Du - Dv|_2 <= d(u, v) <= |A| |Du - Dv|_2.
+
+Each application of A^{-1} is one product with the anchor's multiplier
+plan, ``MultiplierPlan.add_products``.
 """
 
 from __future__ import annotations
@@ -231,28 +234,6 @@ class NearOperatorReport:
     max_ratio: float
 
 
-def _perturbation_spectrum(F, X, Du, core, out, zero_start: bool = False) -> bool:
-    """Write the half spectrum of Phi(., Du)'s rows into ``out``, with no
-    finiteness pass: a non-finite Phi shows in the step's residual norm.
-    With ``zero_start`` (Du = 0 everywhere, the start from u0 = None) a Phi
-    that is zero everywhere, as Phi(., 0) of every catalog operator, is
-    written as zeros, with no transform, and True is returned; a Phi that
-    does not read x is constant there, so one point decides, and only a
-    value other than zero takes the grid."""
-    if zero_start and not F.reads_x:
-        at_point = _perturbation_values(F, X, np.zeros((len(Du),) + X.shape[:-1]), check=False)
-        zero_start = not at_point.any()
-        if zero_start:
-            out[...] = 0
-            return True
-    phi = _perturbation_values(F, X, Du, check=False)
-    if zero_start and not phi.any():
-        out[...] = 0
-        return True
-    core.forward(phi, out=out)
-    return False
-
-
 def _refuse_non_finite(F, X, Du, step: int, trace: IterationTrace) -> None:
     """DivergenceError naming ``step`` and the first component and grid
     index where Phi(., Du) is not finite, Phi being taken again at Du;
@@ -264,20 +245,26 @@ def _refuse_non_finite(F, X, Du, step: int, trace: IterationTrace) -> None:
         raise DivergenceError(trace.message, trace) from exc
 
 
-def _start(F, f_hat, u0, core, X, Du, spectra, Phi, trace) -> tuple:
+def _start(F, f_hat, f_norm, u0, core, X, Du, spectra, Phi, trace) -> tuple:
     """Write Du and Phi^ of the start u0 (None: zero) into ``Du`` and ``Phi``,
     and return (d, mean) of its residual F(., Du) - f: d its retained norm,
-    over every row, and mean its zero-mode coefficients.  A start that
-    ``_perturbation_spectrum`` does not transform returns (None, mean), its
-    residual being 0 - f^."""
-    if u0 is not None:  # else Du = 0 needs no transform
+    over every row, and mean its zero-mode coefficients.  From u0 = None, Phi
+    is taken once at Du = 0 and ``X`` (one point where Phi does not read x);
+    a zero value, as of every catalog operator, is written as Phi^ = 0 with
+    no transform, and d is then ``f_norm``, the norm of the residual 0 - f^."""
+    if u0 is None:
+        phi = _perturbation_values(F, X, np.zeros((len(Du),) + X.shape[:-1]), check=False)
+        if not phi.any():
+            Phi[...] = 0
+            return f_norm, np.subtract(0.0, f_hat[core.zero])
+        R = f_hat.copy()
+    else:
         U = core.forward(u0.values) * core.retained
         R = f_hat - np.einsum("abj,j...,b...->a...", F.anchor.entries, core.deriv, U)
         core.derivatives(U, out=Du, work=spectra, entries=F.support)
-    if _perturbation_spectrum(F, X, Du, core, Phi, zero_start=u0 is None):
-        return None, np.subtract(0.0, f_hat[core.zero])
-    if u0 is None:
-        R = f_hat.copy()
+    if u0 is not None or not F.reads_x:  # else phi is Phi(., 0) on the grid already
+        phi = _perturbation_values(F, X, Du, check=False)
+    core.forward(phi, out=Phi)
     for b in range(len(R)):  # R = f^ - (A:Du)^ becomes Phi^ - R on Phi's rows and 0 - R on the others
         np.subtract(Phi[F.rows.index(b)] if b in F.rows else 0.0, R[b], out=R[b])
     d = core.retained_norm(R)
@@ -307,11 +294,9 @@ def campanato_solve(
     signs of exact zeros can differ, and Y holds no -0.0.  A step
     transforms only the support's derivatives (the other gradient entries
     stay zero), and forms and transforms Phi only on its declared rows, at
-    the grid's points when Phi reads x and at one point otherwise.  A start
-    from u0 = None at which Phi is zero everywhere, as Phi(., 0) of every
-    catalog operator, is not transformed (one point decides for a Phi that
-    does not read x), and its residual is 0 - f^, whose norm the set-up
-    already took for the residual scale.
+    the grid's points when Phi reads x and at one point otherwise.  ``_start``
+    alone decides whether the start is transformed: not from u0 = None where
+    Phi(., 0) is zero, as for every catalog operator.
     As M (A:(2 pi i z)) = I on the retained modes, the residual
     F(., Du_{k+1}) - f has coefficients Phi^_{k+1} - Phi^_k there and
     Phi^_{k+1} - f^ on the Nyquist planes and the mean, that is -f^ on the
@@ -322,12 +307,12 @@ def campanato_solve(
     (``SpectralCore.residual_leak``), it is the residual (against f minus
     the compatibility mean), and its zero mode is the dropped mean.  The
     iterate is transformed back once, at the end, from M (f^ - Phi^_k) by
-    ``MultiplierPlan.apply``.  Iteration stops when that residual falls
-    below tol * its scale or d below tol * |f|_2; it aborts with
-    DivergenceError after three consecutive non-contracting steps above the
-    noise floor, or when Phi is not finite (step 0 is the start): a
-    non-finite Phi makes the residual norm non-finite, and only then is Phi
-    taken again and searched for its first non-finite value.
+    ``MultiplierPlan.apply``, rows of ``add_products`` too.  Iteration stops
+    when that residual falls below tol * its scale or d below tol * |f|_2;
+    it aborts with DivergenceError after three consecutive non-contracting
+    steps above the noise floor, or when Phi is not finite (step 0 is the
+    start): a non-finite Phi makes the residual norm non-finite, and only
+    then is Phi taken again and searched for its first non-finite value.
     Requires a real, finite tol > 0 and an integer max_iter >= 1 (not a
     bool), a finite f, and a finite u0, if given, on f's grid with the
     anchor's N components; bad settings are refused before any work.  The
@@ -365,10 +350,8 @@ def campanato_solve(
     # buffers of this solve, rewritten in place by every step: i (M f^) and Y = i U on the support's rows, Phi^
     # and its previous value on Phi's rows, and the derivative spectra, whose buffer then holds the residual
     iMf = np.empty((len(rows),) + core.zmag.shape, complex)
-    for k, b in enumerate(rows):
-        Mf_b = plan.apply_row(f_hat, b)
-        np.subtract(0.0, Mf_b.imag, out=iMf[k].real)
-        iMf[k].imag = Mf_b.real
+    for k, b in enumerate(rows):  # i (M f^)_b = 0 - (m f^)_b
+        np.subtract(0.0, plan.add_products(0.0, b, range(A.N), f_hat, out=iMf[k]), out=iMf[k])
     Y = np.empty_like(iMf)
     carried = [Y[rows.index(b)] if b in rows else None for b in range(A.N)]  # Y's rows by component
     Phi, Phi_prev = (np.empty((len(phi_rows),) + core.zmag.shape, complex) for _ in range(2))
@@ -376,9 +359,7 @@ def campanato_solve(
     work = np.empty((max(len(support), len(phi_rows)),) + core.zmag.shape, complex)
     spectra, residual = work[: len(support)], work[: len(phi_rows)]
 
-    d, mean = _start(F, f_hat, u0, core, X, Du, spectra, Phi, trace)
-    if d is None:  # the start's residual Phi^ - f^ is 0 - f^, whose retained norm the set-up took
-        d = f_norms[0]
+    d, mean = _start(F, f_hat, f_norms[0], u0, core, X, Du, spectra, Phi, trace)
     leak_norm = core.residual_leak(f_hat, phi_rows)
     f_zero, f_zero_phi = f_hat[core.zero], f_hat[(phi_rows,) + core.zero[1:]]
     non_contracting = 0
@@ -390,7 +371,7 @@ def campanato_solve(
         ratio = d / trace.d[-1] if trace.d and trace.d[-1] > 0 else float("nan")
 
         Phi, Phi_prev = Phi_prev, Phi
-        _perturbation_spectrum(F, X, Du, core, Phi)
+        core.forward(_perturbation_values(F, X, Du, check=False), out=Phi)  # a non-finite Phi shows in res
         d_next = core.retained_norm(np.subtract(Phi, Phi_prev, out=residual))
         res = math.hypot(d_next, leak_norm(Phi))
         if not math.isfinite(res):

@@ -150,14 +150,13 @@ def reference_sweeps(F, lam, plan=None, dot=index_order_dot):
     return near, pm, lc
 
 
-def reference_norms(core, R, rows=None):
+def reference_norms(core, R):
     """SpectralCore.norms by its whole-array formula: (weight * sum over the
-    rows of |R|^2)[modes].sum() on a copy of the listed rows for the
-    retained modes and on every row's Nyquist entries, through
-    _root_sum_of_squares; the lean row-by-row path must give its bits."""
-    part = R if rows is None else R[list(rows)]
+    rows of |R|^2)[modes].sum() on the retained modes and on every row's
+    Nyquist entries, through _root_sum_of_squares; the lean row-by-row path
+    must give its bits."""
     leak = np.take(R.reshape(len(R), -1), core.nyquist_index, axis=1)
     return tuple(
         core.sqrt_volume * _root_sum_of_squares(x, lambda v: (w * (v.real**2 + v.imag**2).sum(axis=0))[m].sum())
-        for x, w, m in ((part, core.weight, core.retained), (leak, core.nyquist_weight, ...))
+        for x, w, m in ((R, core.weight, core.retained), (leak, core.nyquist_weight, ...))
     )

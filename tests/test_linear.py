@@ -212,8 +212,9 @@ def _signed_coefficients(rng, shape):
 
 @pytest.mark.parametrize("name", ["cr_N2", "dirac_N4", "dirac2_N8"])
 def test_plan_apply_is_the_complex_product_bit_for_bit(name):
-    # the plan holds Im M bit for bit; apply and each of its rows are the complex einsum of M, and
-    # add_products i times the complex subtraction of each product in turn, signed zeros too
+    # the plan holds Im M bit for bit; add_products from 0.0 over every column is the einsum of m and
+    # x, apply the complex einsum of M, and add_products from i c i times the complex subtraction of
+    # each product in turn, signed zeros too
     A = DIRECT_SUMS[name]
     grid = PeriodicGrid(n=A.n, G=8)
     plan = MultiplierPlan(A, grid)
@@ -224,11 +225,12 @@ def test_plan_apply_is_the_complex_product_bit_for_bit(name):
         x = _signed_coefficients(rng, (A.N,) + plan.core.zmag.shape)
         parts = x.view(float)
         assert (np.signbit(parts) & (parts == 0)).any() and (~np.signbit(parts) & (parts == 0)).any()
-        want = np.einsum("ab...,b...->a...", M, x)
-        out = np.empty_like(x)
-        assert plan.apply(x).tobytes() == want.tobytes()
-        assert plan.apply(x, out=out) is out and out.tobytes() == want.tobytes()
-        assert [plan.apply_row(x, a).tobytes() for a in range(A.N)] == [row.tobytes() for row in want]
+        sums = np.einsum("ba...,a...->b...", M.imag, x)
+        for b in range(A.N):
+            got = plan.add_products(0.0, b, range(A.N), x, out=np.empty_like(x[0]))
+            assert got.tobytes() == sums[b].tobytes()
+            assert not (np.signbit(got.view(float)) & (got.view(float) == 0)).any()
+        assert plan.apply(x).tobytes() == np.einsum("ab...,b...->a...", M, x).tobytes()
         src = _signed_coefficients(rng, plan.core.zmag.shape) + 0.0  # no -0.0, as (M f^)_b in the Picard step
         for b in range(A.N):
             for cols in (list(range(A.N)), [A.N - 1], [0, A.N - 1], []):

@@ -1,12 +1,13 @@
 """Design rules that the reproduction's evidence rests on, read off the
 source with ``re``: one spectral core, which runs numpy's 1-D passes
-itself, one plan cache, one sweep, kept on the perturbation's rows, one
-walk over config text, one report writer, one home for the contraction
-margin, one home for config-key refusals, one pass bound for the pair
-checks, one sample count for nu(A), one rule for every sum of squares,
-and reference oracles that share no kernel with the code they check, in
-either direction.  Each rule is one row of RULES; a broken rule reports
-its message and each offending ``file:line``."""
+itself, one plan cache, one product with the plan, one sweep, kept on
+the perturbation's rows, one walk over config text, one report writer,
+one home for the contraction margin, one home for config-key refusals,
+one pass bound for the pair checks, one sample count for nu(A), one rule
+for every sum of squares, and reference oracles that share no kernel
+with the code they check, in either direction.  Each rule is one row of
+RULES; a broken rule reports its message and each offending
+``file:line``."""
 
 import re
 from dataclasses import dataclass
@@ -74,6 +75,19 @@ RULES = [
         message="src/efos/ellipticity.py calls scatter(; the sweep takes Phi on its rows and places them "
         "itself where a norm or the gap needs all N components",
         planted=("src/efos/ellipticity.py", "import numpy as np\n\nD = F.scatter((Phi1 - Phi0) / unit)\n"),
+    ),
+    Rule(
+        name="one_product_with_the_plan",
+        pattern=r"self\.multipliers\[",
+        paths="src/efos/**/*.py",
+        count=2,
+        message="self.multipliers[ must appear in src/efos exactly twice, in MultiplierPlan.add_products; "
+        "multiply by the plan through add_products",
+        planted=(
+            "src/efos/linear.py",
+            "import numpy as np\n\n"
+            'row = np.einsum("b...,b...->...", self.multipliers[a], coeffs.imag, out=out.real)\n',
+        ),
     ),
     Rule(
         name="one_walk_over_config_text",
